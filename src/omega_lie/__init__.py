@@ -52,9 +52,6 @@ from .linalg import (
     nullspace,
     rref,
     solve_affine,
-    subspace_contains,
-    subspace_equal,
-    subspace_intersect,
 )
 from .local import (
     AffineCondition,

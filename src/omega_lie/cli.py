@@ -50,23 +50,24 @@ from .local import (
     local_closure,
     two_local_report,
 )
-from .solvers import MapSpace, TensorSpace, solve_map_space, solve_tensor_space
+from .solvers import KINDS, MapSpace, solve
 
 USAGE_ERROR = 2
 FILE_ERROR = 3
 
+# label -> (solver kind, delta); ``dder`` takes its delta from ``--delta``
 SOLVE_KINDS = {
-    "der": ("map", "derivation"),
-    "wder": ("map", "omega_derivation"),
-    "cent": ("map", "centroid"),
-    "cmap": ("map", "commuting"),
-    "acmap": ("map", "anticommuting"),
-    "halfder": ("map", "half"),
-    "dder": ("map", "delta_derivation"),
-    "bider": ("tensor", "biderivation"),
-    "bider-sym": ("tensor", "symmetric"),
-    "bider-skew": ("tensor", "skew"),
-    "bider-omega": ("tensor", "omega_biderivation"),
+    "der": ("derivation", None),
+    "wder": ("omega_derivation", None),
+    "cent": ("centroid", None),
+    "cmap": ("commuting", None),
+    "acmap": ("anticommuting", None),
+    "halfder": ("delta_derivation", Fraction(1, 2)),
+    "dder": ("delta_derivation", None),
+    "bider": ("biderivation", None),
+    "bider-sym": ("symmetric", None),
+    "bider-skew": ("skew", None),
+    "bider-omega": ("omega_biderivation", None),
 }
 
 
@@ -87,6 +88,8 @@ def _parse_algebra_arg(arg: str) -> tuple[OmegaAlgebra, dict]:
             name, sep, value = piece.partition("=")
             if not sep:
                 raise CliError(f"bad parameter {piece!r} in {arg!r} (expected name=p/q)", USAGE_ERROR)
+            if name in params:
+                raise CliError(f"repeated parameter {name!r} in {arg!r}", USAGE_ERROR)
             try:
                 params[name] = frac(value)
             except (ValueError, ZeroDivisionError, TypeError):
@@ -109,10 +112,6 @@ def _parse_algebra_arg(arg: str) -> tuple[OmegaAlgebra, dict]:
     except AlgebraFormatError as exc:
         raise CliError(f"cannot parse algebra file {arg!r}: {exc}", FILE_ERROR) from None
     return algebra, {"path": arg}
-
-
-def _matrix_strings(m: Matrix) -> list[list[str]]:
-    return m.to_strings()
 
 
 def _load_json_file(path: str, what: str):
@@ -225,8 +224,7 @@ def cmd_solve(args) -> int:
     if args.kind not in SOLVE_KINDS:
         raise CliError(f"unknown solve kind {args.kind!r} (choose from {', '.join(SOLVE_KINDS)})", USAGE_ERROR)
     algebra, origin = _parse_algebra_arg(args.algebra)
-    family, kind = SOLVE_KINDS[args.kind]
-    delta = None
+    kind, delta = SOLVE_KINDS[args.kind]
     if args.kind == "dder":
         if args.delta is None:
             raise CliError("solve dder requires --delta p/q", USAGE_ERROR)
@@ -234,48 +232,38 @@ def cmd_solve(args) -> int:
             delta = frac(args.delta)
         except (ValueError, ZeroDivisionError, TypeError):
             raise CliError(f"bad --delta value {args.delta!r}", USAGE_ERROR) from None
-    if family == "map":
-        if args.kind == "halfder":
-            space: MapSpace = solve_map_space(algebra, "delta_derivation", Fraction(1, 2))
-        else:
-            space = solve_map_space(algebra, kind, delta)
-        payload = {
-            "kind": args.kind,
-            "rank": space.rank,
-            "basis": [_matrix_strings(m) for m in space.matrices()],
-        }
-        lines = [f"{args.kind} space of {algebra.name}: rank {space.rank}"]
-        for idx, m in enumerate(space.matrices(), 1):
+    space = solve(algebra, kind, delta=delta)
+    lines = [f"{args.kind} space of {algebra.name}: rank {space.rank}"]
+    if KINDS[kind].arity == 1:
+        basis = [m.to_strings() for m in space.matrices()]
+        for idx, m in enumerate(basis, 1):
             lines.append(f"  basis matrix {idx}:")
-            lines.extend("    " + "  ".join(f"{s:>6s}" for s in row) for row in m.to_strings())
+            lines.extend("    " + "  ".join(f"{s:>6s}" for s in row) for row in m)
     else:
-        tspace: TensorSpace = solve_tensor_space(algebra, kind)
-        n = algebra.dim
-        basis_payload = []
-        for t in tspace.tensors():
-            entries = {}
-            for i in range(n):
-                for j in range(n):
-                    for k in range(n):
-                        if t.tensor[i][j][k]:
-                            entries[f"{i+1},{j+1},{k+1}"] = format_scalar(t.tensor[i][j][k])
-            basis_payload.append(entries)
-        payload = {"kind": args.kind, "rank": tspace.rank, "basis": basis_payload}
-        lines = [f"{args.kind} space of {algebra.name}: rank {tspace.rank}"]
-        for idx, entries in enumerate(basis_payload, 1):
+        basis = [
+            {
+                f"{i+1},{j+1},{k+1}": format_scalar(v)
+                for i, plane in enumerate(t.tensor)
+                for j, row in enumerate(plane)
+                for k, v in enumerate(row)
+                if v
+            }
+            for t in space.tensors()
+        ]
+        for idx, entries in enumerate(basis, 1):
             lines.append(f"  basis tensor {idx} (nonzero d[i][j][k]):")
             lines.extend(f"    d[{key}] = {value}" for key, value in entries.items())
+    payload = {"kind": args.kind, "rank": space.rank, "basis": basis}
     extra = {"expected": _expected_payload(origin)}
     _emit(args, _report(args, _algebra_identity(algebra, origin), payload, extra), lines)
     return 0
 
 
 def _space_for(algebra: OmegaAlgebra, which: str) -> MapSpace:
-    if which == "der":
-        return solve_map_space(algebra, "derivation")
-    if which == "halfder":
-        return solve_map_space(algebra, "delta_derivation", Fraction(1, 2))
-    raise CliError(f"unknown space {which!r} (choose der or halfder)", USAGE_ERROR)
+    if which not in ("der", "halfder"):
+        raise CliError(f"unknown space {which!r} (choose der or halfder)", USAGE_ERROR)
+    kind, delta = SOLVE_KINDS[which]
+    return solve(algebra, kind, delta=delta)
 
 
 def cmd_local(args) -> int:
@@ -290,7 +278,7 @@ def cmd_local(args) -> int:
             "candidate_rank": res.candidate_rank,
             "certified": res.certified,
             "samples": len(res.samples_used),
-            "witness": _matrix_strings(res.witness) if res.witness is not None else None,
+            "witness": res.witness.to_strings() if res.witness is not None else None,
         }
         lines = [
             f"local closure of the {args.mode} space of {algebra.name}:",
@@ -325,7 +313,7 @@ def cmd_local(args) -> int:
             "mode": "family",
             "comparison": res.comparison,
             "matches_family_hull": res.matches_family_hull,
-            "particular": _matrix_strings(res.particular) if res.particular is not None else None,
+            "particular": res.particular.to_strings() if res.particular is not None else None,
             "direction_rank": res.directions.rank,
             "caveats": list(res.caveats),
         }

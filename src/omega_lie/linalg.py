@@ -306,19 +306,14 @@ class SubspaceBasis:
     def is_subspace_of(self, other: "SubspaceBasis") -> bool:
         return other.contains_all(self.basis)
 
+    def annihilated_by(self, functional: SparseRow) -> bool:
+        """Whether the functional ``v -> sum(c * v[j])`` vanishes on the subspace.
 
-def subspace_contains(s: SubspaceBasis, v: Sequence[RationalLike]) -> bool:
-    return s.contains(v)
-
-
-def subspace_intersect(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
-    return a.intersect(b)
-
-
-def subspace_equal(a: SubspaceBasis, b: SubspaceBasis) -> bool:
-    if a.ambient_dim != b.ambient_dim:
-        raise ValueError("cannot compare subspaces of different ambient dimensions")
-    return a == b
+        The row space of a linear system is the annihilator of its nullspace,
+        so on a solution space this says whether the equation is implied by
+        the system that defines it.
+        """
+        return all(not sum((c * v[j] for j, c in functional.items()), ZERO) for v in self.basis)
 
 
 def nullspace(m: Matrix) -> SubspaceBasis:

@@ -1,62 +1,223 @@
 """Solution spaces of the linear definitional identities.
 
-Each solver turns one identity (derivation, centroid, commuting map,
-biderivation, ...) into an exact linear system over the vectorized unknown
-and returns the canonical nullspace basis:
+Each identity (derivation, centroid, commuting map, biderivation, ...) is
+written once, as a term list in the registry ``KINDS``, which maps a kind to
+the arity of its unknown ``U`` and to its identities.  For example the
+derivation identity reads ``U([x,y]) - delta*[U(x),y] - delta*[x,U(y)] = 0``
+with ``delta = 1``.  Two independent interpreters read the term lists:
 
-* linear maps are vectorized row-major over their stored matrix,
-  ``M[r][c] -> r*n + c``;
-* bilinear maps are vectorized ``d[i][j][k] -> (i*n + j)*n + k``.
+* row assembly turns an identity into exact sparse rows over the vectorized
+  unknown, one row per basis tuple and output coordinate, with one small
+  kernel per term shape over the nonzero structure constants; the canonical
+  nullspace of the rows is the solution space.  Linear maps are vectorized
+  row-major over their stored matrix, ``M[r][c] -> r*n + c``; bilinear maps
+  ``d[i][j][k] -> (i*n + j)*n + k``;
+* ``map_defects`` / ``tensor_defects`` evaluate the same terms through
+  ``algebra.bracket``, ``LinearMap.apply`` / ``BilinearMap.apply`` and
+  ``algebra.omega_form`` on every basis tuple and report any nonzero
+  residual, so a re-check shares no row indexing with the solver.
 
-Constraints are assembled on basis tuples only: every identity involved is
-multilinear, so holding on basis tuples is equivalent to holding on the
-whole algebra.  Enumeration order is fixed (pairs ``i < j``, triples
-lexicographic), which makes the assembled systems, and therefore the
-canonical bases, fully deterministic.
+Every identity is multilinear, so holding on basis tuples is equivalent to
+holding on the whole algebra.  An identity that an exchange of two variables
+maps to a multiple of itself declares an ``order`` such as ``"x<y"``, and its
+rows are assembled on the basis tuples in that order only.  Enumeration is
+lexicographic, which makes the rows, and so the canonical bases, fully
+deterministic.
 
-Every solver result can be re-checked: ``map_defects`` / ``tensor_defects``
-re-instantiate the defining identity on all basis tuples and report any
-nonzero residual, and the test suite asserts these are empty for every
-returned basis element.
+Adding an identity means one term list in ``KINDS`` plus one test.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from itertools import product
+from typing import NamedTuple, Optional, Union
 
 from .algebra import BilinearMap, LinearMap, OmegaAlgebra
-from .linalg import (
-    Matrix,
-    SparseRow,
-    SubspaceBasis,
-    Vector,
-    ZERO,
-    frac,
-    nullspace_of_sparse_rows,
-)
+from .linalg import Matrix, SparseRow, SubspaceBasis, Vector, ZERO, frac, nullspace_of_sparse_rows
 
-MAP_KINDS = (
-    "derivation",
-    "omega_derivation",
-    "centroid",
-    "commuting",
-    "anticommuting",
-    "delta_derivation",
-)
+# -- term lists ---------------------------------------------------------------
 
-TENSOR_KINDS = ("biderivation", "symmetric", "skew", "omega_biderivation")
+x, y, z = 0, 1, 2  # the variables of an identity, bound to basis vectors
 
 
-def _bump(row: SparseRow, index: int, value: Fraction) -> None:
-    if not value:
-        return
-    acc = row.get(index, ZERO) + value
-    if acc:
-        row[index] = acc
-    else:
-        del row[index]
+def U(*args):
+    """The unknown: a linear map of one argument or a bilinear map of two."""
+    return ("U",) + args
+
+
+def br(a, b):
+    return ("br", a, b)
+
+
+def w(a, b):
+    """The skew form; an identity whose terms are headed by ``w`` is scalar."""
+    return ("w", a, b)
+
+
+class Identity(NamedTuple):
+    """``sum(coefficient * term) = 0`` on every tuple of basis vectors.
+
+    A coefficient is an integer or the name of a parameter, negated by a
+    leading ``-``.  ``order`` (``"x<y"``, ``"x<=y"``) restricts row assembly to
+    the basis tuples in that order; the residual checks use every tuple.
+    """
+
+    terms: tuple
+    order: str = ""
+
+
+class Kind(NamedTuple):
+    arity: int  # of the unknown: 1 for linear maps, 2 for bilinear maps
+    identities: tuple[Identity, ...]
+    params: dict = {}  # default parameter values
+
+
+LEIBNIZ = Identity(((1, U(br(x, y))), ("-delta", br(U(x), y)), ("-delta", br(x, U(y)))), "x<y")
+FORM_SKEW = Identity(((1, w(U(x), y)), (1, w(x, U(y)))), "x<y")
+CENTROID = Identity(((1, U(br(x, y))), (-1, br(U(x), y))))
+COMMUTING = Identity(((1, br(U(x), y)), (-1, br(x, U(y)))))
+ANTICOMMUTING = Identity(((1, br(U(x), y)), (-1, br(U(y), x))))
+# a biderivation is a derivation in each slot
+LEIBNIZ_FIRST = Identity(((1, U(br(x, y), z)), (-1, br(x, U(y, z))), (-1, br(U(x, z), y))), "x<y")
+LEIBNIZ_SECOND = Identity(((1, U(x, br(y, z))), (-1, br(y, U(x, z))), (-1, br(U(x, y), z))), "y<z")
+SYMMETRIC = Identity(((1, U(x, y)), (-1, U(y, x))), "x<=y")
+SKEW = Identity(((1, U(x, y)), (1, U(y, x))), "x<=y")
+# skew-form compatibility of both partial maps; see omega_biderivations
+FORM_FIRST = Identity(((1, w(U(x, y), z)), ("sign", w(y, U(x, z)))))
+FORM_SECOND = Identity(((1, w(U(x, y), z)), ("sign", w(x, U(z, y)))))
+
+OMEGA_BIDERIVATION_SIGN = Fraction(-1)
+BIDERIVATION = (LEIBNIZ_FIRST, LEIBNIZ_SECOND)
+
+KINDS = {
+    "derivation": Kind(1, (LEIBNIZ,), {"delta": Fraction(1)}),
+    "omega_derivation": Kind(1, (LEIBNIZ, FORM_SKEW), {"delta": Fraction(1)}),
+    "centroid": Kind(1, (CENTROID,)),
+    "commuting": Kind(1, (COMMUTING,)),
+    "anticommuting": Kind(1, (ANTICOMMUTING,)),
+    "delta_derivation": Kind(1, (LEIBNIZ,)),
+    "biderivation": Kind(2, BIDERIVATION),
+    "symmetric": Kind(2, BIDERIVATION + (SYMMETRIC,)),
+    "skew": Kind(2, BIDERIVATION + (SKEW,)),
+    "omega_biderivation": Kind(2, BIDERIVATION + (FORM_FIRST, FORM_SECOND), {"sign": OMEGA_BIDERIVATION_SIGN}),
+}
+
+
+def _lookup(kind: str, given: dict, arity: Optional[int] = None) -> tuple[Kind, dict]:
+    """The registry entry of ``kind`` and its parameter values.
+
+    The given values override the defaults; ``None`` keeps the default.
+    """
+    spec = KINDS.get(kind)
+    if spec is None or arity not in (None, spec.arity):
+        raise ValueError(f"unknown {('', 'map ', 'tensor ')[arity or 0]}kind {kind!r}")
+    named = {c.lstrip("-") for identity in spec.identities for c, _ in identity.terms if isinstance(c, str)}
+    given = {name: frac(value) for name, value in given.items() if value is not None}
+    unknown = sorted(set(given) - named)
+    if unknown:
+        raise ValueError(f"{kind} has no parameter {unknown[0]!r}")
+    missing = sorted(named - set(given) - set(spec.params))
+    if missing:
+        raise ValueError(f"{kind} needs a value for {missing[0]!r}")
+    return spec, {**spec.params, **given}
+
+
+def _coefficient(c, params: dict) -> Fraction:
+    if isinstance(c, int):
+        return Fraction(c)
+    return -params[c[1:]] if c.startswith("-") else params[c]
+
+
+def _variables(expr) -> set[int]:
+    if isinstance(expr, int):
+        return {expr}
+    return set().union(*(_variables(a) for a in expr[1:]))
+
+
+def _arity(identity: Identity) -> int:
+    """Number of variables of an identity."""
+    return 1 + max(v for _, expr in identity.terms for v in _variables(expr))
+
+
+# -- row assembly -------------------------------------------------------------
+
+
+def _tables(algebra: OmegaAlgebra) -> dict:
+    """Nonzero structure constants and form values, indexed for the kernels."""
+    r = range(algebra.dim)
+    c, om = algebra.structure, algebra.omega
+
+    def nonzero(pairs):
+        return tuple((p, v) for p, v in pairs if v)
+
+    return {
+        "br": [[nonzero((m, c[a][b][m]) for m in r) for b in r] for a in r],  # [a, b]_m
+        ("br", 0): [[nonzero((p, c[p][v][k]) for p in r) for k in r] for v in r],  # [U.., v]_k
+        ("br", 1): [[nonzero((p, c[v][p][k]) for p in r) for k in r] for v in r],  # [v, U..]_k
+        ("w", 0): [[nonzero((q, om[q][v]) for q in r)] for v in r],  # w(U.., v)
+        ("w", 1): [[nonzero((q, om[v][q]) for q in r)] for v in r],  # w(v, U..)
+    }
+
+
+def _kernel(expr, coef: Fraction, n: int, out: int, tables: dict):
+    """Compile one term into ``(slots, step, table, s, t)`` for ``_rows``.
+
+    At the point ``at = (basis indices..., output coordinate)`` the term adds
+    ``v`` at column ``sum(at[a] * weight for a, weight in slots) + m * step``
+    for each ``(m, v)`` in ``table[at[s]][at[t]]``.  ``out`` is the position
+    of the output coordinate in ``at``.
+    """
+    if expr[0] == "U":  # U(args), one argument possibly a bracket of two variables
+        args = expr[1:]
+        weights = [n ** (len(args) - s) for s in range(len(args))]
+        slots = [(a, wt) for a, wt in zip(args, weights) if isinstance(a, int)] + [(out, 1)]
+        inner = [(a, wt) for a, wt in zip(args, weights) if not isinstance(a, int)]
+        if not inner:
+            return slots, 0, [[((0, coef),)] * n] * n, out, out
+        ((_, s, t), step), = inner
+        table = tables["br"]
+    else:  # [U(vars), v], [v, U(vars)], w(U(vars), v) or w(v, U(vars))
+        head, a, b = expr
+        side = 1 if isinstance(a, int) else 0
+        unknown, s = (b, a) if side else (a, b)
+        args = unknown[1:]
+        slots = [(v, n ** (len(args) - i)) for i, v in enumerate(args)]
+        step, t, table = 1, out, tables[head, side]
+    scaled = [[tuple((m, coef * v) for m, v in cell) for cell in line] for line in table]
+    return slots, step, scaled, s, t
+
+
+def _rows(algebra: OmegaAlgebra, identity: Identity, params: dict, tables: dict):
+    """Sparse rows of one identity: per basis tuple, per output coordinate."""
+    n = algebra.dim
+    nvars = _arity(identity)
+    kernels = [_kernel(expr, _coefficient(c, params), n, nvars, tables) for c, expr in identity.terms]
+    outputs = range(1) if identity.terms[0][1][0] == "w" else range(n)
+    tuples = product(range(n), repeat=nvars)
+    if identity.order:
+        first, second = "xyz".index(identity.order[0]), "xyz".index(identity.order[-1])
+        strict = identity.order[1:-1] == "<"
+        tuples = (p for p in tuples if p[first] < p[second] or (not strict and p[first] == p[second]))
+    for point in tuples:
+        for k in outputs:
+            at = point + (k,)
+            row: SparseRow = {}
+            for slots, step, table, s, t in kernels:
+                base = 0
+                for var, weight in slots:
+                    base += at[var] * weight
+                for m, v in table[at[s]][at[t]]:
+                    col = base + m * step
+                    old = row.get(col)
+                    row[col] = v if old is None else old + v
+            row = {col: v for col, v in row.items() if v}
+            if row:
+                yield row
+
+
+# -- solution spaces ----------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -64,14 +225,13 @@ class MapSpace:
     """Canonical solution space of a linear-map identity.
 
     ``space`` lives in ambient dimension ``n**2`` (row-major vectorization of
-    the stored matrices); ``system`` is the assembled constraint matrix, kept
-    so callers can inspect the raw equations.
+    the stored matrices).  An equation is implied by the identity exactly when
+    ``space.annihilated_by`` holds for it.
     """
 
     algebra: OmegaAlgebra
     kind: str
     space: SubspaceBasis
-    system: Matrix
     delta: Optional[Fraction] = None
 
     @property
@@ -99,7 +259,6 @@ class TensorSpace:
     algebra: OmegaAlgebra
     kind: str
     space: SubspaceBasis
-    system: Matrix
 
     @property
     def rank(self) -> int:
@@ -129,56 +288,26 @@ def vectorize_tensor(t: BilinearMap) -> Vector:
     return tuple(x for plane in t.tensor for row in plane for x in row)
 
 
-def _finish_map_space(
-    algebra: OmegaAlgebra, kind: str, rows: list[SparseRow], delta: Optional[Fraction] = None
-) -> MapSpace:
-    n = algebra.dim
-    ambient = n * n
-    space, _ = nullspace_of_sparse_rows(ambient, rows)
-    system = Matrix(
-        tuple(tuple(row.get(j, ZERO) for j in range(ambient)) for row in rows), ambient
-    )
-    return MapSpace(algebra, kind, space, system, delta)
+def solve(algebra: OmegaAlgebra, kind: str, **params) -> Union[MapSpace, TensorSpace]:
+    """Solution space of a kind of ``KINDS``.
 
-
-def _finish_tensor_space(algebra: OmegaAlgebra, kind: str, rows: list[SparseRow]) -> TensorSpace:
-    n = algebra.dim
-    ambient = n * n * n
-    space, _ = nullspace_of_sparse_rows(ambient, rows)
-    system = Matrix(
-        tuple(tuple(row.get(j, ZERO) for j in range(ambient)) for row in rows), ambient
-    )
-    return TensorSpace(algebra, kind, space, system)
-
-
-# -- linear-map solvers -------------------------------------------------------
-
-
-def _leibniz_rows(algebra: OmegaAlgebra, weight: Fraction) -> Iterator[SparseRow]:
-    """Rows of ``D([e_i,e_j]) - weight*([D e_i, e_j] + [e_i, D e_j]) = 0``.
-
-    The unknown is the row-stored matrix of ``D``; both sides are antisymmetric
-    in ``(i, j)``, so pairs ``i < j`` carry the full system.
+    ``params`` give values to the parameters its term lists name: ``delta``
+    (required by ``delta_derivation``) and ``sign`` (of ``omega_biderivation``);
+    ``None`` keeps the default.
     """
-    n = algebra.dim
-    c = algebra.structure
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(n):
-                row: SparseRow = {}
-                for m in range(n):
-                    _bump(row, m * n + k, c[i][j][m])
-                for p in range(n):
-                    _bump(row, i * n + p, -weight * c[p][j][k])
-                    _bump(row, j * n + p, -weight * c[i][p][k])
-                if row:
-                    yield row
+    spec, values = _lookup(kind, params)
+    tables = _tables(algebra)
+    rows = [row for identity in spec.identities for row in _rows(algebra, identity, values, tables)]
+    space, _ = nullspace_of_sparse_rows(algebra.dim ** (spec.arity + 1), rows)
+    if spec.arity == 1:
+        delta = params.get("delta")
+        return MapSpace(algebra, kind, space, None if delta is None else frac(delta))
+    return TensorSpace(algebra, kind, space)
 
 
 def derivations(algebra: OmegaAlgebra) -> MapSpace:
     """All ``D`` with ``D([x,y]) = [D(x), y] + [x, D(y)]``."""
-    rows = list(_leibniz_rows(algebra, Fraction(1)))
-    return _finish_map_space(algebra, "derivation", rows)
+    return solve(algebra, "derivation")
 
 
 def delta_derivations(algebra: OmegaAlgebra, delta) -> MapSpace:
@@ -187,191 +316,44 @@ def delta_derivations(algebra: OmegaAlgebra, delta) -> MapSpace:
     ``delta = 1`` assembles exactly the derivation system; ``delta = 1/2``
     gives the half-derivations.
     """
-    delta = frac(delta)
-    rows = list(_leibniz_rows(algebra, delta))
-    return _finish_map_space(algebra, "delta_derivation", rows, delta=delta)
+    return solve(algebra, "delta_derivation", delta=delta)
 
 
 def half_derivations(algebra: OmegaAlgebra) -> MapSpace:
     return delta_derivations(algebra, Fraction(1, 2))
 
 
-def _omega_compat_rows(algebra: OmegaAlgebra) -> Iterator[SparseRow]:
-    """Rows of ``w(D(e_i), e_j) + w(e_i, D(e_j)) = 0`` for ``i < j``."""
-    n = algebra.dim
-    w = algebra.omega
-    for i in range(n):
-        for j in range(i + 1, n):
-            row: SparseRow = {}
-            for p in range(n):
-                _bump(row, i * n + p, w[p][j])
-                _bump(row, j * n + p, w[i][p])
-            if row:
-                yield row
-
-
 def omega_derivations(algebra: OmegaAlgebra) -> MapSpace:
     """Derivations compatible with the skew form; always inside ``derivations``."""
-    rows = list(_leibniz_rows(algebra, Fraction(1)))
-    rows.extend(_omega_compat_rows(algebra))
-    return _finish_map_space(algebra, "omega_derivation", rows)
-
-
-def _pairwise_rows(algebra: OmegaAlgebra, kind: str) -> Iterator[SparseRow]:
-    """Rows for the centroid / commuting / anticommuting identities.
-
-    These identities are not antisymmetric in ``(x, y)``, so all ordered basis
-    pairs are enumerated (duplicates reduce away).
-    """
-    n = algebra.dim
-    c = algebra.structure
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                row: SparseRow = {}
-                if kind == "centroid":
-                    # a([e_i,e_j]) - [a(e_i), e_j]
-                    for m in range(n):
-                        _bump(row, m * n + k, c[i][j][m])
-                    for p in range(n):
-                        _bump(row, i * n + p, -c[p][j][k])
-                elif kind == "commuting":
-                    # [a(e_i), e_j] - [e_i, a(e_j)]
-                    for p in range(n):
-                        _bump(row, i * n + p, c[p][j][k])
-                        _bump(row, j * n + p, -c[i][p][k])
-                elif kind == "anticommuting":
-                    # [a(e_i), e_j] - [a(e_j), e_i]
-                    for p in range(n):
-                        _bump(row, i * n + p, c[p][j][k])
-                        _bump(row, j * n + p, -c[p][i][k])
-                else:
-                    raise ValueError(f"unknown pairwise kind {kind!r}")
-                if row:
-                    yield row
+    return solve(algebra, "omega_derivation")
 
 
 def centroid(algebra: OmegaAlgebra) -> MapSpace:
     """All ``a`` with ``a([x,y]) = [a(x), y]``."""
-    return _finish_map_space(algebra, "centroid", list(_pairwise_rows(algebra, "centroid")))
+    return solve(algebra, "centroid")
 
 
 def commuting_maps(algebra: OmegaAlgebra) -> MapSpace:
     """All ``a`` with ``[a(x), y] = [x, a(y)]``."""
-    return _finish_map_space(algebra, "commuting", list(_pairwise_rows(algebra, "commuting")))
+    return solve(algebra, "commuting")
 
 
 def anticommuting_maps(algebra: OmegaAlgebra) -> MapSpace:
     """All ``a`` with ``[a(x), y] = [a(y), x]``."""
-    return _finish_map_space(algebra, "anticommuting", list(_pairwise_rows(algebra, "anticommuting")))
-
-
-# -- bilinear solvers ---------------------------------------------------------
-
-
-def _biderivation_rows(algebra: OmegaAlgebra) -> Iterator[SparseRow]:
-    """Both defining identities of a biderivation on basis triples.
-
-    First identity (a derivation in the first slot), antisymmetric in
-    ``(i, j)``:  ``delta([e_i,e_j], e_k) = [e_i, delta(e_j,e_k)] + [delta(e_i,e_k), e_j]``.
-    Second identity (a derivation in the second slot), antisymmetric in
-    ``(j, k)``:  ``delta(e_i, [e_j,e_k]) = [e_j, delta(e_i,e_k)] + [delta(e_i,e_j), e_k]``.
-    """
-    n = algebra.dim
-    c = algebra.structure
-
-    def var(i: int, j: int, k: int) -> int:
-        return (i * n + j) * n + k
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(n):
-                for m in range(n):
-                    row: SparseRow = {}
-                    for p in range(n):
-                        _bump(row, var(p, k, m), c[i][j][p])
-                        _bump(row, var(j, k, p), -c[i][p][m])
-                        _bump(row, var(i, k, p), -c[p][j][m])
-                    if row:
-                        yield row
-    for i in range(n):
-        for j in range(n):
-            for k in range(j + 1, n):
-                for m in range(n):
-                    row = {}
-                    for p in range(n):
-                        _bump(row, var(i, p, m), c[j][k][p])
-                        _bump(row, var(i, k, p), -c[j][p][m])
-                        _bump(row, var(i, j, p), -c[p][k][m])
-                    if row:
-                        yield row
-
-
-def _symmetry_rows(n: int, sign: int) -> Iterator[SparseRow]:
-    """``d[i][j][k] - sign * d[j][i][k] = 0`` (sign=+1 symmetric, -1 skew)."""
-
-    def var(i: int, j: int, k: int) -> int:
-        return (i * n + j) * n + k
-
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(n):
-                row: SparseRow = {}
-                _bump(row, var(i, j, k), Fraction(1))
-                _bump(row, var(j, i, k), Fraction(-sign))
-                if row:
-                    yield row
+    return solve(algebra, "anticommuting")
 
 
 def biderivations(algebra: OmegaAlgebra) -> TensorSpace:
     """All bilinear maps that are derivations in each slot."""
-    return _finish_tensor_space(algebra, "biderivation", list(_biderivation_rows(algebra)))
+    return solve(algebra, "biderivation")
 
 
 def symmetric_biderivations(algebra: OmegaAlgebra) -> TensorSpace:
-    rows = list(_biderivation_rows(algebra))
-    rows.extend(_symmetry_rows(algebra.dim, +1))
-    return _finish_tensor_space(algebra, "symmetric", rows)
+    return solve(algebra, "symmetric")
 
 
 def skew_biderivations(algebra: OmegaAlgebra) -> TensorSpace:
-    rows = list(_biderivation_rows(algebra))
-    rows.extend(_symmetry_rows(algebra.dim, -1))
-    return _finish_tensor_space(algebra, "skew", rows)
-
-
-def _omega_bider_rows(algebra: OmegaAlgebra, sign: Fraction) -> Iterator[SparseRow]:
-    """Skew-form compatibility of both partial maps of a biderivation.
-
-    For each triple: ``w(delta(e_i,e_j), e_k) + sign * w(e_j, delta(e_i,e_k)) = 0``
-    and ``w(delta(e_i,e_j), e_k) + sign * w(e_i, delta(e_k,e_j)) = 0``.
-    ``sign`` selects between the displayed-equality reading (-1) and the
-    compatible-with-omega-derivations reading (+1); see omega_biderivations.
-    """
-    n = algebra.dim
-    w = algebra.omega
-
-    def var(i: int, j: int, k: int) -> int:
-        return (i * n + j) * n + k
-
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                row: SparseRow = {}
-                for q in range(n):
-                    _bump(row, var(i, j, q), w[q][k])
-                    _bump(row, var(i, k, q), sign * w[j][q])
-                if row:
-                    yield row
-                row = {}
-                for q in range(n):
-                    _bump(row, var(i, j, q), w[q][k])
-                    _bump(row, var(k, j, q), sign * w[i][q])
-                if row:
-                    yield row
-
-
-OMEGA_BIDERIVATION_SIGN = Fraction(-1)
+    return solve(algebra, "skew")
 
 
 def omega_biderivations(algebra: OmegaAlgebra, sign: Optional[Fraction] = None) -> TensorSpace:
@@ -379,14 +361,11 @@ def omega_biderivations(algebra: OmegaAlgebra, sign: Optional[Fraction] = None) 
 
     The compatibility family is ``w(delta(x,y), z) = w(y, delta(x,z))`` together
     with ``w(delta(x,y), z) = w(x, delta(z,y))`` (the module default,
-    ``sign = -1`` in the assembled row).  Always a subspace of
+    ``sign = -1`` in the term lists).  ``sign = +1`` reads them as sums, the
+    reading compatible with omega-derivations.  Always a subspace of
     ``biderivations``.
     """
-    if sign is None:
-        sign = OMEGA_BIDERIVATION_SIGN
-    rows = list(_biderivation_rows(algebra))
-    rows.extend(_omega_bider_rows(algebra, frac(sign)))
-    return _finish_tensor_space(algebra, "omega_biderivation", rows)
+    return solve(algebra, "omega_biderivation", sign=sign)
 
 
 def split_biderivation(t: BilinearMap) -> tuple[BilinearMap, BilinearMap]:
@@ -413,137 +392,67 @@ def split_biderivation(t: BilinearMap) -> tuple[BilinearMap, BilinearMap]:
 # -- residual checks ----------------------------------------------------------
 
 
+def _value(algebra: OmegaAlgebra, expr, unknown, point, memo: dict) -> Vector:
+    """A term at basis vectors ``point``; a form value comes back as a 1-tuple.
+
+    ``memo`` holds the subterms already evaluated at this point.
+    """
+    if isinstance(expr, int):
+        return point[expr]
+    if expr not in memo:
+        args = [_value(algebra, a, unknown, point, memo) for a in expr[1:]]
+        if expr[0] == "U":
+            memo[expr] = unknown.apply(*args)
+        elif expr[0] == "br":
+            memo[expr] = algebra.bracket(*args)
+        else:
+            memo[expr] = (algebra.omega_form(*args),)
+    return memo[expr]
+
+
+def _defects(algebra: OmegaAlgebra, kind: str, arity: int, unknown, given: dict):
+    """Nonzero residuals of a kind on all basis tuples.
+
+    Identities with the same number of variables share their tuples: each
+    entry is ``(1-based indices, residuals of those identities concatenated)``.
+    """
+    spec, params = _lookup(kind, given, arity)
+    groups: dict[int, list] = {}
+    for identity in spec.identities:
+        terms = [(_coefficient(c, params), expr) for c, expr in identity.terms]
+        groups.setdefault(_arity(identity), []).append(terms)
+    basis = algebra.basis_vectors()
+    out = []
+    for nvars, identities in groups.items():
+        for idx in product(range(algebra.dim), repeat=nvars):
+            point = [basis[i] for i in idx]
+            memo: dict = {}
+            residual: Vector = ()
+            for terms in identities:
+                values = [(c, _value(algebra, expr, unknown, point, memo)) for c, expr in terms]
+                residual += tuple(sum((c * v[r] for c, v in values if v[r]), ZERO) for r in range(len(values[0][1])))
+            if any(residual):
+                out.append((tuple(i + 1 for i in idx), residual))
+    return out
+
+
 def map_defects(
     algebra: OmegaAlgebra, kind: str, f: LinearMap, delta: Optional[Fraction] = None
 ) -> list[tuple[int, int, Vector]]:
-    """Nonzero residuals of the defining identity of ``kind`` on basis pairs.
+    """Nonzero residuals of the defining identities of ``kind`` on basis pairs.
 
     Returns ``[(i, j, residual), ...]`` with 1-based indices; empty means the
-    map satisfies the identity exactly.
+    map satisfies the identities exactly.
     """
-    n = algebra.dim
-    basis = algebra.basis_vectors()
-    out = []
-    weight = Fraction(1) if delta is None else frac(delta)
-    for i in range(n):
-        for j in range(n):
-            ei, ej = basis[i], basis[j]
-            fi, fj = f.apply(ei), f.apply(ej)
-            if kind in ("derivation", "delta_derivation"):
-                lhs = f.apply(algebra.bracket(ei, ej))
-                rhs = tuple(
-                    weight * (a + b)
-                    for a, b in zip(algebra.bracket(fi, ej), algebra.bracket(ei, fj))
-                )
-            elif kind == "omega_derivation":
-                lhs = f.apply(algebra.bracket(ei, ej))
-                rhs = tuple(a + b for a, b in zip(algebra.bracket(fi, ej), algebra.bracket(ei, fj)))
-                scalar = algebra.omega_form(fi, ej) + algebra.omega_form(ei, fj)
-                if scalar:
-                    out.append((i + 1, j + 1, (scalar,)))
-            elif kind == "centroid":
-                lhs = f.apply(algebra.bracket(ei, ej))
-                rhs = algebra.bracket(fi, ej)
-            elif kind == "commuting":
-                lhs = algebra.bracket(fi, ej)
-                rhs = algebra.bracket(ei, fj)
-            elif kind == "anticommuting":
-                lhs = algebra.bracket(fi, ej)
-                rhs = algebra.bracket(fj, ei)
-            else:
-                raise ValueError(f"unknown map kind {kind!r}")
-            residual = tuple(a - b for a, b in zip(lhs, rhs))
-            if any(residual):
-                out.append((i + 1, j + 1, residual))
-    return out
+    return [(i, j, r) for (i, j), r in _defects(algebra, kind, 1, f, {"delta": delta})]
 
 
 def tensor_defects(
     algebra: OmegaAlgebra, kind: str, t: BilinearMap, omega_sign: Optional[Fraction] = None
-) -> list[tuple[tuple[int, int, int], Vector]]:
-    """Nonzero residuals of the biderivation identities on basis triples."""
-    n = algebra.dim
-    basis = algebra.basis_vectors()
-    out = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                ei, ej, ek = basis[i], basis[j], basis[k]
-                first = tuple(
-                    a - b - c
-                    for a, b, c in zip(
-                        t.apply(algebra.bracket(ei, ej), ek),
-                        algebra.bracket(ei, t.apply(ej, ek)),
-                        algebra.bracket(t.apply(ei, ek), ej),
-                    )
-                )
-                second = tuple(
-                    a - b - c
-                    for a, b, c in zip(
-                        t.apply(ei, algebra.bracket(ej, ek)),
-                        algebra.bracket(ej, t.apply(ei, ek)),
-                        algebra.bracket(t.apply(ei, ej), ek),
-                    )
-                )
-                if any(first):
-                    out.append(((i + 1, j + 1, k + 1), first))
-                if any(second):
-                    out.append(((i + 1, j + 1, k + 1), second))
-                if kind == "omega_biderivation":
-                    sign = OMEGA_BIDERIVATION_SIGN if omega_sign is None else frac(omega_sign)
-                    s1 = algebra.omega_form(t.apply(ei, ej), ek) + sign * algebra.omega_form(
-                        ej, t.apply(ei, ek)
-                    )
-                    s2 = algebra.omega_form(t.apply(ei, ej), ek) + sign * algebra.omega_form(
-                        ei, t.apply(ek, ej)
-                    )
-                    if s1:
-                        out.append(((i + 1, j + 1, k + 1), (s1,)))
-                    if s2:
-                        out.append(((i + 1, j + 1, k + 1), (s2,)))
-    if kind == "symmetric" and not t.is_symmetric():
-        out.append(((0, 0, 0), (Fraction(1),)))
-    if kind == "skew" and not t.is_skew():
-        out.append(((0, 0, 0), (Fraction(1),)))
-    return out
+) -> list[tuple[tuple[int, ...], Vector]]:
+    """Nonzero residuals of the defining identities of ``kind`` on basis tuples.
 
-
-def solve_map_space(algebra: OmegaAlgebra, kind: str, delta=None) -> MapSpace:
-    """Dispatch by kind name (used by the CLI)."""
-    if kind == "derivation":
-        return derivations(algebra)
-    if kind == "omega_derivation":
-        return omega_derivations(algebra)
-    if kind == "centroid":
-        return centroid(algebra)
-    if kind == "commuting":
-        return commuting_maps(algebra)
-    if kind == "anticommuting":
-        return anticommuting_maps(algebra)
-    if kind == "delta_derivation":
-        if delta is None:
-            raise ValueError("delta_derivation needs a delta value")
-        return delta_derivations(algebra, delta)
-    raise ValueError(f"unknown map kind {kind!r}")
-
-
-def solve_tensor_space(algebra: OmegaAlgebra, kind: str) -> TensorSpace:
-    if kind == "biderivation":
-        return biderivations(algebra)
-    if kind == "symmetric":
-        return symmetric_biderivations(algebra)
-    if kind == "skew":
-        return skew_biderivations(algebra)
-    if kind == "omega_biderivation":
-        return omega_biderivations(algebra)
-    raise ValueError(f"unknown tensor kind {kind!r}")
-
-
-def row_space_contains(system: Matrix, functional: SparseRow) -> bool:
-    """Whether a linear functional is implied by (in the row span of) a system."""
-    from .linalg import _Echelon  # local import to keep the module surface small
-
-    ech = _Echelon(system.ncols)
-    for row in system.rows:
-        ech.insert({j: v for j, v in enumerate(row) if v})
-    return not ech.reduce(dict(functional))
+    Returns ``[(indices, residual), ...]``: basis triples for the biderivation
+    and form identities, basis pairs for the symmetry identities.
+    """
+    return _defects(algebra, kind, 2, t, {"sign": omega_sign})

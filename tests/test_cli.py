@@ -115,6 +115,12 @@ class TestAlgebraArgument:
         assert code == 2
         assert "bad rational" in err
 
+    def test_repeated_parameter(self, capsys):
+        code, out, err = run(capsys, "check", "@C_alpha?alpha=1&alpha=3")
+        assert code == 2
+        assert "repeated parameter" in err
+        assert out == ""
+
 
 class TestFiles:
     def test_algebra_file_input(self, capsys, tmp_path):

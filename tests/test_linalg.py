@@ -12,9 +12,6 @@ from omega_lie.linalg import (
     nullspace,
     rref,
     solve_affine,
-    subspace_contains,
-    subspace_equal,
-    subspace_intersect,
 )
 
 
@@ -82,16 +79,16 @@ class TestNullspace:
 class TestSubspaceLattice:
     def test_contains_zero_vector(self):
         s = SubspaceBasis.from_generators(3, [(1, 0, 0)])
-        assert subspace_contains(s, (0, 0, 0))
+        assert s.contains((0, 0, 0))
 
     def test_not_contains(self):
         s = SubspaceBasis.from_generators(2, [(1, 0)])
-        assert not subspace_contains(s, (0, 1))
+        assert not s.contains((0, 1))
 
     def test_contains_combination(self):
         # 3*(1,2) + 1*(0,1) = (3,7)
         s = SubspaceBasis.from_generators(2, [(1, 2), (0, 1)])
-        assert subspace_contains(s, (3, 7))
+        assert s.contains((3, 7))
 
     def test_contains_dimension_mismatch(self):
         s = SubspaceBasis.from_generators(2, [(1, 0)])
@@ -100,23 +97,23 @@ class TestSubspaceLattice:
 
     def test_intersection_idempotent(self):
         s = SubspaceBasis.from_generators(3, [(1, 2, 3), (0, 1, 1)])
-        assert subspace_intersect(s, s) == s
+        assert s.intersect(s) == s
 
     def test_intersection_of_complementary_lines(self):
         a = SubspaceBasis.from_generators(2, [(1, 0)])
         b = SubspaceBasis.from_generators(2, [(0, 1)])
-        assert subspace_intersect(a, b).rank == 0
+        assert a.intersect(b).rank == 0
 
     def test_intersection_of_coordinate_planes(self):
         a = SubspaceBasis.from_generators(3, [(1, 0, 0), (0, 1, 0)])
         b = SubspaceBasis.from_generators(3, [(0, 1, 0), (0, 0, 1)])
-        assert subspace_intersect(a, b) == SubspaceBasis.from_generators(3, [(0, 1, 0)])
+        assert a.intersect(b) == SubspaceBasis.from_generators(3, [(0, 1, 0)])
 
     def test_equality_reflexive_and_scale_invariant(self):
         a = SubspaceBasis.from_generators(2, [(1, 2)])
         b = SubspaceBasis.from_generators(2, [(2, 4)])
-        assert subspace_equal(a, b)
-        assert not subspace_equal(SubspaceBasis.full(2), SubspaceBasis.zero(2))
+        assert a == b
+        assert SubspaceBasis.full(2) != SubspaceBasis.zero(2)
 
     def test_canonical_under_shuffle_and_scale(self):
         rng = random.Random(7)
@@ -135,7 +132,7 @@ class TestSubspaceLattice:
         rng = random.Random(11)
         a = SubspaceBasis.from_generators(4, [(1, 1, 0, 0), (0, 0, 1, 2)])
         b = SubspaceBasis.from_generators(4, [(2, 2, 1, 2), (1, 1, -1, -2)])
-        assert subspace_equal(a, b)
+        assert a == b
         for _ in range(100):
             coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(2)]
             v = tuple(sum(c * row[i] for c, row in zip(coeffs, a.basis)) for i in range(4))

@@ -24,7 +24,6 @@ from omega_lie.solvers import (
     map_defects,
     omega_biderivations,
     omega_derivations,
-    row_space_contains,
     skew_biderivations,
     split_biderivation,
     symmetric_biderivations,
@@ -32,7 +31,7 @@ from omega_lie.solvers import (
     vectorize_map,
     vectorize_tensor,
 )
-from omega_lie.verification import oracle_biderivation_space
+from oracle import oracle_biderivation_space
 
 
 def abelian(n):
@@ -206,7 +205,7 @@ class TestDeltaDerivations:
             {var(2, 1): Fraction(2), var(3, 2): Fraction(-1)},
             {var(3, 1): Fraction(3)},
         ]
-        assert all(row_space_contains(hd.system, row) for row in rows)
+        assert all(hd.space.annihilated_by(row) for row in rows)
 
     def test_B_first_pair_equations_with_corrected_index(self):
         # the first displayed equation reads 2a11 = -a31 in the source but the
@@ -220,8 +219,8 @@ class TestDeltaDerivations:
 
         corrected = {var(1, 2): Fraction(2), var(3, 1): Fraction(1)}
         as_printed = {var(1, 1): Fraction(2), var(3, 1): Fraction(1)}
-        assert row_space_contains(hd.system, corrected)
-        assert not row_space_contains(hd.system, as_printed)
+        assert hd.space.annihilated_by(corrected)
+        assert not hd.space.annihilated_by(as_printed)
 
     def test_residuals(self):
         alg = catalog.get("L_{2,3}")
