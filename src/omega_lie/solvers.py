@@ -19,10 +19,10 @@ with ``delta = 1``.  Two independent interpreters read the term lists:
 
 Every identity is multilinear, so holding on basis tuples is equivalent to
 holding on the whole algebra.  An identity that an exchange of two variables
-maps to a multiple of itself declares an ``order`` such as ``"x<y"``, and its
-rows are assembled on the basis tuples in that order only.  Enumeration is
-lexicographic, which makes the rows, and so the canonical bases, fully
-deterministic.
+maps to a multiple of itself declares an ``order`` such as ``(x, y, True)``
+(``x < y``), and its rows are assembled on the basis tuples in that order
+only.  Enumeration is lexicographic, which makes the rows, and so the
+canonical bases, fully deterministic.
 
 Adding an identity means one term list in ``KINDS`` plus one test.
 """
@@ -57,43 +57,47 @@ def w(a, b):
 
 
 class Identity(NamedTuple):
-    """``sum(coefficient * term) = 0`` on every tuple of basis vectors.
+    """``sum(multiplier * parameter * term) = 0`` on every tuple of basis vectors.
 
-    A coefficient is an integer or the name of a parameter, negated by a
-    leading ``-``.  ``order`` (``"x<y"``, ``"x<=y"``) restricts row assembly to
-    the basis tuples in that order; the residual checks use every tuple.
+    Each term is ``(multiplier, parameter name or None, term)``.  ``order``
+    ``(first, second, strict)`` restricts row assembly to the basis tuples with
+    ``first < second`` (``first <= second`` when not strict); the residual
+    checks use every tuple.
     """
 
     terms: tuple
-    order: str = ""
+    order: Optional[tuple] = None
 
 
 class Kind(NamedTuple):
     arity: int  # of the unknown: 1 for linear maps, 2 for bilinear maps
     identities: tuple[Identity, ...]
-    params: dict = {}  # default parameter values
+    fixed: dict = {}  # parameter values the kind pins
+    defaults: dict = {}  # parameter values a caller may override
 
 
-LEIBNIZ = Identity(((1, U(br(x, y))), ("-delta", br(U(x), y)), ("-delta", br(x, U(y)))), "x<y")
-FORM_SKEW = Identity(((1, w(U(x), y)), (1, w(x, U(y)))), "x<y")
-CENTROID = Identity(((1, U(br(x, y))), (-1, br(U(x), y))))
-COMMUTING = Identity(((1, br(U(x), y)), (-1, br(x, U(y)))))
-ANTICOMMUTING = Identity(((1, br(U(x), y)), (-1, br(U(y), x))))
+LEIBNIZ = Identity(((1, None, U(br(x, y))), (-1, "delta", br(U(x), y)), (-1, "delta", br(x, U(y)))), (x, y, True))
+FORM_SKEW = Identity(((1, None, w(U(x), y)), (1, None, w(x, U(y)))), (x, y, True))
+CENTROID = Identity(((1, None, U(br(x, y))), (-1, None, br(U(x), y))))
+COMMUTING = Identity(((1, None, br(U(x), y)), (-1, None, br(x, U(y)))))
+ANTICOMMUTING = Identity(((1, None, br(U(x), y)), (-1, None, br(U(y), x))))
 # a biderivation is a derivation in each slot
-LEIBNIZ_FIRST = Identity(((1, U(br(x, y), z)), (-1, br(x, U(y, z))), (-1, br(U(x, z), y))), "x<y")
-LEIBNIZ_SECOND = Identity(((1, U(x, br(y, z))), (-1, br(y, U(x, z))), (-1, br(U(x, y), z))), "y<z")
-SYMMETRIC = Identity(((1, U(x, y)), (-1, U(y, x))), "x<=y")
-SKEW = Identity(((1, U(x, y)), (1, U(y, x))), "x<=y")
+LEIBNIZ_FIRST = Identity(((1, None, U(br(x, y), z)), (-1, None, br(x, U(y, z))), (-1, None, br(U(x, z), y))),
+                         (x, y, True))
+LEIBNIZ_SECOND = Identity(((1, None, U(x, br(y, z))), (-1, None, br(y, U(x, z))), (-1, None, br(U(x, y), z))),
+                          (y, z, True))
+SYMMETRIC = Identity(((1, None, U(x, y)), (-1, None, U(y, x))), (x, y, False))
+SKEW = Identity(((1, None, U(x, y)), (1, None, U(y, x))), (x, y, False))
 # skew-form compatibility of both partial maps; see omega_biderivations
-FORM_FIRST = Identity(((1, w(U(x, y), z)), ("sign", w(y, U(x, z)))))
-FORM_SECOND = Identity(((1, w(U(x, y), z)), ("sign", w(x, U(z, y)))))
+FORM_FIRST = Identity(((1, None, w(U(x, y), z)), (1, "sign", w(y, U(x, z)))))
+FORM_SECOND = Identity(((1, None, w(U(x, y), z)), (1, "sign", w(x, U(z, y)))))
 
 OMEGA_BIDERIVATION_SIGN = Fraction(-1)
 BIDERIVATION = (LEIBNIZ_FIRST, LEIBNIZ_SECOND)
 
 KINDS = {
-    "derivation": Kind(1, (LEIBNIZ,), {"delta": Fraction(1)}),
-    "omega_derivation": Kind(1, (LEIBNIZ, FORM_SKEW), {"delta": Fraction(1)}),
+    "derivation": Kind(1, (LEIBNIZ,), fixed={"delta": Fraction(1)}),
+    "omega_derivation": Kind(1, (LEIBNIZ, FORM_SKEW), fixed={"delta": Fraction(1)}),
     "centroid": Kind(1, (CENTROID,)),
     "commuting": Kind(1, (COMMUTING,)),
     "anticommuting": Kind(1, (ANTICOMMUTING,)),
@@ -101,33 +105,32 @@ KINDS = {
     "biderivation": Kind(2, BIDERIVATION),
     "symmetric": Kind(2, BIDERIVATION + (SYMMETRIC,)),
     "skew": Kind(2, BIDERIVATION + (SKEW,)),
-    "omega_biderivation": Kind(2, BIDERIVATION + (FORM_FIRST, FORM_SECOND), {"sign": OMEGA_BIDERIVATION_SIGN}),
+    "omega_biderivation": Kind(2, BIDERIVATION + (FORM_FIRST, FORM_SECOND), defaults={"sign": OMEGA_BIDERIVATION_SIGN}),
 }
 
 
 def _lookup(kind: str, given: dict, arity: Optional[int] = None) -> tuple[Kind, dict]:
-    """The registry entry of ``kind`` and its parameter values.
+    """The registry entry of ``kind`` and the values of its parameters.
 
-    The given values override the defaults; ``None`` keeps the default.
+    A given value overrides a default; ``None`` keeps it.  A value for a
+    parameter the kind pins, or does not name, is an error.
     """
     spec = KINDS.get(kind)
     if spec is None or arity not in (None, spec.arity):
         raise ValueError(f"unknown {('', 'map ', 'tensor ')[arity or 0]}kind {kind!r}")
-    named = {c.lstrip("-") for identity in spec.identities for c, _ in identity.terms if isinstance(c, str)}
+    settable = {p for identity in spec.identities for _, p, _ in identity.terms if p} - set(spec.fixed)
     given = {name: frac(value) for name, value in given.items() if value is not None}
-    unknown = sorted(set(given) - named)
+    unknown = sorted(set(given) - settable)
     if unknown:
         raise ValueError(f"{kind} has no parameter {unknown[0]!r}")
-    missing = sorted(named - set(given) - set(spec.params))
+    missing = sorted(settable - set(given) - set(spec.defaults))
     if missing:
         raise ValueError(f"{kind} needs a value for {missing[0]!r}")
-    return spec, {**spec.params, **given}
+    return spec, {**spec.fixed, **spec.defaults, **given}
 
 
-def _coefficient(c, params: dict) -> Fraction:
-    if isinstance(c, int):
-        return Fraction(c)
-    return -params[c[1:]] if c.startswith("-") else params[c]
+def _coefficient(multiplier: int, param: Optional[str], params: dict) -> Fraction:
+    return multiplier * (params[param] if param else Fraction(1))
 
 
 def _variables(expr) -> set[int]:
@@ -138,7 +141,7 @@ def _variables(expr) -> set[int]:
 
 def _arity(identity: Identity) -> int:
     """Number of variables of an identity."""
-    return 1 + max(v for _, expr in identity.terms for v in _variables(expr))
+    return 1 + max(v for _, _, expr in identity.terms for v in _variables(expr))
 
 
 # -- row assembly -------------------------------------------------------------
@@ -193,12 +196,11 @@ def _rows(algebra: OmegaAlgebra, identity: Identity, params: dict, tables: dict)
     """Sparse rows of one identity: per basis tuple, per output coordinate."""
     n = algebra.dim
     nvars = _arity(identity)
-    kernels = [_kernel(expr, _coefficient(c, params), n, nvars, tables) for c, expr in identity.terms]
-    outputs = range(1) if identity.terms[0][1][0] == "w" else range(n)
+    kernels = [_kernel(expr, _coefficient(m, p, params), n, nvars, tables) for m, p, expr in identity.terms]
+    outputs = range(1) if identity.terms[0][2][0] == "w" else range(n)
     tuples = product(range(n), repeat=nvars)
     if identity.order:
-        first, second = "xyz".index(identity.order[0]), "xyz".index(identity.order[-1])
-        strict = identity.order[1:-1] == "<"
+        first, second, strict = identity.order
         tuples = (p for p in tuples if p[first] < p[second] or (not strict and p[first] == p[second]))
     for point in tuples:
         for k in outputs:
@@ -291,8 +293,8 @@ def vectorize_tensor(t: BilinearMap) -> Vector:
 def solve(algebra: OmegaAlgebra, kind: str, **params) -> Union[MapSpace, TensorSpace]:
     """Solution space of a kind of ``KINDS``.
 
-    ``params`` give values to the parameters its term lists name: ``delta``
-    (required by ``delta_derivation``) and ``sign`` (of ``omega_biderivation``);
+    ``params`` give values to the parameters a kind leaves open: ``delta`` of
+    ``delta_derivation`` (required) and ``sign`` of ``omega_biderivation``;
     ``None`` keeps the default.
     """
     spec, values = _lookup(kind, params)
@@ -419,7 +421,7 @@ def _defects(algebra: OmegaAlgebra, kind: str, arity: int, unknown, given: dict)
     spec, params = _lookup(kind, given, arity)
     groups: dict[int, list] = {}
     for identity in spec.identities:
-        terms = [(_coefficient(c, params), expr) for c, expr in identity.terms]
+        terms = [(_coefficient(m, p, params), expr) for m, p, expr in identity.terms]
         groups.setdefault(_arity(identity), []).append(terms)
     basis = algebra.basis_vectors()
     out = []

@@ -1,8 +1,8 @@
 """Brute-force reference for biderivation spaces, kept apart from the library.
 
-It evaluates the defining identities through ``algebra.bracket`` and
-``BilinearMap.apply`` only, never through the solvers' term lists, so the
-solver output can be compared against it.
+It evaluates the defining identities through ``algebra.bracket``,
+``algebra.omega_form`` and ``BilinearMap.apply`` only, never through the
+solvers' term lists, so the solver output can be compared against it.
 """
 
 from fractions import Fraction
@@ -55,6 +55,38 @@ def oracle_biderivation_space(algebra, symmetry: Optional[int] = None) -> Subspa
                 for b in range(n):
                     for c in range(n):
                         residuals.append(tensor[a][b][c] - symmetry * tensor[b][a][c])
+        columns.append(residuals)
+    rows = len(columns[0])
+    m = Matrix.from_rows([[columns[c][r] for c in range(total)] for r in range(rows)], ncols=total)
+    return nullspace(m)
+
+
+def oracle_form_compatible_space(algebra, sign: Fraction) -> SubspaceBasis:
+    """Bilinear maps ``d`` with, on every basis triple ``(x, y, z)``,
+
+    ``w(d(x,y), z) + sign * w(y, d(x,z)) = 0`` and
+    ``w(d(x,y), z) + sign * w(x, d(z,y)) = 0``.
+
+    Intersected with the biderivation space this is the omega-biderivation
+    space; written out here through ``omega_form`` and ``BilinearMap.apply``.
+    """
+    n = algebra.dim
+    total = n ** 3
+    basis = algebra.basis_vectors()
+    w = algebra.omega_form
+    columns = []
+    for idx in range(total):
+        tensor = [Fraction(0)] * total
+        tensor[idx] = Fraction(1)
+        d = BilinearMap(
+            tuple(tuple(tuple(tensor[(i * n + j) * n : (i * n + j + 1) * n]) for j in range(n)) for i in range(n))
+        )
+        residuals: list[Fraction] = []
+        for ex in basis:
+            for ey in basis:
+                for ez in basis:
+                    residuals.append(w(d.apply(ex, ey), ez) + sign * w(ey, d.apply(ex, ez)))
+                    residuals.append(w(d.apply(ex, ey), ez) + sign * w(ex, d.apply(ez, ey)))
         columns.append(residuals)
     rows = len(columns[0])
     m = Matrix.from_rows([[columns[c][r] for c in range(total)] for r in range(rows)], ncols=total)

@@ -5,6 +5,9 @@ separate code: rows index the vectorized unknown directly, residuals go
 through ``bracket``, ``LinearMap.apply`` / ``BilinearMap.apply`` and
 ``omega_form``.  The first test builds the residual operator column by column
 from unit maps and tensors and checks that its nullspace is the solved space.
+A wrong term list passes that test, since both interpreters read it, so the
+form identities of omega-biderivations are also checked against
+``tests/oracle.py``, on an algebra where a misread identity changes the space.
 """
 
 import hashlib
@@ -16,6 +19,7 @@ import pytest
 from omega_lie import catalog, solvers
 from omega_lie.algebra import BilinearMap, LinearMap, OmegaAlgebra
 from omega_lie.linalg import Matrix, nullspace_of_sparse_rows
+from oracle import oracle_biderivation_space, oracle_form_compatible_space
 
 
 def random_table(n, seed):
@@ -68,8 +72,23 @@ def test_solved_space_is_the_nullspace_of_the_residual_operator(key, kind, param
     assert solvers.solve(alg, kind, **params).space == residual_nullspace(alg, kind, params)
 
 
+# Zero bracket and a nondegenerate form: at sign -1 the omega-biderivation
+# space has rank 4, and reading the second form identity as
+# w(x, d(y,z)) instead of w(x, d(z,y)) would leave it zero.
+SYMPLECTIC4 = OmegaAlgebra.from_tables("symplectic4", 4, {}, {(1, 2): 1, (3, 4): 1})
+
+
+@pytest.mark.parametrize("sign", [Fraction(-1), Fraction(1)], ids=["-1", "+1"])
+@pytest.mark.parametrize("key", ["symplectic4", "B"])
+def test_omega_biderivations_match_the_oracle(key, sign):
+    alg = SYMPLECTIC4 if key == "symplectic4" else catalog.get(key)
+    expected = oracle_biderivation_space(alg).intersect(oracle_form_compatible_space(alg, sign))
+    assert solvers.omega_biderivations(alg, sign=sign).space == expected
+
+
 def test_parameters_are_checked():
     alg = catalog.get("B")
+    f = LinearMap.identity(3)
     with pytest.raises(ValueError, match="needs a value for 'delta'"):
         solvers.solve(alg, "delta_derivation")
     with pytest.raises(ValueError, match="has no parameter 'delta'"):
@@ -77,7 +96,16 @@ def test_parameters_are_checked():
     with pytest.raises(ValueError, match="unknown kind"):
         solvers.solve(alg, "quasi_derivation")
     with pytest.raises(ValueError, match="unknown map kind"):
-        solvers.map_defects(alg, "biderivation", LinearMap.identity(3))
+        solvers.map_defects(alg, "biderivation", f)
+    # derivations pin delta = 1; only delta_derivation takes a delta
+    with pytest.raises(ValueError, match="has no parameter 'delta'"):
+        solvers.solve(alg, "derivation", delta=2)
+    with pytest.raises(ValueError, match="has no parameter 'delta'"):
+        solvers.map_defects(alg, "derivation", f, delta=2)
+    with pytest.raises(ValueError, match="has no parameter 'delta'"):
+        solvers.map_defects(alg, "omega_derivation", f, delta=2)
+    with pytest.raises(ValueError, match="has no parameter 'sign'"):
+        solvers.tensor_defects(alg, "biderivation", solvers.biderivations(alg).tensors()[0], omega_sign=1)
 
 
 # sha256 of the canonical bases of all 43 catalog instances, one per kind,
