@@ -424,6 +424,13 @@ def cmd_verify(args) -> int:
     return 1 if failures else 0
 
 
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="omega-lie",
@@ -437,7 +444,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="seed for the deterministic sample plan (default 0xC0FFEE)",
     )
     parser.add_argument(
-        "--random-count", type=int, default=SamplePlan().random_count, help="random sample points per plan"
+        "--random-count",
+        type=non_negative_int,
+        default=SamplePlan().random_count,
+        help="random sample points per plan (a non-negative integer)",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 

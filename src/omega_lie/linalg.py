@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Optional, Sequence, Union
 
 Scalar = Fraction
@@ -261,7 +262,15 @@ class SubspaceBasis:
     def full(cls, ambient_dim: int) -> "SubspaceBasis":
         return cls.from_generators(ambient_dim, Matrix.identity(ambient_dim).rows)
 
+    @cached_property
     def _echelon(self) -> _Echelon:
+        """The basis folded into an echelon once per instance; only ever reduced against.
+
+        It lives in the instance ``__dict__``, outside the dataclass fields,
+        so ``==``, ``hash`` and ``repr`` do not see it.  The basis is
+        inserted row by row, so a basis that is not already reduced still
+        gives the right echelon.
+        """
         ech = _Echelon(self.ambient_dim)
         for row in self.basis:
             ech.insert(_to_sparse(row))
@@ -271,10 +280,10 @@ class SubspaceBasis:
         v = vector(v)
         if len(v) != self.ambient_dim:
             raise ValueError(f"vector length {len(v)} != ambient dimension {self.ambient_dim}")
-        return not self._echelon().reduce(_to_sparse(v))
+        return not self._echelon.reduce(_to_sparse(v))
 
     def contains_all(self, vectors: Iterable[Sequence[RationalLike]]) -> bool:
-        ech = self._echelon()
+        ech = self._echelon
         return all(not ech.reduce(_to_sparse(vector(v))) for v in vectors)
 
     def intersect(self, other: "SubspaceBasis") -> "SubspaceBasis":

@@ -16,9 +16,12 @@ questions:
   affine family (base matrix plus parameter directions), as used for the
   structure-preserving matrix families.
 
-Throughout this module a space element ``S`` acts on a point by the plain
-matrix product ``S @ x`` over the stored matrix, matching the matrix forms
-in which the solution spaces are stored and analyzed.
+Throughout this module a stored matrix ``S`` acts on a point by the plain
+column product ``S @ x``, reading index ``k*n + j`` of its vectorized form
+as row ``k``, column ``j``.  ``_images`` is the one place where that action
+is applied: space elements, single candidate matrices and affine families
+are all evaluated through it.  Its transpose, the functional ``q(B x)`` on
+``vec(B)``, is written once in ``_annihilator_rows``.
 
 Results are bitwise deterministic for a fixed :class:`SamplePlan`: samples
 are the basis vectors, then all pairwise sums, then seeded random vectors.
@@ -61,6 +64,10 @@ class SamplePlan:
     seed: int = DEFAULT_SEED
     random_count: int = DEFAULT_RANDOM_COUNT
 
+    def __post_init__(self) -> None:
+        if self.random_count < 0:
+            raise ValueError(f"random_count must be non-negative, got {self.random_count}")
+
     def points(self, dim: int) -> tuple[Vector, ...]:
         basis = [
             tuple(Fraction(1) if j == i else ZERO for j in range(dim)) for i in range(dim)
@@ -90,9 +97,27 @@ class SamplePlan:
         return tuple(pts)
 
 
-def evaluate(matrix: Matrix, x: Sequence[Fraction]) -> Vector:
-    """Action of a stored space matrix on a point: plain ``S @ x``."""
-    return matrix.matvec(x)
+def _images(vectors: Sequence[Vector], x: Vector, n: int) -> list[Vector]:
+    """``S @ x`` for each vectorized ``n x n`` matrix ``S``; entry ``k*n + j`` is ``S[k][j]``.
+
+    Zero entries of ``S`` and of ``x`` are skipped, so a sparse basis costs
+    only its nonzeros.
+    """
+    if len(x) != n:
+        raise ValueError(f"point must have length {n}")
+    support = [(j, xj) for j, xj in enumerate(x) if xj]
+    images = []
+    for s in vectors:
+        image = []
+        for k in range(0, n * n, n):
+            acc = ZERO
+            for j, xj in support:
+                entry = s[k + j]
+                if entry:
+                    acc += entry * xj
+            image.append(acc)
+        images.append(tuple(image))
+    return images
 
 
 @dataclass(frozen=True)
@@ -110,31 +135,21 @@ class EvaluationSubspace:
 def evaluation_subspace(space: MapSpace, x: Sequence) -> EvaluationSubspace:
     x = vector(x)
     n = space.algebra.dim
-    if len(x) != n:
-        raise ValueError(f"point must have length {n}")
-    images = [evaluate(m, x) for m in space.matrices()]
-    return EvaluationSubspace(x, SubspaceBasis.from_generators(n, images))
+    return EvaluationSubspace(x, SubspaceBasis.from_generators(n, _images(space.space.basis, x, n)))
 
 
-def _membership_rows(x: Vector, w: SubspaceBasis) -> list[SparseRow]:
-    """Linear conditions on vec(B) expressing ``B x in W``.
+def _annihilator_rows(x: Vector, w: SubspaceBasis) -> list[tuple[Vector, SparseRow]]:
+    """Each functional q of a basis of W's annihilator, with the row of ``q(B x)`` on vec(B).
 
-    For every functional q annihilating W:  sum_{k,j} q_k x_j B[k][j] = 0.
+    ``B x in W`` holds exactly when every such row vanishes on vec(B):
+    sum_{k,j} q_k x_j B[k][j] = 0.
     """
     n = len(x)
     annihilator = nullspace(Matrix(tuple(w.basis), n)) if w.rank else SubspaceBasis.full(n)
-    rows = []
-    for q in annihilator.basis:
-        row: SparseRow = {}
-        for k in range(n):
-            if not q[k]:
-                continue
-            for j in range(n):
-                if x[j]:
-                    row[k * n + j] = q[k] * x[j]
-        if row:
-            rows.append(row)
-    return rows
+    return [
+        (q, {k * n + j: q[k] * x[j] for k in range(n) if q[k] for j in range(n) if x[j]})
+        for q in annihilator.basis
+    ]
 
 
 @dataclass(frozen=True)
@@ -166,11 +181,10 @@ def local_closure(algebra: OmegaAlgebra, space: MapSpace, plan: Optional[SampleP
     rows: list[SparseRow] = []
     for x in samples:
         w = evaluation_subspace(space, x).space
-        rows.extend(_membership_rows(x, w))
+        rows.extend(row for _, row in _annihilator_rows(x, w) if row)
     candidate, _ = nullspace_of_sparse_rows(n * n, rows)
-    for base_vec in space.space.basis:
-        if not candidate.contains(base_vec):
-            raise AssertionError("soundness violation: base space escaped its own local closure")
+    if not space.space.is_subspace_of(candidate):
+        raise AssertionError("soundness violation: base space escaped its own local closure")
     certified = candidate == space.space
     witness = None
     if not certified:
@@ -203,10 +217,8 @@ def recheck_certification(
     space = result.base
     for x in plan.fresh_points(n, points):
         w = evaluation_subspace(space, x).space
-        for row in result.candidate.basis:
-            b = Matrix(tuple(tuple(row[i * n + j] for j in range(n)) for i in range(n)), n)
-            if not w.contains(evaluate(b, x)):
-                return False
+        if not w.contains_all(_images(result.candidate.basis, x, n)):
+            return False
     return True
 
 
@@ -237,11 +249,12 @@ def is_local_member(
     n = algebra.dim
     if candidate.shape != (n, n):
         raise ValueError("candidate matrix has wrong shape")
+    candidate_vec = vectorize_map(candidate)
     for x in plan.points(n):
         w = evaluation_subspace(space, x).space
-        if not w.contains(evaluate(candidate, x)):
+        if not w.contains(_images([candidate_vec], x, n)[0]):
             return LocalMemberVerdict(NOT_LOCAL, witness=x)
-    if space.space.contains(vectorize_map(candidate)):
+    if space.space.contains(candidate_vec):
         return LocalMemberVerdict(LOCAL_CERTIFIED)
     return LocalMemberVerdict(LOCAL_ON_SAMPLES)
 
@@ -257,10 +270,7 @@ class SeparatingCertificate:
 
 def kernel_rank(space: MapSpace, e: Sequence) -> int:
     """Dimension of ``{S in space : S e = 0}``."""
-    e = vector(e)
-    images = [evaluate(m, e) for m in space.matrices()]
-    eval_rank = SubspaceBasis.from_generators(space.algebra.dim, images).rank
-    return space.rank - eval_rank
+    return space.rank - evaluation_subspace(space, e).rank
 
 
 def separating_vector(space: MapSpace, candidates: Sequence[Sequence]) -> Optional[SeparatingCertificate]:
@@ -439,19 +449,13 @@ def affine_local_closure(
     if family.dim != n:
         raise ValueError("family and algebra dimensions differ")
     samples = plan.points(n)
+    base_vec = vectorize_map(family.base)
+    direction_vecs = [vectorize_map(d) for d in family.directions]
     rows: list[tuple[SparseRow, Fraction]] = []
     for x in samples:
-        base_image = evaluate(family.base, x)
-        span = SubspaceBasis.from_generators(n, [evaluate(d, x) for d in family.directions])
-        annihilator = nullspace(Matrix(tuple(span.basis), n)) if span.rank else SubspaceBasis.full(n)
-        for q in annihilator.basis:
-            row: SparseRow = {}
-            for k in range(n):
-                if not q[k]:
-                    continue
-                for j in range(n):
-                    if x[j]:
-                        row[k * n + j] = q[k] * x[j]
+        base_image = _images([base_vec], x, n)[0]
+        span = SubspaceBasis.from_generators(n, _images(direction_vecs, x, n))
+        for q, row in _annihilator_rows(x, span):
             rhs = sum((q[k] * base_image[k] for k in range(n)), ZERO)
             if row or rhs:
                 rows.append((row, rhs))
@@ -479,7 +483,6 @@ def affine_local_closure(
         tuple(tuple(particular_vec[i * n + j] for j in range(n)) for i in range(n)), n
     )
     hull = family.hull_directions()
-    base_vec = vectorize_map(family.base)
     shift_in_hull = hull.contains(tuple(p - b for p, b in zip(particular_vec, base_vec)))
     if homogeneous == hull and shift_in_hull:
         comparison = MATCHES_FAMILY_HULL

@@ -83,6 +83,13 @@ class TestErrors:
             main(["solve", "nonsense-kind", "@B"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("count", ["-1", "-3"])
+    def test_negative_random_count_exits_2(self, capsys, count):
+        with pytest.raises(SystemExit) as exc:
+            main(["--random-count", count, "local", "der", "@B"])
+        assert exc.value.code == 2
+        assert "--random-count" in capsys.readouterr().err
+
 
 class TestAlgebraArgument:
     """``@key`` and ``@key?params`` go through one parsing path."""

@@ -8,10 +8,13 @@ import pytest
 from omega_lie.linalg import (
     Matrix,
     SubspaceBasis,
+    _Echelon,
+    _to_sparse,
     frac,
     nullspace,
     rref,
     solve_affine,
+    vector,
 )
 
 
@@ -203,3 +206,84 @@ def test_intersection_rank_formula_on_random_subspaces():
         join = a.plus(b)
         assert meet.rank == a.rank + b.rank - join.rank
         assert meet.is_subspace_of(a) and meet.is_subspace_of(b)
+
+
+class TestCachedEchelon:
+    """The echelon a SubspaceBasis keeps for membership queries changes no answer and no value."""
+
+    @staticmethod
+    def fresh_contains(space, v):
+        ech = _Echelon(space.ambient_dim)
+        for row in space.basis:
+            ech.insert(_to_sparse(row))
+        return not ech.reduce(_to_sparse(vector(v)))
+
+    @staticmethod
+    def spaces(rng, ambient):
+        """A canonical subspace and the same subspace from a basis that is not reduced."""
+        gens = [[rng.randint(-3, 3) for _ in range(ambient)] for _ in range(rng.randint(0, ambient))]
+        canonical = SubspaceBasis.from_generators(ambient, gens)
+        rows = [list(r) for r in canonical.basis]
+        for i in range(len(rows)):
+            for j in range(len(rows)):
+                if i != j:
+                    c = rng.randint(-2, 2)
+                    rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+        return canonical, SubspaceBasis(ambient, tuple(tuple(r) for r in rows))
+
+    @staticmethod
+    def queries(rng, space, count):
+        """Vectors inside ``space`` (random combinations of its basis) and random ones."""
+        out = []
+        for _ in range(count):
+            if space.rank and rng.random() < 0.5:
+                coeffs = [rng.randint(-3, 3) for _ in space.basis]
+                out.append(tuple(sum((c * row[i] for c, row in zip(coeffs, space.basis)), Fraction(0))
+                                 for i in range(space.ambient_dim)))
+            else:
+                out.append(tuple(Fraction(rng.randint(-3, 3)) for _ in range(space.ambient_dim)))
+        return out
+
+    def test_answers_match_a_fresh_echelon(self):
+        rng = random.Random(0xEC)
+        reduced_seen = 0
+        for _ in range(150):
+            ambient = rng.randint(1, 6)
+            a, loose = self.spaces(rng, ambient)
+            b, _ = self.spaces(rng, ambient)
+            reduced_seen += loose.basis != a.basis
+            for v in self.queries(rng, a, 8):
+                expected = self.fresh_contains(a, v)
+                assert a.contains(v) == expected
+                assert loose.contains(v) == expected
+            batch = self.queries(rng, a, 4)
+            expected = all(self.fresh_contains(a, v) for v in batch)
+            assert a.contains_all(batch) == expected
+            assert loose.contains_all(batch) == expected
+            assert b.is_subspace_of(a) == all(self.fresh_contains(a, r) for r in b.basis)
+            assert b.is_subspace_of(loose) == b.is_subspace_of(a)
+            assert loose.is_subspace_of(a) and a.is_subspace_of(loose)
+        assert reduced_seen > 50  # the loose bases really are not reduced
+
+    def test_queries_leave_the_value_unchanged(self):
+        rng = random.Random(7)
+        for ambient in (3, 5, 6):
+            canonical, loose = self.spaces(rng, ambient)
+            for space in (canonical, loose):
+                twin = SubspaceBasis(space.ambient_dim, space.basis)
+                basis, digest = space.basis, hash(space)
+                space.contains(self.queries(rng, space, 1)[0])
+                cached = space._echelon
+                snapshot = {p: dict(row) for p, row in cached.rows.items()}
+                for k, v in enumerate(self.queries(rng, space, 100)):
+                    if k % 3 == 0:
+                        space.contains(v)
+                    elif k % 3 == 1:
+                        space.contains_all([v, v])
+                    else:
+                        SubspaceBasis.from_generators(ambient, [v]).is_subspace_of(space)
+                assert space._echelon is cached
+                assert cached.rows == snapshot
+                assert space.basis is basis
+                assert space == twin and hash(space) == hash(twin) == digest
+                assert repr(space) == repr(twin)

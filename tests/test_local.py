@@ -7,6 +7,7 @@ import pytest
 from omega_lie import catalog
 from omega_lie.linalg import Matrix, SubspaceBasis
 from omega_lie.local import (
+    _images,
     INCONCLUSIVE,
     LOCAL_CERTIFIED,
     LOCAL_ON_SAMPLES,
@@ -41,6 +42,34 @@ class TestSamplePlan:
     def test_deterministic(self):
         assert SamplePlan(seed=99).points(3) == SamplePlan(seed=99).points(3)
         assert SamplePlan(seed=99).points(3) != SamplePlan(seed=100).points(3)
+
+    @pytest.mark.parametrize("count", [-1, -3])
+    def test_negative_random_count_is_refused(self, count):
+        with pytest.raises(ValueError):
+            SamplePlan(random_count=count)
+
+
+class TestEvaluator:
+    """The one place a stored space acts on a point keeps the column action ``S @ x``."""
+
+    def test_images_are_matvec_on_the_four_dimensional_catalog(self):
+        fresh = PLAN.fresh_points(4, 20)
+        assert any(0 in x for x in fresh)  # zero coordinates off the basis points too
+        points = PLAN.points(4) + fresh
+        for key in catalog.four_dimensional_keys():
+            alg = catalog.get(key)
+            for space in (derivations(alg), half_derivations(alg)):
+                matrices = space.matrices()
+                for x in points:
+                    assert _images(space.space.basis, x, 4) == [m.matvec(x) for m in matrices], key
+
+    @pytest.mark.parametrize("point", [(1, 0), (1, 0, 0, 0, 0)])
+    def test_wrong_length_points_raise(self, point):
+        space = derivations(catalog.get("L_{1,4}"))
+        with pytest.raises(ValueError):
+            evaluation_subspace(space, point)
+        with pytest.raises(ValueError):
+            kernel_rank(space, point)
 
 
 class TestEvaluationSubspace:
