@@ -57,7 +57,6 @@ from .local import (
     AffineCondition,
     AffineFamily,
     AffineClosureResult,
-    EvaluationSubspace,
     LocalClosureResult,
     SamplePlan,
     SeparatingCertificate,

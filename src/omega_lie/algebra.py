@@ -488,6 +488,12 @@ def is_anti_automorphism(algebra: OmegaAlgebra, phi: LinearMap) -> bool:
 #    "brackets": [{"i": 1, "j": 2, "coeffs": {"2": "1"}}, ...],
 #    "omega":    [{"i": 1, "j": 2, "value": "1"}, ...],
 #    "notes": "..."}
+#
+# A document may declare at most MAX_DIM basis vectors: the structure tensor
+# alone holds dim**3 rationals and the biderivation solvers work in dim**3
+# unknowns, so a larger dim is refused before anything is allocated.
+
+MAX_DIM = 100
 
 
 def to_document(algebra: OmegaAlgebra) -> dict:
@@ -525,8 +531,8 @@ def from_document(doc: Mapping) -> OmegaAlgebra:
         dim = int(doc["dim"])
     except (KeyError, TypeError, ValueError) as exc:
         raise AlgebraFormatError(f"algebra document needs 'name' and integer 'dim': {exc}") from exc
-    if dim < 0:
-        raise AlgebraFormatError("'dim' must be nonnegative")
+    if not 0 <= dim <= MAX_DIM:
+        raise AlgebraFormatError(f"'dim' must be between 0 and {MAX_DIM}, got {dim}")
     basis = doc.get("basis") or [f"e{k}" for k in range(1, dim + 1)]
     if len(basis) != dim:
         raise AlgebraFormatError(f"basis has {len(basis)} labels but dim is {dim}")

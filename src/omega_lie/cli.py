@@ -42,6 +42,7 @@ from .algebra import (
 from .catalog import ExcludedParameterError, UnknownAlgebraError
 from .linalg import Matrix, format_scalar, frac
 from .local import (
+    MAX_RANDOM_COUNT,
     AffineCondition,
     AffineFamily,
     SamplePlan,
@@ -313,17 +314,16 @@ def cmd_local(args) -> int:
             "mode": "family",
             "comparison": res.comparison,
             "matches_family_hull": res.matches_family_hull,
-            "particular": res.particular.to_strings() if res.particular is not None else None,
+            "particular": res.particular.to_strings(),
             "direction_rank": res.directions.rank,
             "caveats": list(res.caveats),
         }
         lines = [
             f"affine local closure against the given family on {algebra.name}: {res.comparison}",
             f"  direction rank {res.directions.rank}",
+            "  particular matrix:",
         ]
-        if res.particular is not None:
-            lines.append("  particular matrix:")
-            lines.extend("    " + "  ".join(f"{s:>6s}" for s in row) for row in res.particular.to_strings())
+        lines.extend("    " + "  ".join(f"{s:>6s}" for s in row) for row in res.particular.to_strings())
         lines.extend(f"  caveat: {c}" for c in res.caveats)
     else:
         raise CliError(f"unknown local mode {args.mode!r}", USAGE_ERROR)
@@ -424,10 +424,10 @@ def cmd_verify(args) -> int:
     return 1 if failures else 0
 
 
-def non_negative_int(text: str) -> int:
+def random_count(text: str) -> int:
     value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    if not 0 <= value <= MAX_RANDOM_COUNT:
+        raise argparse.ArgumentTypeError(f"must be an integer from 0 to {MAX_RANDOM_COUNT}, got {value}")
     return value
 
 
@@ -445,9 +445,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--random-count",
-        type=non_negative_int,
+        type=random_count,
         default=SamplePlan().random_count,
-        help="random sample points per plan (a non-negative integer)",
+        help=f"random sample points per plan (0 to {MAX_RANDOM_COUNT})",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 

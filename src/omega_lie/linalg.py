@@ -1,10 +1,13 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact sparse linear algebra over the rationals.
 
-Everything in this package reduces to the primitives here: reduced row
-echelon form, nullspaces, and a small lattice of subspace operations
-(membership, intersection, equality).  All arithmetic uses
-:class:`fractions.Fraction`, so results are exact; there are no floats and
-no tolerances anywhere.
+Everything in this package reduces to the primitives here.  One sparse
+elimination, :class:`_Echelon`, does every solve: nullspaces, affine
+systems, annihilators and intersections all read their answer off a single
+echelon through one free-column extraction, and a small lattice of subspace
+operations (membership, intersection, equality) sits on top.  Dense
+:class:`Matrix` values are inputs and outputs, never the working form.  All
+arithmetic uses :class:`fractions.Fraction`, so results are exact; there are
+no floats and no tolerances anywhere.
 
 Subspaces are always stored in a canonical form: the unique reduced row
 echelon basis with lexicographically earliest pivots and leading entries
@@ -205,6 +208,29 @@ class _Echelon:
             out.append(tuple(sparse.get(j, ZERO) for j in range(self.ambient)))
         return out
 
+    def span(self) -> "SubspaceBasis":
+        """The row space as a canonical basis that keeps this echelon for its queries."""
+        space = SubspaceBasis(self.ambient, tuple(self.dense_rows()))
+        space.__dict__["_echelon"] = self
+        return space
+
+    def kernel(self, ncols: Optional[int] = None) -> "SubspaceBasis":
+        """Canonical basis of the vectors every row annihilates, on the first ``ncols`` columns.
+
+        Each free column ``f`` gives one kernel vector: 1 at ``f`` and, at
+        each pivot, minus that pivot row's entry in column ``f``.  Columns
+        from ``ncols`` on are ignored; ``solve_affine`` uses that to read the
+        homogeneous space off an echelon with a right-hand-side column.
+        """
+        n = self.ambient if ncols is None else ncols
+        ker = _Echelon(n)
+        for f in range(n):
+            if f not in self.rows:
+                gen = {p: -row[f] for p, row in self.rows.items() if f in row}
+                gen[f] = ONE
+                ker.insert(gen)
+        return ker.span()
+
 
 def _to_sparse(row: Sequence[Fraction]) -> SparseRow:
     return {j: v for j, v in enumerate(row) if v}
@@ -252,7 +278,7 @@ class SubspaceBasis:
             if len(gen) != ambient_dim:
                 raise ValueError(f"generator length {len(gen)} != ambient dimension {ambient_dim}")
             ech.insert(_to_sparse(gen))
-        return cls(ambient_dim, tuple(ech.dense_rows()))
+        return ech.span()
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "SubspaceBasis":
@@ -267,9 +293,10 @@ class SubspaceBasis:
         """The basis folded into an echelon once per instance; only ever reduced against.
 
         It lives in the instance ``__dict__``, outside the dataclass fields,
-        so ``==``, ``hash`` and ``repr`` do not see it.  The basis is
-        inserted row by row, so a basis that is not already reduced still
-        gives the right echelon.
+        so ``==``, ``hash`` and ``repr`` do not see it.  A basis built by an
+        echelon (``from_generators``, kernels) arrives with that echelon; a
+        basis given to the constructor is inserted row by row here, so one
+        that is not already reduced still gives the right echelon.
         """
         ech = _Echelon(self.ambient_dim)
         for row in self.basis:
@@ -289,23 +316,8 @@ class SubspaceBasis:
     def intersect(self, other: "SubspaceBasis") -> "SubspaceBasis":
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("cannot intersect subspaces of different ambient dimensions")
-        n = self.ambient_dim
-        ra, rb = self.rank, other.rank
-        if ra == 0 or rb == 0:
-            return SubspaceBasis.zero(n)
-        # x in both spans  <=>  x = alpha . A = beta . B; solve [A^T | -B^T] (alpha;beta) = 0.
-        stacked = Matrix(
-            tuple(
-                tuple(self.basis[p][i] for p in range(ra)) + tuple(-other.basis[q][i] for q in range(rb))
-                for i in range(n)
-            ),
-            ra + rb,
-        )
-        gens = []
-        for sol in nullspace(stacked).basis:
-            alpha = sol[:ra]
-            gens.append(tuple(sum((alpha[p] * self.basis[p][i] for p in range(ra)), ZERO) for i in range(n)))
-        return SubspaceBasis.from_generators(n, gens)
+        functionals = self.annihilator().basis + other.annihilator().basis
+        return nullspace_of_sparse_rows(self.ambient_dim, map(_to_sparse, functionals))[0]
 
     def plus(self, other: "SubspaceBasis") -> "SubspaceBasis":
         if self.ambient_dim != other.ambient_dim:
@@ -324,59 +336,43 @@ class SubspaceBasis:
         """
         return all(not sum((c * v[j] for j, c in functional.items()), ZERO) for v in self.basis)
 
+    def annihilator(self) -> "SubspaceBasis":
+        """Canonical basis of the functionals ``q`` with ``sum(q[j] * v[j]) == 0`` on the subspace."""
+        return self._echelon.kernel()
+
 
 def nullspace(m: Matrix) -> SubspaceBasis:
     """Canonical basis of ``{v : M v = 0}``."""
-    reduced, rank, pivots = rref(m)
-    n = m.ncols
-    pivot_set = set(pivots)
-    free_cols = [j for j in range(n) if j not in pivot_set]
-    generators = []
-    for f in free_cols:
-        v = [ZERO] * n
-        v[f] = ONE
-        for r, p in enumerate(pivots):
-            v[p] = -reduced.rows[r][f]
-        generators.append(tuple(v))
-    return SubspaceBasis.from_generators(n, generators)
+    return nullspace_of_sparse_rows(m.ncols, map(_to_sparse, m.rows))[0]
 
 
 def nullspace_of_sparse_rows(ambient: int, rows: Iterable[SparseRow]) -> tuple[SubspaceBasis, int]:
     """Nullspace of a system given as sparse rows; returns (basis, system rank)."""
     ech = _Echelon(ambient)
     for row in rows:
-        ech.insert(dict(row))
-    pivots = ech.pivot_columns()
-    pivot_set = set(pivots)
-    free_cols = [j for j in range(ambient) if j not in pivot_set]
-    generators = []
-    for f in free_cols:
-        v = [ZERO] * ambient
-        v[f] = ONE
-        for p in pivots:
-            coeff = ech.rows[p].get(f)
-            if coeff:
-                v[p] = -coeff
-        generators.append(tuple(v))
-    return SubspaceBasis.from_generators(ambient, generators), ech.rank
+        ech.insert(row)
+    return ech.kernel(), ech.rank
 
 
-def solve_affine(m: Matrix, b: Sequence[RationalLike]) -> Optional[tuple[Vector, SubspaceBasis]]:
-    """Solve ``M x = b`` exactly.
+def solve_affine(
+    ambient: int, rows: Iterable[tuple[SparseRow, RationalLike]]
+) -> Optional[tuple[Vector, SubspaceBasis]]:
+    """Solve the sparse system ``sum(row[j] * x[j]) == rhs`` over its ``(row, rhs)`` pairs.
 
-    Returns ``None`` when the system is inconsistent, else a canonical
-    particular solution (free coordinates set to zero) together with the
-    nullspace of ``M``.
+    The right-hand side is appended as one homogenizing column, index
+    ``ambient``, so a single echelon answers everything: the system is
+    inconsistent exactly when that column is a pivot (``None``); otherwise
+    the canonical particular solution (free coordinates zero) is that
+    column's entries at the pivots, and the homogeneous space is the kernel
+    of the first ``ambient`` columns.
     """
-    b = vector(b)
-    if len(b) != m.nrows:
-        raise ValueError(f"right-hand side length {len(b)} != row count {m.nrows}")
-    n = m.ncols
-    augmented = Matrix(tuple(row + (bv,) for row, bv in zip(m.rows, b)), n + 1)
-    reduced, rank, pivots = rref(augmented)
-    if n in pivots:
+    ech = _Echelon(ambient + 1)
+    for row, rhs in rows:
+        rhs = frac(rhs)
+        ech.insert({**row, ambient: rhs} if rhs else row)
+    if ambient in ech.rows:
         return None
-    particular = [ZERO] * n
-    for r, p in enumerate(pivots):
-        particular[p] = reduced.rows[r][n]
-    return tuple(particular), nullspace(m)
+    particular = [ZERO] * ambient
+    for p, row in ech.rows.items():
+        particular[p] = row.get(ambient, ZERO)
+    return tuple(particular), ech.kernel(ambient)

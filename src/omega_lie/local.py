@@ -21,7 +21,9 @@ column product ``S @ x``, reading index ``k*n + j`` of its vectorized form
 as row ``k``, column ``j``.  ``_images`` is the one place where that action
 is applied: space elements, single candidate matrices and affine families
 are all evaluated through it.  Its transpose, the functional ``q(B x)`` on
-``vec(B)``, is written once in ``_annihilator_rows``.
+``vec(B)``, is written once in ``_point_rows``, the one row builder that
+turns ``B x in offset + span`` into linear equations on ``vec(B)`` for both
+``local_closure`` (no offset) and ``affine_local_closure``.
 
 Results are bitwise deterministic for a fixed :class:`SamplePlan`: samples
 are the basis vectors, then all pairwise sums, then seeded random vectors.
@@ -45,7 +47,6 @@ from .linalg import (
     Vector,
     ZERO,
     frac,
-    nullspace,
     nullspace_of_sparse_rows,
     solve_affine,
     vector,
@@ -54,6 +55,9 @@ from .solvers import MapSpace, vectorize_map
 
 DEFAULT_SEED = 0xC0FFEE
 DEFAULT_RANDOM_COUNT = 8
+# Largest random_count a plan accepts; every point costs one evaluation
+# subspace per analysed space, so a larger count is refused up front.
+MAX_RANDOM_COUNT = 10_000
 _RANDOM_ENTRY_POOL = tuple(Fraction(v) for v in (-5, -4, -3, -2, -1, 1, 2, 3, 4, 5))
 
 
@@ -65,8 +69,8 @@ class SamplePlan:
     random_count: int = DEFAULT_RANDOM_COUNT
 
     def __post_init__(self) -> None:
-        if self.random_count < 0:
-            raise ValueError(f"random_count must be non-negative, got {self.random_count}")
+        if not 0 <= self.random_count <= MAX_RANDOM_COUNT:
+            raise ValueError(f"random_count must be between 0 and {MAX_RANDOM_COUNT}, got {self.random_count}")
 
     def points(self, dim: int) -> tuple[Vector, ...]:
         basis = [
@@ -120,36 +124,29 @@ def _images(vectors: Sequence[Vector], x: Vector, n: int) -> list[Vector]:
     return images
 
 
-@dataclass(frozen=True)
-class EvaluationSubspace:
+def evaluation_subspace(space: MapSpace, x: Sequence) -> SubspaceBasis:
     """Attainable values ``{S x : S in space}`` at one point ``x``."""
-
-    point: Vector
-    space: SubspaceBasis
-
-    @property
-    def rank(self) -> int:
-        return self.space.rank
-
-
-def evaluation_subspace(space: MapSpace, x: Sequence) -> EvaluationSubspace:
-    x = vector(x)
     n = space.algebra.dim
-    return EvaluationSubspace(x, SubspaceBasis.from_generators(n, _images(space.space.basis, x, n)))
+    return SubspaceBasis.from_generators(n, _images(space.space.basis, vector(x), n))
 
 
-def _annihilator_rows(x: Vector, w: SubspaceBasis) -> list[tuple[Vector, SparseRow]]:
-    """Each functional q of a basis of W's annihilator, with the row of ``q(B x)`` on vec(B).
+def _point_rows(
+    x: Vector, span: SubspaceBasis, offset: Optional[Vector] = None
+) -> list[tuple[SparseRow, Fraction]]:
+    """The equations of ``B x in offset + span`` on vec(B), as ``(row, rhs)`` pairs.
 
-    ``B x in W`` holds exactly when every such row vanishes on vec(B):
-    sum_{k,j} q_k x_j B[k][j] = 0.
+    One pair per functional ``q`` of ``span.annihilator()``:
+    sum_{k,j} q_k x_j B[k][j] = q(offset), with a zero offset when none is
+    given.  Pairs whose row and right-hand side both vanish are dropped.
     """
     n = len(x)
-    annihilator = nullspace(Matrix(tuple(w.basis), n)) if w.rank else SubspaceBasis.full(n)
-    return [
-        (q, {k * n + j: q[k] * x[j] for k in range(n) if q[k] for j in range(n) if x[j]})
-        for q in annihilator.basis
-    ]
+    pairs = []
+    for q in span.annihilator().basis:
+        row = {k * n + j: q[k] * x[j] for k in range(n) if q[k] for j in range(n) if x[j]}
+        rhs = sum((qk * ok for qk, ok in zip(q, offset)), ZERO) if offset else ZERO
+        if row or rhs:
+            pairs.append((row, rhs))
+    return pairs
 
 
 @dataclass(frozen=True)
@@ -178,10 +175,7 @@ def local_closure(algebra: OmegaAlgebra, space: MapSpace, plan: Optional[SampleP
     if space.algebra.dim != n:
         raise ValueError("space and algebra dimensions differ")
     samples = plan.points(n)
-    rows: list[SparseRow] = []
-    for x in samples:
-        w = evaluation_subspace(space, x).space
-        rows.extend(row for _, row in _annihilator_rows(x, w) if row)
+    rows = [row for x in samples for row, _ in _point_rows(x, evaluation_subspace(space, x))]
     candidate, _ = nullspace_of_sparse_rows(n * n, rows)
     if not space.space.is_subspace_of(candidate):
         raise AssertionError("soundness violation: base space escaped its own local closure")
@@ -216,8 +210,7 @@ def recheck_certification(
     n = algebra.dim
     space = result.base
     for x in plan.fresh_points(n, points):
-        w = evaluation_subspace(space, x).space
-        if not w.contains_all(_images(result.candidate.basis, x, n)):
+        if not evaluation_subspace(space, x).contains_all(_images(result.candidate.basis, x, n)):
             return False
     return True
 
@@ -251,8 +244,7 @@ def is_local_member(
         raise ValueError("candidate matrix has wrong shape")
     candidate_vec = vectorize_map(candidate)
     for x in plan.points(n):
-        w = evaluation_subspace(space, x).space
-        if not w.contains(_images([candidate_vec], x, n)[0]):
+        if not evaluation_subspace(space, x).contains(_images([candidate_vec], x, n)[0]):
             return LocalMemberVerdict(NOT_LOCAL, witness=x)
     if space.space.contains(candidate_vec):
         return LocalMemberVerdict(LOCAL_CERTIFIED)
@@ -400,13 +392,12 @@ class AffineFamily:
 MATCHES_FAMILY_HULL = "MATCHES_FAMILY_HULL"
 PROPER_SUBSET_OF_HULL = "PROPER_SUBSET_OF_HULL"
 EXCEEDS_FAMILY_HULL = "EXCEEDS_FAMILY_HULL"
-EMPTY = "EMPTY"
 
 
 @dataclass(frozen=True)
 class AffineClosureResult:
     family: AffineFamily
-    particular: Optional[Matrix]
+    particular: Matrix
     directions: SubspaceBasis
     comparison: str
     caveats: tuple[str, ...]
@@ -420,11 +411,8 @@ class AffineClosureResult:
         """Value of ``sum coeff[i,j] * B[i][j]`` over the closure, if constant.
 
         ``(i, j)`` are 0-based matrix positions.  Returns the constant
-        Fraction, or ``None`` when the functional varies over the closure
-        (or the closure is empty).
+        Fraction, or ``None`` when the functional varies over the closure.
         """
-        if self.particular is None:
-            return None
         n = self.family.dim
         coeffs = {(i, j): frac(v) for (i, j), v in coefficients.items()}
         for row in self.directions.basis:
@@ -453,31 +441,16 @@ def affine_local_closure(
     direction_vecs = [vectorize_map(d) for d in family.directions]
     rows: list[tuple[SparseRow, Fraction]] = []
     for x in samples:
-        base_image = _images([base_vec], x, n)[0]
         span = SubspaceBasis.from_generators(n, _images(direction_vecs, x, n))
-        for q, row in _annihilator_rows(x, span):
-            rhs = sum((q[k] * base_image[k] for k in range(n)), ZERO)
-            if row or rhs:
-                rows.append((row, rhs))
-    system = Matrix(
-        tuple(tuple(row.get(j, ZERO) for j in range(n * n)) for row, _ in rows), n * n
-    )
-    rhs_vec = tuple(rhs for _, rhs in rows)
+        rows.extend(_point_rows(x, span, _images([base_vec], x, n)[0]))
     caveats = tuple(
         f"open condition (not enforced): {cond.describe()}" for cond in family.open_conditions
     ) + (
         "membership in the closure does not by itself guarantee invertibility at boundary parameters",
     )
-    solved = solve_affine(system, rhs_vec)
+    solved = solve_affine(n * n, rows)
     if solved is None:
-        return AffineClosureResult(
-            family=family,
-            particular=None,
-            directions=SubspaceBasis.zero(n * n),
-            comparison=EMPTY,
-            caveats=caveats,
-            samples_used=samples,
-        )
+        raise AssertionError("soundness violation: family base escaped its own closure")
     particular_vec, homogeneous = solved
     particular = Matrix(
         tuple(tuple(particular_vec[i * n + j] for j in range(n)) for i in range(n)), n

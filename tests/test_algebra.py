@@ -7,6 +7,7 @@ import pytest
 
 from omega_lie import catalog
 from omega_lie.algebra import (
+    MAX_DIM,
     AlgebraFormatError,
     LinearMap,
     OmegaAlgebra,
@@ -272,6 +273,12 @@ class TestSerialization:
             loads('{"name": "x", "dim": 2, "brackets": [{"i": 1, "j": 2, "coeffs": {"5": "1"}}]}')
         with pytest.raises(AlgebraFormatError):
             loads('{"name": "x", "dim": 2, "omega": [{"i": 1, "j": 2, "value": "1/0"}]}')
+
+    @pytest.mark.parametrize("dim", [MAX_DIM + 1, 10**12])
+    def test_dim_over_budget_is_refused(self, dim):
+        # one label: should the budget ever go, the basis check refuses the document without allocating
+        with pytest.raises(AlgebraFormatError, match="'dim'"):
+            loads(f'{{"name": "huge", "dim": {dim}, "basis": ["e1"]}}')
 
     def test_unlisted_entries_are_zero(self):
         alg = loads('{"name": "tiny", "dim": 2, "brackets": [], "omega": []}')

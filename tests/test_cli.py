@@ -5,8 +5,9 @@ import json
 import pytest
 
 from omega_lie import catalog, verification
-from omega_lie.algebra import loads as load_algebra, to_document
+from omega_lie.algebra import MAX_DIM, loads as load_algebra, to_document
 from omega_lie.cli import main
+from omega_lie.local import MAX_RANDOM_COUNT
 
 
 def run(capsys, *argv):
@@ -89,6 +90,22 @@ class TestErrors:
             main(["--random-count", count, "local", "der", "@B"])
         assert exc.value.code == 2
         assert "--random-count" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("count", [str(MAX_RANDOM_COUNT + 1), str(10**12)])
+    def test_random_count_over_budget_exits_2(self, capsys, count):
+        with pytest.raises(SystemExit) as exc:
+            main(["--random-count", count, "local", "der", "@B"])
+        assert exc.value.code == 2
+        assert "--random-count" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dim", [MAX_DIM + 1, 10**12])
+    def test_dim_over_budget_exits_3(self, capsys, tmp_path, dim):
+        path = tmp_path / "huge.json"
+        # one label: should the budget ever go, the basis check refuses the file without allocating
+        path.write_text(json.dumps({"name": "huge", "dim": dim, "basis": ["e1"]}))
+        code, _, err = run(capsys, "check", str(path))
+        assert code == 3
+        assert "'dim'" in err
 
 
 class TestAlgebraArgument:

@@ -142,19 +142,24 @@ class TestSubspaceLattice:
             assert a.contains(v) == b.contains(v)
 
 
+def sparse_system(m, b):
+    """``(row, rhs)`` pairs of the system ``m x = b``."""
+    return [(_to_sparse(row), bv) for row, bv in zip(m.rows, b)]
+
+
 class TestSolveAffine:
     def test_identity_system(self):
-        sol = solve_affine(Matrix.identity(3), (5, frac("1/2"), -2))
+        sol = solve_affine(3, sparse_system(Matrix.identity(3), (5, frac("1/2"), -2)))
         assert sol is not None
         particular, homogeneous = sol
         assert particular == (5, Fraction(1, 2), -2)
         assert homogeneous.rank == 0
 
     def test_inconsistent(self):
-        assert solve_affine(Matrix.zeros(2, 2), (1, 0)) is None
+        assert solve_affine(2, sparse_system(Matrix.zeros(2, 2), (1, 0))) is None
 
     def test_one_equation(self):
-        sol = solve_affine(M([[1, 1]]), (2,))
+        sol = solve_affine(2, sparse_system(M([[1, 1]]), (2,)))
         assert sol is not None
         particular, homogeneous = sol
         assert particular == (2, 0)
@@ -163,13 +168,51 @@ class TestSolveAffine:
     def test_solutions_are_exact(self):
         m = M([[2, 3, 1], [1, 0, 2]])
         b = (7, 5)
-        sol = solve_affine(m, b)
+        sol = solve_affine(3, sparse_system(m, b))
         assert sol is not None
         particular, homogeneous = sol
         assert m.matvec(particular) == b
         for h in homogeneous.basis:
             shifted = tuple(p + x for p, x in zip(particular, h))
             assert m.matvec(shifted) == b
+
+    @staticmethod
+    def reference(m, b):
+        """Dense reference: particular solution from the RREF of ``[m | b]``, kernel from the RREF of ``m``."""
+        n = m.ncols
+        reduced, _, pivots = rref(Matrix(tuple(row + (bv,) for row, bv in zip(m.rows, b)), n + 1))
+        if n in pivots:
+            return None
+        particular = [Fraction(0)] * n
+        for r, p in enumerate(pivots):
+            particular[p] = reduced.rows[r][n]
+        reduced, _, pivots = rref(m)
+        kernel = []
+        for f in (j for j in range(n) if j not in pivots):
+            v = [Fraction(0)] * n
+            v[f] = Fraction(1)
+            for r, p in enumerate(pivots):
+                v[p] = -reduced.rows[r][f]
+            kernel.append(v)
+        return tuple(particular), SubspaceBasis.from_generators(n, kernel)
+
+    def test_matches_the_dense_reference_on_random_systems(self):
+        rng = random.Random(0xAFF1)
+        consistent = 0
+        for _ in range(400):
+            nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
+            density = rng.random()
+            m = Matrix.from_rows(
+                [[Fraction(rng.randint(-5, 5), rng.randint(1, 3)) if rng.random() < density else 0
+                  for _ in range(ncols)] for _ in range(nrows)]
+            )
+            b = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(nrows))
+            sol = solve_affine(ncols, sparse_system(m, b))
+            assert sol == self.reference(m, b)
+            if sol is not None:
+                consistent += 1
+                assert m.matvec(sol[0]) == b
+        assert 50 < consistent < 350  # both outcomes are exercised
 
 
 def random_matrix(rng, nrows, ncols, span=9):
@@ -206,6 +249,44 @@ def test_intersection_rank_formula_on_random_subspaces():
         join = a.plus(b)
         assert meet.rank == a.rank + b.rank - join.rank
         assert meet.is_subspace_of(a) and meet.is_subspace_of(b)
+
+
+class TestAnnihilator:
+    @staticmethod
+    def random_spaces(rng, count):
+        spaces = [SubspaceBasis.zero(4), SubspaceBasis.full(4), SubspaceBasis.zero(1), SubspaceBasis.full(1)]
+        for _ in range(count):
+            ambient = rng.randint(1, 6)
+            spaces.append(TestCachedEchelon.spaces(rng, ambient)[rng.randint(0, 1)])
+        return spaces
+
+    def test_functionals_vanish_and_have_complementary_rank(self):
+        rng = random.Random(0xA2)
+        for space in self.random_spaces(rng, 200):
+            n = space.ambient_dim
+            ann = space.annihilator()
+            assert ann.ambient_dim == n
+            assert all(space.annihilated_by(_to_sparse(q)) for q in ann.basis)
+            assert SubspaceBasis.from_generators(n, ann.basis).rank == n - space.rank
+            assert ann.annihilator() == SubspaceBasis.from_generators(n, space.basis)
+
+    def test_zero_and_full_spaces(self):
+        assert SubspaceBasis.zero(3).annihilator() == SubspaceBasis.full(3)
+        assert SubspaceBasis.full(3).annihilator() == SubspaceBasis.zero(3)
+
+
+def test_spaces_built_by_an_echelon_keep_it(monkeypatch):
+    """``from_generators`` and kernels hand over the echelon they built: queries insert nothing."""
+    spanned = SubspaceBasis.from_generators(3, [(1, 2, 0), (0, 1, 1)])
+    kernel = nullspace(M([[1, 2, 3]]))
+    inserted = []
+    insert = _Echelon.insert
+    monkeypatch.setattr(_Echelon, "insert", lambda self, row: inserted.append(row) or insert(self, row))
+    assert spanned.contains((1, 3, 1)) and not spanned.contains((0, 0, 1))
+    assert kernel.contains((-2, 1, 0)) and not kernel.contains((1, 0, 0))
+    assert inserted == []
+    assert SubspaceBasis(3, spanned.basis).contains((1, 3, 1))  # a directly built basis folds its rows in
+    assert inserted
 
 
 class TestCachedEchelon:

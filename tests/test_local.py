@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from omega_lie import catalog
+from omega_lie import catalog, linalg
 from omega_lie.linalg import Matrix, SubspaceBasis
 from omega_lie.local import (
     _images,
+    MAX_RANDOM_COUNT,
     INCONCLUSIVE,
     LOCAL_CERTIFIED,
     LOCAL_ON_SAMPLES,
@@ -48,6 +49,11 @@ class TestSamplePlan:
         with pytest.raises(ValueError):
             SamplePlan(random_count=count)
 
+    @pytest.mark.parametrize("count", [MAX_RANDOM_COUNT + 1, 10**12])
+    def test_random_count_over_budget_is_refused(self, count):
+        with pytest.raises(ValueError):
+            SamplePlan(random_count=count)
+
 
 class TestEvaluator:
     """The one place a stored space acts on a point keeps the column action ``S @ x``."""
@@ -81,7 +87,7 @@ class TestEvaluationSubspace:
         space = derivations(catalog.get("L_{1,4}"))
         w = evaluation_subspace(space, (0, 0, 1, 0))
         assert w.rank == 2
-        assert w.space == SubspaceBasis.from_generators(4, [(1, -1, 1, 0), (0, 0, 0, 1)])
+        assert w == SubspaceBasis.from_generators(4, [(1, -1, 1, 0), (0, 0, 0, 1)])
 
     def test_L14_at_e1(self):
         space = derivations(catalog.get("L_{1,4}"))
@@ -247,3 +253,22 @@ class TestAffineClosure:
             for a, b in zip(vectorize_map(realized), vectorize_map(res.particular))
         )
         assert res.directions.contains(diff)
+
+
+def test_local_engine_needs_no_dense_elimination(monkeypatch):
+    """Every local analysis is sparse elimination: it runs with ``linalg.rref`` disabled."""
+    l11, l12 = catalog.get("L_{1,1}"), catalog.get("L_{1,2}")
+    der11, der12 = derivations(l11), derivations(l12)
+    family = automorphism_family_L11()
+
+    def refuse(*_):
+        raise AssertionError("dense rref called")
+
+    monkeypatch.setattr(linalg, "rref", refuse)
+    certified = local_closure(l11, der11, PLAN)
+    assert certified.certified
+    assert recheck_certification(l11, certified, points=20, plan=PLAN)
+    witnessed = local_closure(l12, der12, PLAN)
+    assert is_local_member(l12, der12, witnessed.witness, PLAN).status == LOCAL_ON_SAMPLES
+    assert two_local_report(l11, der11, PLAN).verdict == INCONCLUSIVE
+    assert affine_local_closure(l11, family, PLAN).matches_family_hull
