@@ -24,7 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
@@ -288,10 +288,6 @@ class LinearMap:
     def __call__(self, x: Sequence[RationalLike]) -> Vector:
         return self.apply(x)
 
-    def compose(self, then: "LinearMap") -> "LinearMap":
-        """``x -> then(self(x))``."""
-        return LinearMap(self.matrix.matmul(then.matrix))
-
     def rank(self) -> int:
         return rref(self.matrix)[1]
 
@@ -525,10 +521,17 @@ def to_document(algebra: OmegaAlgebra) -> dict:
     return doc
 
 
+def _integer(value) -> int:
+    """An integer field of a document; booleans and non-integral numbers are refused."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def from_document(doc: Mapping) -> OmegaAlgebra:
     try:
         name = str(doc["name"])
-        dim = int(doc["dim"])
+        dim = _integer(doc["dim"])
     except (KeyError, TypeError, ValueError) as exc:
         raise AlgebraFormatError(f"algebra document needs 'name' and integer 'dim': {exc}") from exc
     if not 0 <= dim <= MAX_DIM:
@@ -539,8 +542,8 @@ def from_document(doc: Mapping) -> OmegaAlgebra:
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
     for item in doc.get("brackets", []):
         try:
-            i, j = int(item["i"]), int(item["j"])
-            coeffs = {int(k): frac(v) for k, v in item["coeffs"].items()}
+            i, j = _integer(item["i"]), _integer(item["j"])
+            coeffs = {_integer(k): frac(v) for k, v in item["coeffs"].items()}
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise AlgebraFormatError(f"bad bracket entry {item!r}: {exc}") from exc
         if not (1 <= i < j <= dim):
@@ -549,7 +552,7 @@ def from_document(doc: Mapping) -> OmegaAlgebra:
     omega: dict[tuple[int, int], Fraction] = {}
     for item in doc.get("omega", []):
         try:
-            i, j = int(item["i"]), int(item["j"])
+            i, j = _integer(item["i"]), _integer(item["j"])
             value = frac(item["value"])
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise AlgebraFormatError(f"bad omega entry {item!r}: {exc}") from exc

@@ -23,7 +23,6 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Optional, Sequence, Union
 
-Scalar = Fraction
 Vector = tuple[Fraction, ...]
 
 ZERO = Fraction(0)
@@ -33,10 +32,15 @@ RationalLike = Union[int, str, Fraction]
 
 
 def frac(value: RationalLike) -> Fraction:
-    """Coerce ints, ``"p/q"`` strings and Fractions to an exact rational."""
+    """Coerce ints, ``"p/q"`` strings and Fractions to an exact rational.
+
+    Booleans and floats are refused with ``TypeError``, so ``true`` or
+    ``0.5`` in a JSON document is an error rather than a silent 1 or a
+    rounded binary fraction.
+    """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         return Fraction(value.strip())
@@ -114,9 +118,6 @@ class Matrix:
         if self.ncols != other.nrows:
             raise ValueError("matmul shape mismatch")
         return Matrix(tuple(other.vecmat(row) for row in self.rows), other.ncols)
-
-    def transpose(self) -> "Matrix":
-        return Matrix(tuple(tuple(self.rows[i][j] for i in range(self.nrows)) for j in range(self.ncols)), self.nrows)
 
     def trace(self) -> Fraction:
         if self.nrows != self.ncols:

@@ -88,9 +88,9 @@ class SamplePlan:
         ]
         return tuple(basis + sums + randoms)
 
-    def fresh_points(self, dim: int, count: int, stream: int = 1) -> tuple[Vector, ...]:
+    def fresh_points(self, dim: int, count: int) -> tuple[Vector, ...]:
         """Extra random rational points from an independent seeded stream."""
-        rng = random.Random((self.seed << 4) ^ stream)
+        rng = random.Random((self.seed << 4) ^ 1)
         pts = []
         for _ in range(count):
             pts.append(
@@ -265,19 +265,17 @@ def kernel_rank(space: MapSpace, e: Sequence) -> int:
     return space.rank - evaluation_subspace(space, e).rank
 
 
-def separating_vector(space: MapSpace, candidates: Sequence[Sequence]) -> Optional[SeparatingCertificate]:
-    """First candidate point where the space evaluates injectively.
+def _scan(space: MapSpace, candidates: Sequence[Sequence]) -> tuple[Optional[SeparatingCertificate], list]:
+    """``kernel_rank`` at each candidate in order, stopping at the first zero.
 
-    Returns ``None`` when the space rank exceeds the algebra dimension
-    (injective evaluation is then impossible) or when no candidate works.
+    Returns the separating certificate, if a candidate gives one, and the
+    ``(point, rank)`` pairs of the candidates scanned before it.
     """
-    n = space.algebra.dim
-    if space.rank > n:
-        return None
-    for e in candidates:
-        e = vector(e)
-        if kernel_rank(space, e) == 0:
-            return SeparatingCertificate(
+    ranks = []
+    for e in map(vector, candidates):
+        rank = kernel_rank(space, e)
+        if rank == 0:
+            cert = SeparatingCertificate(
                 point=e,
                 kernel_rank=0,
                 conclusion=(
@@ -285,7 +283,18 @@ def separating_vector(space: MapSpace, candidates: Sequence[Sequence]) -> Option
                     "pointwise with space members is a single member globally"
                 ),
             )
-    return None
+            return cert, ranks
+        ranks.append((e, rank))
+    return None, ranks
+
+
+def separating_vector(space: MapSpace, candidates: Sequence[Sequence]) -> Optional[SeparatingCertificate]:
+    """First candidate point where the space evaluates injectively.
+
+    Returns ``None`` when no candidate works, as always happens when the
+    space rank exceeds the algebra dimension.
+    """
+    return _scan(space, candidates)[0]
 
 
 RIGID = "RIGID"
@@ -311,17 +320,10 @@ def two_local_report(
     algebra dimension); the minimal kernel ranks found are reported.
     """
     plan = plan or SamplePlan()
-    candidates = plan.points(algebra.dim)
-    cert = separating_vector(space, candidates)
+    cert, ranks = _scan(space, plan.points(algebra.dim))
     if cert is not None:
         return TwoLocalReport(RIGID, cert, 0)
-    ranks = tuple((x, kernel_rank(space, x)) for x in candidates)
-    return TwoLocalReport(
-        INCONCLUSIVE,
-        None,
-        min(r for _, r in ranks) if ranks else None,
-        kernel_ranks=ranks,
-    )
+    return TwoLocalReport(INCONCLUSIVE, None, min((r for _, r in ranks), default=None), tuple(ranks))
 
 
 # -- affine families ----------------------------------------------------------
@@ -390,7 +392,6 @@ class AffineFamily:
 
 
 MATCHES_FAMILY_HULL = "MATCHES_FAMILY_HULL"
-PROPER_SUBSET_OF_HULL = "PROPER_SUBSET_OF_HULL"
 EXCEEDS_FAMILY_HULL = "EXCEEDS_FAMILY_HULL"
 
 
@@ -428,7 +429,9 @@ def affine_local_closure(
     """All matrices pointwise-attainable by the family at every sample.
 
     Solves ``{B : for all sampled x, B x in base@x + span(direction@x)}`` as
-    an affine set and compares it against the family's own affine hull.
+    an affine set and compares it against the family's own affine hull.  The
+    set always contains that hull (each direction ``D`` has ``D x`` in the
+    span), so it either matches the hull or exceeds it.
     Open conditions are surfaced as caveats but not enforced: they cut out
     parameter loci, not directions of the hull.
     """
@@ -456,13 +459,9 @@ def affine_local_closure(
         tuple(tuple(particular_vec[i * n + j] for j in range(n)) for i in range(n)), n
     )
     hull = family.hull_directions()
-    shift_in_hull = hull.contains(tuple(p - b for p, b in zip(particular_vec, base_vec)))
-    if homogeneous == hull and shift_in_hull:
-        comparison = MATCHES_FAMILY_HULL
-    elif homogeneous.is_subspace_of(hull) and shift_in_hull:
-        comparison = PROPER_SUBSET_OF_HULL
-    else:
-        comparison = EXCEEDS_FAMILY_HULL
+    if not hull.is_subspace_of(homogeneous):
+        raise AssertionError("soundness violation: family directions escaped their own closure")
+    comparison = MATCHES_FAMILY_HULL if homogeneous == hull else EXCEEDS_FAMILY_HULL
     return AffineClosureResult(
         family=family,
         particular=particular,

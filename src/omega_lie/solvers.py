@@ -234,7 +234,6 @@ class MapSpace:
     algebra: OmegaAlgebra
     kind: str
     space: SubspaceBasis
-    delta: Optional[Fraction] = None
 
     @property
     def rank(self) -> int:
@@ -302,8 +301,7 @@ def solve(algebra: OmegaAlgebra, kind: str, **params) -> Union[MapSpace, TensorS
     rows = [row for identity in spec.identities for row in _rows(algebra, identity, values, tables)]
     space, _ = nullspace_of_sparse_rows(algebra.dim ** (spec.arity + 1), rows)
     if spec.arity == 1:
-        delta = params.get("delta")
-        return MapSpace(algebra, kind, space, None if delta is None else frac(delta))
+        return MapSpace(algebra, kind, space)
     return TensorSpace(algebra, kind, space)
 
 

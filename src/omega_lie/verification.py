@@ -1,10 +1,11 @@
 """Reference-reproduction suite: every headline claim as an executable check.
 
 Each criterion runs the relevant solvers or local analyses with exact
-arithmetic and compares the output against the shipped reference values
-(:mod:`omega_lie.catalog`).  Checks are pure and deterministic; a check
-either passes or reports precisely which computed value deviates from the
-reference one.
+arithmetic and compares the output against reference values it reads from
+``catalog.expected``, the one table ``catalog show`` publishes; together the
+criteria read every value of that table and restate none.  Checks are pure
+and deterministic; a check either passes or reports precisely which
+computed value deviates from the reference one.
 
 Several reference rows are mechanically inconsistent with the bracket
 tables they accompany, so the corresponding checks fail by design rather
@@ -21,12 +22,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 from . import catalog
-from .algebra import LinearMap, bracket_tensor, check_axioms
+from .algebra import bracket_tensor, check_axioms
 from .linalg import Matrix, SubspaceBasis, nullspace, rref
 from .local import (
+    INCONCLUSIVE,
+    RIGID,
     AffineCondition,
     AffineFamily,
     SamplePlan,
@@ -52,17 +55,6 @@ from .solvers import (
     tensor_defects,
     vectorize_map,
     vectorize_tensor,
-)
-
-TWO_LOCAL_RIGID_KEYS = (
-    "L_{1,3}",
-    "L_{1,4}",
-    "L_{1,7}",
-    "L_{1,8}",
-    "L_{2,2}",
-    "L_{2,3}",
-    "L_{2,4}",
-    "F_{1,alpha}",
 )
 
 SIMPLE_3D_KEYS = ("A_alpha", "B", "C_alpha")
@@ -112,18 +104,19 @@ def _column_support(m: Matrix, columns: set[int]) -> bool:
 def criterion_2_derivation_forms() -> CheckResult:
     """Derivation spaces of L_{1,1} and L_{1,4} have the reference matrix forms."""
     mismatches = []
-    der11 = derivations(catalog.get("L_{1,1}"))
-    if der11.rank != 6:
-        mismatches.append(f"L_{{1,1}}: derivation rank {der11.rank} != 6")
-    for m in der11.matrices():
+
+    def solved(key: str):
+        der, expected = derivations(catalog.get(key)), catalog.expected(key).der_rank
+        if der.rank != expected:
+            mismatches.append(f"{key}: derivation rank {der.rank} != {expected}")
+        return der
+
+    for m in solved("L_{1,1}").matrices():
         if not _column_support(m, {2, 3}):
             mismatches.append("L_{1,1}: basis matrix supported outside columns 3-4")
         if m.rows[1][2] != -m.rows[0][2] or m.rows[1][3] != -m.rows[0][3]:
             mismatches.append("L_{1,1}: row 2 is not the negative of row 1 on columns 3-4")
-    der14 = derivations(catalog.get("L_{1,4}"))
-    if der14.rank != 2:
-        mismatches.append(f"L_{{1,4}}: derivation rank {der14.rank} != 2")
-    for m in der14.matrices():
+    for m in solved("L_{1,4}").matrices():
         if not _column_support(m, {2}):
             mismatches.append("L_{1,4}: basis matrix supported outside column 3")
         if m.rows[1][2] != -m.rows[0][2] or m.rows[2][2] != m.rows[0][2]:
@@ -135,9 +128,9 @@ def criterion_3_skew_biderivations() -> CheckResult:
     """Reference claim: no 4-dimensional algebra has nonzero skew biderivations."""
     mismatches = []
     for key in catalog.four_dimensional_keys():
-        rank = skew_biderivations(catalog.get(key)).rank
-        if rank != 0:
-            mismatches.append(f"{key}: computed skew-biderivation rank {rank} != 0")
+        rank, expected = skew_biderivations(catalog.get(key)).rank, catalog.expected(key).skew_bider_rank
+        if rank != expected:
+            mismatches.append(f"{key}: computed skew-biderivation rank {rank} != {expected}")
     return _result(3, "skew biderivations vanish on all 4-dimensional algebras", mismatches)
 
 
@@ -177,16 +170,16 @@ def criterion_5_simple_3d() -> CheckResult:
     mismatches = []
     algebras = {key: catalog.get(key) for key in SIMPLE_3D_KEYS}
     for key, alg in algebras.items():
-        rank = biderivations(alg).rank
-        if rank != 0:
-            mismatches.append(f"{key}: computed biderivation rank {rank} != 0")
+        rank, expected = biderivations(alg).rank, catalog.expected(key).bider_rank
+        if rank != expected:
+            mismatches.append(f"{key}: computed biderivation rank {rank} != {expected}")
     for key, alg in algebras.items():
-        hd = half_derivations(alg)
+        hd, expected = half_derivations(alg), catalog.expected(key).half_der_rank
         identity_span = SubspaceBasis.from_generators(9, [vectorize_map(Matrix.identity(3))])
-        if hd.rank != 1 or hd.space != identity_span:
+        if hd.rank != expected or hd.space != identity_span:
             mismatches.append(
                 f"{key}: half-derivations rank {hd.rank}, identity-span match "
-                f"{hd.space == identity_span} (expected rank 1 spanned by identity)"
+                f"{hd.space == identity_span} (expected rank {expected} spanned by identity)"
             )
     # Assembled constraint rows for A at alpha=2 must imply the displayed
     # first-pair system: 2a11 = a11 - alpha*a31 + a22, 2a21 = a32, 2a31 = -a31,
@@ -214,18 +207,19 @@ def criterion_6_local_rigidity(plan: SamplePlan) -> CheckResult:
     for key in catalog.four_dimensional_keys() + ("L_1", "L_2") + SIMPLE_3D_KEYS:
         alg = catalog.get(key)
         res = local_closure(alg, derivations(alg), plan)
-        if not res.certified:
+        if res.certified != catalog.expected(key).local_der_certified:
             mismatches.append(
                 f"{key}: local closure of derivations not certified "
                 f"(candidate rank {res.candidate_rank} > base rank {res.base.rank})"
             )
     for key in SIMPLE_3D_KEYS:
+        expected = catalog.expected(key)
         alg = catalog.get(key)
         res = local_closure(alg, half_derivations(alg), plan)
-        if not (res.certified and res.candidate_rank == 1):
+        if res.certified != expected.local_half_certified or res.candidate_rank != expected.half_der_rank:
             mismatches.append(
                 f"{key}: half-derivation closure certified={res.certified} "
-                f"candidate rank {res.candidate_rank} (expected certified rank-1 collapse)"
+                f"candidate rank {res.candidate_rank} (expected certified rank-{expected.half_der_rank} collapse)"
             )
     return _result(6, "local closures certify rigidity", mismatches)
 
@@ -233,34 +227,35 @@ def criterion_6_local_rigidity(plan: SamplePlan) -> CheckResult:
 def criterion_7_two_local(plan: SamplePlan) -> CheckResult:
     """Separating-vector rigidity matches the reference lists."""
     mismatches = []
-    for key in TWO_LOCAL_RIGID_KEYS:
+    keys = catalog.four_dimensional_keys()
+    for key in (key for key in keys if catalog.expected(key).two_local_rigid):
         alg = catalog.get(key)
         der = derivations(alg)
         report = two_local_report(alg, der, plan)
-        if report.verdict != "RIGID":
+        if report.verdict != RIGID:
             mismatches.append(f"{key}: expected RIGID with derivations, got {report.verdict}")
             continue
-        basis = alg.basis_vectors()
-        if kernel_rank(der, basis[2]) != 0 and kernel_rank(der, basis[3]) != 0:
-            mismatches.append(f"{key}: neither e3 nor e4 separates the derivation space")
-    for key in catalog.four_dimensional_keys():
-        if key in TWO_LOCAL_RIGID_KEYS:
-            continue
+        candidates = catalog.expected(key).separating_candidates
+        if all(kernel_rank(der, alg.basis_vector(c - 1)) != 0 for c in candidates):
+            named = " nor ".join(f"e{c}" for c in candidates)
+            mismatches.append(f"{key}: neither {named} separates the derivation space")
+    for key in (key for key in keys if not catalog.expected(key).two_local_rigid):
         alg = catalog.get(key)
         report = two_local_report(alg, derivations(alg), plan)
-        if report.verdict == "RIGID":
+        if report.verdict == RIGID:
             mismatches.append(
                 f"{key}: separating certificate found (at {report.certificate.point}) although "
                 "the reference list does not include this algebra"
             )
     alg = catalog.get("L_{1,1}")
+    rank = catalog.expected("L_{1,1}").der_rank
     report = two_local_report(alg, derivations(alg), plan)
-    if report.verdict != "INCONCLUSIVE":
-        mismatches.append(f"L_{{1,1}}: expected INCONCLUSIVE (rank 6 > 4), got {report.verdict}")
+    if report.verdict != INCONCLUSIVE:
+        mismatches.append(f"L_{{1,1}}: expected INCONCLUSIVE (rank {rank} > {alg.dim}), got {report.verdict}")
     for key in SIMPLE_3D_KEYS:
         alg = catalog.get(key)
         report = two_local_report(alg, half_derivations(alg), plan)
-        if report.verdict != "RIGID":
+        if (report.verdict == RIGID) != catalog.expected(key).two_local_half_rigid:
             mismatches.append(f"{key}: expected RIGID with half-derivations, got {report.verdict}")
     return _result(7, "2-local rigidity certificates", mismatches)
 
@@ -326,7 +321,6 @@ def criterion_8_affine_families(plan: SamplePlan) -> CheckResult:
 def criterion_9_omega_biderivations() -> CheckResult:
     """Form-compatible biderivations versus plain biderivations per algebra."""
     mismatches = []
-    exceptional = {"L_{1,6}", "L_{1,8}"}
     for key in catalog.four_dimensional_keys():
         alg = catalog.get(key)
         full = biderivations(alg)
@@ -335,7 +329,7 @@ def criterion_9_omega_biderivations() -> CheckResult:
             mismatches.append(f"{key}: compatibility space escaped the biderivation space")
             continue
         equal = compat.space == full.space
-        if key in exceptional:
+        if not catalog.expected(key).bider_omega_equal:
             if equal:
                 mismatches.append(
                     f"{key}: expected strict inclusion of form-compatible biderivations, computed equality"
@@ -360,22 +354,23 @@ def criterion_10_semisimple_fixtures() -> CheckResult:
     """Classical semisimple results on sl2 and sl2+sl2."""
     mismatches = []
     sl2 = catalog.get("sl2")
+    expected = catalog.expected("sl2")
     if anticommuting_maps(sl2).rank != 0:
         mismatches.append("sl2: anticommuting maps should vanish")
-    if symmetric_biderivations(sl2).rank != 0:
+    if symmetric_biderivations(sl2).rank != expected.sym_bider_rank:
         mismatches.append("sl2: symmetric biderivations should vanish")
     skw = skew_biderivations(sl2)
     bracket_span = SubspaceBasis.from_generators(27, [vectorize_tensor(bracket_tensor(sl2))])
-    if skw.rank != 1 or skw.space != bracket_span:
+    if skw.rank != expected.skew_bider_rank or skw.space != bracket_span:
         mismatches.append("sl2: skew biderivations should be spanned by the bracket tensor")
     cent = centroid(sl2)
     if cent.rank != 1:
         mismatches.append(f"sl2: centroid rank {cent.rank} != 1")
     if commuting_maps(sl2).space != cent.space:
         mismatches.append("sl2: commuting maps differ from the centroid")
-    both = catalog.get("sl2_plus_sl2")
-    if skew_biderivations(both).rank != 2:
-        mismatches.append("sl2+sl2: skew biderivation rank != 2")
+    expected = catalog.expected("sl2_plus_sl2").skew_bider_rank
+    if skew_biderivations(catalog.get("sl2_plus_sl2")).rank != expected:
+        mismatches.append(f"sl2+sl2: skew biderivation rank != {expected}")
     return _result(10, "semisimple Lie fixtures reproduce the classical results", mismatches)
 
 

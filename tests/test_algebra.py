@@ -274,6 +274,28 @@ class TestSerialization:
         with pytest.raises(AlgebraFormatError):
             loads('{"name": "x", "dim": 2, "omega": [{"i": 1, "j": 2, "value": "1/0"}]}')
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            '{"name": "x", "dim": 3.9}',
+            '{"name": "x", "dim": true}',
+            '{"name": "x", "dim": 3, "brackets": [{"i": 1.7, "j": 2, "coeffs": {"2": "1"}}]}',
+            '{"name": "x", "dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": {"2": true}}]}',
+            '{"name": "x", "dim": 3, "omega": [{"i": true, "j": 2, "value": "1"}]}',
+            '{"name": "x", "dim": 3, "omega": [{"i": 1, "j": 2, "value": false}]}',
+            '{"name": "x", "dim": 3, "omega": [{"i": 1, "j": 2, "value": 0.5}]}',
+        ],
+    )
+    def test_booleans_and_non_integral_numbers_are_refused(self, doc):
+        # int() would truncate 3.9 to 3 and read true as 1
+        with pytest.raises(AlgebraFormatError):
+            loads(doc)
+
+    def test_integral_numbers_are_accepted(self):
+        alg = loads('{"name": "x", "dim": 2.0, "brackets": [{"i": 1, "j": 2.0, "coeffs": {"2": 1}}]}')
+        assert alg.dim == 2
+        assert alg.bracket((1, 0), (0, 1)) == (0, 1)
+
     @pytest.mark.parametrize("dim", [MAX_DIM + 1, 10**12])
     def test_dim_over_budget_is_refused(self, dim):
         # one label: should the budget ever go, the basis check refuses the document without allocating

@@ -108,6 +108,30 @@ class TestErrors:
         assert "'dim'" in err
 
 
+    @pytest.mark.parametrize("dim", [3.9, True])
+    def test_malformed_dim_exits_3(self, capsys, tmp_path, dim):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"name": "bad", "dim": dim}))
+        code, _, err = run(capsys, "check", str(path))
+        assert code == 3
+        assert "'dim'" in err
+
+    def test_boolean_map_entry_exits_3(self, capsys, tmp_path):
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps({"matrix": [[True, "0", "0", "0"], ["0"] * 4, ["0"] * 4, ["0"] * 4]}))
+        code, _, err = run(capsys, "local", "map", "@L_{1,1}", "--map", str(path))
+        assert code == 3
+        assert "True" in err
+
+    def test_boolean_family_condition_exits_3(self, capsys, tmp_path):
+        identity = [["1" if i == j else "0" for j in range(4)] for i in range(4)]
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps({"base": identity, "open_conditions": [{"constant": True}]}))
+        code, _, err = run(capsys, "local", "family", "@L_{1,1}", "--family", str(path))
+        assert code == 3
+        assert "open condition" in err
+
+
 class TestAlgebraArgument:
     """``@key`` and ``@key?params`` go through one parsing path."""
 

@@ -4,11 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from omega_lie import catalog, linalg
+from omega_lie import catalog, linalg, local
 from omega_lie.linalg import Matrix, SubspaceBasis
 from omega_lie.local import (
     _images,
     MAX_RANDOM_COUNT,
+    EXCEEDS_FAMILY_HULL,
     INCONCLUSIVE,
     LOCAL_CERTIFIED,
     LOCAL_ON_SAMPLES,
@@ -43,6 +44,15 @@ class TestSamplePlan:
     def test_deterministic(self):
         assert SamplePlan(seed=99).points(3) == SamplePlan(seed=99).points(3)
         assert SamplePlan(seed=99).points(3) != SamplePlan(seed=100).points(3)
+
+    def test_fresh_points_are_pinned(self):
+        # recheck_certification draws from this stream; its seed is (seed << 4) ^ 1
+        assert PLAN.fresh_points(2, 3) == (
+            (Fraction(6, 7), Fraction(-5, 9)),
+            (Fraction(-5, 9), Fraction(4)),
+            (Fraction(-1), Fraction(0)),
+        )
+        assert SamplePlan(seed=7).fresh_points(3, 1) == ((Fraction(-9, 5), Fraction(-9, 8), Fraction(4, 3)),)
 
     @pytest.mark.parametrize("count", [-1, -3])
     def test_negative_random_count_is_refused(self, count):
@@ -205,6 +215,31 @@ class TestTwoLocalReports:
         assert report.verdict == INCONCLUSIVE
         assert report.min_kernel_rank == 3
 
+    @pytest.mark.parametrize(
+        "key, solver, ranks",
+        [
+            ("L_{1,1}", half_derivations, [2, 2, 1, 1, 2, 1] + [1] * 12),
+            ("C~_1", derivations, [4, 2, 2, 3, 2, 2, 3, 2] + [1] * 10),
+        ],
+    )
+    def test_one_kernel_rank_per_candidate(self, monkeypatch, key, solver, ranks):
+        # no candidate separates although the space rank is at most dim 4
+        alg = catalog.get(key)
+        space = solver(alg)
+        assert space.rank <= 4
+        calls = []
+
+        def counted(space, e):
+            calls.append(e)
+            return kernel_rank(space, e)
+
+        monkeypatch.setattr(local, "kernel_rank", counted)
+        report = two_local_report(alg, space, PLAN)
+        assert report.verdict == INCONCLUSIVE
+        assert [r for _, r in report.kernel_ranks] == ranks
+        assert report.min_kernel_rank == 1
+        assert calls == list(PLAN.points(4))
+
     def test_halfder_rigidity_of_simple_3d(self):
         for key in ("A_alpha", "B", "C_alpha"):
             alg = catalog.get(key)
@@ -242,6 +277,18 @@ class TestAffineClosure:
         assert res.matches_family_hull
         assert res.directions.rank == 0
         assert res.particular == Matrix.identity(4)
+
+    def test_family_of_derivations_exceeds_its_hull(self):
+        # L_{1,2} has local derivations outside its derivation space, so the
+        # closure of identity + span(derivations) is larger than that span
+        alg = catalog.get("L_{1,2}")
+        family = AffineFamily(base=Matrix.identity(4), directions=derivations(alg).matrices())
+        res = affine_local_closure(alg, family, PLAN)
+        assert res.comparison == EXCEEDS_FAMILY_HULL
+        assert not res.matches_family_hull
+        assert res.directions.rank == 6
+        assert family.hull_directions().rank == 4
+        assert family.hull_directions().is_subspace_of(res.directions)
 
     def test_closure_never_loses_the_family_itself(self):
         alg = catalog.get("L_{2,3}")

@@ -1,16 +1,26 @@
-"""Every global name the package's code loads is defined.
+"""Every global name the package's code loads is defined, and every name it defines is used.
 
 A misspelt name is only an error when the line holding it runs, so it can
-hide in a branch that no test happens to take.  This guard compiles each
-module of ``omega_lie``, walks all nested code objects, and checks every
+hide in a branch that no test happens to take.  The first guard compiles
+each module of ``omega_lie``, walks all nested code objects, and checks every
 ``LOAD_GLOBAL``/``LOAD_NAME`` against the imported module's namespace and
 ``builtins``.
+
+The second guard is its converse: every module-level function, class and
+assigned name, and every non-dunder method, of ``omega_lie`` must be
+referenced somewhere outside its own definition, in ``src/``, ``tests/``,
+``bench/`` or the code spans of ``README.md``.  A reference is a name or an
+attribute in Python code, an imported name, or a part of a string that is
+a dotted name (the benchmark wraps library functions by name).
 """
 
+import ast
 import builtins
 import dis
 import importlib
+import pathlib
 import pkgutil
+import re
 import types
 
 import pytest
@@ -68,3 +78,83 @@ def test_guard_catches_an_undefined_name(tmp_path, monkeypatch):
     assert undefined_names("omega_lie_names_probe") == [
         ("omega_lie_names_probe", "f", 4, "spec")
     ]
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+DOTTED = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)*")
+
+
+def _dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def _definitions(tree):
+    """``(label, name, first line, last line)`` of each definition the guard covers."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.name, node.lineno, node.end_lineno
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not _dunder(item.name):
+                    yield f"{node.name}.{item.name}", item.name, item.lineno, item.end_lineno
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                if isinstance(target, ast.Name) and not _dunder(target.id):
+                    yield target.id, target.id, node.lineno, node.end_lineno
+
+
+def _references(path):
+    """``(line, name)`` of each reference in one file of the corpus."""
+    text = path.read_text(encoding="utf-8")
+    if path.suffix != ".py":
+        spans = re.findall(r"```.*?```|`[^`]*`", text, flags=re.DOTALL)
+        return [(0, name) for span in spans for name in IDENTIFIER.findall(span)]
+    refs = []
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Name):
+            refs.append((node.lineno, node.id))
+        elif isinstance(node, ast.Attribute):
+            refs.append((node.lineno, node.attr))
+        elif isinstance(node, ast.alias):
+            refs.append((node.lineno, node.name.rpartition(".")[2]))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and DOTTED.fullmatch(node.value):
+            refs.extend((node.lineno, part) for part in node.value.split("."))
+    return refs
+
+
+def unreferenced(modules, corpus):
+    """Labels of the definitions in ``modules`` that nothing in ``corpus`` references."""
+    references = {}
+    for path in corpus:
+        for line, name in _references(path):
+            references.setdefault(name, []).append((path, line))
+    unused = []
+    for path in modules:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for label, name, first, last in _definitions(tree):
+            if not any(ref != path or not first <= line <= last for ref, line in references.get(name, ())):
+                unused.append(f"{path.stem}.{label}")
+    return unused
+
+
+def test_every_definition_is_referenced():
+    modules = sorted((ROOT / "src" / "omega_lie").glob("*.py"))
+    corpus = [p for d in ("src", "tests", "bench") for p in sorted((ROOT / d).rglob("*.py"))]
+    assert unreferenced(modules, corpus + [ROOT / "README.md"]) == []
+
+
+def test_guard_catches_an_unreferenced_definition(tmp_path):
+    module = tmp_path / "probe.py"
+    module.write_text(
+        "LIMIT = 3\n"
+        "def used():\n    return LIMIT\n"
+        "def recursive(n):\n    return recursive(n - 1) if n else 0\n"
+        "class Box:\n"
+        "    def __init__(self):\n        self.size = used()\n"
+        "    def shown(self):\n        return self.size\n"
+        "    def hidden(self):\n        return 0\n"
+    )
+    readme = tmp_path / "README.md"
+    readme.write_text("Call `Box().shown()`; hidden is prose, not code.\n")
+    assert unreferenced([module], [module, readme]) == ["probe.recursive", "probe.Box.hidden"]
