@@ -49,6 +49,28 @@ class AlgebraFormatError(ValueError):
     """Raised when an algebra document or file cannot be interpreted."""
 
 
+def _bilinear(tensor, x: Sequence[RationalLike], y: Sequence[RationalLike], what: str) -> Vector:
+    """``sum_{i,j,k} x_i y_j tensor[i][j][k] e_k``, skipping zero coordinates."""
+    x = vector(x)
+    y = vector(y)
+    n = len(tensor)
+    if len(x) != n or len(y) != n:
+        raise ValueError(f"{what} arguments must have length {n}")
+    out = [ZERO] * n
+    for i in range(n):
+        if not x[i]:
+            continue
+        for j in range(n):
+            if not y[j]:
+                continue
+            coeff = x[i] * y[j]
+            row = tensor[i][j]
+            for k in range(n):
+                if row[k]:
+                    out[k] += coeff * row[k]
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class OmegaAlgebra:
     """Structure constants and skew form of a finite-dimensional algebra.
@@ -126,24 +148,7 @@ class OmegaAlgebra:
         return tuple(self.basis_vector(i) for i in range(self.dim))
 
     def bracket(self, x: Sequence[RationalLike], y: Sequence[RationalLike]) -> Vector:
-        x = vector(x)
-        y = vector(y)
-        n = self.dim
-        if len(x) != n or len(y) != n:
-            raise ValueError(f"bracket arguments must have length {n}")
-        out = [ZERO] * n
-        for i in range(n):
-            if not x[i]:
-                continue
-            for j in range(n):
-                if not y[j]:
-                    continue
-                coeff = x[i] * y[j]
-                row = self.structure[i][j]
-                for k in range(n):
-                    if row[k]:
-                        out[k] += coeff * row[k]
-        return tuple(out)
+        return _bilinear(self.structure, x, y, "bracket")
 
     def omega_form(self, x: Sequence[RationalLike], y: Sequence[RationalLike]) -> Fraction:
         x = vector(x)
@@ -313,24 +318,7 @@ class BilinearMap:
             raise ValueError("bilinear tensor must be cubic")
 
     def apply(self, x: Sequence[RationalLike], y: Sequence[RationalLike]) -> Vector:
-        x = vector(x)
-        y = vector(y)
-        n = self.dim
-        if len(x) != n or len(y) != n:
-            raise ValueError(f"bilinear arguments must have length {n}")
-        out = [ZERO] * n
-        for i in range(n):
-            if not x[i]:
-                continue
-            for j in range(n):
-                if not y[j]:
-                    continue
-                coeff = x[i] * y[j]
-                row = self.tensor[i][j]
-                for k in range(n):
-                    if row[k]:
-                        out[k] += coeff * row[k]
-        return tuple(out)
+        return _bilinear(self.tensor, x, y, "bilinear")
 
     def __call__(self, x: Sequence[RationalLike], y: Sequence[RationalLike]) -> Vector:
         return self.apply(x, y)
@@ -415,28 +403,45 @@ def direct_sum(a: OmegaAlgebra, b: OmegaAlgebra) -> OmegaAlgebra:
     axioms exactly when both summands do and both forms are zero (the Lie
     case); ``check_axioms`` on the result reports any mixed-triple defects.
     """
-    n, m = a.dim, b.dim
-    total = n + m
+    total = a.dim + b.dim
     c = [[[ZERO] * total for _ in range(total)] for _ in range(total)]
     w = [[ZERO] * total for _ in range(total)]
-    for i in range(n):
-        for j in range(n):
-            w[i][j] = a.omega[i][j]
-            for k in range(n):
-                c[i][j][k] = a.structure[i][j][k]
-    for i in range(m):
-        for j in range(m):
-            w[n + i][n + j] = b.omega[i][j]
-            for k in range(m):
-                c[n + i][n + j][n + k] = b.structure[i][j][k]
+    labels = []
+    for offset, part, mark in ((0, a, "'"), (a.dim, b, "''")):
+        block = range(part.dim)
+        for i in block:
+            for j in block:
+                w[offset + i][offset + j] = part.omega[i][j]
+                for k in block:
+                    c[offset + i][offset + j][offset + k] = part.structure[i][j][k]
+        labels.extend(f"{lbl}{mark}" for lbl in part.basis_labels)
     return OmegaAlgebra(
         name=f"{a.name}+{b.name}",
         dim=total,
         structure=tuple(tuple(tuple(row) for row in plane) for plane in c),
         omega=tuple(tuple(row) for row in w),
-        basis_labels=tuple(f"{lbl}'" for lbl in a.basis_labels) + tuple(f"{lbl}''" for lbl in b.basis_labels),
+        basis_labels=tuple(labels),
         notes="",
     )
+
+
+def _respects_bracket(algebra: OmegaAlgebra, phi: LinearMap, anti: bool, check_omega: bool) -> bool:
+    """Invertible with ``phi([e_i,e_j])`` equal to ``[phi(e_i), phi(e_j)]``
+    (``[phi(e_j), phi(e_i)]`` when ``anti``), and omega-preserving if asked."""
+    if phi.dim != algebra.dim:
+        raise ValueError("map dimension does not match the algebra")
+    if not phi.is_invertible():
+        return False
+    basis = algebra.basis_vectors()
+    images = [phi.apply(e) for e in basis]
+    for i in range(algebra.dim):
+        for j in range(i + 1, algebra.dim):
+            x, y = (images[j], images[i]) if anti else (images[i], images[j])
+            if phi.apply(algebra.bracket(basis[i], basis[j])) != algebra.bracket(x, y):
+                return False
+            if check_omega and algebra.omega_form(images[i], images[j]) != algebra.omega[i][j]:
+                return False
+    return True
 
 
 def is_automorphism(algebra: OmegaAlgebra, phi: LinearMap, check_omega: bool = False) -> bool:
@@ -445,34 +450,12 @@ def is_automorphism(algebra: OmegaAlgebra, phi: LinearMap, check_omega: bool = F
     Whether structure-preserving maps must respect the skew form is left to
     the caller: the default checks the bracket only.
     """
-    if phi.dim != algebra.dim:
-        raise ValueError("map dimension does not match the algebra")
-    if not phi.is_invertible():
-        return False
-    basis = algebra.basis_vectors()
-    images = [phi.apply(e) for e in basis]
-    for i in range(algebra.dim):
-        for j in range(i + 1, algebra.dim):
-            if phi.apply(algebra.bracket(basis[i], basis[j])) != algebra.bracket(images[i], images[j]):
-                return False
-            if check_omega and algebra.omega_form(images[i], images[j]) != algebra.omega[i][j]:
-                return False
-    return True
+    return _respects_bracket(algebra, phi, anti=False, check_omega=check_omega)
 
 
 def is_anti_automorphism(algebra: OmegaAlgebra, phi: LinearMap) -> bool:
     """Invertible with ``phi([x,y]) = [phi(y), phi(x)]``."""
-    if phi.dim != algebra.dim:
-        raise ValueError("map dimension does not match the algebra")
-    if not phi.is_invertible():
-        return False
-    basis = algebra.basis_vectors()
-    images = [phi.apply(e) for e in basis]
-    for i in range(algebra.dim):
-        for j in range(i + 1, algebra.dim):
-            if phi.apply(algebra.bracket(basis[i], basis[j])) != algebra.bracket(images[j], images[i]):
-                return False
-    return True
+    return _respects_bracket(algebra, phi, anti=True, check_omega=False)
 
 
 # -- serialization ----------------------------------------------------------
@@ -528,6 +511,27 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _pairs(doc: Mapping, field: str, read) -> dict:
+    """``{(i, j): read(entry)}`` over the list ``doc[field]`` of ``{"i": .., "j": .., ...}`` objects.
+
+    A pair may appear once; :meth:`OmegaAlgebra.from_tables` checks its range.
+    """
+    items = doc.get(field, [])
+    if not isinstance(items, list):
+        raise AlgebraFormatError(f"'{field}' must be a list of entries, got {items!r}")
+    table = {}
+    for item in items:
+        try:
+            pair = (_integer(item["i"]), _integer(item["j"]))
+            value = read(item)
+        except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise AlgebraFormatError(f"bad {field} entry {item!r}: {exc}") from exc
+        if pair in table:
+            raise AlgebraFormatError(f"repeated {field} entry ({pair[0]},{pair[1]})")
+        table[pair] = value
+    return table
+
+
 def from_document(doc: Mapping) -> OmegaAlgebra:
     try:
         name = str(doc["name"])
@@ -536,37 +540,14 @@ def from_document(doc: Mapping) -> OmegaAlgebra:
         raise AlgebraFormatError(f"algebra document needs 'name' and integer 'dim': {exc}") from exc
     if not 0 <= dim <= MAX_DIM:
         raise AlgebraFormatError(f"'dim' must be between 0 and {MAX_DIM}, got {dim}")
-    basis = doc.get("basis") or [f"e{k}" for k in range(1, dim + 1)]
-    if len(basis) != dim:
+    basis = [] if doc.get("basis") is None else doc["basis"]
+    if not isinstance(basis, list) or not all(isinstance(label, str) for label in basis):
+        raise AlgebraFormatError(f"'basis' must be a list of label strings, got {basis!r}")
+    if basis and len(basis) != dim:
         raise AlgebraFormatError(f"basis has {len(basis)} labels but dim is {dim}")
-    brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for item in doc.get("brackets", []):
-        try:
-            i, j = _integer(item["i"]), _integer(item["j"])
-            coeffs = {_integer(k): frac(v) for k, v in item["coeffs"].items()}
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-            raise AlgebraFormatError(f"bad bracket entry {item!r}: {exc}") from exc
-        if not (1 <= i < j <= dim):
-            raise AlgebraFormatError(f"bracket entry ({i},{j}) must satisfy 1 <= i < j <= {dim}")
-        brackets[(i, j)] = coeffs
-    omega: dict[tuple[int, int], Fraction] = {}
-    for item in doc.get("omega", []):
-        try:
-            i, j = _integer(item["i"]), _integer(item["j"])
-            value = frac(item["value"])
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-            raise AlgebraFormatError(f"bad omega entry {item!r}: {exc}") from exc
-        if not (1 <= i < j <= dim):
-            raise AlgebraFormatError(f"omega entry ({i},{j}) must satisfy 1 <= i < j <= {dim}")
-        omega[(i, j)] = value
-    try:
-        return OmegaAlgebra.from_tables(
-            name, dim, brackets, omega, basis_labels=basis, notes=str(doc.get("notes", ""))
-        )
-    except AlgebraFormatError:
-        raise
-    except ValueError as exc:
-        raise AlgebraFormatError(str(exc)) from exc
+    brackets = _pairs(doc, "brackets", lambda item: {_integer(k): frac(v) for k, v in item["coeffs"].items()})
+    omega = _pairs(doc, "omega", lambda item: frac(item["value"]))
+    return OmegaAlgebra.from_tables(name, dim, brackets, omega, basis_labels=basis, notes=str(doc.get("notes", "")))
 
 
 def dumps(algebra: OmegaAlgebra) -> str:

@@ -121,41 +121,60 @@ class CatalogEntry:
         return tuple(v for v in DEFAULT_PARAMETER_SAMPLES if v not in self.param.excluded)
 
 
-def _table(name: str, dim: int, brackets, omega, notes: str = "", labels=None) -> OmegaAlgebra:
-    return OmegaAlgebra.from_tables(name, dim, brackets, omega, basis_labels=labels, notes=notes)
+# -- parameter families ---------------------------------------------------------
+#
+# key -> (dim, alpha -> (brackets, omega)); the algebra built at alpha = a is
+# named f"{key}(alpha={a})".
+
+_FAMILIES: dict[str, tuple[int, Callable[[Fraction], tuple[dict, dict]]]] = {
+    "A_alpha": (3, lambda a: ({(1, 2): {1: 1}, (1, 3): {1: 1, 2: 1}, (2, 3): {3: 1, 1: a}}, {(2, 3): -1})),
+    "C_alpha": (3, lambda a: ({(1, 2): {2: 1}, (1, 3): {3: a}, (2, 3): {1: 1}}, {(2, 3): 1 + a})),
+    "E_{1,alpha}": (
+        4,
+        lambda a: ({(1, 2): {2: 1}, (2, 3): {3: 1}, (2, 4): {4: 1}, (1, 4): {4: -a}}, {(1, 2): 1}),
+    ),
+    "F_{1,alpha}": (
+        4,
+        lambda a: (
+            {(1, 2): {2: 1}, (2, 3): {3: 1}, (2, 4): {4: 1}, (1, 4): {4: -a, 2: -1}},
+            {(1, 2): 1, (1, 4): -1},
+        ),
+    ),
+    "G_{1,alpha}": (
+        4,
+        lambda a: (
+            {(1, 2): {2: 1}, (2, 3): {3: 1}, (2, 4): {1: -1, 4: 1}, (1, 4): {4: -1, 2: -a}},
+            {(1, 2): 1, (1, 4): -a},
+        ),
+    ),
+    "H_{1,alpha}": (
+        4,
+        lambda a: (
+            {(1, 2): {2: 1}, (2, 3): {3: 1}, (2, 4): {1: -1, 3: -1, 4: 1}, (1, 4): {4: -1, 2: -a}},
+            {(1, 2): 1, (1, 4): -a},
+        ),
+    ),
+    "A~_alpha": (
+        4,
+        lambda a: ({(1, 2): {1: 1}, (1, 3): {1: 1, 2: 1}, (2, 3): {3: 1, 1: a}, (3, 4): {4: -1}}, {(2, 3): -1}),
+    ),
+    "C~_alpha": (
+        4,
+        lambda a: ({(1, 2): {2: 1}, (1, 3): {3: a}, (2, 3): {1: 1}, (1, 4): {4: 1 + a}}, {(2, 3): 1 + a}),
+    ),
+}
 
 
-def _fixed(name: str, dim: int, brackets, omega, notes: str = "", labels=None) -> Builder:
-    def build(_params: Mapping[str, Fraction]) -> OmegaAlgebra:
-        return _table(name, dim, brackets, omega, notes=notes, labels=labels)
+def _family(key: str, excluded: tuple[Fraction, ...], expected: ExpectedResults, **kw) -> CatalogEntry:
+    """The catalog entry of the ``_FAMILIES`` table ``key`` in the parameter ``alpha``."""
+    dim, table = _FAMILIES[key]
 
-    return build
+    def build(params: Mapping[str, Fraction]) -> OmegaAlgebra:
+        a = params["alpha"]
+        return OmegaAlgebra.from_tables(f"{key}(alpha={a})", dim, *table(a))
 
+    return CatalogEntry(key, dim, build, ParamSpec("alpha", excluded=excluded), expected, **kw)
 
-# -- 3-dimensional families ---------------------------------------------------
-
-
-def _build_A(params: Mapping[str, Fraction]) -> OmegaAlgebra:
-    a = params["alpha"]
-    return _table(
-        f"A_alpha(alpha={a})",
-        3,
-        {(1, 2): {1: 1}, (1, 3): {1: 1, 2: 1}, (2, 3): {3: 1, 1: a}},
-        {(2, 3): -1},
-    )
-
-
-def _build_C(params: Mapping[str, Fraction]) -> OmegaAlgebra:
-    a = params["alpha"]
-    return _table(
-        f"C_alpha(alpha={a})",
-        3,
-        {(1, 2): {2: 1}, (1, 3): {3: a}, (2, 3): {1: 1}},
-        {(2, 3): 1 + a},
-    )
-
-
-# -- 4-dimensional families ---------------------------------------------------
 
 _L11_NOTE = (
     "bracket of e4 with e2 normalized to [e4,e2] = -e4; the printed symbol is "
@@ -174,81 +193,6 @@ _C_RESONANCE_NOTE = (
     "system: a weight-shift map between the e2 and e3 eigendirections appears, "
     "so the half-derivation rank is 2 there instead of the generic 1"
 )
-
-
-def _build_E(params: Mapping[str, Fraction]) -> OmegaAlgebra:
-    a = params["alpha"]
-    return _table(
-        f"E_{{1,alpha}}(alpha={a})",
-        4,
-        {(1, 2): {2: 1}, (2, 3): {3: 1}, (2, 4): {4: 1}, (1, 4): {4: -a}},
-        {(1, 2): 1},
-    )
-
-
-def _build_F(params: Mapping[str, Fraction]) -> OmegaAlgebra:
-    a = params["alpha"]
-    return _table(
-        f"F_{{1,alpha}}(alpha={a})",
-        4,
-        {(1, 2): {2: 1}, (2, 3): {3: 1}, (2, 4): {4: 1}, (1, 4): {4: -a, 2: -1}},
-        {(1, 2): 1, (1, 4): -1},
-    )
-
-
-def _build_G(params: Mapping[str, Fraction]) -> OmegaAlgebra:
-    a = params["alpha"]
-    return _table(
-        f"G_{{1,alpha}}(alpha={a})",
-        4,
-        {(1, 2): {2: 1}, (2, 3): {3: 1}, (2, 4): {1: -1, 4: 1}, (1, 4): {4: -1, 2: -a}},
-        {(1, 2): 1, (1, 4): -a},
-    )
-
-
-def _build_H(params: Mapping[str, Fraction]) -> OmegaAlgebra:
-    a = params["alpha"]
-    return _table(
-        f"H_{{1,alpha}}(alpha={a})",
-        4,
-        {(1, 2): {2: 1}, (2, 3): {3: 1}, (2, 4): {1: -1, 3: -1, 4: 1}, (1, 4): {4: -1, 2: -a}},
-        {(1, 2): 1, (1, 4): -a},
-    )
-
-
-def _build_A_tilde(params: Mapping[str, Fraction]) -> OmegaAlgebra:
-    a = params["alpha"]
-    return _table(
-        f"A~_alpha(alpha={a})",
-        4,
-        {(1, 2): {1: 1}, (1, 3): {1: 1, 2: 1}, (2, 3): {3: 1, 1: a}, (3, 4): {4: -1}},
-        {(2, 3): -1},
-    )
-
-
-def _build_C_tilde(params: Mapping[str, Fraction]) -> OmegaAlgebra:
-    a = params["alpha"]
-    return _table(
-        f"C~_alpha(alpha={a})",
-        4,
-        {(1, 2): {2: 1}, (1, 3): {3: a}, (2, 3): {1: 1}, (1, 4): {4: 1 + a}},
-        {(2, 3): 1 + a},
-    )
-
-
-def _build_sl2(_params: Mapping[str, Fraction]) -> OmegaAlgebra:
-    return _table(
-        "sl2",
-        3,
-        {(1, 2): {2: 2}, (1, 3): {3: -2}, (2, 3): {1: 1}},
-        {},
-        labels=("h", "e", "f"),
-    )
-
-
-def _build_sl2_plus_sl2(_params: Mapping[str, Fraction]) -> OmegaAlgebra:
-    one = _build_sl2({})
-    return replace(direct_sum(one, one), name="sl2+sl2")
 
 
 _RIGID_WITH_DER = {"L_{1,3}", "L_{1,4}", "L_{1,7}", "L_{1,8}", "L_{2,2}", "L_{2,3}", "L_{2,4}", "F_{1,alpha}"}
@@ -303,6 +247,16 @@ _EXPECTED_SIMPLE_3D = ExpectedResults(
 )
 
 
+def _fixed(key, dim, brackets, omega, expected, notes="", repair="", labels=None) -> CatalogEntry:
+    """A parameter-free entry; a ``repair`` note (a deviation from the printed
+    table) is carried by the built algebra as well as by the entry."""
+
+    def build(_params: Mapping[str, Fraction]) -> OmegaAlgebra:
+        return OmegaAlgebra.from_tables(key, dim, brackets, omega, basis_labels=labels, notes=repair)
+
+    return CatalogEntry(key, dim, build, expected=expected, notes=notes or repair)
+
+
 def _entries() -> tuple[CatalogEntry, ...]:
     e = []
     # 3-dimensional nontrivial algebras.
@@ -310,22 +264,13 @@ def _entries() -> tuple[CatalogEntry, ...]:
         ("L_1", {(1, 2): {2: 1}, (2, 3): {3: 1}}, {(1, 2): 1}),
         ("L_2", {(1, 3): {2: 1}, (2, 3): {3: 1}}, {(1, 3): 1}),
     ):
-        e.append(CatalogEntry(key, 3, _fixed(key, 3, brackets, omega), expected=_EXPECTED_NONSIMPLE_3D))
-    e.append(CatalogEntry("A_alpha", 3, _build_A, ParamSpec("alpha"), _EXPECTED_SIMPLE_3D))
+        e.append(_fixed(key, 3, brackets, omega, _EXPECTED_NONSIMPLE_3D))
+    e.append(_family("A_alpha", (), _EXPECTED_SIMPLE_3D))
+    e.append(_fixed("B", 3, {(1, 2): {2: 1}, (1, 3): {2: 1, 3: 1}, (2, 3): {1: 1}}, {(2, 3): 2}, _EXPECTED_SIMPLE_3D))
     e.append(
-        CatalogEntry(
-            "B",
-            3,
-            _fixed("B", 3, {(1, 2): {2: 1}, (1, 3): {2: 1, 3: 1}, (2, 3): {1: 1}}, {(2, 3): 2}),
-            expected=_EXPECTED_SIMPLE_3D,
-        )
-    )
-    e.append(
-        CatalogEntry(
+        _family(
             "C_alpha",
-            3,
-            _build_C,
-            ParamSpec("alpha", excluded=(Fraction(0), Fraction(-1))),
+            (Fraction(0), Fraction(-1)),
             _EXPECTED_SIMPLE_3D,
             notes=_C_RESONANCE_NOTE,
             special_samples=((Fraction(2), _C_RESONANCE_NOTE),),
@@ -354,16 +299,8 @@ def _entries() -> tuple[CatalogEntry, ...]:
         "L_{1,8}": {(1, 2): 1, (1, 4): -1},
     }
     for key in l1_brackets:
-        notes = _L11_NOTE if key == "L_{1,1}" else ""
-        e.append(
-            CatalogEntry(
-                key,
-                4,
-                _fixed(key, 4, l1_brackets[key], l1_omegas[key], notes=notes),
-                expected=_expected_4d(key),
-                notes=notes,
-            )
-        )
+        repair = _L11_NOTE if key == "L_{1,1}" else ""
+        e.append(_fixed(key, 4, l1_brackets[key], l1_omegas[key], _expected_4d(key), repair=repair))
     # 4-dimensional: the L_{2,k} group.
     base_l2 = {(1, 3): {2: 1}, (2, 3): {3: 1}, (2, 4): {4: 1}}
     l2_brackets = {
@@ -373,70 +310,61 @@ def _entries() -> tuple[CatalogEntry, ...]:
         "L_{2,4}": {**base_l2, (1, 4): {4: -1, 3: -1}},
     }
     for key, brackets in l2_brackets.items():
-        e.append(
-            CatalogEntry(
-                key,
-                4,
-                _fixed(key, 4, brackets, {(1, 3): 1}),
-                expected=_expected_4d(key),
-            )
-        )
+        e.append(_fixed(key, 4, brackets, {(1, 3): 1}, _expected_4d(key)))
     # 4-dimensional parameter families.
-    e.append(CatalogEntry("E_{1,alpha}", 4, _build_E, ParamSpec("alpha", excluded=(Fraction(0), Fraction(1))), _expected_4d("E_{1,alpha}")))
-    e.append(CatalogEntry("F_{1,alpha}", 4, _build_F, ParamSpec("alpha", excluded=(Fraction(0), Fraction(1))), _expected_4d("F_{1,alpha}")))
-    e.append(CatalogEntry("G_{1,alpha}", 4, _build_G, ParamSpec("alpha"), _expected_4d("G_{1,alpha}")))
-    e.append(CatalogEntry("H_{1,alpha}", 4, _build_H, ParamSpec("alpha"), _expected_4d("H_{1,alpha}")))
-    e.append(CatalogEntry("A~_alpha", 4, _build_A_tilde, ParamSpec("alpha"), _expected_4d("A~_alpha")))
+    for key, excluded in (
+        ("E_{1,alpha}", (Fraction(0), Fraction(1))),
+        ("F_{1,alpha}", (Fraction(0), Fraction(1))),
+        ("G_{1,alpha}", ()),
+        ("H_{1,alpha}", ()),
+        ("A~_alpha", ()),
+    ):
+        e.append(_family(key, excluded, _expected_4d(key)))
     e.append(
-        CatalogEntry(
+        _fixed(
             "B~",
             4,
-            _fixed(
-                "B~",
-                4,
-                {(1, 2): {2: 1}, (1, 3): {2: 1, 3: 1}, (2, 3): {1: 1}, (1, 4): {4: 2}},
-                {(2, 3): 2},
-                notes=_BTILDE_NOTE,
-            ),
-            expected=_expected_4d("B~"),
-            notes=_BTILDE_NOTE,
+            {(1, 2): {2: 1}, (1, 3): {2: 1, 3: 1}, (2, 3): {1: 1}, (1, 4): {4: 2}},
+            {(2, 3): 2},
+            _expected_4d("B~"),
+            repair=_BTILDE_NOTE,
         )
     )
     e.append(
-        CatalogEntry(
+        _family(
             "C~_alpha",
-            4,
-            _build_C_tilde,
-            ParamSpec("alpha", excluded=(Fraction(0), Fraction(-1), Fraction(1))),
+            (Fraction(0), Fraction(-1), Fraction(1)),
             _expected_4d("C~_alpha"),
             notes="generic parameter point; alpha = 1 is the separate entry C~_1. " + _C_RESONANCE_NOTE,
             special_samples=((Fraction(2), _C_RESONANCE_NOTE),),
         )
     )
+    c_tilde_at_1 = _FAMILIES["C~_alpha"][1](Fraction(1))
     e.append(
-        CatalogEntry(
+        _fixed(
             "C~_1",
             4,
-            lambda _p: replace(_build_C_tilde({"alpha": Fraction(1)}), name="C~_1"),
-            expected=_expected_4d("C~_1"),
+            *c_tilde_at_1,
+            _expected_4d("C~_1"),
             notes="special parameter point alpha = 1 of the C~ family (own reference row)",
         )
     )
     # Lie-algebra fixtures.
-    e.append(
-        CatalogEntry(
-            "sl2",
-            3,
-            _build_sl2,
-            expected=ExpectedResults(sym_bider_rank=0, skew_bider_rank=1, source="semisimple fixtures"),
-            notes="basis (h,e,f) with [h,e]=2e, [h,f]=-2f, [e,f]=h; omega = 0",
-        )
+    sl2 = _fixed(
+        "sl2",
+        3,
+        {(1, 2): {2: 2}, (1, 3): {3: -2}, (2, 3): {1: 1}},
+        {},
+        ExpectedResults(sym_bider_rank=0, skew_bider_rank=1, source="semisimple fixtures"),
+        notes="basis (h,e,f) with [h,e]=2e, [h,f]=-2f, [e,f]=h; omega = 0",
+        labels=("h", "e", "f"),
     )
+    e.append(sl2)
     e.append(
         CatalogEntry(
             "sl2_plus_sl2",
             6,
-            _build_sl2_plus_sl2,
+            lambda _p: replace(direct_sum(sl2.build(), sl2.build()), name="sl2+sl2"),
             expected=ExpectedResults(skew_bider_rank=2, source="semisimple fixtures"),
             notes="two commuting copies of sl2; omega = 0",
         )

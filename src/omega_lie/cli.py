@@ -139,26 +139,34 @@ def _parse_matrix(data, n: int, what: str) -> Matrix:
 
 
 def _parse_family(doc, n: int, path: str) -> AffineFamily:
+    where = f"family file {path!r}"
     if not isinstance(doc, dict) or "base" not in doc:
-        raise CliError(f"family file {path!r}: expected an object with 'base'", FILE_ERROR)
-    base = _parse_matrix(doc["base"], n, f"family file {path!r} base")
+        raise CliError(f"{where}: expected an object with 'base'", FILE_ERROR)
+    lists = {field: doc.get(field, []) for field in ("directions", "parameters", "open_conditions")}
+    for field, value in lists.items():
+        if not isinstance(value, list):
+            raise CliError(f"{where}: '{field}' must be a list, got {value!r}", FILE_ERROR)
+    base = _parse_matrix(doc["base"], n, f"{where} base")
     directions = tuple(
-        _parse_matrix(d, n, f"family file {path!r} direction {idx+1}")
-        for idx, d in enumerate(doc.get("directions", []))
+        _parse_matrix(d, n, f"{where} direction {idx+1}") for idx, d in enumerate(lists["directions"])
     )
-    names = tuple(doc.get("parameters", ())) or tuple(f"t{i+1}" for i in range(len(directions)))
     conditions = []
-    for item in doc.get("open_conditions", []):
+    for item in lists["open_conditions"]:
         try:
             conditions.append(
                 AffineCondition.make(item.get("constant", 0), item.get("coeffs", {}))
             )
         except (ValueError, TypeError, ZeroDivisionError, AttributeError) as exc:
-            raise CliError(f"family file {path!r}: bad open condition {item!r}: {exc}", FILE_ERROR) from None
+            raise CliError(f"{where}: bad open condition {item!r}: {exc}", FILE_ERROR) from None
     try:
-        return AffineFamily(base=base, directions=directions, open_conditions=tuple(conditions), parameter_names=names)
+        return AffineFamily(
+            base=base,
+            directions=directions,
+            open_conditions=tuple(conditions),
+            parameter_names=tuple(lists["parameters"]),
+        )
     except ValueError as exc:
-        raise CliError(f"family file {path!r}: {exc}", FILE_ERROR) from None
+        raise CliError(f"{where}: {exc}", FILE_ERROR) from None
 
 
 def _report(args, algebra_identity, result: dict, extra: Optional[dict] = None) -> dict:
@@ -222,8 +230,6 @@ def cmd_check(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    if args.kind not in SOLVE_KINDS:
-        raise CliError(f"unknown solve kind {args.kind!r} (choose from {', '.join(SOLVE_KINDS)})", USAGE_ERROR)
     algebra, origin = _parse_algebra_arg(args.algebra)
     kind, delta = SOLVE_KINDS[args.kind]
     if args.kind == "dder":
@@ -261,8 +267,6 @@ def cmd_solve(args) -> int:
 
 
 def _space_for(algebra: OmegaAlgebra, which: str) -> MapSpace:
-    if which not in ("der", "halfder"):
-        raise CliError(f"unknown space {which!r} (choose der or halfder)", USAGE_ERROR)
     kind, delta = SOLVE_KINDS[which]
     return solve(algebra, kind, delta=delta)
 
@@ -305,7 +309,7 @@ def cmd_local(args) -> int:
         lines = [f"membership of the given matrix in local-{args.space} of {algebra.name}: {verdict.status}"]
         if verdict.witness:
             lines.append(f"  witness point: ({', '.join(format_scalar(v) for v in verdict.witness)})")
-    elif args.mode == "family":
+    else:  # family
         if not args.family:
             raise CliError("local family requires --family FILE", USAGE_ERROR)
         family = _parse_family(_load_json_file(args.family, "family"), algebra.dim, args.family)
@@ -325,8 +329,6 @@ def cmd_local(args) -> int:
         ]
         lines.extend("    " + "  ".join(f"{s:>6s}" for s in row) for row in res.particular.to_strings())
         lines.extend(f"  caveat: {c}" for c in res.caveats)
-    else:
-        raise CliError(f"unknown local mode {args.mode!r}", USAGE_ERROR)
     _emit(args, _report(args, _algebra_identity(algebra, origin), payload), lines)
     return 0
 

@@ -51,7 +51,7 @@ from .linalg import (
     solve_affine,
     vector,
 )
-from .solvers import MapSpace, vectorize_map
+from .solvers import MapSpace, _unvectorize_map, vectorize_map
 
 DEFAULT_SEED = 0xC0FFEE
 DEFAULT_RANDOM_COUNT = 8
@@ -184,7 +184,7 @@ def local_closure(algebra: OmegaAlgebra, space: MapSpace, plan: Optional[SampleP
     if not certified:
         for row in candidate.basis:
             if not space.space.contains(row):
-                witness = Matrix(tuple(tuple(row[i * n + j] for j in range(n)) for i in range(n)), n)
+                witness = _unvectorize_map(row, n)
                 break
     return LocalClosureResult(
         base=space,
@@ -373,6 +373,13 @@ class AffineFamily:
             )
         elif len(self.parameter_names) != len(self.directions):
             raise ValueError("one parameter name per direction required")
+        names = self.parameter_names
+        if not all(isinstance(name, str) for name in names) or len(set(names)) != len(names):
+            raise ValueError(f"parameter names must be distinct strings, got {list(names)}")
+        for cond in self.open_conditions:
+            undeclared = [name for name, _ in cond.coefficients if name not in names]
+            if undeclared:
+                raise ValueError(f"open condition {cond.describe()} names undeclared parameters {undeclared}")
 
     @property
     def dim(self) -> int:
@@ -455,9 +462,7 @@ def affine_local_closure(
     if solved is None:
         raise AssertionError("soundness violation: family base escaped its own closure")
     particular_vec, homogeneous = solved
-    particular = Matrix(
-        tuple(tuple(particular_vec[i * n + j] for j in range(n)) for i in range(n)), n
-    )
+    particular = _unvectorize_map(particular_vec, n)
     hull = family.hull_directions()
     if not hull.is_subspace_of(homogeneous):
         raise AssertionError("soundness violation: family directions escaped their own closure")

@@ -240,11 +240,7 @@ class MapSpace:
         return self.space.rank
 
     def matrices(self) -> tuple[Matrix, ...]:
-        n = self.algebra.dim
-        return tuple(
-            Matrix(tuple(tuple(row[i * n + j] for j in range(n)) for i in range(n)), n)
-            for row in self.space.basis
-        )
+        return tuple(_unvectorize_map(row, self.algebra.dim) for row in self.space.basis)
 
     def maps(self) -> tuple[LinearMap, ...]:
         return tuple(LinearMap(m) for m in self.matrices())
@@ -283,6 +279,11 @@ class TensorSpace:
 
 def vectorize_map(matrix: Matrix) -> Vector:
     return tuple(x for row in matrix.rows for x in row)
+
+
+def _unvectorize_map(vec: Vector, n: int) -> Matrix:
+    """The n x n matrix whose row-major vectorization is ``vec``."""
+    return Matrix(tuple(tuple(vec[i * n + j] for j in range(n)) for i in range(n)), n)
 
 
 def vectorize_tensor(t: BilinearMap) -> Vector:

@@ -10,6 +10,19 @@ from omega_lie.cli import main
 from omega_lie.local import MAX_RANDOM_COUNT
 
 
+IDENTITY_4 = [["1" if i == j else "0" for j in range(4)] for i in range(4)]
+
+# the automorphism family of L_{1,1}: identity plus two column-3 patterns
+FAMILY = {
+    "base": IDENTITY_4,
+    "directions": [
+        [["0", "0", "1", "0"], ["0", "0", "-1", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "0"]],
+        [["0", "0", "0", "0"], ["0", "0", "0", "0"], ["0", "0", "0", "0"], ["0", "0", "1", "0"]],
+    ],
+    "open_conditions": [{"constant": "1", "coeffs": {"t1": "1"}}],
+}
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -124,12 +137,84 @@ class TestErrors:
         assert "True" in err
 
     def test_boolean_family_condition_exits_3(self, capsys, tmp_path):
-        identity = [["1" if i == j else "0" for j in range(4)] for i in range(4)]
         path = tmp_path / "family.json"
-        path.write_text(json.dumps({"base": identity, "open_conditions": [{"constant": True}]}))
+        path.write_text(json.dumps({"base": IDENTITY_4, "open_conditions": [{"constant": True}]}))
         code, _, err = run(capsys, "local", "family", "@L_{1,1}", "--family", str(path))
         assert code == 3
         assert "open condition" in err
+
+
+def run_file(capsys, tmp_path, doc, *argv):
+    """Write ``doc`` as JSON and run ``argv`` with ``{}`` replaced by its path."""
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    return run(capsys, *(str(path) if a == "{}" else a for a in argv))
+
+
+# one well-formed document per file kind, with the command that reads it
+FILE_KINDS = {
+    "algebra": (to_document(catalog.get("L_{1,1}")), ("check", "{}")),
+    "map": ({"matrix": IDENTITY_4}, ("local", "map", "@L_{1,1}", "--map", "{}")),
+    "family": ({**FAMILY, "parameters": ["t1", "t2"]}, ("local", "family", "@L_{1,1}", "--family", "{}")),
+}
+
+
+class TestMalformedFiles:
+    """A file of the wrong shape is a parse error (exit 3), never a crash."""
+
+    @pytest.mark.parametrize(
+        "kind, field, value",
+        [
+            (kind, field, value)
+            for kind, (doc, _) in FILE_KINDS.items()
+            for field in doc
+            for value in (5, "x", {}, [5], None)
+        ],
+    )
+    def test_each_field_replaced(self, capsys, tmp_path, kind, field, value):
+        doc, argv = FILE_KINDS[kind]
+        code, _, err = run_file(capsys, tmp_path, {**doc, field: value}, "--random-count", "0", *argv)
+        assert code in (0, 2, 3)
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("brackets", 5),
+            ("basis", 5),
+            ("basis", "abcd"),
+            ("basis", ["a", "b", "c", 4]),
+            ("brackets", [{"i": 1, "j": 2, "coeffs": [1]}]),
+            ("brackets", [{"i": 1, "j": 2, "coeffs": {"2": "1"}}, {"i": 1, "j": 2, "coeffs": {"3": "1"}}]),
+            ("omega", [{"i": 1, "j": 2, "value": "1"}, {"i": 1, "j": 2, "value": "2"}]),
+        ],
+    )
+    def test_bad_algebra_shape_exits_3(self, capsys, tmp_path, field, value):
+        doc = {**to_document(catalog.get("L_{1,1}")), field: value}
+        code, _, err = run_file(capsys, tmp_path, doc, "check", "{}")
+        assert code == 3
+        assert "cannot parse algebra file" in err
+
+    @pytest.mark.parametrize("field", ["directions", "parameters", "open_conditions"])
+    @pytest.mark.parametrize("value", [5, {}, None])
+    def test_family_list_field_not_a_list_exits_3(self, capsys, tmp_path, field, value):
+        code, _, err = run_file(capsys, tmp_path, {**FAMILY, field: value}, "local", "family", "@L_{1,1}", "--family", "{}")
+        assert code == 3
+        assert f"'{field}' must be a list" in err
+
+    @pytest.mark.parametrize("names", [["t", "t"], ["t1", 2]])
+    def test_family_parameter_names_must_be_distinct_strings(self, capsys, tmp_path, names):
+        doc = {**FAMILY, "parameters": names, "open_conditions": []}
+        code, _, err = run_file(capsys, tmp_path, doc, "local", "family", "@L_{1,1}", "--family", "{}")
+        assert code == 3
+        assert "distinct strings" in err
+
+    def test_family_condition_on_undeclared_parameter_exits_3(self, capsys, tmp_path):
+        doc = {**FAMILY, "open_conditions": [{"constant": "1", "coeffs": {"zz": "1"}}]}
+        code, out, err = run_file(capsys, tmp_path, doc, "local", "family", "@L_{1,1}", "--family", "{}")
+        assert code == 3
+        assert "undeclared parameters ['zz']" in err
+        assert out == ""
 
 
 class TestAlgebraArgument:
@@ -189,16 +274,8 @@ class TestFiles:
         assert doc["result"]["witness_point"] == ["1", "0", "0", "0"]
 
     def test_local_family_file(self, capsys, tmp_path):
-        family = {
-            "base": [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]],
-            "directions": [
-                [["0", "0", "1", "0"], ["0", "0", "-1", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "0"]],
-                [["0", "0", "0", "0"], ["0", "0", "0", "0"], ["0", "0", "0", "0"], ["0", "0", "1", "0"]],
-            ],
-            "open_conditions": [{"constant": "1", "coeffs": {"t1": "1"}}],
-        }
         path = tmp_path / "family.json"
-        path.write_text(json.dumps(family))
+        path.write_text(json.dumps(FAMILY))
         code, out, _ = run(capsys, "--format", "json", "local", "family", "@L_{1,1}", "--family", str(path))
         assert code == 0
         doc = json.loads(out)

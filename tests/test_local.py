@@ -15,6 +15,7 @@ from omega_lie.local import (
     LOCAL_ON_SAMPLES,
     NOT_LOCAL,
     RIGID,
+    AffineCondition,
     AffineFamily,
     SamplePlan,
     affine_local_closure,
@@ -277,6 +278,19 @@ class TestAffineClosure:
         assert res.matches_family_hull
         assert res.directions.rank == 0
         assert res.particular == Matrix.identity(4)
+
+    @pytest.mark.parametrize(
+        "names, conditions",
+        [
+            (("t", "t"), ()),
+            (("t1", 2), ()),
+            (("t1", "t2"), (AffineCondition.make(1, {"zz": 1}),)),
+        ],
+    )
+    def test_family_parameters_are_declared_once(self, names, conditions):
+        family = automorphism_family_L11()
+        with pytest.raises(ValueError):
+            AffineFamily(family.base, family.directions, conditions, names)
 
     def test_family_of_derivations_exceeds_its_hull(self):
         # L_{1,2} has local derivations outside its derivation space, so the
