@@ -67,7 +67,6 @@ from .local import (
     kernel_rank,
     local_closure,
     recheck_certification,
-    separating_vector,
     two_local_report,
 )
 from .solvers import (

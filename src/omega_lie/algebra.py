@@ -534,10 +534,13 @@ def _pairs(doc: Mapping, field: str, read) -> dict:
 
 def from_document(doc: Mapping) -> OmegaAlgebra:
     try:
-        name = str(doc["name"])
+        name = doc["name"]
         dim = _integer(doc["dim"])
     except (KeyError, TypeError, ValueError) as exc:
         raise AlgebraFormatError(f"algebra document needs 'name' and integer 'dim': {exc}") from exc
+    notes = doc.get("notes", "")
+    if not isinstance(name, str) or not isinstance(notes, str):
+        raise AlgebraFormatError(f"'name' and 'notes' must be strings, got {name!r} and {notes!r}")
     if not 0 <= dim <= MAX_DIM:
         raise AlgebraFormatError(f"'dim' must be between 0 and {MAX_DIM}, got {dim}")
     basis = [] if doc.get("basis") is None else doc["basis"]
@@ -547,7 +550,7 @@ def from_document(doc: Mapping) -> OmegaAlgebra:
         raise AlgebraFormatError(f"basis has {len(basis)} labels but dim is {dim}")
     brackets = _pairs(doc, "brackets", lambda item: {_integer(k): frac(v) for k, v in item["coeffs"].items()})
     omega = _pairs(doc, "omega", lambda item: frac(item["value"]))
-    return OmegaAlgebra.from_tables(name, dim, brackets, omega, basis_labels=basis, notes=str(doc.get("notes", "")))
+    return OmegaAlgebra.from_tables(name, dim, brackets, omega, basis_labels=basis, notes=notes)
 
 
 def dumps(algebra: OmegaAlgebra) -> str:

@@ -401,8 +401,5 @@ def expected(key: str) -> ExpectedResults:
     return entry(key).expected
 
 
-def four_dimensional_keys(include_special_point: bool = True) -> tuple[str, ...]:
-    out = [e.key for e in _ENTRIES if e.dim == 4]
-    if not include_special_point:
-        out.remove("C~_1")
-    return tuple(out)
+def four_dimensional_keys() -> tuple[str, ...]:
+    return tuple(e.key for e in _ENTRIES if e.dim == 4)

@@ -19,13 +19,14 @@ human-readable text by default or a JSON report with ``--format json``; all
 rationals are rendered as ``"p/q"`` strings and indices are 1-based.
 
 Exit codes: 0 success, 1 verification failures, 2 usage errors, 3 file or
-parse errors.
+parse errors, 141 (128 + SIGPIPE) when the reader of the output closes early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -280,14 +281,14 @@ def cmd_local(args) -> int:
         payload = {
             "mode": args.mode,
             "base_rank": space.rank,
-            "candidate_rank": res.candidate_rank,
+            "candidate_rank": res.candidate.rank,
             "certified": res.certified,
             "samples": len(res.samples_used),
             "witness": res.witness.to_strings() if res.witness is not None else None,
         }
         lines = [
             f"local closure of the {args.mode} space of {algebra.name}:",
-            f"  base rank {space.rank}, sampled candidate rank {res.candidate_rank}, samples {len(res.samples_used)}",
+            f"  base rank {space.rank}, sampled candidate rank {res.candidate.rank}, samples {len(res.samples_used)}",
             f"  certified (candidate == base, so every local map is a member): {res.certified}",
         ]
         if res.witness is not None:
@@ -495,10 +496,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.subcommand == "catalog" and args.action in ("show", "export") and not args.key:
         parser.error(f"catalog {args.action} requires a KEY")
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not in the exit-time flush
+        return code
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except BrokenPipeError:
+        # the reader has gone: send what is still buffered to devnull so the exit-time flush is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

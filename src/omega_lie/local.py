@@ -9,9 +9,9 @@ questions:
   values the space can attain at ``x``.  The result always contains the
   base space, so when the intersection collapses onto the base the collapse
   is a sound certificate: every sampled-local map already lies in the base.
-* ``separating_vector`` looks for a point where evaluation is injective on
+* ``two_local_report`` looks for a point where evaluation is injective on
   the space; at such a point any 2-local map is pinned to a single member
-  of the space, which is the rigidity argument ``two_local_report`` encodes.
+  of the space, which is the rigidity argument it encodes.
 * ``affine_local_closure`` runs the same per-point analysis against an
   affine family (base matrix plus parameter directions), as used for the
   structure-preserving matrix families.
@@ -21,9 +21,12 @@ column product ``S @ x``, reading index ``k*n + j`` of its vectorized form
 as row ``k``, column ``j``.  ``_images`` is the one place where that action
 is applied: space elements, single candidate matrices and affine families
 are all evaluated through it.  Its transpose, the functional ``q(B x)`` on
-``vec(B)``, is written once in ``_point_rows``, the one row builder that
-turns ``B x in offset + span`` into linear equations on ``vec(B)`` for both
-``local_closure`` (no offset) and ``affine_local_closure``.
+``vec(B)``, is written once in ``_point_rows``.  ``_closure`` is the one
+closure solve: it turns ``B x in offset + span`` at every sample into one
+sparse system for both ``local_closure`` (no offset) and
+``affine_local_closure``.  ``_escape`` is the one point scan, finding where
+some ``S x`` leaves ``W(x)``, for both ``recheck_certification`` and
+``is_local_member``.
 
 Results are bitwise deterministic for a fixed :class:`SamplePlan`: samples
 are the basis vectors, then all pairwise sums, then seeded random vectors.
@@ -37,7 +40,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import ClassVar, Mapping, Optional, Sequence
 
 from .algebra import OmegaAlgebra
 from .linalg import (
@@ -47,7 +50,6 @@ from .linalg import (
     Vector,
     ZERO,
     frac,
-    nullspace_of_sparse_rows,
     solve_affine,
     vector,
 )
@@ -149,6 +151,34 @@ def _point_rows(
     return pairs
 
 
+def _closure(
+    n: int, samples: Sequence[Vector], generators: Sequence[Vector], offset: Optional[Vector] = None
+) -> tuple[Vector, SubspaceBasis]:
+    """The affine set ``{B : B x in offset@x + span(generators@x) at every sample}``.
+
+    Returns ``(particular, space)`` from one sparse solve.  The set always
+    contains ``offset + span(generators)``, so an inconsistent system or a
+    generator outside ``space`` is a soundness violation.
+    """
+    rows: list[tuple[SparseRow, Fraction]] = []
+    for x in samples:
+        span = SubspaceBasis.from_generators(n, _images(generators, x, n))
+        rows.extend(_point_rows(x, span, None if offset is None else _images([offset], x, n)[0]))
+    solved = solve_affine(n * n, rows)
+    if solved is None or not solved[1].contains_all(generators):
+        raise AssertionError("soundness violation: the closed family escaped its own closure")
+    return solved
+
+
+def _escape(space: MapSpace, vectors: Sequence[Vector], points: Sequence[Vector]) -> Optional[Vector]:
+    """First of ``points`` where some ``S x``, ``S`` in ``vectors``, leaves ``W(x)``; ``None`` if none."""
+    n = space.algebra.dim
+    for x in points:
+        if not evaluation_subspace(space, x).contains_all(_images(vectors, x, n)):
+            return x
+    return None
+
+
 @dataclass(frozen=True)
 class LocalClosureResult:
     base: MapSpace
@@ -156,10 +186,6 @@ class LocalClosureResult:
     certified: bool
     samples_used: tuple[Vector, ...]
     witness: Optional[Matrix] = None
-
-    @property
-    def candidate_rank(self) -> int:
-        return self.candidate.rank
 
 
 def local_closure(algebra: OmegaAlgebra, space: MapSpace, plan: Optional[SamplePlan] = None) -> LocalClosureResult:
@@ -175,24 +201,11 @@ def local_closure(algebra: OmegaAlgebra, space: MapSpace, plan: Optional[SampleP
     if space.algebra.dim != n:
         raise ValueError("space and algebra dimensions differ")
     samples = plan.points(n)
-    rows = [row for x in samples for row, _ in _point_rows(x, evaluation_subspace(space, x))]
-    candidate, _ = nullspace_of_sparse_rows(n * n, rows)
-    if not space.space.is_subspace_of(candidate):
-        raise AssertionError("soundness violation: base space escaped its own local closure")
-    certified = candidate == space.space
+    _, candidate = _closure(n, samples, space.space.basis)
     witness = None
-    if not certified:
-        for row in candidate.basis:
-            if not space.space.contains(row):
-                witness = _unvectorize_map(row, n)
-                break
-    return LocalClosureResult(
-        base=space,
-        candidate=candidate,
-        certified=certified,
-        samples_used=samples,
-        witness=witness,
-    )
+    if candidate != space.space:  # the candidate contains the base, so some row lies outside it
+        witness = _unvectorize_map(next(r for r in candidate.basis if not space.space.contains(r)), n)
+    return LocalClosureResult(space, candidate, witness is None, samples, witness)
 
 
 def recheck_certification(
@@ -207,12 +220,7 @@ def recheck_certification(
     point; used by the verification suite to back up ``certified == True``.
     """
     plan = plan or SamplePlan()
-    n = algebra.dim
-    space = result.base
-    for x in plan.fresh_points(n, points):
-        if not evaluation_subspace(space, x).contains_all(_images(result.candidate.basis, x, n)):
-            return False
-    return True
+    return _escape(result.base, result.candidate.basis, plan.fresh_points(algebra.dim, points)) is None
 
 
 LOCAL_CERTIFIED = "LOCAL_CERTIFIED"
@@ -243,9 +251,9 @@ def is_local_member(
     if candidate.shape != (n, n):
         raise ValueError("candidate matrix has wrong shape")
     candidate_vec = vectorize_map(candidate)
-    for x in plan.points(n):
-        if not evaluation_subspace(space, x).contains(_images([candidate_vec], x, n)[0]):
-            return LocalMemberVerdict(NOT_LOCAL, witness=x)
+    escape = _escape(space, [candidate_vec], plan.points(n))
+    if escape is not None:
+        return LocalMemberVerdict(NOT_LOCAL, witness=escape)
     if space.space.contains(candidate_vec):
         return LocalMemberVerdict(LOCAL_CERTIFIED)
     return LocalMemberVerdict(LOCAL_ON_SAMPLES)
@@ -256,45 +264,16 @@ class SeparatingCertificate:
     """A point where evaluation is injective on the space (kernel rank 0)."""
 
     point: Vector
-    kernel_rank: int
-    conclusion: str
+    kernel_rank: ClassVar[int] = 0
+    conclusion: ClassVar[str] = (
+        "evaluation at this point is injective on the space, so any map agreeing "
+        "pointwise with space members is a single member globally"
+    )
 
 
 def kernel_rank(space: MapSpace, e: Sequence) -> int:
     """Dimension of ``{S in space : S e = 0}``."""
     return space.rank - evaluation_subspace(space, e).rank
-
-
-def _scan(space: MapSpace, candidates: Sequence[Sequence]) -> tuple[Optional[SeparatingCertificate], list]:
-    """``kernel_rank`` at each candidate in order, stopping at the first zero.
-
-    Returns the separating certificate, if a candidate gives one, and the
-    ``(point, rank)`` pairs of the candidates scanned before it.
-    """
-    ranks = []
-    for e in map(vector, candidates):
-        rank = kernel_rank(space, e)
-        if rank == 0:
-            cert = SeparatingCertificate(
-                point=e,
-                kernel_rank=0,
-                conclusion=(
-                    "evaluation at this point is injective on the space, so any map agreeing "
-                    "pointwise with space members is a single member globally"
-                ),
-            )
-            return cert, ranks
-        ranks.append((e, rank))
-    return None, ranks
-
-
-def separating_vector(space: MapSpace, candidates: Sequence[Sequence]) -> Optional[SeparatingCertificate]:
-    """First candidate point where the space evaluates injectively.
-
-    Returns ``None`` when no candidate works, as always happens when the
-    space rank exceeds the algebra dimension.
-    """
-    return _scan(space, candidates)[0]
 
 
 RIGID = "RIGID"
@@ -317,12 +296,15 @@ def two_local_report(
     ``RIGID``: some candidate point pins space members uniquely, hence any
     2-local map w.r.t. the space is globally a member.  ``INCONCLUSIVE``:
     no sampled point separates (for example when the space rank exceeds the
-    algebra dimension); the minimal kernel ranks found are reported.
+    algebra dimension); the kernel rank at each point scanned is reported.
     """
     plan = plan or SamplePlan()
-    cert, ranks = _scan(space, plan.points(algebra.dim))
-    if cert is not None:
-        return TwoLocalReport(RIGID, cert, 0)
+    ranks = []
+    for e in plan.points(algebra.dim):
+        rank = kernel_rank(space, e)
+        if rank == 0:
+            return TwoLocalReport(RIGID, SeparatingCertificate(e), 0)
+        ranks.append((e, rank))
     return TwoLocalReport(INCONCLUSIVE, None, min((r for _, r in ranks), default=None), tuple(ranks))
 
 
@@ -447,29 +429,18 @@ def affine_local_closure(
     if family.dim != n:
         raise ValueError("family and algebra dimensions differ")
     samples = plan.points(n)
-    base_vec = vectorize_map(family.base)
-    direction_vecs = [vectorize_map(d) for d in family.directions]
-    rows: list[tuple[SparseRow, Fraction]] = []
-    for x in samples:
-        span = SubspaceBasis.from_generators(n, _images(direction_vecs, x, n))
-        rows.extend(_point_rows(x, span, _images([base_vec], x, n)[0]))
+    particular, homogeneous = _closure(
+        n, samples, [vectorize_map(d) for d in family.directions], vectorize_map(family.base)
+    )
     caveats = tuple(
         f"open condition (not enforced): {cond.describe()}" for cond in family.open_conditions
     ) + (
         "membership in the closure does not by itself guarantee invertibility at boundary parameters",
     )
-    solved = solve_affine(n * n, rows)
-    if solved is None:
-        raise AssertionError("soundness violation: family base escaped its own closure")
-    particular_vec, homogeneous = solved
-    particular = _unvectorize_map(particular_vec, n)
-    hull = family.hull_directions()
-    if not hull.is_subspace_of(homogeneous):
-        raise AssertionError("soundness violation: family directions escaped their own closure")
-    comparison = MATCHES_FAMILY_HULL if homogeneous == hull else EXCEEDS_FAMILY_HULL
+    comparison = MATCHES_FAMILY_HULL if homogeneous == family.hull_directions() else EXCEEDS_FAMILY_HULL
     return AffineClosureResult(
         family=family,
-        particular=particular,
+        particular=_unvectorize_map(particular, n),
         directions=homogeneous,
         comparison=comparison,
         caveats=caveats,

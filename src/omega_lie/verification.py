@@ -19,14 +19,13 @@ contested space.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from . import catalog
 from .algebra import bracket_tensor, check_axioms
-from .linalg import Matrix, SubspaceBasis, nullspace, rref
+from .linalg import Matrix, SubspaceBasis
 from .local import (
     INCONCLUSIVE,
     RIGID,
@@ -210,16 +209,16 @@ def criterion_6_local_rigidity(plan: SamplePlan) -> CheckResult:
         if res.certified != catalog.expected(key).local_der_certified:
             mismatches.append(
                 f"{key}: local closure of derivations not certified "
-                f"(candidate rank {res.candidate_rank} > base rank {res.base.rank})"
+                f"(candidate rank {res.candidate.rank} > base rank {res.base.rank})"
             )
     for key in SIMPLE_3D_KEYS:
         expected = catalog.expected(key)
         alg = catalog.get(key)
         res = local_closure(alg, half_derivations(alg), plan)
-        if res.certified != expected.local_half_certified or res.candidate_rank != expected.half_der_rank:
+        if res.certified != expected.local_half_certified or res.candidate.rank != expected.half_der_rank:
             mismatches.append(
                 f"{key}: half-derivation closure certified={res.certified} "
-                f"candidate rank {res.candidate_rank} (expected certified rank-{expected.half_der_rank} collapse)"
+                f"candidate rank {res.candidate.rank} (expected certified rank-{expected.half_der_rank} collapse)"
             )
     return _result(6, "local closures certify rigidity", mismatches)
 
@@ -375,9 +374,10 @@ def criterion_10_semisimple_fixtures() -> CheckResult:
 
 
 def criterion_11_property_suite(plan: SamplePlan) -> CheckResult:
-    """Residuals, rank-nullity, idempotence, soundness, determinism."""
+    """Residuals, the symmetric/skew rank law, soundness, determinism."""
     mismatches = []
-    # Exact residuals of every returned basis element, across solvers.
+    # Exact residuals of every returned basis element, across solvers, and
+    # the decomposition of each biderivation into symmetric and skew parts.
     for key in ("L_{1,1}", "L_{1,6}", "B~", "A_alpha", "B", "C_alpha", "sl2"):
         alg = catalog.get(key)
         for space in (derivations(alg), omega_derivations(alg), centroid(alg), commuting_maps(alg), anticommuting_maps(alg)):
@@ -390,26 +390,14 @@ def criterion_11_property_suite(plan: SamplePlan) -> CheckResult:
             if map_defects(alg, "delta_derivation", f, delta=Fraction(1, 2)):
                 mismatches.append(f"{key}: nonzero residual in half-derivation basis")
                 break
-        for tspace in (biderivations(alg), symmetric_biderivations(alg), skew_biderivations(alg), omega_biderivations(alg)):
+        bider, sym, skw = biderivations(alg), symmetric_biderivations(alg), skew_biderivations(alg)
+        for tspace in (bider, sym, skw, omega_biderivations(alg)):
             for t in tspace.tensors():
                 if tensor_defects(alg, tspace.kind, t):
                     mismatches.append(f"{key}: nonzero residual in {tspace.kind} basis")
                     break
-    # Rank-nullity and idempotence on 1000 random rational matrices.
-    rng = random.Random(plan.seed)
-    for _ in range(1000):
-        nrows = rng.randint(1, 5)
-        ncols = rng.randint(1, 5)
-        m = Matrix.from_rows(
-            [[Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(ncols)] for _ in range(nrows)]
-        )
-        reduced, rank, _ = rref(m)
-        if rank + nullspace(m).rank != ncols:
-            mismatches.append("rank-nullity violated on a random matrix")
-            break
-        if rref(reduced)[0] != reduced:
-            mismatches.append("rref is not idempotent on a random matrix")
-            break
+        if sym.space.plus(skw.space) != bider.space:
+            mismatches.append(f"{key}: symmetric + skew biderivations differ from the biderivation space")
     # Soundness sandwich, 500-point recheck, and determinism of a closure.
     alg = catalog.get("L_{1,1}")
     der = derivations(alg)

@@ -16,7 +16,9 @@ exits nonzero while any criterion fails.
 import pytest
 
 from omega_lie import verification
+from omega_lie.linalg import SubspaceBasis
 from omega_lie.local import SamplePlan
+from omega_lie.solvers import TensorSpace
 
 PLAN = SamplePlan()
 
@@ -83,3 +85,13 @@ def test_criterion_10_semisimple_fixtures():
 
 def test_criterion_11_property_suite():
     _report(verification.criterion_11_property_suite(PLAN))
+
+
+def test_criterion_11_fails_when_skew_biderivations_go_missing(monkeypatch):
+    def zero(alg):
+        return TensorSpace(alg, "skew", SubspaceBasis.zero(alg.dim ** 3))
+
+    monkeypatch.setattr(verification, "skew_biderivations", zero)
+    result = verification.criterion_11_property_suite(PLAN)
+    assert not result.passed
+    assert any("symmetric + skew" in detail for detail in result.details)

@@ -22,7 +22,7 @@ class TestEntries:
         assert len(entries) == 27
         assert sum(1 for e in entries if e.dim == 3) == 6  # five families + sl2
         assert len(catalog.four_dimensional_keys()) == 20
-        assert len(catalog.four_dimensional_keys(include_special_point=False)) == 19
+        assert len([key for key in catalog.four_dimensional_keys() if key != "C~_1"]) == 19
 
     def test_expected_keys_present(self):
         keys = catalog.keys()

@@ -1,6 +1,10 @@
 """Command-line interface: subcommands, exit codes, machine output."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -143,6 +147,20 @@ class TestErrors:
         assert code == 3
         assert "open condition" in err
 
+    def test_closed_output_pipe_exits_141_without_traceback(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the first write
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "omega_lie.cli", "catalog", "list"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert "Traceback" not in proc.stderr
+        assert proc.returncode == 141
+
 
 def run_file(capsys, tmp_path, doc, *argv):
     """Write ``doc`` as JSON and run ``argv`` with ``{}`` replaced by its path."""
@@ -187,6 +205,8 @@ class TestMalformedFiles:
             ("brackets", [{"i": 1, "j": 2, "coeffs": [1]}]),
             ("brackets", [{"i": 1, "j": 2, "coeffs": {"2": "1"}}, {"i": 1, "j": 2, "coeffs": {"3": "1"}}]),
             ("omega", [{"i": 1, "j": 2, "value": "1"}, {"i": 1, "j": 2, "value": "2"}]),
+            ("name", None),
+            ("notes", [5]),
         ],
     )
     def test_bad_algebra_shape_exits_3(self, capsys, tmp_path, field, value):

@@ -1,5 +1,6 @@
 """Local and 2-local analysis engine."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,6 @@ from omega_lie.local import (
     kernel_rank,
     local_closure,
     recheck_certification,
-    separating_vector,
     two_local_report,
 )
 from omega_lie.solvers import derivations, half_derivations, vectorize_map
@@ -115,14 +115,14 @@ class TestLocalClosure:
         alg = catalog.get("L_{1,1}")
         res = local_closure(alg, derivations(alg), PLAN)
         assert res.certified
-        assert res.candidate_rank == 6
+        assert res.candidate.rank == 6
         assert res.witness is None
 
     def test_halfder_rank_one_collapse(self):
         for key in ("A_alpha", "B"):
             alg = catalog.get(key)
             res = local_closure(alg, half_derivations(alg), PLAN)
-            assert res.certified and res.candidate_rank == 1
+            assert res.certified and res.candidate.rank == 1
 
     def test_noncollapsing_cases_have_witnesses(self):
         # these two algebras genuinely carry local-but-not-member matrices
@@ -130,7 +130,7 @@ class TestLocalClosure:
             alg = catalog.get(key)
             res = local_closure(alg, derivations(alg), PLAN)
             assert not res.certified
-            assert res.candidate_rank == expected_candidate
+            assert res.candidate.rank == expected_candidate
             assert res.witness is not None
             verdict = is_local_member(alg, derivations(alg), res.witness, PLAN)
             assert verdict.status == LOCAL_ON_SAMPLES
@@ -140,7 +140,7 @@ class TestLocalClosure:
         der = derivations(alg)
         lean = local_closure(alg, der, SamplePlan(random_count=0))
         rich = local_closure(alg, der, SamplePlan(random_count=30))
-        assert lean.candidate_rank >= rich.candidate_rank
+        assert lean.candidate.rank >= rich.candidate.rank
         assert rich.candidate.is_subspace_of(lean.candidate)
 
     def test_determinism(self):
@@ -177,22 +177,23 @@ class TestLocalMembership:
 
 class TestSeparatingVectors:
     def test_L14_separates_at_e3(self):
-        der = derivations(catalog.get("L_{1,4}"))
-        cert = separating_vector(der, PLAN.points(4))
+        alg = catalog.get("L_{1,4}")
+        cert = two_local_report(alg, derivations(alg), PLAN).certificate
         assert cert is not None
         assert cert.point == (0, 0, 1, 0)
         assert cert.kernel_rank == 0
 
     def test_L23_separates_at_e4(self):
-        der = derivations(catalog.get("L_{2,3}"))
-        cert = separating_vector(der, PLAN.points(4))
+        alg = catalog.get("L_{2,3}")
+        cert = two_local_report(alg, derivations(alg), PLAN).certificate
         assert cert is not None
         assert cert.point == (0, 0, 0, 1)
 
     def test_L11_cannot_separate(self):
-        der = derivations(catalog.get("L_{1,1}"))
+        alg = catalog.get("L_{1,1}")
+        der = derivations(alg)
         assert der.rank == 6 > 4
-        assert separating_vector(der, PLAN.points(4)) is None
+        assert two_local_report(alg, der, PLAN).certificate is None
 
     def test_kernel_rank_values(self):
         der = derivations(catalog.get("L_{1,4}"))
@@ -333,3 +334,42 @@ def test_local_engine_needs_no_dense_elimination(monkeypatch):
     assert is_local_member(l12, der12, witnessed.witness, PLAN).status == LOCAL_ON_SAMPLES
     assert two_local_report(l11, der11, PLAN).verdict == INCONCLUSIVE
     assert affine_local_closure(l11, family, PLAN).matches_family_hull
+
+
+def _text(value) -> str:
+    """Canonical text of a local-engine result: nested tuples of exact scalars."""
+    if value is None or isinstance(value, (bool, int, str, Fraction)):
+        return str(value)
+    if isinstance(value, Matrix):
+        return _text(value.rows)
+    if isinstance(value, SubspaceBasis):
+        return _text(value.basis)
+    return "(" + ",".join(_text(v) for v in value) + ")"
+
+
+def _local_engine_lines():
+    for key in catalog.keys():
+        alg = catalog.get(key)
+        for solver in (derivations, half_derivations):
+            space = solver(alg)
+            for plan in (SamplePlan(), SamplePlan(seed=7, random_count=3)):
+                res = local_closure(alg, space, plan)
+                yield _text((key, solver.__name__, plan.seed, res.candidate, res.certified, len(res.samples_used), res.witness))
+                report = two_local_report(alg, space, plan)
+                cert = report.certificate
+                yield _text((report.verdict, cert and cert.point, report.min_kernel_rank, report.kernel_ranks))
+                if res.certified:
+                    yield _text((recheck_certification(alg, res, points=50, plan=plan),))
+                else:
+                    verdict = is_local_member(alg, space, res.witness, plan)
+                    yield _text((verdict.status, verdict.witness))
+    for plan in (SamplePlan(), SamplePlan(seed=7, random_count=3)):
+        for key, family in (("L_{1,1}", automorphism_family_L11()), ("L_{2,3}", automorphism_family_L23())):
+            res = affine_local_closure(catalog.get(key), family, plan)
+            yield _text((key, res.particular, res.directions, res.comparison, res.caveats, len(res.samples_used)))
+
+
+def test_local_engine_golden_hash():
+    """Every local-engine answer on the catalog, at two plans, is pinned bit for bit."""
+    digest = hashlib.sha256("\n".join(_local_engine_lines()).encode()).hexdigest()
+    assert digest == "94444d5a770ed4689c0ec4a92dba7f3b66db4fce24ac5f742077a5c6bda48af1"
