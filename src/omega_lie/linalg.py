@@ -1,13 +1,29 @@
 """Exact sparse linear algebra over the rationals.
 
-Everything in this package reduces to the primitives here.  One sparse
-elimination, :class:`_Echelon`, does every solve: nullspaces, affine
+Everything in this package reduces to the primitives here.  One exact
+sparse elimination, :class:`_Echelon`, does every solve: nullspaces, affine
 systems, annihilators and intersections all read their answer off a single
 echelon through one free-column extraction, and a small lattice of subspace
 operations (membership, intersection, equality) sits on top.  Dense
-:class:`Matrix` values are inputs and outputs, never the working form.  All
-arithmetic uses :class:`fractions.Fraction`, so results are exact; there are
-no floats and no tolerances anywhere.
+:class:`Matrix` values are inputs and outputs, never the working form.
+Exact arithmetic uses :class:`fractions.Fraction`; there are no floats and
+no tolerances anywhere.
+
+:func:`nullspace_of_sparse_rows` puts a modular filter in front of
+``_Echelon``: it scales each row to integers, eliminates in GF(P) with
+P = 2**31 - 1 (integers only), and skips the exact elimination of the rows
+whenever it can prove the answer.  Its result is exact, by three facts:
+
+* the rank mod P is at most the rank over Q, so full rank mod P means the
+  kernel over Q is zero;
+* otherwise the kernel mod P is lifted to rationals, and the lift is
+  accepted only if every row annihilates every lifted vector in exact
+  integer arithmetic (M v = 0).  The lift then lies in the kernel over Q and
+  has at least its dimension, so it is the kernel;
+* the reduced row echelon basis of a space is unique, so canonicalizing
+  the lift through ``_Echelon`` gives the basis exact elimination gives.
+
+When a lift or the check fails, ``_Echelon`` eliminates every row exactly.
 
 Subspaces are always stored in a canonical form: the unique reduced row
 echelon basis with lexicographically earliest pivots and leading entries
@@ -21,6 +37,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, isqrt, lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence, Union
 
 Vector = tuple[Fraction, ...]
@@ -233,6 +251,104 @@ class _Echelon:
         return ker.span()
 
 
+# The prime of the modular filter in front of ``_Echelon``, and the largest
+# numerator and denominator that ``_rational`` recovers from a residue mod P.
+P = 2**31 - 1
+_LIFT_BOUND = isqrt(P // 2)
+
+
+class _ModEchelon:
+    """The echelon of :class:`_Echelon` over GF(P), fed with integer rows.
+
+    A stored row leaves out its leading 1, so it holds only free columns.
+    It gives the rank mod ``P`` and the kernel mod ``P``; no exact answer is
+    read off it without the check in :func:`nullspace_of_sparse_rows`.
+    """
+
+    def __init__(self, ambient: int) -> None:
+        self.ambient = ambient
+        self.rows: dict[int, dict[int, int]] = {}  # pivot column -> free-column entries
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def insert(self, row: dict[int, int]) -> None:
+        rows = self.rows
+        residue = dict(row)
+        for col in [c for c in residue if c in rows]:
+            coeff = residue.pop(col) % P
+            for c, v in rows[col].items():
+                residue[c] = residue.get(c, 0) - coeff * v
+        residue = {c: r for c, v in residue.items() if (r := v % P)}
+        if not residue:
+            return
+        pivot = min(residue)
+        inverse = pow(residue.pop(pivot), -1, P)
+        normalized = {c: v * inverse % P for c, v in residue.items()}
+        for other in rows.values():
+            if pivot in other:
+                coeff = other.pop(pivot)
+                for c, v in normalized.items():
+                    acc = (other.get(c, 0) - coeff * v) % P
+                    if acc:
+                        other[c] = acc
+                    else:
+                        del other[c]
+        rows[pivot] = normalized
+
+    def kernel(self) -> Optional[list[SparseRow]]:
+        """The free-column kernel basis of ``_Echelon.kernel``, lifted to Q; None if an entry does not lift."""
+        gens = {f: {f: ONE} for f in range(self.ambient) if f not in self.rows}
+        for p, row in self.rows.items():
+            for f, v in row.items():
+                lifted = _rational(P - v)
+                if lifted is None:
+                    return None
+                gens[f][p] = lifted
+        return list(gens.values())
+
+
+def _rational(a: int) -> Optional[Fraction]:
+    """The r/s with |r|, |s| <= ``_LIFT_BOUND`` and r = a*s mod P, if there is one.
+
+    Wang's half-extended Euclidean algorithm: such an r/s is unique, and the
+    first remainder at most the bound gives it.
+    """
+    r0, r1, s0, s1 = P, a, 0, 1
+    while r1 > _LIFT_BOUND:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+    if abs(s1) > _LIFT_BOUND or gcd(r1, s1) != 1:
+        return None
+    return Fraction(r1, s1)
+
+
+def _annihilated(rows: list[dict[int, int]], kernel: list[SparseRow], ambient: int) -> bool:
+    """Whether every integer row has a zero exact dot product with every kernel vector."""
+    for gen in kernel:
+        scaled = [0] * ambient
+        for c, v in _integral(gen).items():
+            scaled[c] = v
+        at = scaled.__getitem__
+        for row in rows:
+            if sum(map(mul, row.values(), map(at, row))):
+                return False
+    return True
+
+
+def _integral(row: SparseRow) -> dict[int, int]:
+    """``row`` times the lcm of its denominators: integer entries on the same line."""
+    den = lcm(*[v.denominator for v in row.values()])
+    return {c: v.numerator * (den // v.denominator) for c, v in row.items()}
+
+
+def _check_columns(row: SparseRow, ambient: int) -> None:
+    if row and (min(row) < 0 or max(row) >= ambient):
+        raise ValueError(f"sparse row has a column outside 0..{ambient - 1}: {sorted(row)}")
+
+
 def _to_sparse(row: Sequence[Fraction]) -> SparseRow:
     return {j: v for j, v in enumerate(row) if v}
 
@@ -311,21 +427,23 @@ class SubspaceBasis:
         return not self._echelon.reduce(_to_sparse(v))
 
     def contains_all(self, vectors: Iterable[Sequence[RationalLike]]) -> bool:
-        ech = self._echelon
-        return all(not ech.reduce(_to_sparse(vector(v))) for v in vectors)
+        return all(self.contains(v) for v in vectors)
+
+    def _same_ambient(self, other: "SubspaceBasis", verb: str) -> None:
+        if self.ambient_dim != other.ambient_dim:
+            raise ValueError(f"cannot {verb} subspaces of different ambient dimensions")
 
     def intersect(self, other: "SubspaceBasis") -> "SubspaceBasis":
-        if self.ambient_dim != other.ambient_dim:
-            raise ValueError("cannot intersect subspaces of different ambient dimensions")
+        self._same_ambient(other, "intersect")
         functionals = self.annihilator().basis + other.annihilator().basis
         return nullspace_of_sparse_rows(self.ambient_dim, map(_to_sparse, functionals))[0]
 
     def plus(self, other: "SubspaceBasis") -> "SubspaceBasis":
-        if self.ambient_dim != other.ambient_dim:
-            raise ValueError("cannot add subspaces of different ambient dimensions")
+        self._same_ambient(other, "add")
         return SubspaceBasis.from_generators(self.ambient_dim, self.basis + other.basis)
 
     def is_subspace_of(self, other: "SubspaceBasis") -> bool:
+        self._same_ambient(other, "compare")
         return other.contains_all(self.basis)
 
     def annihilated_by(self, functional: SparseRow) -> bool:
@@ -335,6 +453,7 @@ class SubspaceBasis:
         so on a solution space this says whether the equation is implied by
         the system that defines it.
         """
+        _check_columns(functional, self.ambient_dim)
         return all(not sum((c * v[j] for j, c in functional.items()), ZERO) for v in self.basis)
 
     def annihilator(self) -> "SubspaceBasis":
@@ -348,10 +467,30 @@ def nullspace(m: Matrix) -> SubspaceBasis:
 
 
 def nullspace_of_sparse_rows(ambient: int, rows: Iterable[SparseRow]) -> tuple[SubspaceBasis, int]:
-    """Nullspace of a system given as sparse rows; returns (basis, system rank)."""
-    ech = _Echelon(ambient)
+    """Nullspace of a system given as sparse rows; returns (basis, system rank).
+
+    Each row is scaled to integers by the lcm of its denominators, which
+    keeps the row space, and is the only copy kept.  ``rows`` is read only
+    until the rank mod ``P`` reaches ``ambient``.  The module docstring
+    gives the argument that makes the answer exact.
+    """
+    mod = _ModEchelon(ambient)
+    scaled = []
     for row in rows:
-        ech.insert(row)
+        _check_columns(row, ambient)
+        row = _integral(row)
+        scaled.append(row)
+        mod.insert(row)
+        if mod.rank == ambient:
+            return SubspaceBasis.zero(ambient), ambient
+    ech = _Echelon(ambient)
+    kernel = mod.kernel()
+    if kernel is not None and _annihilated(scaled, kernel, ambient):
+        for gen in kernel:
+            ech.insert(gen)
+        return ech.span(), ambient - len(kernel)
+    for row in scaled:
+        ech.insert({c: Fraction(v) for c, v in row.items()})
     return ech.kernel(), ech.rank
 
 

@@ -299,7 +299,7 @@ def solve(algebra: OmegaAlgebra, kind: str, **params) -> Union[MapSpace, TensorS
     """
     spec, values = _lookup(kind, params)
     tables = _tables(algebra)
-    rows = [row for identity in spec.identities for row in _rows(algebra, identity, values, tables)]
+    rows = (row for identity in spec.identities for row in _rows(algebra, identity, values, tables))
     space, _ = nullspace_of_sparse_rows(algebra.dim ** (spec.arity + 1), rows)
     if spec.arity == 1:
         return MapSpace(algebra, kind, space)

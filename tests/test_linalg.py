@@ -6,12 +6,15 @@ from fractions import Fraction
 import pytest
 
 from omega_lie.linalg import (
+    P,
     Matrix,
     SubspaceBasis,
     _Echelon,
+    _rational,
     _to_sparse,
     frac,
     nullspace,
+    nullspace_of_sparse_rows,
     rref,
     solve_affine,
     vector,
@@ -97,6 +100,21 @@ class TestSubspaceLattice:
         s = SubspaceBasis.from_generators(2, [(1, 0)])
         with pytest.raises(ValueError):
             s.contains((1, 0, 0))
+
+    def test_contains_all_dimension_mismatch(self):
+        s = SubspaceBasis.from_generators(3, [(1, 0, 0)])
+        with pytest.raises(ValueError):
+            s.contains_all([(1, 0)])
+
+    def test_is_subspace_of_across_ambient_dimensions(self):
+        with pytest.raises(ValueError):
+            SubspaceBasis.from_generators(2, [(1, 0)]).is_subspace_of(SubspaceBasis.full(3))
+        with pytest.raises(ValueError):
+            SubspaceBasis.zero(2).is_subspace_of(SubspaceBasis.full(3))
+
+    def test_annihilated_by_a_column_outside_the_ambient(self):
+        with pytest.raises(ValueError):
+            SubspaceBasis.full(3).annihilated_by({5: Fraction(1)})
 
     def test_intersection_idempotent(self):
         s = SubspaceBasis.from_generators(3, [(1, 2, 3), (0, 1, 1)])
@@ -368,3 +386,89 @@ class TestCachedEchelon:
                 assert space.basis is basis
                 assert space == twin and hash(space) == hash(twin) == digest
                 assert repr(space) == repr(twin)
+
+
+def exact_nullspace(ambient, rows):
+    """Reference: every row folded into one exact echelon, kernel read off its free columns."""
+    ech = _Echelon(ambient)
+    for row in rows:
+        ech.insert(row)
+    return ech.kernel(), ech.rank
+
+
+class TestModularFilter:
+    """``nullspace_of_sparse_rows`` eliminates mod P first; its answers stay those of exact elimination."""
+
+    @staticmethod
+    def entry(rng, fractions):
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6) if fractions else 1)
+
+    def random_system(self, rng, shape):
+        """Rows of a full-rank, rank-deficient or ``Fraction`` system, without zero entries."""
+        ambient = rng.randint(1, 7)
+        fractions = shape == "fractions"
+        if shape == "deficient":
+            gens = [[self.entry(rng, rng.random() < 0.5) for _ in range(ambient)]
+                    for _ in range(rng.randint(0, ambient - 1))]
+            dense = [[sum((rng.randint(-3, 3) * g[j] for g in gens), Fraction(0)) for j in range(ambient)]
+                     for _ in range(rng.randint(0, 2 * ambient))]
+        else:
+            density = rng.uniform(0.3, 1.0)
+            dense = [[self.entry(rng, fractions) if rng.random() < density else 0 for _ in range(ambient)]
+                     for _ in range(rng.randint(ambient, 2 * ambient) if shape == "full" else rng.randint(0, 8))]
+        return ambient, [_to_sparse(vector(row)) for row in dense]
+
+    def test_matches_exact_elimination_on_random_systems(self):
+        rng = random.Random(0x2B4D)
+        full = deficient = 0
+        for k in range(600):
+            ambient, rows = self.random_system(rng, ("full", "deficient", "fractions")[k % 3])
+            expected = exact_nullspace(ambient, rows)
+            assert nullspace_of_sparse_rows(ambient, rows) == expected
+            full += expected[1] == ambient
+            deficient += expected[1] < ambient
+        assert full > 150 and deficient > 150  # both the shortcut and the lift are exercised
+
+    @pytest.mark.parametrize(
+        "ambient, rows",
+        [
+            (1, [{0: P}]),  # a row that vanishes mod P
+            (2, [{0: P}]),
+            (2, [{0: 1, 1: 1}, {0: 1, 1: P + 1}]),  # determinant P: rank 1 mod P, 2 over Q
+            (2, [{0: Fraction(1, P), 1: 1}]),  # a denominator divisible by P
+            (3, [{0: Fraction(2, 3 * P), 2: 5}, {1: P * P, 2: 1}]),
+            (2, [{0: 7, 1: -(10**6 + 3)}]),  # kernel entry (10**6 + 3)/7, beyond the lift bound
+            (2, [{0: 1, 1: -(P + 1)}]),  # lifts to (1, 1) mod P, but the kernel is (P + 1, 1)
+            (3, [{0: 1, 2: -(P + 1)}, {1: 1, 2: 2}]),
+        ],
+    )
+    def test_adversarial_systems(self, ambient, rows):
+        rows = [{c: Fraction(v) for c, v in row.items()} for row in rows]
+        assert nullspace_of_sparse_rows(ambient, rows) == exact_nullspace(ambient, rows)
+
+    def test_a_lift_that_is_wrong_over_q_is_caught(self):
+        assert _rational((P + 1) % P) == 1  # the residue alone cannot tell P + 1 from 1
+        space, rank = nullspace_of_sparse_rows(2, [{0: Fraction(1), 1: Fraction(-(P + 1))}])
+        assert space.basis == ((Fraction(1), Fraction(1, P + 1)),) and rank == 1
+
+    def test_rational_lift(self):
+        rng = random.Random(0x1F7)
+        bound = 32767  # floor(sqrt(P / 2))
+        for _ in range(300):
+            value = Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+            assert _rational(value.numerator * pow(value.denominator, -1, P) % P) == value
+        residue = (10**6 + 3) * pow(7, -1, P) % P
+        assert _rational(residue) != Fraction(10**6 + 3, 7)
+
+    def test_a_full_rank_system_is_read_only_up_to_its_rank(self):
+        def rows():
+            yield {0: Fraction(1), 1: Fraction(2)}
+            yield {1: Fraction(3)}
+            raise AssertionError("read past full rank")
+
+        assert nullspace_of_sparse_rows(2, rows()) == (SubspaceBasis.zero(2), 2)
+
+    @pytest.mark.parametrize("row", [{0: Fraction(1), 3: Fraction(1)}, {-1: Fraction(1)}, {2: Fraction(1)}])
+    def test_columns_outside_the_ambient_are_refused(self, row):
+        with pytest.raises(ValueError):
+            nullspace_of_sparse_rows(2, [row])

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from omega_lie import catalog
+from omega_lie import catalog, linalg
 from omega_lie.algebra import BilinearMap, LinearMap, OmegaAlgebra, bracket_tensor
 from omega_lie.linalg import Matrix, SubspaceBasis
 from omega_lie.solvers import (
@@ -370,3 +370,22 @@ class TestOmegaBiderivations:
         for key in ("B~", "C~_1", "L_{1,6}"):
             alg = catalog.get(key)
             assert omega_biderivations(alg, sign=Fraction(1)).space == biderivations(alg).space
+
+
+def dense_random_table(rng, n):
+    """A bracket table with every entry drawn from -3..3; the axioms need not hold."""
+    brackets = {(i, j): {k: rng.randint(-3, 3) for k in range(1, n + 1)}
+                for i in range(1, n + 1) for j in range(i + 1, n + 1)}
+    return OmegaAlgebra.from_tables(f"dense{n}", n, brackets, {})
+
+
+def test_full_rank_systems_need_no_exact_elimination(monkeypatch):
+    """A system of full rank mod P is settled by the modular filter: ``_Echelon`` inserts nothing."""
+    alg = dense_random_table(random.Random(5), 5)
+
+    def refuse(self, row):
+        raise AssertionError("exact elimination on a full-rank system")
+
+    monkeypatch.setattr(linalg._Echelon, "insert", refuse)
+    assert derivations(alg).space == SubspaceBasis.zero(25)
+    assert biderivations(alg).space == SubspaceBasis.zero(125)
