@@ -51,7 +51,6 @@ from .linalg import (
     frac,
     nullspace,
     rref,
-    solve_affine,
 )
 from .local import (
     AffineCondition,

@@ -1,10 +1,14 @@
 """Exact sparse linear algebra over the rationals.
 
 Everything in this package reduces to the primitives here.  One exact
-sparse elimination, :class:`_Echelon`, does every solve: nullspaces, affine
-systems, annihilators and intersections all read their answer off a single
-echelon through one free-column extraction, and a small lattice of subspace
-operations (membership, intersection, equality) sits on top.  Dense
+sparse elimination, :class:`_Echelon`, does every solve: nullspaces,
+annihilators and intersections all read their answer off a single echelon
+through one free-column extraction, and a small lattice of subspace
+operations (membership, intersection, equality) sits on top.
+:func:`nullspace_of_sparse_rows` is the one function that turns the rows of
+a linear system into its solution space.  An affine solution set is a known
+solution plus such a space, and :meth:`SubspaceBasis.reduced_from_last`
+gives its canonical particular member (free coordinates zero).  Dense
 :class:`Matrix` values are inputs and outputs, never the working form.
 Exact arithmetic uses :class:`fractions.Fraction`; there are no floats and
 no tolerances anywhere.
@@ -233,17 +237,14 @@ class _Echelon:
         space.__dict__["_echelon"] = self
         return space
 
-    def kernel(self, ncols: Optional[int] = None) -> "SubspaceBasis":
-        """Canonical basis of the vectors every row annihilates, on the first ``ncols`` columns.
+    def kernel(self) -> "SubspaceBasis":
+        """Canonical basis of the vectors every row annihilates.
 
         Each free column ``f`` gives one kernel vector: 1 at ``f`` and, at
-        each pivot, minus that pivot row's entry in column ``f``.  Columns
-        from ``ncols`` on are ignored; ``solve_affine`` uses that to read the
-        homogeneous space off an echelon with a right-hand-side column.
+        each pivot, minus that pivot row's entry in column ``f``.
         """
-        n = self.ambient if ncols is None else ncols
-        ker = _Echelon(n)
-        for f in range(n):
+        ker = _Echelon(self.ambient)
+        for f in range(self.ambient):
             if f not in self.rows:
                 gen = {p: -row[f] for p, row in self.rows.items() if f in row}
                 gen[f] = ONE
@@ -339,9 +340,13 @@ def _annihilated(rows: list[dict[int, int]], kernel: list[SparseRow], ambient: i
 
 
 def _integral(row: SparseRow) -> dict[int, int]:
-    """``row`` times the lcm of its denominators: integer entries on the same line."""
+    """``row`` times the lcm of its denominators: integer entries on the same line.
+
+    Zero entries are dropped here, where every row enters, so no echelon
+    ever sees one (``_Echelon.insert`` divides by the entry at its lowest column).
+    """
     den = lcm(*[v.denominator for v in row.values()])
-    return {c: v.numerator * (den // v.denominator) for c, v in row.items()}
+    return {c: num * (den // v.denominator) for c, v in row.items() if (num := v.numerator)}
 
 
 def _check_columns(row: SparseRow, ambient: int) -> None:
@@ -460,6 +465,21 @@ class SubspaceBasis:
         """Canonical basis of the functionals ``q`` with ``sum(q[j] * v[j]) == 0`` on the subspace."""
         return self._echelon.kernel()
 
+    def reduced_from_last(self, v: Sequence[Fraction]) -> Vector:
+        """The one vector of ``v + space`` that is zero at the pivots of a last-to-first echelon.
+
+        When the space is the kernel of a system, those pivots are the
+        system's free columns (each free-column kernel vector of
+        ``_Echelon.kernel`` ends at its free column), so for a solution ``v``
+        this is the particular solution with every free coordinate zero.
+        """
+        last = self.ambient_dim - 1
+        ech = _Echelon(self.ambient_dim)
+        for row in self.basis:
+            ech.insert({last - j: x for j, x in enumerate(row) if x})
+        residue = ech.reduce({last - j: x for j, x in enumerate(v) if x})
+        return tuple(residue.get(last - j, ZERO) for j in range(self.ambient_dim))
+
 
 def nullspace(m: Matrix) -> SubspaceBasis:
     """Canonical basis of ``{v : M v = 0}``."""
@@ -492,27 +512,3 @@ def nullspace_of_sparse_rows(ambient: int, rows: Iterable[SparseRow]) -> tuple[S
     for row in scaled:
         ech.insert({c: Fraction(v) for c, v in row.items()})
     return ech.kernel(), ech.rank
-
-
-def solve_affine(
-    ambient: int, rows: Iterable[tuple[SparseRow, RationalLike]]
-) -> Optional[tuple[Vector, SubspaceBasis]]:
-    """Solve the sparse system ``sum(row[j] * x[j]) == rhs`` over its ``(row, rhs)`` pairs.
-
-    The right-hand side is appended as one homogenizing column, index
-    ``ambient``, so a single echelon answers everything: the system is
-    inconsistent exactly when that column is a pivot (``None``); otherwise
-    the canonical particular solution (free coordinates zero) is that
-    column's entries at the pivots, and the homogeneous space is the kernel
-    of the first ``ambient`` columns.
-    """
-    ech = _Echelon(ambient + 1)
-    for row, rhs in rows:
-        rhs = frac(rhs)
-        ech.insert({**row, ambient: rhs} if rhs else row)
-    if ambient in ech.rows:
-        return None
-    particular = [ZERO] * ambient
-    for p, row in ech.rows.items():
-        particular[p] = row.get(ambient, ZERO)
-    return tuple(particular), ech.kernel(ambient)

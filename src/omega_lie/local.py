@@ -22,9 +22,11 @@ as row ``k``, column ``j``.  ``_images`` is the one place where that action
 is applied: space elements, single candidate matrices and affine families
 are all evaluated through it.  Its transpose, the functional ``q(B x)`` on
 ``vec(B)``, is written once in ``_point_rows``.  ``_closure`` is the one
-closure solve: it turns ``B x in offset + span`` at every sample into one
-sparse system for both ``local_closure`` (no offset) and
-``affine_local_closure``.  ``_escape`` is the one point scan, finding where
+closure solve: it turns ``B x in span`` at every sample into one homogeneous
+system for ``nullspace_of_sparse_rows``.  ``local_closure`` closes the
+space's basis; ``affine_local_closure`` closes the family's directions
+alone, because ``B x in base@x + span`` is ``(B - base) x in span`` and the
+base solves its own rows.  ``_escape`` is the one point scan, finding where
 some ``S x`` leaves ``W(x)``, for both ``recheck_certification`` and
 ``is_local_member``.
 
@@ -50,10 +52,10 @@ from .linalg import (
     Vector,
     ZERO,
     frac,
-    solve_affine,
+    nullspace_of_sparse_rows,
     vector,
 )
-from .solvers import MapSpace, _unvectorize_map, vectorize_map
+from .solvers import MapSpace, unvectorize_map, vectorize_map
 
 DEFAULT_SEED = 0xC0FFEE
 DEFAULT_RANDOM_COUNT = 8
@@ -132,42 +134,32 @@ def evaluation_subspace(space: MapSpace, x: Sequence) -> SubspaceBasis:
     return SubspaceBasis.from_generators(n, _images(space.space.basis, vector(x), n))
 
 
-def _point_rows(
-    x: Vector, span: SubspaceBasis, offset: Optional[Vector] = None
-) -> list[tuple[SparseRow, Fraction]]:
-    """The equations of ``B x in offset + span`` on vec(B), as ``(row, rhs)`` pairs.
+def _point_rows(x: Vector, span: SubspaceBasis) -> list[SparseRow]:
+    """The equations of ``B x in span`` on vec(B).
 
-    One pair per functional ``q`` of ``span.annihilator()``:
-    sum_{k,j} q_k x_j B[k][j] = q(offset), with a zero offset when none is
-    given.  Pairs whose row and right-hand side both vanish are dropped.
+    One row per functional ``q`` of ``span.annihilator()``:
+    sum_{k,j} q_k x_j B[k][j] = 0.
     """
     n = len(x)
-    pairs = []
-    for q in span.annihilator().basis:
-        row = {k * n + j: q[k] * x[j] for k in range(n) if q[k] for j in range(n) if x[j]}
-        rhs = sum((qk * ok for qk, ok in zip(q, offset)), ZERO) if offset else ZERO
-        if row or rhs:
-            pairs.append((row, rhs))
-    return pairs
+    return [
+        {k * n + j: q[k] * x[j] for k in range(n) if q[k] for j in range(n) if x[j]}
+        for q in span.annihilator().basis
+    ]
 
 
-def _closure(
-    n: int, samples: Sequence[Vector], generators: Sequence[Vector], offset: Optional[Vector] = None
-) -> tuple[Vector, SubspaceBasis]:
-    """The affine set ``{B : B x in offset@x + span(generators@x) at every sample}``.
+def _closure(n: int, samples: Sequence[Vector], generators: Sequence[Vector]) -> SubspaceBasis:
+    """The space ``{B : B x in span(generators@x) at every sample}``, from one sparse solve.
 
-    Returns ``(particular, space)`` from one sparse solve.  The set always
-    contains ``offset + span(generators)``, so an inconsistent system or a
-    generator outside ``space`` is a soundness violation.
+    The space always contains ``span(generators)``, so a generator outside
+    it is a soundness violation.
     """
-    rows: list[tuple[SparseRow, Fraction]] = []
+    rows: list[SparseRow] = []
     for x in samples:
-        span = SubspaceBasis.from_generators(n, _images(generators, x, n))
-        rows.extend(_point_rows(x, span, None if offset is None else _images([offset], x, n)[0]))
-    solved = solve_affine(n * n, rows)
-    if solved is None or not solved[1].contains_all(generators):
+        rows.extend(_point_rows(x, SubspaceBasis.from_generators(n, _images(generators, x, n))))
+    space = nullspace_of_sparse_rows(n * n, rows)[0]
+    if not space.contains_all(generators):
         raise AssertionError("soundness violation: the closed family escaped its own closure")
-    return solved
+    return space
 
 
 def _escape(space: MapSpace, vectors: Sequence[Vector], points: Sequence[Vector]) -> Optional[Vector]:
@@ -201,10 +193,10 @@ def local_closure(algebra: OmegaAlgebra, space: MapSpace, plan: Optional[SampleP
     if space.algebra.dim != n:
         raise ValueError("space and algebra dimensions differ")
     samples = plan.points(n)
-    _, candidate = _closure(n, samples, space.space.basis)
+    candidate = _closure(n, samples, space.space.basis)
     witness = None
     if candidate != space.space:  # the candidate contains the base, so some row lies outside it
-        witness = _unvectorize_map(next(r for r in candidate.basis if not space.space.contains(r)), n)
+        witness = unvectorize_map(next(r for r in candidate.basis if not space.space.contains(r)), n)
     return LocalClosureResult(space, candidate, witness is None, samples, witness)
 
 
@@ -417,10 +409,12 @@ def affine_local_closure(
 ) -> AffineClosureResult:
     """All matrices pointwise-attainable by the family at every sample.
 
-    Solves ``{B : for all sampled x, B x in base@x + span(direction@x)}`` as
-    an affine set and compares it against the family's own affine hull.  The
-    set always contains that hull (each direction ``D`` has ``D x`` in the
-    span), so it either matches the hull or exceeds it.
+    The set ``{B : for all sampled x, B x in base@x + span(direction@x)}``
+    is ``base`` plus the closure of the directions alone; its particular
+    member is ``base`` with every free coordinate of that closure's system
+    set to zero.  The closure is compared against the family's own hull
+    directions.  It always contains them (each direction ``D`` has ``D x``
+    in the span), so it either matches the hull or exceeds it.
     Open conditions are surfaced as caveats but not enforced: they cut out
     parameter loci, not directions of the hull.
     """
@@ -429,19 +423,17 @@ def affine_local_closure(
     if family.dim != n:
         raise ValueError("family and algebra dimensions differ")
     samples = plan.points(n)
-    particular, homogeneous = _closure(
-        n, samples, [vectorize_map(d) for d in family.directions], vectorize_map(family.base)
-    )
+    directions = _closure(n, samples, [vectorize_map(d) for d in family.directions])
     caveats = tuple(
         f"open condition (not enforced): {cond.describe()}" for cond in family.open_conditions
     ) + (
         "membership in the closure does not by itself guarantee invertibility at boundary parameters",
     )
-    comparison = MATCHES_FAMILY_HULL if homogeneous == family.hull_directions() else EXCEEDS_FAMILY_HULL
+    comparison = MATCHES_FAMILY_HULL if directions == family.hull_directions() else EXCEEDS_FAMILY_HULL
     return AffineClosureResult(
         family=family,
-        particular=_unvectorize_map(particular, n),
-        directions=homogeneous,
+        particular=unvectorize_map(directions.reduced_from_last(vectorize_map(family.base)), n),
+        directions=directions,
         comparison=comparison,
         caveats=caveats,
         samples_used=samples,

@@ -240,7 +240,7 @@ class MapSpace:
         return self.space.rank
 
     def matrices(self) -> tuple[Matrix, ...]:
-        return tuple(_unvectorize_map(row, self.algebra.dim) for row in self.space.basis)
+        return tuple(unvectorize_map(row, self.algebra.dim) for row in self.space.basis)
 
     def maps(self) -> tuple[LinearMap, ...]:
         return tuple(LinearMap(m) for m in self.matrices())
@@ -281,7 +281,7 @@ def vectorize_map(matrix: Matrix) -> Vector:
     return tuple(x for row in matrix.rows for x in row)
 
 
-def _unvectorize_map(vec: Vector, n: int) -> Matrix:
+def unvectorize_map(vec: Vector, n: int) -> Matrix:
     """The n x n matrix whose row-major vectorization is ``vec``."""
     return Matrix(tuple(tuple(vec[i * n + j] for j in range(n)) for i in range(n)), n)
 

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, machine output."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -369,3 +370,6 @@ class TestVerifyPaper:
         assert len(doc["result"]["criteria"]) == 11
         passed = {r["criterion"] for r in doc["result"]["criteria"] if r["passed"]}
         assert {1, 2, 8, 10, 11} <= passed
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "8072eef499522bd88add40213365d7fa3746834001dbc8761290dabcdafaff98"
+        )

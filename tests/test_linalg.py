@@ -16,7 +16,6 @@ from omega_lie.linalg import (
     nullspace,
     nullspace_of_sparse_rows,
     rref,
-    solve_affine,
     vector,
 )
 
@@ -160,35 +159,29 @@ class TestSubspaceLattice:
             assert a.contains(v) == b.contains(v)
 
 
-def sparse_system(m, b):
-    """``(row, rhs)`` pairs of the system ``m x = b``."""
-    return [(_to_sparse(row), bv) for row, bv in zip(m.rows, b)]
+def affine_solve(m, x0):
+    """Solutions of ``m x = m x0``: the member with free coordinates zero, and the homogeneous space."""
+    kernel = nullspace_of_sparse_rows(m.ncols, map(_to_sparse, m.rows))[0]
+    return kernel.reduced_from_last(x0), kernel
 
 
-class TestSolveAffine:
+class TestAffineSolutions:
+    """An affine solution set is a known solution plus a nullspace, canonicalized by ``reduced_from_last``."""
+
     def test_identity_system(self):
-        sol = solve_affine(3, sparse_system(Matrix.identity(3), (5, frac("1/2"), -2)))
-        assert sol is not None
-        particular, homogeneous = sol
+        particular, homogeneous = affine_solve(Matrix.identity(3), vector((5, "1/2", -2)))
         assert particular == (5, Fraction(1, 2), -2)
         assert homogeneous.rank == 0
 
-    def test_inconsistent(self):
-        assert solve_affine(2, sparse_system(Matrix.zeros(2, 2), (1, 0))) is None
-
     def test_one_equation(self):
-        sol = solve_affine(2, sparse_system(M([[1, 1]]), (2,)))
-        assert sol is not None
-        particular, homogeneous = sol
+        particular, homogeneous = affine_solve(M([[1, 1]]), vector((0, 2)))
         assert particular == (2, 0)
         assert homogeneous == SubspaceBasis.from_generators(2, [(1, -1)])
 
     def test_solutions_are_exact(self):
         m = M([[2, 3, 1], [1, 0, 2]])
         b = (7, 5)
-        sol = solve_affine(3, sparse_system(m, b))
-        assert sol is not None
-        particular, homogeneous = sol
+        particular, homogeneous = affine_solve(m, vector((1, 1, 2)))
         assert m.matvec(particular) == b
         for h in homogeneous.basis:
             shifted = tuple(p + x for p, x in zip(particular, h))
@@ -199,8 +192,7 @@ class TestSolveAffine:
         """Dense reference: particular solution from the RREF of ``[m | b]``, kernel from the RREF of ``m``."""
         n = m.ncols
         reduced, _, pivots = rref(Matrix(tuple(row + (bv,) for row, bv in zip(m.rows, b)), n + 1))
-        if n in pivots:
-            return None
+        assert n not in pivots  # consistent by construction
         particular = [Fraction(0)] * n
         for r, p in enumerate(pivots):
             particular[p] = reduced.rows[r][n]
@@ -216,7 +208,7 @@ class TestSolveAffine:
 
     def test_matches_the_dense_reference_on_random_systems(self):
         rng = random.Random(0xAFF1)
-        consistent = 0
+        moved = 0
         for _ in range(400):
             nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
             density = rng.random()
@@ -224,13 +216,13 @@ class TestSolveAffine:
                 [[Fraction(rng.randint(-5, 5), rng.randint(1, 3)) if rng.random() < density else 0
                   for _ in range(ncols)] for _ in range(nrows)]
             )
-            b = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(nrows))
-            sol = solve_affine(ncols, sparse_system(m, b))
+            x0 = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(ncols))
+            b = m.matvec(x0)
+            sol = affine_solve(m, x0)
             assert sol == self.reference(m, b)
-            if sol is not None:
-                consistent += 1
-                assert m.matvec(sol[0]) == b
-        assert 50 < consistent < 350  # both outcomes are exercised
+            assert m.matvec(sol[0]) == b
+            moved += sol[0] != x0
+        assert moved > 100  # the reduction really moves the known solution
 
 
 def random_matrix(rng, nrows, ncols, span=9):
@@ -445,6 +437,12 @@ class TestModularFilter:
     def test_adversarial_systems(self, ambient, rows):
         rows = [{c: Fraction(v) for c, v in row.items()} for row in rows]
         assert nullspace_of_sparse_rows(ambient, rows) == exact_nullspace(ambient, rows)
+
+    def test_explicit_zero_entries_are_ignored(self):
+        # 40000 is beyond the lift bound, so this system falls back to exact elimination
+        plain = nullspace_of_sparse_rows(3, [{1: Fraction(40000), 2: Fraction(-1)}])
+        assert plain[0].rank == 2 and plain[1] == 1
+        assert nullspace_of_sparse_rows(3, [{0: Fraction(0), 1: Fraction(40000), 2: Fraction(-1)}]) == plain
 
     def test_a_lift_that_is_wrong_over_q_is_caught(self):
         assert _rational((P + 1) % P) == 1  # the residue alone cannot tell P + 1 from 1

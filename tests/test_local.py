@@ -27,7 +27,7 @@ from omega_lie.local import (
     recheck_certification,
     two_local_report,
 )
-from omega_lie.solvers import derivations, half_derivations, vectorize_map
+from omega_lie.solvers import MapSpace, derivations, half_derivations, vectorize_map
 from omega_lie.verification import automorphism_family_L11, automorphism_family_L23
 
 PLAN = SamplePlan()
@@ -315,6 +315,24 @@ class TestAffineClosure:
             for a, b in zip(vectorize_map(realized), vectorize_map(res.particular))
         )
         assert res.directions.contains(diff)
+
+
+def _property_families():
+    l12 = catalog.get("L_{1,2}")
+    yield catalog.get("L_{1,1}"), automorphism_family_L11()
+    yield catalog.get("L_{2,3}"), automorphism_family_L23()
+    yield l12, AffineFamily(base=Matrix.identity(4), directions=derivations(l12).matrices())
+
+
+@pytest.mark.parametrize("plan", [SamplePlan(), SamplePlan(seed=7, random_count=3)])
+def test_affine_closure_is_the_base_plus_a_linear_closure(plan):
+    """The directions are the local closure of their span; the particular is the base moved inside it."""
+    for alg, family in _property_families():
+        res = affine_local_closure(alg, family, plan)
+        hull = MapSpace(alg, "family", family.hull_directions())
+        assert res.directions == local_closure(alg, hull, plan).candidate
+        shift = tuple(p - b for p, b in zip(vectorize_map(res.particular), vectorize_map(family.base)))
+        assert res.directions.contains(shift)
 
 
 def test_local_engine_needs_no_dense_elimination(monkeypatch):
