@@ -19,10 +19,7 @@ from .algebra import (
     BilinearMap,
     LinearMap,
     OmegaAlgebra,
-    OmegaKillingWarning,
-    adjoint,
     bracket_tensor,
-    center,
     check_axioms,
     content_hash,
     direct_sum,
@@ -30,8 +27,6 @@ from .algebra import (
     from_document,
     is_anti_automorphism,
     is_automorphism,
-    is_semisimple_lie,
-    killing_form,
     loads,
     to_document,
 )
@@ -42,15 +37,12 @@ from .catalog import (
     UnknownAlgebraError,
     expected,
     get,
-    keys,
     list_entries,
 )
 from .linalg import (
     Matrix,
     SubspaceBasis,
     frac,
-    nullspace,
-    rref,
 )
 from .local import (
     AffineCondition,
@@ -82,7 +74,6 @@ from .solvers import (
     omega_biderivations,
     omega_derivations,
     skew_biderivations,
-    split_biderivation,
     symmetric_biderivations,
     tensor_defects,
 )

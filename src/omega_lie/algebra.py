@@ -7,8 +7,8 @@ An :class:`OmegaAlgebra` is given by structure constants ``c[i][j][k]``
 * ``[x, y] = -[y, x]``,
 * ``[[x,y],z] + [[y,z],x] + [[z,x],y] = w(x,y) z + w(y,z) x + w(z,x) y``.
 
-With ``omega == 0`` this is an ordinary Lie algebra, and the Lie-side
-utilities (adjoint maps, Killing form, center, direct sums) apply.
+With ``omega == 0`` this is an ordinary Lie algebra; direct sums of such
+algebras build the semisimple Lie fixtures of the catalog.
 
 Matrix convention used throughout the package: the matrix of a linear map
 stores the image of the i-th basis vector in row ``i``, i.e.
@@ -23,8 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
@@ -36,8 +35,6 @@ from .linalg import (
     ZERO,
     format_scalar,
     frac,
-    nullspace,
-    rref,
     vector,
 )
 
@@ -169,16 +166,6 @@ class OmegaAlgebra:
     def omega_is_zero(self) -> bool:
         return all(v == 0 for row in self.omega for v in row)
 
-    def with_omega_entry(self, i: int, j: int, value: RationalLike) -> "OmegaAlgebra":
-        """Copy with ``omega(e_i, e_j)`` (1-based, i < j) replaced; for probing."""
-        if not (1 <= i < j <= self.dim):
-            raise ValueError("need 1 <= i < j <= dim")
-        val = frac(value)
-        w = [list(row) for row in self.omega]
-        w[i - 1][j - 1] = val
-        w[j - 1][i - 1] = -val
-        return replace(self, omega=tuple(tuple(row) for row in w))
-
 
 @dataclass(frozen=True)
 class TripleDefect:
@@ -274,30 +261,9 @@ class LinearMap:
     def dim(self) -> int:
         return self.matrix.nrows
 
-    @classmethod
-    def from_images(cls, images: Sequence[Sequence[RationalLike]]) -> "LinearMap":
-        return cls(Matrix.from_rows(images, ncols=len(images)))
-
-    @classmethod
-    def identity(cls, n: int) -> "LinearMap":
-        return cls(Matrix.identity(n))
-
-    @classmethod
-    def zero(cls, n: int) -> "LinearMap":
-        return cls(Matrix.zeros(n, n))
-
     def apply(self, x: Sequence[RationalLike]) -> Vector:
         """Abstract application ``x -> sum_i x_i f(e_i)``."""
         return self.matrix.vecmat(vector(x))
-
-    def __call__(self, x: Sequence[RationalLike]) -> Vector:
-        return self.apply(x)
-
-    def rank(self) -> int:
-        return rref(self.matrix)[1]
-
-    def is_invertible(self) -> bool:
-        return self.rank() == self.dim
 
 
 @dataclass(frozen=True)
@@ -320,79 +286,10 @@ class BilinearMap:
     def apply(self, x: Sequence[RationalLike], y: Sequence[RationalLike]) -> Vector:
         return _bilinear(self.tensor, x, y, "bilinear")
 
-    def __call__(self, x: Sequence[RationalLike], y: Sequence[RationalLike]) -> Vector:
-        return self.apply(x, y)
-
-    def flip(self) -> "BilinearMap":
-        n = self.dim
-        return BilinearMap(
-            tuple(tuple(self.tensor[j][i] for j in range(n)) for i in range(n))
-        )
-
-    def is_symmetric(self) -> bool:
-        return self == self.flip()
-
-    def is_skew(self) -> bool:
-        n = self.dim
-        return all(
-            self.tensor[i][j][k] == -self.tensor[j][i][k]
-            for i in range(n)
-            for j in range(n)
-            for k in range(n)
-        )
-
 
 def bracket_tensor(algebra: OmegaAlgebra) -> BilinearMap:
     """The bracket itself as a bilinear map (skew by construction)."""
     return BilinearMap(algebra.structure)
-
-
-def adjoint(algebra: OmegaAlgebra, x: Sequence[RationalLike]) -> LinearMap:
-    """The map ``y -> [x, y]``."""
-    x = vector(x)
-    return LinearMap.from_images([algebra.bracket(x, e) for e in algebra.basis_vectors()])
-
-
-class OmegaKillingWarning(RuntimeWarning):
-    """Killing-form semisimplicity arguments only apply when omega == 0."""
-
-
-def killing_form(algebra: OmegaAlgebra) -> Matrix:
-    """``K[i][j] = trace(ad e_i o ad e_j)``; warns when omega != 0."""
-    if not algebra.omega_is_zero:
-        warnings.warn(
-            f"Killing form of {algebra.name!r} computed with nonzero skew form; "
-            "semisimplicity conclusions require omega == 0",
-            OmegaKillingWarning,
-            stacklevel=2,
-        )
-    n = algebra.dim
-    ads = [adjoint(algebra, e) for e in algebra.basis_vectors()]
-    rows = []
-    for i in range(n):
-        rows.append(tuple(ads[i].matrix.matmul(ads[j].matrix).trace() for j in range(n)))
-    return Matrix(tuple(rows), n)
-
-
-def is_semisimple_lie(algebra: OmegaAlgebra) -> bool:
-    """Nondegenerate Killing form and omega == 0 (the Lie-algebra case)."""
-    if not algebra.omega_is_zero:
-        return False
-    k = killing_form(algebra)
-    return rref(k)[1] == algebra.dim
-
-
-def center(algebra: OmegaAlgebra) -> SubspaceBasis:
-    """Basis of ``{x : [x, y] = 0 for all y}`` from stacked adjoint constraints."""
-    n = algebra.dim
-    c = algebra.structure
-    if n == 0:
-        return SubspaceBasis.zero(0)
-    rows = []
-    for j in range(n):
-        for k in range(n):
-            rows.append(tuple(c[i][j][k] for i in range(n)))
-    return nullspace(Matrix(tuple(rows), n))
 
 
 def direct_sum(a: OmegaAlgebra, b: OmegaAlgebra) -> OmegaAlgebra:
@@ -430,7 +327,7 @@ def _respects_bracket(algebra: OmegaAlgebra, phi: LinearMap, anti: bool, check_o
     (``[phi(e_j), phi(e_i)]`` when ``anti``), and omega-preserving if asked."""
     if phi.dim != algebra.dim:
         raise ValueError("map dimension does not match the algebra")
-    if not phi.is_invertible():
+    if SubspaceBasis.from_generators(algebra.dim, phi.matrix.rows).rank < algebra.dim:
         return False
     basis = algebra.basis_vectors()
     images = [phi.apply(e) for e in basis]

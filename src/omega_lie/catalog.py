@@ -381,10 +381,6 @@ def list_entries() -> tuple[CatalogEntry, ...]:
     return _ENTRIES
 
 
-def keys() -> tuple[str, ...]:
-    return tuple(entry.key for entry in _ENTRIES)
-
-
 def entry(key: str) -> CatalogEntry:
     try:
         return _BY_KEY[key]

@@ -1,10 +1,10 @@
 """Exact sparse linear algebra over the rationals.
 
 Everything in this package reduces to the primitives here.  One exact
-sparse elimination, :class:`_Echelon`, does every solve: nullspaces,
-annihilators and intersections all read their answer off a single echelon
-through one free-column extraction, and a small lattice of subspace
-operations (membership, intersection, equality) sits on top.
+sparse elimination, :class:`_Echelon`, does every solve: nullspaces and
+annihilators both read their answer off a single echelon through one
+free-column extraction, and a small lattice of subspace operations
+(membership, sum, inclusion, equality) sits on top.
 :func:`nullspace_of_sparse_rows` is the one function that turns the rows of
 a linear system into its solution space.  An affine solution set is a known
 solution plus such a space, and :meth:`SubspaceBasis.reduced_from_last`
@@ -38,6 +38,7 @@ downstream) a plain ``==``.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -53,18 +54,26 @@ ONE = Fraction(1)
 RationalLike = Union[int, str, Fraction]
 
 
+_RATIONAL = re.compile(r"\s*[+-]?[0-9]+(/[0-9]+)?\s*")
+
+
 def frac(value: RationalLike) -> Fraction:
-    """Coerce ints, ``"p/q"`` strings and Fractions to an exact rational.
+    """Coerce ints, ``"p"`` or ``"p/q"`` strings and Fractions to an exact rational.
 
     Booleans and floats are refused with ``TypeError``, so ``true`` or
     ``0.5`` in a JSON document is an error rather than a silent 1 or a
-    rounded binary fraction.
+    rounded binary fraction.  A string must be an optionally signed integer
+    or quotient of digits; decimals and exponents (``"0.5"``, ``"1e3"``)
+    raise ``ValueError``, so no short string can make ``Fraction`` compute a
+    huge power of ten.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
+        if not _RATIONAL.fullmatch(value):
+            raise ValueError(f"expected an integer or 'p/q', got {value!r}")
         return Fraction(value.strip())
     raise TypeError(f"cannot interpret {value!r} as a rational number")
 
@@ -109,10 +118,6 @@ class Matrix:
     def identity(cls, n: int) -> "Matrix":
         return cls(tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)), n)
 
-    @classmethod
-    def zeros(cls, nrows: int, ncols: int) -> "Matrix":
-        return cls(tuple(tuple(ZERO for _ in range(ncols)) for _ in range(nrows)), ncols)
-
     @property
     def nrows(self) -> int:
         return len(self.rows)
@@ -121,45 +126,11 @@ class Matrix:
     def shape(self) -> tuple[int, int]:
         return (self.nrows, self.ncols)
 
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.rows[i][j]
-
-    def matvec(self, v: Sequence[Fraction]) -> Vector:
-        """Matrix times coordinate column: ``(M v)_i = sum_j M[i][j] v[j]``."""
-        if len(v) != self.ncols:
-            raise ValueError(f"matvec length mismatch: matrix has {self.ncols} columns, vector has {len(v)}")
-        return tuple(sum((row[j] * v[j] for j in range(self.ncols)), ZERO) for row in self.rows)
-
     def vecmat(self, v: Sequence[Fraction]) -> Vector:
         """Coordinate row times matrix: ``(v M)_j = sum_i v[i] M[i][j]``."""
         if len(v) != self.nrows:
             raise ValueError(f"vecmat length mismatch: matrix has {self.nrows} rows, vector has {len(v)}")
         return tuple(sum((v[i] * self.rows[i][j] for i in range(self.nrows)), ZERO) for j in range(self.ncols))
-
-    def matmul(self, other: "Matrix") -> "Matrix":
-        if self.ncols != other.nrows:
-            raise ValueError("matmul shape mismatch")
-        return Matrix(tuple(other.vecmat(row) for row in self.rows), other.ncols)
-
-    def trace(self) -> Fraction:
-        if self.nrows != self.ncols:
-            raise ValueError("trace of a non-square matrix")
-        return sum((self.rows[i][i] for i in range(self.nrows)), ZERO)
-
-    def scale(self, s: RationalLike) -> "Matrix":
-        c = frac(s)
-        return Matrix(tuple(tuple(c * x for x in row) for row in self.rows), self.ncols)
-
-    def add(self, other: "Matrix") -> "Matrix":
-        if self.shape != other.shape:
-            raise ValueError("matrix addition shape mismatch")
-        return Matrix(
-            tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.rows, other.rows)),
-            self.ncols,
-        )
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.rows for x in row)
 
     def to_strings(self) -> list[list[str]]:
         return [[format_scalar(x) for x in row] for row in self.rows]
@@ -358,24 +329,6 @@ def _to_sparse(row: Sequence[Fraction]) -> SparseRow:
     return {j: v for j, v in enumerate(row) if v}
 
 
-def rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
-    """Reduced row echelon form of ``m``.
-
-    Returns ``(rref_matrix, rank, pivot_columns)``.  The result has the same
-    shape as the input (zero rows padded at the bottom) and is the unique
-    RREF: leading entries 1, pivots strictly increasing, pivot columns
-    cleared above and below.
-    """
-    ech = _Echelon(m.ncols)
-    for row in m.rows:
-        ech.insert(_to_sparse(row))
-    dense = ech.dense_rows()
-    zero_row = tuple(ZERO for _ in range(m.ncols))
-    while len(dense) < m.nrows:
-        dense.append(zero_row)
-    return Matrix(tuple(dense), m.ncols), ech.rank, ech.pivot_columns()
-
-
 @dataclass(frozen=True)
 class SubspaceBasis:
     """A linear subspace in canonical (RREF) basis form.
@@ -406,10 +359,6 @@ class SubspaceBasis:
     def zero(cls, ambient_dim: int) -> "SubspaceBasis":
         return cls(ambient_dim, ())
 
-    @classmethod
-    def full(cls, ambient_dim: int) -> "SubspaceBasis":
-        return cls.from_generators(ambient_dim, Matrix.identity(ambient_dim).rows)
-
     @cached_property
     def _echelon(self) -> _Echelon:
         """The basis folded into an echelon once per instance; only ever reduced against.
@@ -437,11 +386,6 @@ class SubspaceBasis:
     def _same_ambient(self, other: "SubspaceBasis", verb: str) -> None:
         if self.ambient_dim != other.ambient_dim:
             raise ValueError(f"cannot {verb} subspaces of different ambient dimensions")
-
-    def intersect(self, other: "SubspaceBasis") -> "SubspaceBasis":
-        self._same_ambient(other, "intersect")
-        functionals = self.annihilator().basis + other.annihilator().basis
-        return nullspace_of_sparse_rows(self.ambient_dim, map(_to_sparse, functionals))[0]
 
     def plus(self, other: "SubspaceBasis") -> "SubspaceBasis":
         self._same_ambient(other, "add")
@@ -479,11 +423,6 @@ class SubspaceBasis:
             ech.insert({last - j: x for j, x in enumerate(row) if x})
         residue = ech.reduce({last - j: x for j, x in enumerate(v) if x})
         return tuple(residue.get(last - j, ZERO) for j in range(self.ambient_dim))
-
-
-def nullspace(m: Matrix) -> SubspaceBasis:
-    """Canonical basis of ``{v : M v = 0}``."""
-    return nullspace_of_sparse_rows(m.ncols, map(_to_sparse, m.rows))[0]
 
 
 def nullspace_of_sparse_rows(ambient: int, rows: Iterable[SparseRow]) -> tuple[SubspaceBasis, int]:

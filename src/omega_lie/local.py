@@ -359,14 +359,6 @@ class AffineFamily:
     def dim(self) -> int:
         return self.base.nrows
 
-    def realized(self, values: Mapping[str, object]) -> Matrix:
-        out = self.base
-        for name, direction in zip(self.parameter_names, self.directions):
-            coeff = frac(values.get(name, 0))
-            if coeff:
-                out = out.add(direction.scale(coeff))
-        return out
-
     def hull_directions(self) -> SubspaceBasis:
         n = self.dim
         return SubspaceBasis.from_generators(n * n, [vectorize_map(d) for d in self.directions])

@@ -245,9 +245,6 @@ class MapSpace:
     def maps(self) -> tuple[LinearMap, ...]:
         return tuple(LinearMap(m) for m in self.matrices())
 
-    def contains_map(self, f: LinearMap) -> bool:
-        return self.space.contains(vectorize_map(f.matrix))
-
 
 @dataclass(frozen=True)
 class TensorSpace:
@@ -367,27 +364,6 @@ def omega_biderivations(algebra: OmegaAlgebra, sign: Optional[Fraction] = None) 
     ``biderivations``.
     """
     return solve(algebra, "omega_biderivation", sign=sign)
-
-
-def split_biderivation(t: BilinearMap) -> tuple[BilinearMap, BilinearMap]:
-    """Symmetric/skew parts ``(t+, t-)`` with ``t = t+ + t-``."""
-    n = t.dim
-    half = Fraction(1, 2)
-    sym = tuple(
-        tuple(
-            tuple(half * (t.tensor[i][j][k] + t.tensor[j][i][k]) for k in range(n))
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-    skw = tuple(
-        tuple(
-            tuple(half * (t.tensor[i][j][k] - t.tensor[j][i][k]) for k in range(n))
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-    return BilinearMap(sym), BilinearMap(skw)
 
 
 # -- residual checks ----------------------------------------------------------

@@ -1,23 +1,37 @@
-"""Brute-force reference for biderivation spaces, kept apart from the library.
+"""References kept apart from the library, for tests to compare against.
 
-It evaluates the defining identities through ``algebra.bracket``,
-``algebra.omega_form`` and ``BilinearMap.apply`` only, never through the
-solvers' term lists, so the solver output can be compared against it.
+* Biderivation and form-compatibility residual operators, built column by
+  column from unit tensors through ``algebra.bracket``,
+  ``algebra.omega_form`` and ``BilinearMap.apply`` only, never through the
+  solvers' term lists, so the solver output can be compared against them.
+* Plain dense Gauss-Jordan elimination and matrix-vector products over
+  ``Fraction``, sharing no code with ``omega_lie.linalg``, so the sparse
+  elimination can be compared against a textbook one.
 """
 
 from fractions import Fraction
 from typing import Optional
 
 from omega_lie.algebra import BilinearMap
-from omega_lie.linalg import Matrix, SubspaceBasis, nullspace
+from omega_lie.linalg import Matrix, SubspaceBasis, nullspace_of_sparse_rows
 
 
-def oracle_biderivation_space(algebra, symmetry: Optional[int] = None) -> SubspaceBasis:
-    """Brute-force oracle for biderivation spaces, independent of the solver.
+def _operator_rows(columns):
+    """Sparse rows of the operator whose ``c``-th column is ``columns[c]``."""
+    rows = [{} for _ in columns[0]]
+    for c, column in enumerate(columns):
+        for r, value in enumerate(column):
+            if value:
+                rows[r][c] = value
+    return [row for row in rows if row]
 
-    Builds the residual operator column by column from unit tensors, with the
-    identities evaluated through the definition (bracket calls), and returns
-    the nullspace.  Used by tests to cross-check the assembled systems.
+
+def oracle_biderivation_rows(algebra, symmetry: Optional[int] = None) -> list:
+    """Rows of the biderivation residual operator on vectorized tensors.
+
+    The operator is built column by column from unit tensors, with the
+    identities evaluated through the definition (bracket calls); a
+    ``symmetry`` of +1 or -1 adds the equations ``d(x,y) = symmetry * d(y,x)``.
     """
     n = algebra.dim
     total = n ** 3
@@ -56,18 +70,22 @@ def oracle_biderivation_space(algebra, symmetry: Optional[int] = None) -> Subspa
                     for c in range(n):
                         residuals.append(tensor[a][b][c] - symmetry * tensor[b][a][c])
         columns.append(residuals)
-    rows = len(columns[0])
-    m = Matrix.from_rows([[columns[c][r] for c in range(total)] for r in range(rows)], ncols=total)
-    return nullspace(m)
+    return _operator_rows(columns)
 
 
-def oracle_form_compatible_space(algebra, sign: Fraction) -> SubspaceBasis:
-    """Bilinear maps ``d`` with, on every basis triple ``(x, y, z)``,
+def oracle_biderivation_space(algebra, symmetry: Optional[int] = None) -> SubspaceBasis:
+    """Brute-force biderivation space: the nullspace of :func:`oracle_biderivation_rows`."""
+    return nullspace_of_sparse_rows(algebra.dim ** 3, oracle_biderivation_rows(algebra, symmetry))[0]
+
+
+def oracle_form_compatible_rows(algebra, sign: Fraction) -> list:
+    """Rows of the operator whose nullspace is the bilinear maps ``d`` with,
+    on every basis triple ``(x, y, z)``,
 
     ``w(d(x,y), z) + sign * w(y, d(x,z)) = 0`` and
     ``w(d(x,y), z) + sign * w(x, d(z,y)) = 0``.
 
-    Intersected with the biderivation space this is the omega-biderivation
+    Stacked with the biderivation rows they define the omega-biderivation
     space; written out here through ``omega_form`` and ``BilinearMap.apply``.
     """
     n = algebra.dim
@@ -88,6 +106,65 @@ def oracle_form_compatible_space(algebra, sign: Fraction) -> SubspaceBasis:
                     residuals.append(w(d.apply(ex, ey), ez) + sign * w(ey, d.apply(ex, ez)))
                     residuals.append(w(d.apply(ex, ey), ez) + sign * w(ex, d.apply(ez, ey)))
         columns.append(residuals)
-    rows = len(columns[0])
-    m = Matrix.from_rows([[columns[c][r] for c in range(total)] for r in range(rows)], ncols=total)
-    return nullspace(m)
+    return _operator_rows(columns)
+
+
+def matvec(rows, v) -> tuple:
+    """``(M v)_i = sum_j M[i][j] v[j]`` for a matrix given by its rows."""
+    return tuple(sum((Fraction(a) * Fraction(b) for a, b in zip(row, v)), Fraction(0)) for row in rows)
+
+
+def gauss_jordan(rows, ncols: int) -> tuple[list[tuple], tuple[int, ...]]:
+    """Textbook dense reduced row echelon form: ``(nonzero rows, pivot columns)``.
+
+    Each column in turn takes the first remaining row that is nonzero there
+    as its pivot row, scales it to a leading 1 and clears the column in
+    every other row.
+    """
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        pick = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pick is None:
+            continue
+        m[r], m[pick] = m[pick], m[r]
+        lead = m[r][c]
+        m[r] = [x / lead for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    return [tuple(row) for row in m[: len(pivots)]], tuple(pivots)
+
+
+def dense_kernel(rows, ncols: int) -> tuple:
+    """The reduced row echelon basis of ``{v : M v = 0}``, by :func:`gauss_jordan` alone.
+
+    Each free column ``f`` of the echelon form gives the solution with 1 at
+    ``f``, 0 at the other free columns and minus the pivot rows' entries in
+    column ``f`` at the pivots; the echelon form of those vectors is the
+    unique basis the library stores.
+    """
+    reduced, pivots = gauss_jordan(rows, ncols)
+    kernel = []
+    for f in (j for j in range(ncols) if j not in pivots):
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for row, p in zip(reduced, pivots):
+            v[p] = -row[f]
+        kernel.append(v)
+    return tuple(gauss_jordan(kernel, ncols)[0])
+
+
+def realized(family, values) -> Matrix:
+    """The member ``base + sum_i values[t_i] * directions[i]`` of an affine family."""
+    n = family.dim
+    out = [list(row) for row in family.base.rows]
+    for name, direction in zip(family.parameter_names, family.directions):
+        coeff = Fraction(values.get(name, 0))
+        for i in range(n):
+            for j in range(n):
+                out[i][j] += coeff * direction.rows[i][j]
+    return Matrix.from_rows(out, ncols=n)

@@ -1,6 +1,7 @@
-"""Algebra core: axioms, bracket utilities, predicates, serialization."""
+"""Algebra core: axioms, direct sums, automorphism predicates, serialization."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -11,24 +12,24 @@ from omega_lie.algebra import (
     AlgebraFormatError,
     LinearMap,
     OmegaAlgebra,
-    OmegaKillingWarning,
-    adjoint,
-    center,
     check_axioms,
     direct_sum,
     dumps,
     is_anti_automorphism,
     is_automorphism,
-    is_semisimple_lie,
-    killing_form,
     loads,
 )
 from omega_lie.linalg import Matrix
 from omega_lie.verification import automorphism_family_L11
+from oracle import realized
 
 
 def abelian(n):
     return OmegaAlgebra.from_tables(f"abelian{n}", n, {}, {})
+
+
+def scalar_map(n, c):
+    return LinearMap(Matrix.from_rows([[c if i == j else 0 for j in range(n)] for i in range(n)]))
 
 
 def rand_vec(rng, n):
@@ -106,7 +107,10 @@ class TestAxioms:
         assert not check_axioms(catalog.get("L_{1,1}")).omega_is_zero
 
     def test_perturbed_omega_breaks_the_identity(self):
-        broken = catalog.get("L_{1,1}").with_omega_entry(1, 2, 2)
+        alg = catalog.get("L_{1,1}")
+        omega = [list(row) for row in alg.omega]
+        omega[0][1], omega[1][0] = Fraction(2), Fraction(-2)  # omega(e1, e2) = 2
+        broken = replace(alg, omega=tuple(map(tuple, omega)))
         report = check_axioms(broken)
         assert not report.passed
         assert (1, 2, 3) in report.failing_triples()
@@ -129,63 +133,6 @@ class TestAxioms:
                 )
             )
             assert d.defect == jacobi == (0, 0, 0)
-
-
-class TestAdjointKillingCenter:
-    def test_adjoint_of_zero(self):
-        alg = catalog.get("B")
-        assert adjoint(alg, (0, 0, 0)).matrix.is_zero()
-
-    def test_adjoint_matches_bracket(self):
-        rng = random.Random(11)
-        alg = catalog.get("L_{2,4}")
-        for _ in range(10):
-            x, y = rand_vec(rng, 4), rand_vec(rng, 4)
-            assert adjoint(alg, x).apply(y) == alg.bracket(x, y)
-
-    def test_sl2_adjoint_of_h_is_diagonal(self):
-        sl2 = catalog.get("sl2")
-        ad_h = adjoint(sl2, sl2.basis_vector(0))
-        assert ad_h.matrix == Matrix.from_rows([[0, 0, 0], [0, 2, 0], [0, 0, -2]])
-
-    def test_L1_adjoint_of_e1(self):
-        alg = catalog.get("L_1")
-        ad = adjoint(alg, alg.basis_vector(0))
-        assert ad.apply(alg.basis_vector(1)) == alg.basis_vector(1)
-        assert ad.apply(alg.basis_vector(2)) == (0, 0, 0)
-
-    def test_killing_form_of_sl2(self):
-        # trace computations done by hand from the adjoint matrices
-        k = killing_form(catalog.get("sl2"))
-        assert k == Matrix.from_rows([[8, 0, 0], [0, 0, 4], [0, 4, 0]])
-
-    def test_killing_form_abelian_is_zero(self):
-        assert killing_form(abelian(3)).is_zero()
-
-    def test_killing_form_block_diagonal_on_direct_sum(self):
-        k = killing_form(catalog.get("sl2_plus_sl2"))
-        for i in range(3):
-            for j in range(3, 6):
-                assert k.entry(i, j) == 0 and k.entry(j, i) == 0
-        single = killing_form(catalog.get("sl2"))
-        assert all(k.entry(i, j) == single.entry(i, j) for i in range(3) for j in range(3))
-        assert all(k.entry(3 + i, 3 + j) == single.entry(i, j) for i in range(3) for j in range(3))
-
-    def test_killing_warns_for_nonzero_form(self):
-        with pytest.warns(OmegaKillingWarning):
-            killing_form(catalog.get("L_{1,1}"))
-
-    def test_semisimple_predicate(self):
-        assert is_semisimple_lie(catalog.get("sl2"))
-        assert is_semisimple_lie(catalog.get("sl2_plus_sl2"))
-        assert not is_semisimple_lie(abelian(2))
-        assert not is_semisimple_lie(catalog.get("L_{1,1}"))
-
-    def test_centers(self):
-        assert center(catalog.get("sl2")).rank == 0
-        assert center(catalog.get("L_1")).rank == 0
-        assert center(abelian(4)).rank == 4
-        assert center(catalog.get("sl2_plus_sl2")).rank == 0
 
 
 class TestDirectSum:
@@ -216,40 +163,40 @@ class TestDirectSum:
 class TestAutomorphismPredicates:
     def test_identity_is_automorphism(self):
         alg = catalog.get("L_{1,6}")
-        assert is_automorphism(alg, LinearMap.identity(4))
-        assert is_automorphism(alg, LinearMap.identity(4), check_omega=True)
+        assert is_automorphism(alg, scalar_map(4, 1))
+        assert is_automorphism(alg, scalar_map(4, 1), check_omega=True)
 
     def test_zero_map_is_not(self):
         alg = catalog.get("L_{1,6}")
-        assert not is_automorphism(alg, LinearMap.zero(4))
+        assert not is_automorphism(alg, scalar_map(4, 0))
 
     def test_family_members_are_automorphisms(self):
         alg = catalog.get("L_{1,1}")
         family = automorphism_family_L11()
         for a, b in [(1, 0), (2, 3), (Fraction(-1, 2), 7)]:
-            phi = LinearMap(family.realized({"t1": a, "t2": b}))
+            phi = LinearMap(realized(family, {"t1": a, "t2": b}))
             assert is_automorphism(alg, phi)
             # this family also preserves the skew form
             assert is_automorphism(alg, phi, check_omega=True)
         # the open condition marks the non-invertible boundary
-        boundary = LinearMap(family.realized({"t1": -1, "t2": 0}))
+        boundary = LinearMap(realized(family, {"t1": -1, "t2": 0}))
         assert not is_automorphism(alg, boundary)
 
     def test_omega_check_can_reject(self):
         alg = catalog.get("L_{1,1}")
-        doubling = LinearMap(Matrix.identity(4).scale(2))
+        doubling = scalar_map(4, 2)
         # scaling by 2 preserves brackets only on nilpotent directions; on this
         # algebra it is not an automorphism at all
         assert not is_automorphism(alg, doubling)
 
     def test_anti_automorphisms_on_sl2(self):
         sl2 = catalog.get("sl2")
-        neg = LinearMap(Matrix.identity(3).scale(-1))
+        neg = scalar_map(3, -1)
         assert is_anti_automorphism(sl2, neg)
-        assert not is_anti_automorphism(sl2, LinearMap.identity(3))
+        assert not is_anti_automorphism(sl2, scalar_map(3, 1))
 
     def test_identity_is_anti_automorphism_of_abelian(self):
-        assert is_anti_automorphism(abelian(3), LinearMap.identity(3))
+        assert is_anti_automorphism(abelian(3), scalar_map(3, 1))
 
 
 class TestSerialization:
@@ -284,10 +231,14 @@ class TestSerialization:
             '{"name": "x", "dim": 3, "omega": [{"i": true, "j": 2, "value": "1"}]}',
             '{"name": "x", "dim": 3, "omega": [{"i": 1, "j": 2, "value": false}]}',
             '{"name": "x", "dim": 3, "omega": [{"i": 1, "j": 2, "value": 0.5}]}',
+            '{"name": "x", "dim": 3, "omega": [{"i": 1, "j": 2, "value": "1e3"}]}',
+            '{"name": "x", "dim": 3, "omega": [{"i": 1, "j": 2, "value": "0.5"}]}',
+            '{"name": "x", "dim": 3, "omega": [{"i": 1, "j": 2, "value": "1e100000000"}]}',
         ],
     )
     def test_booleans_and_non_integral_numbers_are_refused(self, doc):
-        # int() would truncate 3.9 to 3 and read true as 1
+        # int() would truncate 3.9 to 3 and read true as 1; Fraction() reads "1e3"
+        # as 1000 and spends minutes on the power of ten in "1e100000000"
         with pytest.raises(AlgebraFormatError):
             loads(doc)
 

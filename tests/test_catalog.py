@@ -25,7 +25,7 @@ class TestEntries:
         assert len([key for key in catalog.four_dimensional_keys() if key != "C~_1"]) == 19
 
     def test_expected_keys_present(self):
-        keys = catalog.keys()
+        keys = [e.key for e in catalog.list_entries()]
         assert "H_{1,alpha}" in keys
         assert "sl2" in keys
         assert "C~_1" in keys

@@ -264,8 +264,11 @@ class TestAlgebraArgument:
         assert code == 2
         assert "bad parameter" in err
 
-    def test_parameter_with_bad_rational(self, capsys):
-        code, _, err = run(capsys, "check", "@C_alpha?alpha=1/0")
+    # "1e3" and "0.5" are neither integers nor p/q; Fraction() would spend
+    # minutes building the power of ten in "1e100000000"
+    @pytest.mark.parametrize("value", ["1/0", "1e3", "0.5", "1e100000000"])
+    def test_parameter_with_bad_rational(self, capsys, value):
+        code, _, err = run(capsys, "check", f"@C_alpha?alpha={value}")
         assert code == 2
         assert "bad rational" in err
 

@@ -12,6 +12,10 @@ referenced somewhere outside its own definition, in ``src/``, ``tests/``,
 ``bench/`` or the code spans of ``README.md``.  A reference is a name or an
 attribute in Python code, an imported name, or a part of a string that is
 a dotted name (the benchmark wraps library functions by name).
+
+The third guard covers the README from the other side: every dotted
+``omega_lie.<module>.<name>`` in one of its code spans must resolve, so the
+README cannot keep citing a name that was renamed or deleted.
 """
 
 import ast
@@ -85,6 +89,10 @@ IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 DOTTED = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)*")
 
 
+def _code_spans(text):
+    return re.findall(r"```.*?```|`[^`]*`", text, flags=re.DOTALL)
+
+
 def _dunder(name):
     return name.startswith("__") and name.endswith("__")
 
@@ -108,8 +116,7 @@ def _references(path):
     """``(line, name)`` of each reference in one file of the corpus."""
     text = path.read_text(encoding="utf-8")
     if path.suffix != ".py":
-        spans = re.findall(r"```.*?```|`[^`]*`", text, flags=re.DOTALL)
-        return [(0, name) for span in spans for name in IDENTIFIER.findall(span)]
+        return [(0, name) for span in _code_spans(text) for name in IDENTIFIER.findall(span)]
     refs = []
     for node in ast.walk(ast.parse(text)):
         if isinstance(node, ast.Name):
@@ -158,3 +165,42 @@ def test_guard_catches_an_unreferenced_definition(tmp_path):
     readme = tmp_path / "README.md"
     readme.write_text("Call `Box().shown()`; hidden is prose, not code.\n")
     assert unreferenced([module], [module, readme]) == ["probe.recursive", "probe.Box.hidden"]
+
+
+PACKAGE_NAME = re.compile(r"\bomega_lie(?:\.[A-Za-z_][A-Za-z0-9_]*){2,}")
+
+
+def unresolved_package_names(text):
+    """``(found, missing)``: the dotted ``omega_lie.<module>.<name>`` in the code spans of
+    ``text``, and those among them that do not resolve to a module attribute."""
+    found = sorted({name for span in _code_spans(text) for name in PACKAGE_NAME.findall(span)})
+    missing = []
+    for dotted in found:
+        package, module, *attrs = dotted.split(".")
+        try:
+            obj = importlib.import_module(f"{package}.{module}")
+        except ImportError:
+            missing.append(dotted)
+            continue
+        for attr in attrs:
+            if not hasattr(obj, attr):
+                missing.append(dotted)
+                break
+            obj = getattr(obj, attr)
+    return found, missing
+
+
+def test_readme_names_resolve():
+    found, missing = unresolved_package_names((ROOT / "README.md").read_text(encoding="utf-8"))
+    assert len(found) >= 9  # the pattern still matches how the README cites names
+    assert missing == []
+
+
+def test_guard_catches_a_readme_name_that_does_not_resolve():
+    text = (
+        "Use `omega_lie.linalg.frac` and `omega_lie.linalg.SubspaceBasis.rank`, not\n"
+        "`omega_lie.linalg.rref` or `omega_lie.nowhere.thing`; omega_lie.linalg.gone is prose.\n"
+    )
+    found, missing = unresolved_package_names(text)
+    assert len(found) == 4
+    assert missing == ["omega_lie.linalg.rref", "omega_lie.nowhere.thing"]
