@@ -198,6 +198,15 @@ class TestAutomorphismPredicates:
     def test_identity_is_anti_automorphism_of_abelian(self):
         assert is_anti_automorphism(abelian(3), scalar_map(3, 1))
 
+    def test_singular_maps_that_respect_brackets_are_refused(self):
+        # on an abelian algebra every map respects the (zero) bracket, and the
+        # zero map respects any bracket: only the rank check refuses these
+        projection = LinearMap(Matrix.from_rows([[1, 0, 0], [0, 1, 0], [1, 1, 0]]))
+        assert not is_automorphism(abelian(3), projection)
+        assert not is_anti_automorphism(abelian(3), projection)
+        assert not is_automorphism(catalog.get("sl2"), scalar_map(3, 0))
+        assert not is_anti_automorphism(catalog.get("sl2"), scalar_map(3, 0))
+
 
 class TestSerialization:
     def test_round_trip_for_all_catalog_entries(self):

@@ -16,6 +16,7 @@ from omega_lie.linalg import (
     _Echelon,
     _rational,
     _to_sparse,
+    frac,
     nullspace_of_sparse_rows,
     vector,
 )
@@ -33,6 +34,59 @@ def full(n):
 def kernel_of(m):
     """Nullspace and rank of a dense ``Matrix`` through its sparse rows."""
     return nullspace_of_sparse_rows(m.ncols, map(_to_sparse, m.rows))
+
+
+def rref(m):
+    """Reduced row echelon form of ``m`` as the library stores it, checked against the oracle.
+
+    Returns ``(nonzero rows, rank, pivot columns)``.
+    """
+    ech = _Echelon(m.ncols)
+    for row in m.rows:
+        ech.insert(_to_sparse(row))
+    reduced, pivots = gauss_jordan(m.rows, m.ncols)
+    assert (ech.dense_rows(), ech.pivot_columns()) == (reduced, pivots)
+    return tuple(reduced), ech.rank, pivots
+
+
+def meet(a, b):
+    """``a`` intersected with ``b``: the functionals vanishing on both span the annihilator of the meet."""
+    return a.annihilator().plus(b.annihilator()).annihilator()
+
+
+class TestRref:
+    def test_identity_is_fixed(self):
+        reduced, rank, pivots = rref(Matrix.identity(2))
+        assert reduced == Matrix.identity(2).rows
+        assert rank == 2
+        assert pivots == (0, 1)
+
+    def test_zero_matrix(self):
+        reduced, rank, pivots = rref(M([[0, 0], [0, 0]]))
+        assert reduced == ()
+        assert rank == 0
+        assert pivots == ()
+
+    def test_rank_one(self):
+        # Hand Gaussian elimination: second row is twice the first.
+        reduced, rank, pivots = rref(M([[1, 2], [2, 4]]))
+        assert reduced == ((1, 2),)
+        assert rank == 1
+        assert pivots == (0,)
+
+    def test_leading_entries_are_one(self):
+        # (2, 4, 6) / 2 = (1, 2, 3); (0, 0, 5) / 5 clears the 3 above it
+        reduced, rank, _ = rref(M([[2, 4, 6], [0, 0, 5]]))
+        assert reduced == ((1, 2, 0), (0, 0, 1))
+        assert rank == 2
+
+    def test_idempotent(self):
+        m = M([[3, 1, 4], [1, 5, 9], [2, 6, 5], [3, 5, 8]])
+        once, rank, _ = rref(m)
+        twice, rank2, _ = rref(M(once))
+        assert once == twice
+        assert rank == rank2 == 3
+        assert SubspaceBasis.from_generators(3, m.rows).basis == once
 
 
 class TestNullspace:
@@ -90,6 +144,20 @@ class TestSubspaceLattice:
     def test_annihilated_by_a_column_outside_the_ambient(self):
         with pytest.raises(ValueError):
             full(3).annihilated_by({5: Fraction(1)})
+
+    def test_intersection_idempotent(self):
+        s = SubspaceBasis.from_generators(3, [(1, 2, 3), (0, 1, 1)])
+        assert meet(s, s) == s
+
+    def test_intersection_of_complementary_lines(self):
+        a = SubspaceBasis.from_generators(2, [(1, 0)])
+        b = SubspaceBasis.from_generators(2, [(0, 1)])
+        assert meet(a, b).rank == 0
+
+    def test_intersection_of_coordinate_planes(self):
+        a = SubspaceBasis.from_generators(3, [(1, 0, 0), (0, 1, 0)])
+        b = SubspaceBasis.from_generators(3, [(0, 1, 0), (0, 0, 1)])
+        assert meet(a, b) == SubspaceBasis.from_generators(3, [(0, 1, 0)])
 
     def test_equality_reflexive_and_scale_invariant(self):
         a = SubspaceBasis.from_generators(2, [(1, 2)])
@@ -202,6 +270,54 @@ def test_rank_nullity_and_idempotence_on_random_matrices():
         assert row_space.basis == tuple(reduced)
         assert SubspaceBasis.from_generators(ncols, row_space.basis) == row_space
         assert SubspaceBasis.from_generators(ncols, kernel.basis) == kernel
+
+
+def test_intersection_rank_formula_on_random_subspaces():
+    # dim(a meet b) + dim(a + b) == dim a + dim b, with the meet inside both
+    rng = random.Random(42)
+    for _ in range(200):
+        ambient = rng.randint(1, 5)
+        a = SubspaceBasis.from_generators(
+            ambient, [[rng.randint(-3, 3) for _ in range(ambient)] for _ in range(rng.randint(0, ambient))]
+        )
+        b = SubspaceBasis.from_generators(
+            ambient, [[rng.randint(-3, 3) for _ in range(ambient)] for _ in range(rng.randint(0, ambient))]
+        )
+        both = meet(a, b)
+        join = a.plus(b)
+        assert both.rank == a.rank + b.rank - join.rank
+        assert both.is_subspace_of(a) and both.is_subspace_of(b)
+
+
+class TestFrac:
+    @pytest.mark.parametrize(
+        "value, expected",
+        [
+            (7, Fraction(7)),
+            (Fraction(2, 3), Fraction(2, 3)),
+            ("-3", Fraction(-3)),
+            ("+3", Fraction(3)),
+            ("6/4", Fraction(3, 2)),
+            (" -1/2 ", Fraction(-1, 2)),
+            ("007", Fraction(7)),
+        ],
+    )
+    def test_integers_and_quotients_are_read_exactly(self, value, expected):
+        assert frac(value) == expected
+
+    @pytest.mark.parametrize("value", ["1e3", "0.5", "1e100000000", "", "1/", "/2", "1/-2", "inf", "nan", "1_000"])
+    def test_strings_that_are_not_p_over_q_are_refused(self, value):
+        with pytest.raises(ValueError):
+            frac(value)
+
+    def test_zero_denominator_is_refused(self):
+        with pytest.raises(ZeroDivisionError):
+            frac("1/0")
+
+    @pytest.mark.parametrize("value", [True, 0.5, None])
+    def test_booleans_floats_and_none_are_refused(self, value):
+        with pytest.raises(TypeError):
+            frac(value)
 
 
 class TestAnnihilator:

@@ -308,6 +308,62 @@ class TestBiderivations:
                     assert not tensor_defects(alg, kind, t), (key, kind)
 
 
+def transpose(t):
+    """The bilinear map ``(x, y) -> t(y, x)``."""
+    n = t.dim
+    return BilinearMap(tuple(tuple(t.tensor[j][i] for j in range(n)) for i in range(n)))
+
+
+def combine(a, s, b, u):
+    """The bilinear map ``a * s + b * u``."""
+    n = s.dim
+    return BilinearMap(
+        tuple(
+            tuple(tuple(a * x + b * y for x, y in zip(s.tensor[i][j], u.tensor[i][j])) for j in range(n))
+            for i in range(n)
+        )
+    )
+
+
+class TestSplit:
+    """A biderivation ``d`` splits as ``(d + d^T)/2 + (d - d^T)/2``, symmetric plus skew."""
+
+    def test_symmetric_input(self):
+        alg = catalog.get("B~")
+        sym, skw, full = symmetric_biderivations(alg), skew_biderivations(alg), biderivations(alg)
+        assert sym.rank > 0
+        for t in sym.tensors():
+            assert transpose(t) == t
+            assert full.contains_tensor(t)
+            assert not skw.contains_tensor(t)
+            assert vectorize_tensor(combine(Fraction(1, 2), t, Fraction(-1, 2), transpose(t))) == (0,) * 64
+
+    def test_bracket_tensor_is_purely_skew(self):
+        sl2 = catalog.get("sl2")
+        bt = bracket_tensor(sl2)
+        assert transpose(bt) == combine(-1, bt, 0, bt)
+        assert not tensor_defects(sl2, "biderivation", bt)
+        assert skew_biderivations(sl2).contains_tensor(bt)
+        assert not symmetric_biderivations(sl2).contains_tensor(bt)
+
+    def test_split_recomposes(self):
+        rng = random.Random(13)
+        half = Fraction(1, 2)
+        for key in ("L_{1,1}", "L_{1,6}", "B~", "sl2"):
+            alg = catalog.get(key)
+            basis = biderivations(alg).tensors()
+            sym, skw = symmetric_biderivations(alg), skew_biderivations(alg)
+            for _ in range(5):
+                d = combine(0, basis[0], 0, basis[0])
+                for t in basis:
+                    d = combine(1, d, Fraction(rng.randint(-4, 4), rng.randint(1, 3)), t)
+                sym_part = combine(half, d, half, transpose(d))
+                skew_part = combine(half, d, -half, transpose(d))
+                assert sym.contains_tensor(sym_part), key
+                assert skw.contains_tensor(skew_part), key
+                assert combine(1, sym_part, 1, skew_part) == d
+
+
 class TestOmegaBiderivations:
     def test_always_inside_biderivations(self):
         for key in catalog.four_dimensional_keys():
