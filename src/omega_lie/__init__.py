@@ -27,7 +27,6 @@ from .algebra import (
     from_document,
     is_anti_automorphism,
     is_automorphism,
-    loads,
     to_document,
 )
 from .catalog import (

@@ -430,6 +430,8 @@ def _pairs(doc: Mapping, field: str, read) -> dict:
 
 
 def from_document(doc: Mapping) -> OmegaAlgebra:
+    if not isinstance(doc, dict):
+        raise AlgebraFormatError("algebra document must be a JSON object")
     try:
         name = doc["name"]
         dim = _integer(doc["dim"])
@@ -452,16 +454,6 @@ def from_document(doc: Mapping) -> OmegaAlgebra:
 
 def dumps(algebra: OmegaAlgebra) -> str:
     return json.dumps(to_document(algebra), indent=2, sort_keys=True)
-
-
-def loads(text: str) -> OmegaAlgebra:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise AlgebraFormatError(f"not a valid JSON algebra document: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise AlgebraFormatError("algebra document must be a JSON object")
-    return from_document(doc)
 
 
 def content_hash(algebra: OmegaAlgebra) -> str:

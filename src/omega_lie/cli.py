@@ -18,6 +18,10 @@ algebra file (JSON; see omega_lie.algebra for the document shape).  Output is
 human-readable text by default or a JSON report with ``--format json``; all
 rationals are rendered as ``"p/q"`` strings and indices are 1-based.
 
+Every file, algebra, map or family, goes through one loader,
+``_load_json_file``: a file that cannot be read or decoded as JSON exits 3.
+Every report goes through one emitter, ``_emit``.
+
 Exit codes: 0 success, 1 verification failures, 2 usage errors, 3 file or
 parse errors, 141 (128 + SIGPIPE) when the reader of the output closes early.
 """
@@ -37,7 +41,8 @@ from .algebra import (
     OmegaAlgebra,
     check_axioms,
     content_hash,
-    loads as load_algebra_text,
+    dumps,
+    from_document,
     to_document,
 )
 from .catalog import ExcludedParameterError, UnknownAlgebraError
@@ -80,7 +85,7 @@ class CliError(Exception):
 
 
 def _parse_algebra_arg(arg: str) -> tuple[OmegaAlgebra, dict]:
-    """Resolve ``@key[?alpha=p/q]`` or a file path to an algebra."""
+    """Resolve ``@key[?alpha=p/q]`` or a file path to an algebra and its report identity."""
     if arg.startswith("@"):
         key, _, query = arg[1:].partition("?")
         params = {}
@@ -102,27 +107,26 @@ def _parse_algebra_arg(arg: str) -> tuple[OmegaAlgebra, dict]:
             raise CliError(str(exc.args[0]), USAGE_ERROR) from None
         except ExcludedParameterError as exc:
             raise CliError(str(exc), USAGE_ERROR) from None
-        identity = {"key": key, "params": {k: format_scalar(v) for k, v in params.items()}}
-        return algebra, identity
-    try:
-        with open(arg, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise CliError(f"cannot read algebra file {arg!r}: {exc}", FILE_ERROR) from None
-    try:
-        algebra = load_algebra_text(text)
-    except AlgebraFormatError as exc:
-        raise CliError(f"cannot parse algebra file {arg!r}: {exc}", FILE_ERROR) from None
-    return algebra, {"path": arg}
+        origin = {"key": key, "params": {k: format_scalar(v) for k, v in params.items()}}
+    else:
+        try:
+            algebra = from_document(_load_json_file(arg, "algebra"))
+        except AlgebraFormatError as exc:
+            raise CliError(f"cannot parse algebra file {arg!r}: {exc}", FILE_ERROR) from None
+        origin = {"path": arg}
+    return algebra, {"name": algebra.name, "dim": algebra.dim, "hash": content_hash(algebra), **origin}
 
 
 def _load_json_file(path: str, what: str):
+    """The decoded JSON document in ``path``; the one place the package opens a file."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
     except OSError as exc:
         raise CliError(f"cannot read {what} file {path!r}: {exc}", FILE_ERROR) from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers invalid JSON, bytes that are not UTF-8 and an integer
+        # literal over Python's digit limit; RecursionError, arrays or objects nested too deep
         raise CliError(f"cannot parse {what} file {path!r}: {exc}", FILE_ERROR) from None
 
 
@@ -170,44 +174,22 @@ def _parse_family(doc, n: int, path: str) -> AffineFamily:
         raise CliError(f"{where}: {exc}", FILE_ERROR) from None
 
 
-def _report(args, algebra_identity, result: dict, extra: Optional[dict] = None) -> dict:
-    report = {
-        "command": " ".join(args._argv),
-        "algebra": algebra_identity,
-        "result": result,
-    }
-    if extra:
-        report.update(extra)
-    return report
-
-
-def _algebra_identity(algebra: OmegaAlgebra, origin: dict) -> dict:
-    return {
-        "name": algebra.name,
-        "dim": algebra.dim,
-        "hash": content_hash(algebra),
-        **origin,
-    }
-
-
-def _emit(args, report: dict, text_lines: Sequence[str]) -> None:
+def _emit(args, lines: Sequence[str], result, **fields) -> None:
+    """Print ``lines``, or with ``--format json`` the report ``{"command", "result", **fields}``."""
     if args.format == "json":
+        report = {"command": " ".join(args._argv), "result": result, **fields}
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
-        for line in text_lines:
+        for line in lines:
             print(line)
 
 
-def _expected_payload(origin: dict) -> Optional[dict]:
-    key = origin.get("key")
-    if key is None:
-        return None
-    values = catalog.expected(key).as_dict()
-    return values or None
+def _matrix_lines(rows: Sequence[Sequence[str]]) -> list[str]:
+    return ["    " + "  ".join(f"{s:>6s}" for s in row) for row in rows]
 
 
 def cmd_check(args) -> int:
-    algebra, origin = _parse_algebra_arg(args.algebra)
+    algebra, identity = _parse_algebra_arg(args.algebra)
     report = check_axioms(algebra)
     payload = {
         "passed": report.passed,
@@ -217,7 +199,7 @@ def cmd_check(args) -> int:
         "failing_triples": [list(t) for t in report.failing_triples()],
     }
     lines = [
-        f"algebra {algebra.name} (dim {algebra.dim}, hash {content_hash(algebra)})",
+        f"algebra {algebra.name} (dim {algebra.dim}, hash {identity['hash']})",
         f"  bracket antisymmetric: {report.bracket_antisymmetric}",
         f"  omega skew-symmetric:  {report.omega_skew}",
         f"  weighted Jacobi holds: {report.jacobi_holds}",
@@ -226,12 +208,12 @@ def cmd_check(args) -> int:
     ]
     if not report.jacobi_holds:
         lines.append(f"  failing triples: {report.failing_triples()}")
-    _emit(args, _report(args, _algebra_identity(algebra, origin), payload), lines)
+    _emit(args, lines, payload, algebra=identity)
     return 0
 
 
 def cmd_solve(args) -> int:
-    algebra, origin = _parse_algebra_arg(args.algebra)
+    algebra, identity = _parse_algebra_arg(args.algebra)
     kind, delta = SOLVE_KINDS[args.kind]
     if args.kind == "dder":
         if args.delta is None:
@@ -246,7 +228,7 @@ def cmd_solve(args) -> int:
         basis = [m.to_strings() for m in space.matrices()]
         for idx, m in enumerate(basis, 1):
             lines.append(f"  basis matrix {idx}:")
-            lines.extend("    " + "  ".join(f"{s:>6s}" for s in row) for row in m)
+            lines.extend(_matrix_lines(m))
     else:
         basis = [
             {
@@ -261,9 +243,10 @@ def cmd_solve(args) -> int:
         for idx, entries in enumerate(basis, 1):
             lines.append(f"  basis tensor {idx} (nonzero d[i][j][k]):")
             lines.extend(f"    d[{key}] = {value}" for key, value in entries.items())
+    key = identity.get("key")
+    expected = (catalog.expected(key).as_dict() or None) if key else None
     payload = {"kind": args.kind, "rank": space.rank, "basis": basis}
-    extra = {"expected": _expected_payload(origin)}
-    _emit(args, _report(args, _algebra_identity(algebra, origin), payload, extra), lines)
+    _emit(args, lines, payload, algebra=identity, expected=expected)
     return 0
 
 
@@ -273,7 +256,7 @@ def _space_for(algebra: OmegaAlgebra, which: str) -> MapSpace:
 
 
 def cmd_local(args) -> int:
-    algebra, origin = _parse_algebra_arg(args.algebra)
+    algebra, identity = _parse_algebra_arg(args.algebra)
     plan = SamplePlan(seed=args.seed, random_count=args.random_count)
     if args.mode in ("der", "halfder"):
         space = _space_for(algebra, args.mode)
@@ -293,7 +276,7 @@ def cmd_local(args) -> int:
         ]
         if res.witness is not None:
             lines.append("  witness matrix satisfying all sampled constraints but outside the base:")
-            lines.extend("    " + "  ".join(f"{s:>6s}" for s in row) for row in res.witness.to_strings())
+            lines.extend(_matrix_lines(res.witness.to_strings()))
             lines.append("  (one-sided: sampling only bounds the local set from above)")
     elif args.mode == "map":
         if not args.map:
@@ -328,14 +311,14 @@ def cmd_local(args) -> int:
             f"  direction rank {res.directions.rank}",
             "  particular matrix:",
         ]
-        lines.extend("    " + "  ".join(f"{s:>6s}" for s in row) for row in res.particular.to_strings())
+        lines.extend(_matrix_lines(res.particular.to_strings()))
         lines.extend(f"  caveat: {c}" for c in res.caveats)
-    _emit(args, _report(args, _algebra_identity(algebra, origin), payload), lines)
+    _emit(args, lines, payload, algebra=identity)
     return 0
 
 
 def cmd_twolocal(args) -> int:
-    algebra, origin = _parse_algebra_arg(args.algebra)
+    algebra, identity = _parse_algebra_arg(args.algebra)
     plan = SamplePlan(seed=args.seed, random_count=args.random_count)
     space = _space_for(algebra, args.space)
     report = two_local_report(algebra, space, plan)
@@ -352,7 +335,7 @@ def cmd_twolocal(args) -> int:
         lines.append(f"  {report.certificate.conclusion}")
     else:
         lines.append(f"  minimal evaluation-kernel rank over the samples: {report.min_kernel_rank}")
-    _emit(args, _report(args, _algebra_identity(algebra, origin), payload), lines)
+    _emit(args, lines, payload, algebra=identity)
     return 0
 
 
@@ -365,12 +348,11 @@ def cmd_catalog(args) -> int:
                 excluded = ",".join(str(v) for v in entry.param.excluded) or "-"
                 param = f"{entry.param.name} (excluded: {excluded}; default {entry.param.default})"
             rows.append({"key": entry.key, "dim": entry.dim, "parameter": param, "notes": entry.notes})
-        report = {"command": " ".join(args._argv), "result": {"entries": rows, "count": len(rows)}}
         lines = [f"{len(rows)} catalog entries:"]
         for row in rows:
             suffix = f"  [{row['parameter']}]" if row["parameter"] else ""
             lines.append(f"  {row['key']:14s} dim {row['dim']}{suffix}")
-        _emit(args, report, lines)
+        _emit(args, lines, {"entries": rows, "count": len(rows)})
         return 0
     try:
         entry = catalog.entry(args.key)
@@ -378,26 +360,23 @@ def cmd_catalog(args) -> int:
         raise CliError(str(exc.args[0]), USAGE_ERROR) from None
     algebra = entry.build(None)
     if args.action == "export":
-        print(json.dumps(to_document(algebra), indent=2, sort_keys=True))
+        print(dumps(algebra))
         return 0
-    payload = {
-        "document": to_document(algebra),
-        "expected": entry.expected.as_dict() or None,
-        "notes": entry.notes,
-    }
+    doc = to_document(algebra)
+    expected = entry.expected.as_dict() or None
     lines = [f"{entry.key}: {algebra.name} (dim {algebra.dim}, hash {content_hash(algebra)})"]
-    for item in to_document(algebra)["brackets"]:
+    for item in doc["brackets"]:
         terms = " + ".join(
             (f"{v}*e{k}" if v not in ("1",) else f"e{k}") for k, v in sorted(item["coeffs"].items())
         )
         lines.append(f"  [e{item['i']}, e{item['j']}] = {terms}")
-    for item in to_document(algebra)["omega"]:
+    for item in doc["omega"]:
         lines.append(f"  omega(e{item['i']}, e{item['j']}) = {item['value']}")
-    if entry.expected.as_dict():
-        lines.append(f"  reference values: {entry.expected.as_dict()}")
+    if expected:
+        lines.append(f"  reference values: {expected}")
     if entry.notes:
         lines.append(f"  notes: {entry.notes}")
-    _emit(args, {"command": " ".join(args._argv), "result": payload}, lines)
+    _emit(args, lines, {"document": doc, "expected": expected, "notes": entry.notes})
     return 0
 
 
@@ -423,7 +402,7 @@ def cmd_verify(args) -> int:
         f"{len(results) - failures}/{len(results)} criteria passed"
         + ("" if not failures else f"; {failures} failed (documented discrepancies; see catalog notes)")
     )
-    _emit(args, {"command": " ".join(args._argv), "result": {"criteria": payload, "failures": failures}}, lines)
+    _emit(args, lines, {"criteria": payload, "failures": failures})
     return 1 if failures else 0
 
 

@@ -117,7 +117,7 @@ def _images(vectors: Sequence[Vector], x: Vector, n: int) -> list[Vector]:
     images = []
     for s in vectors:
         image = []
-        for k in range(0, n * n, n):
+        for k in range(0, n * n, n or 1):  # n = 0: no rows, and range() refuses step 0
             acc = ZERO
             for j, xj in support:
                 entry = s[k + j]

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from omega_lie import catalog, verification
-from omega_lie.algebra import MAX_DIM, loads as load_algebra, to_document
+from omega_lie.algebra import MAX_DIM, from_document, to_document
 from omega_lie.cli import main
 from omega_lie.local import MAX_RANDOM_COUNT
 
@@ -178,8 +178,30 @@ FILE_KINDS = {
 }
 
 
+# contents that no file kind can decode: not JSON, not UTF-8, nested deeper than
+# the decoder's recursion limit, an integer literal over Python's 4300-digit limit
+UNDECODABLE = {
+    "not-json": b"not json at all {",
+    "not-utf8": b"\xff\xfe",
+    "too-deep": b"[" * 100_000 + b"]" * 100_000,
+    "huge-int": b"1" * 5000,
+}
+
+
 class TestMalformedFiles:
     """A file of the wrong shape is a parse error (exit 3), never a crash."""
+
+    @pytest.mark.parametrize("content", UNDECODABLE.values(), ids=UNDECODABLE.keys())
+    @pytest.mark.parametrize("kind", FILE_KINDS)
+    def test_undecodable_file_exits_3(self, capsys, tmp_path, kind, content):
+        path = tmp_path / "input.json"
+        path.write_bytes(content)
+        argv = [str(path) if a == "{}" else a for a in FILE_KINDS[kind][1]]
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert f"cannot parse {kind} file" in err
+        assert "Traceback" not in err
+        assert out == ""
 
     @pytest.mark.parametrize(
         "kind, field, value",
@@ -308,12 +330,23 @@ class TestFiles:
     def test_catalog_export_round_trips(self, capsys):
         code, out, _ = run(capsys, "catalog", "export", "L_{2,3}")
         assert code == 0
-        algebra = load_algebra(out)
+        algebra = from_document(json.loads(out))
         assert algebra.dim == 4
         assert to_document(algebra) == to_document(catalog.get("L_{2,3}"))
 
 
 class TestLocalAndTwoLocal:
+    # from_document accepts dim 0, where the evaluation loop has no rows to step over
+    @pytest.mark.parametrize("argv", [("local", "der"), ("twolocal", "der"), ("local", "map")], ids="-".join)
+    def test_zero_dimensional_algebra(self, capsys, tmp_path, argv):
+        empty_map = tmp_path / "map.json"
+        empty_map.write_text(json.dumps({"matrix": []}))
+        extra = ("--map", str(empty_map)) if argv[1] == "map" else ()
+        code, out, err = run_file(capsys, tmp_path, {"name": "zero", "dim": 0}, *argv, "{}", *extra)
+        assert code == 0
+        assert "of zero" in out
+        assert "Traceback" not in err
+
     def test_local_der_closure(self, capsys):
         code, out, _ = run(capsys, "--format", "json", "local", "der", "@L_{1,1}")
         assert code == 0

@@ -16,6 +16,10 @@ a dotted name (the benchmark wraps library functions by name).
 The third guard covers the README from the other side: every dotted
 ``omega_lie.<module>.<name>`` in one of its code spans must resolve, so the
 README cannot keep citing a name that was renamed or deleted.
+
+The fourth guard keeps one reader: ``cli._load_json_file`` is the only
+function of the package that calls ``open``, ``json.load`` or ``json.loads``,
+so every file gets the same exit code 3 for what cannot be read or decoded.
 """
 
 import ast
@@ -204,3 +208,54 @@ def test_guard_catches_a_readme_name_that_does_not_resolve():
     found, missing = unresolved_package_names(text)
     assert len(found) == 4
     assert missing == ["omega_lie.linalg.rref", "omega_lie.nowhere.thing"]
+
+
+READERS = {"open", "json.load", "json.loads"}
+
+
+def _called(func):
+    """``name`` or ``module.name`` of a call's target, or None."""
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+        return f"{func.value.id}.{func.attr}"
+    return None
+
+
+def file_readers(paths):
+    """``(module.function, line, call)`` of each call to ``open``, ``json.load`` or ``json.loads``."""
+    hits = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            name = _called(child.func) if isinstance(child, ast.Call) else None
+            if name in READERS:
+                hits.append((scope, child.lineno, name))
+            visit(child, scope)
+
+    for path in paths:
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return hits
+
+
+def test_one_function_reads_files():
+    hits = file_readers(sorted((ROOT / "src" / "omega_lie").glob("*.py")))
+    assert {scope for scope, _, _ in hits} == {"cli._load_json_file"}
+
+
+def test_guard_catches_a_second_reader(tmp_path):
+    module = tmp_path / "probe.py"
+    module.write_text(
+        "import json, os\n"
+        "def _load_json_file(path):\n    with open(path) as h:\n        return json.load(h)\n"
+        "class Doc:\n    def parse(self, text):\n        return json.loads(text)\n"
+        "def quiet():\n    return os.open(os.devnull, os.O_WRONLY)\n"
+    )
+    assert file_readers([module]) == [
+        ("probe._load_json_file", 3, "open"),
+        ("probe._load_json_file", 4, "json.load"),
+        ("probe.Doc.parse", 7, "json.loads"),
+    ]
