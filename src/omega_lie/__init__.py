@@ -17,9 +17,7 @@ from .algebra import (
     AlgebraFormatError,
     AxiomReport,
     BilinearMap,
-    LinearMap,
     OmegaAlgebra,
-    bracket_tensor,
     check_axioms,
     content_hash,
     direct_sum,

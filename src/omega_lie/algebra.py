@@ -14,9 +14,14 @@ Matrix convention used throughout the package: the matrix of a linear map
 stores the image of the i-th basis vector in row ``i``, i.e.
 ``f(e_i) = sum_j matrix[i][j] e_j``.  This matches the matrix forms produced
 by the solvers, where a solution matrix such as a derivation pattern is read
-row by row.  :meth:`LinearMap.apply` performs the abstract application; the
-local-analysis engine additionally evaluates stored matrices on coordinate
-columns (see :mod:`omega_lie.local`).
+row by row.  :meth:`Matrix.apply <omega_lie.linalg.Matrix.apply>` is the
+one application ``x -> sum_i x_i f(e_i)``; the local-analysis engine
+additionally evaluates stored matrices on coordinate columns (see
+:mod:`omega_lie.local`).
+
+Evaluation (``bracket``, ``omega_form``, ``Matrix.apply``) takes ``int`` or
+``Fraction`` coordinates and does not convert them: values from files and the
+command line are converted by ``frac`` where they enter.
 """
 
 from __future__ import annotations
@@ -35,7 +40,6 @@ from .linalg import (
     ZERO,
     format_scalar,
     frac,
-    vector,
 )
 
 BracketTable = Mapping[tuple[int, int], Mapping[int, RationalLike]]
@@ -46,10 +50,8 @@ class AlgebraFormatError(ValueError):
     """Raised when an algebra document or file cannot be interpreted."""
 
 
-def _bilinear(tensor, x: Sequence[RationalLike], y: Sequence[RationalLike], what: str) -> Vector:
+def _bilinear(tensor, x: Sequence[Fraction], y: Sequence[Fraction], what: str) -> Vector:
     """``sum_{i,j,k} x_i y_j tensor[i][j][k] e_k``, skipping zero coordinates."""
-    x = vector(x)
-    y = vector(y)
     n = len(tensor)
     if len(x) != n or len(y) != n:
         raise ValueError(f"{what} arguments must have length {n}")
@@ -144,12 +146,10 @@ class OmegaAlgebra:
     def basis_vectors(self) -> tuple[Vector, ...]:
         return tuple(self.basis_vector(i) for i in range(self.dim))
 
-    def bracket(self, x: Sequence[RationalLike], y: Sequence[RationalLike]) -> Vector:
+    def bracket(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
         return _bilinear(self.structure, x, y, "bracket")
 
-    def omega_form(self, x: Sequence[RationalLike], y: Sequence[RationalLike]) -> Fraction:
-        x = vector(x)
-        y = vector(y)
+    def omega_form(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
         n = self.dim
         if len(x) != n or len(y) != n:
             raise ValueError(f"omega arguments must have length {n}")
@@ -244,29 +244,6 @@ def check_axioms(algebra: OmegaAlgebra) -> AxiomReport:
 
 
 @dataclass(frozen=True)
-class LinearMap:
-    """A linear operator on the algebra, stored with rows as images.
-
-    ``matrix.rows[i]`` holds the coordinates of the image of ``e_i``:
-    ``f(e_i) = sum_j matrix[i][j] e_j``.
-    """
-
-    matrix: Matrix
-
-    def __post_init__(self) -> None:
-        if self.matrix.nrows != self.matrix.ncols:
-            raise ValueError("a linear map on the algebra must be square")
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.nrows
-
-    def apply(self, x: Sequence[RationalLike]) -> Vector:
-        """Abstract application ``x -> sum_i x_i f(e_i)``."""
-        return self.matrix.vecmat(vector(x))
-
-
-@dataclass(frozen=True)
 class BilinearMap:
     """A bilinear operator, ``delta(e_i, e_j) = sum_k tensor[i][j][k] e_k``."""
 
@@ -283,13 +260,8 @@ class BilinearMap:
         ):
             raise ValueError("bilinear tensor must be cubic")
 
-    def apply(self, x: Sequence[RationalLike], y: Sequence[RationalLike]) -> Vector:
+    def apply(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
         return _bilinear(self.tensor, x, y, "bilinear")
-
-
-def bracket_tensor(algebra: OmegaAlgebra) -> BilinearMap:
-    """The bracket itself as a bilinear map (skew by construction)."""
-    return BilinearMap(algebra.structure)
 
 
 def direct_sum(a: OmegaAlgebra, b: OmegaAlgebra) -> OmegaAlgebra:
@@ -322,15 +294,15 @@ def direct_sum(a: OmegaAlgebra, b: OmegaAlgebra) -> OmegaAlgebra:
     )
 
 
-def _respects_bracket(algebra: OmegaAlgebra, phi: LinearMap, anti: bool, check_omega: bool) -> bool:
+def _respects_bracket(algebra: OmegaAlgebra, phi: Matrix, anti: bool, check_omega: bool) -> bool:
     """Invertible with ``phi([e_i,e_j])`` equal to ``[phi(e_i), phi(e_j)]``
     (``[phi(e_j), phi(e_i)]`` when ``anti``), and omega-preserving if asked."""
-    if phi.dim != algebra.dim:
-        raise ValueError("map dimension does not match the algebra")
-    if SubspaceBasis.from_generators(algebra.dim, phi.matrix.rows).rank < algebra.dim:
+    if phi.shape != (algebra.dim, algebra.dim):
+        raise ValueError(f"a map on the algebra must be {algebra.dim} x {algebra.dim}, got {phi.shape}")
+    if SubspaceBasis.from_generators(algebra.dim, phi.rows).rank < algebra.dim:
         return False
     basis = algebra.basis_vectors()
-    images = [phi.apply(e) for e in basis]
+    images = phi.rows  # row i is phi(e_i)
     for i in range(algebra.dim):
         for j in range(i + 1, algebra.dim):
             x, y = (images[j], images[i]) if anti else (images[i], images[j])
@@ -341,7 +313,7 @@ def _respects_bracket(algebra: OmegaAlgebra, phi: LinearMap, anti: bool, check_o
     return True
 
 
-def is_automorphism(algebra: OmegaAlgebra, phi: LinearMap, check_omega: bool = False) -> bool:
+def is_automorphism(algebra: OmegaAlgebra, phi: Matrix, check_omega: bool = False) -> bool:
     """Invertible and bracket-preserving; optionally also omega-preserving.
 
     Whether structure-preserving maps must respect the skew form is left to
@@ -350,7 +322,7 @@ def is_automorphism(algebra: OmegaAlgebra, phi: LinearMap, check_omega: bool = F
     return _respects_bracket(algebra, phi, anti=False, check_omega=check_omega)
 
 
-def is_anti_automorphism(algebra: OmegaAlgebra, phi: LinearMap) -> bool:
+def is_anti_automorphism(algebra: OmegaAlgebra, phi: Matrix) -> bool:
     """Invertible with ``phi([x,y]) = [phi(y), phi(x)]``."""
     return _respects_bracket(algebra, phi, anti=True, check_omega=False)
 

@@ -22,8 +22,10 @@ Every file, algebra, map or family, goes through one loader,
 ``_load_json_file``: a file that cannot be read or decoded as JSON exits 3.
 Every report goes through one emitter, ``_emit``.
 
-Exit codes: 0 success, 1 verification failures, 2 usage errors, 3 file or
-parse errors, 141 (128 + SIGPIPE) when the reader of the output closes early.
+Exit codes: 0 success, 1 verification failures, 2 usage errors (among them
+``--delta``, ``--map`` or ``--family`` given to a command that does not read
+it), 3 file or parse errors, 141 (128 + SIGPIPE) when the reader of the output
+closes early.
 """
 
 from __future__ import annotations
@@ -213,6 +215,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    if args.delta is not None and args.kind != "dder":
+        raise CliError(f"--delta applies only to solve dder, not solve {args.kind}", USAGE_ERROR)
     algebra, identity = _parse_algebra_arg(args.algebra)
     kind, delta = SOLVE_KINDS[args.kind]
     if args.kind == "dder":
@@ -225,7 +229,7 @@ def cmd_solve(args) -> int:
     space = solve(algebra, kind, delta=delta)
     lines = [f"{args.kind} space of {algebra.name}: rank {space.rank}"]
     if KINDS[kind].arity == 1:
-        basis = [m.to_strings() for m in space.matrices()]
+        basis = [m.to_strings() for m in space.maps()]
         for idx, m in enumerate(basis, 1):
             lines.append(f"  basis matrix {idx}:")
             lines.extend(_matrix_lines(m))
@@ -256,6 +260,9 @@ def _space_for(algebra: OmegaAlgebra, which: str) -> MapSpace:
 
 
 def cmd_local(args) -> int:
+    for option in ("map", "family"):
+        if getattr(args, option) is not None and args.mode != option:
+            raise CliError(f"--{option} applies only to local {option}, not local {args.mode}", USAGE_ERROR)
     algebra, identity = _parse_algebra_arg(args.algebra)
     plan = SamplePlan(seed=args.seed, random_count=args.random_count)
     if args.mode in ("der", "halfder"):

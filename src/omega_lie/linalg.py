@@ -126,11 +126,17 @@ class Matrix:
     def shape(self) -> tuple[int, int]:
         return (self.nrows, self.ncols)
 
-    def vecmat(self, v: Sequence[Fraction]) -> Vector:
-        """Coordinate row times matrix: ``(v M)_j = sum_i v[i] M[i][j]``."""
-        if len(v) != self.nrows:
-            raise ValueError(f"vecmat length mismatch: matrix has {self.nrows} rows, vector has {len(v)}")
-        return tuple(sum((v[i] * self.rows[i][j] for i in range(self.nrows)), ZERO) for j in range(self.ncols))
+    def apply(self, x: Sequence[Fraction]) -> Vector:
+        """The one row action ``x -> sum_i x[i] rows[i]`` (zeros skipped, ``x`` not converted)."""
+        if len(x) != self.nrows:
+            raise ValueError(f"point has length {len(x)}, matrix has {self.nrows} rows")
+        out = [ZERO] * self.ncols
+        for xi, row in zip(x, self.rows):
+            if xi:
+                for j, v in enumerate(row):
+                    if v:
+                        out[j] += xi * v
+        return tuple(out)
 
     def to_strings(self) -> list[list[str]]:
         return [[format_scalar(x) for x in row] for row in self.rows]

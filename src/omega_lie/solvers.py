@@ -13,7 +13,7 @@ with ``delta = 1``.  Two independent interpreters read the term lists:
   row-major over their stored matrix, ``M[r][c] -> r*n + c``; bilinear maps
   ``d[i][j][k] -> (i*n + j)*n + k``;
 * ``map_defects`` / ``tensor_defects`` evaluate the same terms through
-  ``algebra.bracket``, ``LinearMap.apply`` / ``BilinearMap.apply`` and
+  ``algebra.bracket``, ``Matrix.apply`` / ``BilinearMap.apply`` and
   ``algebra.omega_form`` on every basis tuple and report any nonzero
   residual, so a re-check shares no row indexing with the solver.
 
@@ -34,7 +34,7 @@ from fractions import Fraction
 from itertools import product
 from typing import NamedTuple, Optional, Union
 
-from .algebra import BilinearMap, LinearMap, OmegaAlgebra
+from .algebra import BilinearMap, OmegaAlgebra
 from .linalg import Matrix, SparseRow, SubspaceBasis, Vector, ZERO, frac, nullspace_of_sparse_rows
 
 # -- term lists ---------------------------------------------------------------
@@ -239,11 +239,8 @@ class MapSpace:
     def rank(self) -> int:
         return self.space.rank
 
-    def matrices(self) -> tuple[Matrix, ...]:
+    def maps(self) -> tuple[Matrix, ...]:
         return tuple(unvectorize_map(row, self.algebra.dim) for row in self.space.basis)
-
-    def maps(self) -> tuple[LinearMap, ...]:
-        return tuple(LinearMap(m) for m in self.matrices())
 
 
 @dataclass(frozen=True)
@@ -414,13 +411,15 @@ def _defects(algebra: OmegaAlgebra, kind: str, arity: int, unknown, given: dict)
 
 
 def map_defects(
-    algebra: OmegaAlgebra, kind: str, f: LinearMap, delta: Optional[Fraction] = None
+    algebra: OmegaAlgebra, kind: str, f: Matrix, delta: Optional[Fraction] = None
 ) -> list[tuple[int, int, Vector]]:
     """Nonzero residuals of the defining identities of ``kind`` on basis pairs.
 
     Returns ``[(i, j, residual), ...]`` with 1-based indices; empty means the
     map satisfies the identities exactly.
     """
+    if f.shape != (algebra.dim, algebra.dim):
+        raise ValueError(f"a map on the algebra must be {algebra.dim} x {algebra.dim}, got {f.shape}")
     return [(i, j, r) for (i, j), r in _defects(algebra, kind, 1, f, {"delta": delta})]
 
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import catalog
-from .algebra import bracket_tensor, check_axioms
+from .algebra import BilinearMap, check_axioms
 from .linalg import Matrix, SubspaceBasis
 from .local import (
     INCONCLUSIVE,
@@ -110,12 +110,12 @@ def criterion_2_derivation_forms() -> CheckResult:
             mismatches.append(f"{key}: derivation rank {der.rank} != {expected}")
         return der
 
-    for m in solved("L_{1,1}").matrices():
+    for m in solved("L_{1,1}").maps():
         if not _column_support(m, {2, 3}):
             mismatches.append("L_{1,1}: basis matrix supported outside columns 3-4")
         if m.rows[1][2] != -m.rows[0][2] or m.rows[1][3] != -m.rows[0][3]:
             mismatches.append("L_{1,1}: row 2 is not the negative of row 1 on columns 3-4")
-    for m in solved("L_{1,4}").matrices():
+    for m in solved("L_{1,4}").maps():
         if not _column_support(m, {2}):
             mismatches.append("L_{1,4}: basis matrix supported outside column 3")
         if m.rows[1][2] != -m.rows[0][2] or m.rows[2][2] != m.rows[0][2]:
@@ -359,7 +359,7 @@ def criterion_10_semisimple_fixtures() -> CheckResult:
     if symmetric_biderivations(sl2).rank != expected.sym_bider_rank:
         mismatches.append("sl2: symmetric biderivations should vanish")
     skw = skew_biderivations(sl2)
-    bracket_span = SubspaceBasis.from_generators(27, [vectorize_tensor(bracket_tensor(sl2))])
+    bracket_span = SubspaceBasis.from_generators(27, [vectorize_tensor(BilinearMap(sl2.structure))])
     if skw.rank != expected.skew_bider_rank or skw.space != bracket_span:
         mismatches.append("sl2: skew biderivations should be spanned by the bracket tensor")
     cent = centroid(sl2)

@@ -4,9 +4,10 @@
   column from unit tensors through ``algebra.bracket``,
   ``algebra.omega_form`` and ``BilinearMap.apply`` only, never through the
   solvers' term lists, so the solver output can be compared against them.
-* Plain dense Gauss-Jordan elimination and matrix-vector products over
-  ``Fraction``, sharing no code with ``omega_lie.linalg``, so the sparse
-  elimination can be compared against a textbook one.
+* Plain dense Gauss-Jordan elimination, matrix-vector products and row
+  combinations over ``Fraction``, sharing no code with ``omega_lie.linalg``,
+  so the sparse elimination and ``Matrix.apply`` can be compared against
+  textbook ones.
 """
 
 from fractions import Fraction
@@ -112,6 +113,14 @@ def oracle_form_compatible_rows(algebra, sign: Fraction) -> list:
 def matvec(rows, v) -> tuple:
     """``(M v)_i = sum_j M[i][j] v[j]`` for a matrix given by its rows."""
     return tuple(sum((Fraction(a) * Fraction(b) for a, b in zip(row, v)), Fraction(0)) for row in rows)
+
+
+def row_combination(x, rows, ncols: int) -> tuple:
+    """``sum_i x[i] rows[i]``, term by term, with no zero skipped."""
+    total = [Fraction(0)] * ncols
+    for coeff, row in zip(x, rows):
+        total = [t + Fraction(coeff) * Fraction(v) for t, v in zip(total, row)]
+    return tuple(total)
 
 
 def gauss_jordan(rows, ncols: int) -> tuple[list[tuple], tuple[int, ...]]:

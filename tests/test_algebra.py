@@ -11,7 +11,6 @@ from omega_lie import catalog
 from omega_lie.algebra import (
     MAX_DIM,
     AlgebraFormatError,
-    LinearMap,
     OmegaAlgebra,
     check_axioms,
     direct_sum,
@@ -30,7 +29,7 @@ def abelian(n):
 
 
 def scalar_map(n, c):
-    return LinearMap(Matrix.from_rows([[c if i == j else 0 for j in range(n)] for i in range(n)]))
+    return Matrix.from_rows([[c if i == j else 0 for j in range(n)] for i in range(n)])
 
 
 def rand_vec(rng, n):
@@ -175,12 +174,12 @@ class TestAutomorphismPredicates:
         alg = catalog.get("L_{1,1}")
         family = automorphism_family_L11()
         for a, b in [(1, 0), (2, 3), (Fraction(-1, 2), 7)]:
-            phi = LinearMap(realized(family, {"t1": a, "t2": b}))
+            phi = realized(family, {"t1": a, "t2": b})
             assert is_automorphism(alg, phi)
             # this family also preserves the skew form
             assert is_automorphism(alg, phi, check_omega=True)
         # the open condition marks the non-invertible boundary
-        boundary = LinearMap(realized(family, {"t1": -1, "t2": 0}))
+        boundary = realized(family, {"t1": -1, "t2": 0})
         assert not is_automorphism(alg, boundary)
 
     def test_omega_check_can_reject(self):
@@ -202,11 +201,20 @@ class TestAutomorphismPredicates:
     def test_singular_maps_that_respect_brackets_are_refused(self):
         # on an abelian algebra every map respects the (zero) bracket, and the
         # zero map respects any bracket: only the rank check refuses these
-        projection = LinearMap(Matrix.from_rows([[1, 0, 0], [0, 1, 0], [1, 1, 0]]))
+        projection = Matrix.from_rows([[1, 0, 0], [0, 1, 0], [1, 1, 0]])
         assert not is_automorphism(abelian(3), projection)
         assert not is_anti_automorphism(abelian(3), projection)
         assert not is_automorphism(catalog.get("sl2"), scalar_map(3, 0))
         assert not is_anti_automorphism(catalog.get("sl2"), scalar_map(3, 0))
+
+
+    @pytest.mark.parametrize("rows", [[[1, 0, 0], [0, 1, 0]], [[1, 0], [0, 1], [0, 0]], [[1, 0], [0, 1]]])
+    def test_maps_of_the_wrong_shape_are_refused(self, rows):
+        # a 3-dimensional algebra takes only 3 x 3 matrices
+        phi = Matrix.from_rows(rows)
+        for check in (is_automorphism, is_anti_automorphism):
+            with pytest.raises(ValueError, match="must be 3 x 3"):
+                check(catalog.get("sl2"), phi)
 
 
 class TestSerialization:

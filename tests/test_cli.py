@@ -102,6 +102,23 @@ class TestErrors:
             main(["solve", "nonsense-kind", "@B"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("solve", "der", "@B", "--delta", "1/2"),
+            ("local", "der", "@B", "--map", "missing.json"),
+            ("local", "map", "@B", "--map", "missing.json", "--family", "missing.json"),
+        ],
+        ids=["delta", "map", "family"],
+    )
+    def test_option_the_command_does_not_read_exits_2(self, capsys, argv):
+        # the files do not exist: exit 2 rather than 3 shows that none was opened
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{argv[-2]} applies only to" in err
+
     @pytest.mark.parametrize("count", ["-1", "-3"])
     def test_negative_random_count_exits_2(self, capsys, count):
         with pytest.raises(SystemExit) as exc:

@@ -20,7 +20,7 @@ from omega_lie.linalg import (
     nullspace_of_sparse_rows,
     vector,
 )
-from oracle import dense_kernel, gauss_jordan, matvec
+from oracle import dense_kernel, gauss_jordan, matvec, row_combination
 
 
 def M(data):
@@ -287,6 +287,42 @@ def test_intersection_rank_formula_on_random_subspaces():
         join = a.plus(b)
         assert both.rank == a.rank + b.rank - join.rank
         assert both.is_subspace_of(a) and both.is_subspace_of(b)
+
+
+class TestMatrixApply:
+    """``Matrix.apply`` is the row action ``x -> sum_i x[i] rows[i]``."""
+
+    @staticmethod
+    def random_entry(rng):
+        # about half the entries zero, so zero rows and zero coordinates both occur
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < 0.5 else Fraction(0)
+
+    def test_agrees_with_the_oracle_on_random_matrices(self):
+        rng = random.Random(29)
+        for _ in range(300):
+            nrows, ncols = rng.randint(0, 5), rng.randint(0, 5)
+            rows = [[self.random_entry(rng) for _ in range(ncols)] for _ in range(nrows)]
+            if rng.random() < 0.3 and nrows:
+                rows[rng.randrange(nrows)] = [Fraction(0)] * ncols
+            x = [self.random_entry(rng) for _ in range(nrows)]
+            assert Matrix.from_rows(rows, ncols=ncols).apply(x) == row_combination(x, rows, ncols)
+
+    def test_square_and_rectangular_shapes(self):
+        m = M([[1, 2, 0], [0, "1/2", -1]])
+        assert m.apply((3, 0)) == (3, 6, 0)
+        assert m.apply((Fraction(1, 3), 2)) == (Fraction(1, 3), Fraction(5, 3), -2)
+        assert Matrix.identity(4).apply((1, -2, 0, Fraction(7, 5))) == (1, -2, 0, Fraction(7, 5))
+        assert Matrix((), 3).apply(()) == (0, 0, 0)
+
+    @pytest.mark.parametrize("x", [(), (1,), (1, 0, 0, 0)])
+    def test_wrong_length_is_refused(self, x):
+        with pytest.raises(ValueError, match="length"):
+            Matrix.identity(3).apply(x)
+
+    def test_integer_coordinates_give_exact_fractions(self):
+        image = M([[1, "1/3"], ["-2/7", 5]]).apply((2, -3))
+        assert image == (Fraction(2 * 7 + 6, 7), Fraction(2, 3) - 15)
+        assert all(type(v) is Fraction for v in image)
 
 
 class TestFrac:

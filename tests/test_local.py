@@ -77,7 +77,7 @@ class TestEvaluator:
         for key in catalog.four_dimensional_keys():
             alg = catalog.get(key)
             for space in (derivations(alg), half_derivations(alg)):
-                matrices = space.matrices()
+                matrices = space.maps()
                 for x in points:
                     assert _images(space.space.basis, x, 4) == [matvec(m.rows, x) for m in matrices], key
 
@@ -159,7 +159,7 @@ class TestLocalMembership:
     def test_members_are_certified(self):
         alg = catalog.get("L_{1,1}")
         der = derivations(alg)
-        for m in der.matrices():
+        for m in der.maps():
             assert is_local_member(alg, der, m, PLAN).status == LOCAL_CERTIFIED
 
     def test_zero_map_is_certified(self):
@@ -298,7 +298,7 @@ class TestAffineClosure:
         # L_{1,2} has local derivations outside its derivation space, so the
         # closure of identity + span(derivations) is larger than that span
         alg = catalog.get("L_{1,2}")
-        family = AffineFamily(base=Matrix.identity(4), directions=derivations(alg).matrices())
+        family = AffineFamily(base=Matrix.identity(4), directions=derivations(alg).maps())
         res = affine_local_closure(alg, family, PLAN)
         assert res.comparison == EXCEEDS_FAMILY_HULL
         assert not res.matches_family_hull
@@ -322,7 +322,7 @@ def _property_families():
     l12 = catalog.get("L_{1,2}")
     yield catalog.get("L_{1,1}"), automorphism_family_L11()
     yield catalog.get("L_{2,3}"), automorphism_family_L23()
-    yield l12, AffineFamily(base=Matrix.identity(4), directions=derivations(l12).matrices())
+    yield l12, AffineFamily(base=Matrix.identity(4), directions=derivations(l12).maps())
 
 
 @pytest.mark.parametrize("plan", [SamplePlan(), SamplePlan(seed=7, random_count=3)])

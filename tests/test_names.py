@@ -20,6 +20,12 @@ README cannot keep citing a name that was renamed or deleted.
 The fourth guard keeps one reader: ``cli._load_json_file`` is the only
 function of the package that calls ``open``, ``json.load`` or ``json.loads``,
 so every file gets the same exit code 3 for what cannot be read or decoded.
+
+The fifth guard keeps evaluation conversion-free: the bracket and bilinear
+maps (``algebra._bilinear``), the skew form (``OmegaAlgebra.omega_form``),
+the row action (``linalg.Matrix.apply``) and the column action
+(``local._images``) never call ``vector`` or ``frac``.  Values are converted
+once, where they enter; these run on every residual check.
 """
 
 import ast
@@ -210,6 +216,7 @@ def test_guard_catches_a_readme_name_that_does_not_resolve():
     assert missing == ["omega_lie.linalg.rref", "omega_lie.nowhere.thing"]
 
 
+SOURCES = sorted((ROOT / "src" / "omega_lie").glob("*.py"))
 READERS = {"open", "json.load", "json.loads"}
 
 
@@ -222,8 +229,8 @@ def _called(func):
     return None
 
 
-def file_readers(paths):
-    """``(module.function, line, call)`` of each call to ``open``, ``json.load`` or ``json.loads``."""
+def calls_to(paths, targets):
+    """``(module.function, line, call)`` of each call whose target is named in ``targets``."""
     hits = []
 
     def visit(node, scope):
@@ -232,7 +239,7 @@ def file_readers(paths):
                 visit(child, f"{scope}.{child.name}")
                 continue
             name = _called(child.func) if isinstance(child, ast.Call) else None
-            if name in READERS:
+            if name in targets:
                 hits.append((scope, child.lineno, name))
             visit(child, scope)
 
@@ -242,7 +249,7 @@ def file_readers(paths):
 
 
 def test_one_function_reads_files():
-    hits = file_readers(sorted((ROOT / "src" / "omega_lie").glob("*.py")))
+    hits = calls_to(SOURCES, READERS)
     assert {scope for scope, _, _ in hits} == {"cli._load_json_file"}
 
 
@@ -254,8 +261,45 @@ def test_guard_catches_a_second_reader(tmp_path):
         "class Doc:\n    def parse(self, text):\n        return json.loads(text)\n"
         "def quiet():\n    return os.open(os.devnull, os.O_WRONLY)\n"
     )
-    assert file_readers([module]) == [
+    assert calls_to([module], READERS) == [
         ("probe._load_json_file", 3, "open"),
         ("probe._load_json_file", 4, "json.load"),
         ("probe.Doc.parse", 7, "json.loads"),
+    ]
+
+
+CONVERTERS = {"vector", "frac", "linalg.vector", "linalg.frac"}
+EVALUATORS = ("algebra._bilinear", "algebra.OmegaAlgebra.omega_form", "linalg.Matrix.apply", "local._images")
+
+
+def converting_evaluators(paths, evaluators):
+    """``(scope, line, call)`` of each conversion call inside one of ``evaluators`` or a function nested in it."""
+    return [
+        hit
+        for hit in calls_to(paths, CONVERTERS)
+        if any(hit[0] == scope or hit[0].startswith(scope + ".") for scope in evaluators)
+    ]
+
+
+def test_evaluation_does_not_convert():
+    for dotted in EVALUATORS:  # a rename must not leave the guard checking nothing
+        module, *attrs = dotted.split(".")
+        obj = importlib.import_module(f"omega_lie.{module}")
+        for attr in attrs:
+            obj = getattr(obj, attr)
+    assert converting_evaluators(SOURCES, EVALUATORS) == []
+
+
+def test_guard_catches_a_converting_evaluator(tmp_path):
+    module = tmp_path / "probe.py"
+    module.write_text(
+        "from linalg import frac, vector\n"
+        "def _images(vectors, x):\n    return [vector(v) for v in vectors]\n"
+        "class Matrix:\n"
+        "    def apply(self, x):\n        def scale(v):\n            return frac(v)\n        return scale(x)\n"
+        "    def from_rows(self, data):\n        return vector(data)\n"
+    )
+    assert converting_evaluators([module], ("probe._images", "probe.Matrix.apply")) == [
+        ("probe._images", 3, "vector"),
+        ("probe.Matrix.apply.scale", 7, "frac"),
     ]

@@ -2,7 +2,7 @@
 
 Row assembly and the residual checks read the same term lists through
 separate code: rows index the vectorized unknown directly, residuals go
-through ``bracket``, ``LinearMap.apply`` / ``BilinearMap.apply`` and
+through ``bracket``, ``Matrix.apply`` / ``BilinearMap.apply`` and
 ``omega_form``.  The first test builds the residual operator column by column
 from unit maps and tensors and checks that its nullspace is the solved space.
 A wrong term list passes that test, since both interpreters read it, so the
@@ -17,7 +17,7 @@ from fractions import Fraction
 import pytest
 
 from omega_lie import catalog, solvers
-from omega_lie.algebra import BilinearMap, LinearMap, OmegaAlgebra
+from omega_lie.algebra import BilinearMap, OmegaAlgebra
 from omega_lie.linalg import Matrix, nullspace_of_sparse_rows
 from oracle import oracle_biderivation_rows, oracle_form_compatible_rows
 
@@ -51,7 +51,7 @@ def residual_nullspace(alg, kind, params):
         unit = [Fraction(0)] * ambient
         unit[col] = Fraction(1)
         if arity == 1:
-            f = LinearMap(Matrix(tuple(tuple(unit[i * n : (i + 1) * n]) for i in range(n)), n))
+            f = Matrix(tuple(tuple(unit[i * n : (i + 1) * n]) for i in range(n)), n)
             entries = [((i, j), r) for i, j, r in solvers.map_defects(alg, kind, f, delta=params.get("delta"))]
         else:
             t = BilinearMap(
@@ -89,7 +89,7 @@ def test_omega_biderivations_match_the_oracle(key, sign):
 
 def test_parameters_are_checked():
     alg = catalog.get("B")
-    f = LinearMap(Matrix.identity(3))
+    f = Matrix.identity(3)
     with pytest.raises(ValueError, match="needs a value for 'delta'"):
         solvers.solve(alg, "delta_derivation")
     with pytest.raises(ValueError, match="has no parameter 'delta'"):
@@ -107,6 +107,14 @@ def test_parameters_are_checked():
         solvers.map_defects(alg, "omega_derivation", f, delta=2)
     with pytest.raises(ValueError, match="has no parameter 'sign'"):
         solvers.tensor_defects(alg, "biderivation", solvers.biderivations(alg).tensors()[0], omega_sign=1)
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (4, 3), (4, 4)])
+def test_map_defects_refuses_a_map_of_the_wrong_shape(shape):
+    f = Matrix.from_rows([[int(i == j) for j in range(shape[1])] for i in range(shape[0])])
+    for kind in ("derivation", "centroid"):
+        with pytest.raises(ValueError, match="must be 3 x 3"):
+            solvers.map_defects(catalog.get("B"), kind, f)
 
 
 # sha256 of the canonical bases of all 43 catalog instances, one per kind,
