@@ -64,6 +64,7 @@ from .solvers import (
     biderivations,
     centroid,
     commuting_maps,
+    defects,
     delta_derivations,
     derivations,
     half_derivations,

@@ -260,9 +260,9 @@ def _space_for(algebra: OmegaAlgebra, which: str) -> MapSpace:
 
 
 def cmd_local(args) -> int:
-    for option in ("map", "family"):
-        if getattr(args, option) is not None and args.mode != option:
-            raise CliError(f"--{option} applies only to local {option}, not local {args.mode}", USAGE_ERROR)
+    for option, mode in (("map", "map"), ("family", "family"), ("space", "map")):
+        if getattr(args, option) is not None and args.mode != mode:
+            raise CliError(f"--{option} applies only to local {mode}, not local {args.mode}", USAGE_ERROR)
     algebra, identity = _parse_algebra_arg(args.algebra)
     plan = SamplePlan(seed=args.seed, random_count=args.random_count)
     if args.mode in ("der", "halfder"):
@@ -288,16 +288,17 @@ def cmd_local(args) -> int:
     elif args.mode == "map":
         if not args.map:
             raise CliError("local map requires --map FILE", USAGE_ERROR)
-        space = _space_for(algebra, args.space)
+        kind = args.space or "der"
+        space = _space_for(algebra, kind)
         candidate = _parse_matrix(_load_json_file(args.map, "map"), algebra.dim, f"map file {args.map!r}")
         verdict = is_local_member(algebra, space, candidate, plan)
         payload = {
             "mode": "map",
-            "space": args.space,
+            "space": kind,
             "status": verdict.status,
             "witness_point": [format_scalar(v) for v in verdict.witness] if verdict.witness else None,
         }
-        lines = [f"membership of the given matrix in local-{args.space} of {algebra.name}: {verdict.status}"]
+        lines = [f"membership of the given matrix in local-{kind} of {algebra.name}: {verdict.status}"]
         if verdict.witness:
             lines.append(f"  witness point: ({', '.join(format_scalar(v) for v in verdict.witness)})")
     else:  # family
@@ -455,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("algebra")
     p.add_argument("--map", help="matrix file for `local map`")
     p.add_argument("--family", help="family file for `local family`")
-    p.add_argument("--space", choices=("der", "halfder"), default="der", help="space for `local map`")
+    p.add_argument("--space", choices=("der", "halfder"), help="space for `local map` (default der)")
     p.set_defaults(func=cmd_local)
 
     p = sub.add_parser("twolocal", help="2-local rigidity via separating vectors")

@@ -12,10 +12,15 @@ with ``delta = 1``.  Two independent interpreters read the term lists:
   nullspace of the rows is the solution space.  Linear maps are vectorized
   row-major over their stored matrix, ``M[r][c] -> r*n + c``; bilinear maps
   ``d[i][j][k] -> (i*n + j)*n + k``;
-* ``map_defects`` / ``tensor_defects`` evaluate the same terms through
-  ``algebra.bracket``, ``Matrix.apply`` / ``BilinearMap.apply`` and
-  ``algebra.omega_form`` on every basis tuple and report any nonzero
-  residual, so a re-check shares no row indexing with the solver.
+* ``defects`` evaluates the same terms through ``algebra.bracket``,
+  ``Matrix.apply`` / ``BilinearMap.apply`` and ``algebra.omega_form`` on
+  every basis tuple, for a list of unknowns at once, and reports any nonzero
+  residual, so a re-check shares no row indexing with the solver.  Each
+  kind's identities are compiled once into numbered steps; at each tuple
+  the steps that do not read the unknown (``br(x, y)``, ``w(x, y)``) are
+  evaluated once for all unknowns, and a step with a zero argument is zero
+  without a call, which is exact because every evaluator is multilinear.
+  ``map_defects`` / ``tensor_defects`` check one unknown.
 
 Every identity is multilinear, so holding on basis tuples is equivalent to
 holding on the whole algebra.  An identity that an exchange of two variables
@@ -366,48 +371,133 @@ def omega_biderivations(algebra: OmegaAlgebra, sign: Optional[Fraction] = None) 
 # -- residual checks ----------------------------------------------------------
 
 
-def _value(algebra: OmegaAlgebra, expr, unknown, point, memo: dict) -> Vector:
-    """A term at basis vectors ``point``; a form value comes back as a 1-tuple.
+class _Plan(NamedTuple):
+    """The identities of a kind with one number of variables, compiled into steps.
 
-    ``memo`` holds the subterms already evaluated at this point.
+    Positions ``0 .. nvars - 1`` hold the basis vectors of a tuple, and each
+    distinct subterm is a step at the next position after its arguments:
+    ``(position, head, argument positions)``.  ``shared`` lists the steps that
+    do not read the unknown and ``own`` the others, each in evaluation order.
+    ``identities`` holds ``(width, ((coefficient, position), ...))`` per
+    identity, ``width`` being 1 for a form identity and ``n`` otherwise.
     """
-    if isinstance(expr, int):
-        return point[expr]
-    if expr not in memo:
-        args = [_value(algebra, a, unknown, point, memo) for a in expr[1:]]
-        if expr[0] == "U":
-            memo[expr] = unknown.apply(*args)
-        elif expr[0] == "br":
-            memo[expr] = algebra.bracket(*args)
-        else:
-            memo[expr] = (algebra.omega_form(*args),)
-    return memo[expr]
+
+    nvars: int
+    nsteps: int
+    shared: tuple
+    own: tuple
+    identities: tuple
 
 
-def _defects(algebra: OmegaAlgebra, kind: str, arity: int, unknown, given: dict):
-    """Nonzero residuals of a kind on all basis tuples.
+def _plans(spec: Kind, params: dict, n: int) -> list[_Plan]:
+    """One plan per number of variables, in the order the identities first use it."""
+    groups: dict[int, list] = {}
+    for identity in spec.identities:
+        groups.setdefault(_arity(identity), []).append(identity)
+    plans = []
+    for nvars, identities in groups.items():
+        position: dict = {}  # subterm -> position
+        shared: list = []
+        own: list = []
+        reading: set[int] = set()  # positions whose value reads the unknown
+
+        def compile_term(expr) -> int:
+            if isinstance(expr, int):
+                return expr
+            if expr not in position:
+                args = tuple(compile_term(a) for a in expr[1:])
+                pos = position[expr] = nvars + len(position)
+                if expr[0] == "U" or reading.intersection(args):
+                    reading.add(pos)
+                    own.append((pos, expr[0], args))
+                else:
+                    shared.append((pos, expr[0], args))
+            return position[expr]
+
+        compiled = tuple(
+            (
+                1 if identity.terms[0][2][0] == "w" else n,
+                tuple((_coefficient(m, p, params), compile_term(expr)) for m, p, expr in identity.terms),
+            )
+            for identity in identities
+        )
+        plans.append(_Plan(nvars, len(position), tuple(shared), tuple(own), compiled))
+    return plans
+
+
+def _run(steps, values: list) -> None:
+    """Evaluate ``steps`` into ``values``, where ``None`` is the zero vector.
+
+    Every evaluator is multilinear, so a step with a zero argument stays zero
+    without a call.
+    """
+    for pos, evaluate, args in steps:
+        xs = [values[a] for a in args]
+        if all(xs):
+            value = evaluate(*xs)
+            if any(value):
+                values[pos] = value
+
+
+def _defects(algebra: OmegaAlgebra, kind: str, arity: Optional[int], unknowns, given: dict) -> list[list]:
+    """Nonzero residuals of a kind on all basis tuples, one list per unknown.
 
     Identities with the same number of variables share their tuples: each
     entry is ``(1-based indices, residuals of those identities concatenated)``.
+    At each tuple the steps that do not read the unknown are evaluated once
+    for all unknowns.
     """
     spec, params = _lookup(kind, given, arity)
-    groups: dict[int, list] = {}
-    for identity in spec.identities:
-        terms = [(_coefficient(m, p, params), expr) for m, p, expr in identity.terms]
-        groups.setdefault(_arity(identity), []).append(terms)
+    n = algebra.dim
+    unknowns = tuple(unknowns)
+    for u in unknowns:
+        if spec.arity == 1 and not (isinstance(u, Matrix) and u.shape == (n, n)):
+            raise ValueError(f"a map on the algebra must be {n} x {n}, got {getattr(u, 'shape', type(u).__name__)}")
+        if spec.arity == 2 and not (isinstance(u, BilinearMap) and u.dim == n):
+            raise ValueError(
+                f"a bilinear map on the algebra must be {n} x {n} x {n}, got {getattr(u, 'dim', type(u).__name__)}"
+            )
+    evaluators = {"br": algebra.bracket, "w": lambda a, b: (algebra.omega_form(a, b),)}
     basis = algebra.basis_vectors()
-    out = []
-    for nvars, identities in groups.items():
-        for idx in product(range(algebra.dim), repeat=nvars):
-            point = [basis[i] for i in idx]
-            memo: dict = {}
-            residual: Vector = ()
-            for terms in identities:
-                values = [(c, _value(algebra, expr, unknown, point, memo)) for c, expr in terms]
-                residual += tuple(sum((c * v[r] for c, v in values if v[r]), ZERO) for r in range(len(values[0][1])))
-            if any(residual):
-                out.append((tuple(i + 1 for i in idx), residual))
-    return out
+    found: list[list] = [[] for _ in unknowns]
+    for plan in _plans(spec, params, n):
+        shared = [(pos, evaluators[head], args) for pos, head, args in plan.shared]
+        own = [
+            [(pos, u.apply if head == "U" else evaluators[head], args) for pos, head, args in plan.own]
+            for u in unknowns
+        ]
+        for idx in product(range(n), repeat=plan.nvars):
+            values = [basis[i] for i in idx] + [None] * plan.nsteps
+            _run(shared, values)
+            label = tuple(i + 1 for i in idx)
+            for steps, out in zip(own, found):
+                at = values.copy()
+                _run(steps, at)
+                residual: list = []
+                for width, terms in plan.identities:
+                    sums = [ZERO] * width
+                    for c, pos in terms:
+                        v = at[pos]
+                        if v is not None:
+                            for k in range(width):
+                                if v[k]:
+                                    sums[k] += c * v[k]
+                    residual += sums
+                if any(residual):
+                    out.append((label, tuple(residual)))
+    return found
+
+
+def defects(algebra: OmegaAlgebra, kind: str, unknowns, **params) -> list[list[tuple[tuple[int, ...], Vector]]]:
+    """Nonzero residuals of the defining identities of ``kind``, one list per unknown.
+
+    ``unknowns`` are ``Matrix`` objects for a map kind and ``BilinearMap``
+    objects for a tensor kind; ``params`` are those of :func:`solve`.  Each
+    list holds ``(1-based indices, residual)`` for every basis tuple with a
+    nonzero residual; an empty list means that unknown satisfies the
+    identities exactly.
+    """
+    return _defects(algebra, kind, None, unknowns, params)
 
 
 def map_defects(
@@ -418,9 +508,7 @@ def map_defects(
     Returns ``[(i, j, residual), ...]`` with 1-based indices; empty means the
     map satisfies the identities exactly.
     """
-    if f.shape != (algebra.dim, algebra.dim):
-        raise ValueError(f"a map on the algebra must be {algebra.dim} x {algebra.dim}, got {f.shape}")
-    return [(i, j, r) for (i, j), r in _defects(algebra, kind, 1, f, {"delta": delta})]
+    return [(i, j, r) for (i, j), r in _defects(algebra, kind, 1, [f], {"delta": delta})[0]]
 
 
 def tensor_defects(
@@ -431,4 +519,4 @@ def tensor_defects(
     Returns ``[(indices, residual), ...]``: basis triples for the biderivation
     and form identities, basis pairs for the symmetry identities.
     """
-    return _defects(algebra, kind, 2, t, {"sign": omega_sign})
+    return _defects(algebra, kind, 2, [t], {"sign": omega_sign})[0]

@@ -43,15 +43,14 @@ from .solvers import (
     biderivations,
     centroid,
     commuting_maps,
+    defects,
     delta_derivations,
     derivations,
     half_derivations,
-    map_defects,
     omega_biderivations,
     omega_derivations,
     skew_biderivations,
     symmetric_biderivations,
-    tensor_defects,
     vectorize_map,
     vectorize_tensor,
 )
@@ -381,21 +380,14 @@ def criterion_11_property_suite(plan: SamplePlan) -> CheckResult:
     for key in ("L_{1,1}", "L_{1,6}", "B~", "A_alpha", "B", "C_alpha", "sl2"):
         alg = catalog.get(key)
         for space in (derivations(alg), omega_derivations(alg), centroid(alg), commuting_maps(alg), anticommuting_maps(alg)):
-            for f in space.maps():
-                if map_defects(alg, space.kind, f):
-                    mismatches.append(f"{key}: nonzero residual in {space.kind} basis")
-                    break
-        hd = half_derivations(alg)
-        for f in hd.maps():
-            if map_defects(alg, "delta_derivation", f, delta=Fraction(1, 2)):
-                mismatches.append(f"{key}: nonzero residual in half-derivation basis")
-                break
+            if any(defects(alg, space.kind, space.maps())):
+                mismatches.append(f"{key}: nonzero residual in {space.kind} basis")
+        if any(defects(alg, "delta_derivation", half_derivations(alg).maps(), delta=Fraction(1, 2))):
+            mismatches.append(f"{key}: nonzero residual in half-derivation basis")
         bider, sym, skw = biderivations(alg), symmetric_biderivations(alg), skew_biderivations(alg)
         for tspace in (bider, sym, skw, omega_biderivations(alg)):
-            for t in tspace.tensors():
-                if tensor_defects(alg, tspace.kind, t):
-                    mismatches.append(f"{key}: nonzero residual in {tspace.kind} basis")
-                    break
+            if any(defects(alg, tspace.kind, tspace.tensors())):
+                mismatches.append(f"{key}: nonzero residual in {tspace.kind} basis")
         if sym.space.plus(skw.space) != bider.space:
             mismatches.append(f"{key}: symmetric + skew biderivations differ from the biderivation space")
     # Soundness sandwich, 500-point recheck, and determinism of a closure.

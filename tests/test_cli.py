@@ -108,8 +108,10 @@ class TestErrors:
             ("solve", "der", "@B", "--delta", "1/2"),
             ("local", "der", "@B", "--map", "missing.json"),
             ("local", "map", "@B", "--map", "missing.json", "--family", "missing.json"),
+            ("local", "der", "@B", "--space", "halfder"),
+            ("local", "halfder", "@B", "--space", "der"),
         ],
-        ids=["delta", "map", "family"],
+        ids=["delta", "map", "family", "space", "space-halfder"],
     )
     def test_option_the_command_does_not_read_exits_2(self, capsys, argv):
         # the files do not exist: exit 2 rather than 3 shows that none was opened

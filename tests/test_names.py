@@ -26,6 +26,11 @@ maps (``algebra._bilinear``), the skew form (``OmegaAlgebra.omega_form``),
 the row action (``linalg.Matrix.apply``) and the column action
 (``local._images``) never call ``vector`` or ``frac``.  Values are converted
 once, where they enter; these run on every residual check.
+
+The sixth guard keeps the residual check independent of the solver: no
+function of the checker (``solvers.defects`` and the functions behind it)
+names the row-assembly functions ``_rows``, ``_tables`` or ``_kernel``, so a
+fault in row indexing cannot hide by being repeated in the re-check.
 """
 
 import ast
@@ -229,8 +234,17 @@ def _called(func):
     return None
 
 
-def calls_to(paths, targets):
-    """``(module.function, line, call)`` of each call whose target is named in ``targets``."""
+def _referenced(node):
+    """The name a ``Name`` node loads or an ``Attribute`` node reads, or None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def names_in(paths, targets, name_of):
+    """``(module.function, line, name)`` of each node for which ``name_of`` gives a name in ``targets``."""
     hits = []
 
     def visit(node, scope):
@@ -238,7 +252,7 @@ def calls_to(paths, targets):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, f"{scope}.{child.name}")
                 continue
-            name = _called(child.func) if isinstance(child, ast.Call) else None
+            name = name_of(child)
             if name in targets:
                 hits.append((scope, child.lineno, name))
             visit(child, scope)
@@ -246,6 +260,25 @@ def calls_to(paths, targets):
     for path in paths:
         visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
     return hits
+
+
+def calls_to(paths, targets):
+    """``(module.function, line, call)`` of each call whose target is named in ``targets``."""
+    return names_in(paths, targets, lambda node: _called(node.func) if isinstance(node, ast.Call) else None)
+
+
+def inside(hits, scopes):
+    """The hits in one of ``scopes`` or in a function nested in it."""
+    return [hit for hit in hits if any(hit[0] == scope or hit[0].startswith(scope + ".") for scope in scopes)]
+
+
+def resolve(dotted):
+    """The object ``omega_lie.<module>.<attr>...`` names; a rename must not leave a guard checking nothing."""
+    module, *attrs = dotted.split(".")
+    obj = importlib.import_module(f"omega_lie.{module}")
+    for attr in attrs:
+        obj = getattr(obj, attr)
+    return obj
 
 
 def test_one_function_reads_files():
@@ -274,19 +307,12 @@ EVALUATORS = ("algebra._bilinear", "algebra.OmegaAlgebra.omega_form", "linalg.Ma
 
 def converting_evaluators(paths, evaluators):
     """``(scope, line, call)`` of each conversion call inside one of ``evaluators`` or a function nested in it."""
-    return [
-        hit
-        for hit in calls_to(paths, CONVERTERS)
-        if any(hit[0] == scope or hit[0].startswith(scope + ".") for scope in evaluators)
-    ]
+    return inside(calls_to(paths, CONVERTERS), evaluators)
 
 
 def test_evaluation_does_not_convert():
-    for dotted in EVALUATORS:  # a rename must not leave the guard checking nothing
-        module, *attrs = dotted.split(".")
-        obj = importlib.import_module(f"omega_lie.{module}")
-        for attr in attrs:
-            obj = getattr(obj, attr)
+    for dotted in EVALUATORS:
+        resolve(dotted)
     assert converting_evaluators(SOURCES, EVALUATORS) == []
 
 
@@ -302,4 +328,39 @@ def test_guard_catches_a_converting_evaluator(tmp_path):
     assert converting_evaluators([module], ("probe._images", "probe.Matrix.apply")) == [
         ("probe._images", 3, "vector"),
         ("probe.Matrix.apply.scale", 7, "frac"),
+    ]
+
+
+ROW_ASSEMBLY = {"_rows", "_tables", "_kernel"}
+RESIDUAL_CHECKER = (
+    "solvers._plans",
+    "solvers._run",
+    "solvers._defects",
+    "solvers.defects",
+    "solvers.map_defects",
+    "solvers.tensor_defects",
+)
+
+
+def row_assembly_in_checker(paths, checker):
+    """``(scope, line, name)`` of each reference to row assembly inside the residual checker."""
+    return inside(names_in(paths, ROW_ASSEMBLY, _referenced), checker)
+
+
+def test_residual_checker_shares_nothing_with_row_assembly():
+    for dotted in RESIDUAL_CHECKER + tuple(f"solvers.{name}" for name in sorted(ROW_ASSEMBLY)):
+        resolve(dotted)
+    assert row_assembly_in_checker(SOURCES, RESIDUAL_CHECKER) == []
+
+
+def test_guard_catches_a_checker_that_reads_rows(tmp_path):
+    module = tmp_path / "probe.py"
+    module.write_text(
+        "import solvers\n"
+        "def _defects(algebra):\n    def step():\n        return solvers._tables(algebra)\n    return _rows(step())\n"
+        "def solve(algebra):\n    return _kernel(_rows(algebra))\n"
+    )
+    assert row_assembly_in_checker([module], ("probe._defects",)) == [
+        ("probe._defects.step", 4, "_tables"),
+        ("probe._defects", 5, "_rows"),
     ]

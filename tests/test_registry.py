@@ -4,7 +4,8 @@ Row assembly and the residual checks read the same term lists through
 separate code: rows index the vectorized unknown directly, residuals go
 through ``bracket``, ``Matrix.apply`` / ``BilinearMap.apply`` and
 ``omega_form``.  The first test builds the residual operator column by column
-from unit maps and tensors and checks that its nullspace is the solved space.
+from unit maps and tensors, in one batch call, and checks that its nullspace
+is the solved space.
 A wrong term list passes that test, since both interpreters read it, so the
 form identities of omega-biderivations are also checked against
 ``tests/oracle.py``, on an algebra where a misread identity changes the space.
@@ -39,6 +40,37 @@ CASES = [(kind, {}) for kind in solvers.KINDS if kind != "delta_derivation"] + [
     ("delta_derivation", {"delta": Fraction(3)}),
     ("omega_biderivation", {"sign": Fraction(1)}),
 ]
+CASE_IDS = [kind + "".join(f"-{p}={v}" for p, v in params.items()) for kind, params in CASES]
+
+
+def unknown(entries, n, arity):
+    """The map (``arity`` 1) or bilinear map (``arity`` 2) with vectorization ``entries``."""
+    if arity == 1:
+        return Matrix(tuple(tuple(entries[i * n : (i + 1) * n]) for i in range(n)), n)
+    return BilinearMap(
+        tuple(tuple(tuple(entries[(i * n + j) * n : (i * n + j + 1) * n]) for j in range(n)) for i in range(n))
+    )
+
+
+def random_unknowns(alg, kind, seed):
+    """Two seeded random unknowns of the kind's arity, about 80 % and 30 % of their entries zero."""
+    rng = random.Random(seed)
+    n, arity = alg.dim, solvers.KINDS[kind].arity
+    out = []
+    for zeros in (0.8, 0.3):
+        entries = [
+            Fraction(0) if rng.random() < zeros else Fraction(rng.choice((1, -1, 2, Fraction(1, 2))))
+            for _ in range(n ** (arity + 1))
+        ]
+        out.append(unknown(entries, n, arity))
+    return out
+
+
+def one_check(alg, kind, params, u):
+    """``map_defects`` or ``tensor_defects`` of one unknown, as ``[(indices, residual), ...]``."""
+    if solvers.KINDS[kind].arity == 1:
+        return [((i, j), r) for i, j, r in solvers.map_defects(alg, kind, u, delta=params.get("delta"))]
+    return solvers.tensor_defects(alg, kind, u, omega_sign=params.get("sign"))
 
 
 def residual_nullspace(alg, kind, params):
@@ -46,18 +78,9 @@ def residual_nullspace(alg, kind, params):
     n = alg.dim
     arity = solvers.KINDS[kind].arity
     ambient = n ** (arity + 1)
+    units = [unknown([Fraction(int(col == c)) for c in range(ambient)], n, arity) for col in range(ambient)]
     rows = {}  # (basis tuple, residual component) -> {column: value}
-    for col in range(ambient):
-        unit = [Fraction(0)] * ambient
-        unit[col] = Fraction(1)
-        if arity == 1:
-            f = Matrix(tuple(tuple(unit[i * n : (i + 1) * n]) for i in range(n)), n)
-            entries = [((i, j), r) for i, j, r in solvers.map_defects(alg, kind, f, delta=params.get("delta"))]
-        else:
-            t = BilinearMap(
-                tuple(tuple(tuple(unit[(i * n + j) * n : (i * n + j + 1) * n]) for j in range(n)) for i in range(n))
-            )
-            entries = solvers.tensor_defects(alg, kind, t, omega_sign=params.get("sign"))
+    for col, entries in enumerate(solvers.defects(alg, kind, units, **params)):
         for idx, residual in entries:
             for component, value in enumerate(residual):
                 if value:
@@ -66,7 +89,7 @@ def residual_nullspace(alg, kind, params):
 
 
 @pytest.mark.parametrize("key", ALGEBRAS)
-@pytest.mark.parametrize("kind,params", CASES, ids=[kind + "".join(f"-{p}={v}" for p, v in params.items()) for kind, params in CASES])
+@pytest.mark.parametrize("kind,params", CASES, ids=CASE_IDS)
 def test_solved_space_is_the_nullspace_of_the_residual_operator(key, kind, params):
     alg = ALGEBRAS[key]
     assert solvers.solve(alg, kind, **params).space == residual_nullspace(alg, kind, params)
@@ -115,6 +138,72 @@ def test_map_defects_refuses_a_map_of_the_wrong_shape(shape):
     for kind in ("derivation", "centroid"):
         with pytest.raises(ValueError, match="must be 3 x 3"):
             solvers.map_defects(catalog.get("B"), kind, f)
+    with pytest.raises(ValueError, match="must be 3 x 3"):
+        solvers.defects(catalog.get("B"), "derivation", [Matrix.identity(3), f])
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_tensor_defects_refuses_a_tensor_of_the_wrong_size(dim):
+    t = unknown([Fraction(1)] * dim**3, dim, 2)
+    for kind in ("biderivation", "symmetric"):
+        with pytest.raises(ValueError, match=f"a bilinear map on the algebra must be 3 x 3 x 3, got {dim}"):
+            solvers.tensor_defects(catalog.get("B"), kind, t)
+    with pytest.raises(ValueError, match="must be 3 x 3 x 3, got Matrix"):
+        solvers.defects(catalog.get("B"), "biderivation", [Matrix.identity(3)])
+
+
+@pytest.mark.parametrize("kind,params", CASES, ids=CASE_IDS)
+def test_one_batch_check_equals_one_check_per_unknown(kind, params):
+    for key, alg in ALGEBRAS.items():
+        space = solvers.solve(alg, kind, **params)
+        first, second = random_unknowns(alg, kind, f"{key}|{kind}")
+        members = list(space.maps() if solvers.KINDS[kind].arity == 1 else space.tensors())
+        unknowns = [first] + members + [second]
+        batch = solvers.defects(alg, kind, unknowns, **params)
+        assert batch == [one_check(alg, kind, params, u) for u in unknowns], key
+        assert not any(batch[1:-1]) and batch[-1], key
+
+
+# sha256 of map_defects/tensor_defects over random_unknowns on every case and
+# algebra, recorded before the residual check was compiled and batched.
+DEFECT_SWEEP = "51219f6147f943a79b83a4cd91bdf3e5e0fb1838b9cc4e0636a87c10ba553d2c"
+
+
+def test_residuals_of_random_unknowns_are_unchanged():
+    h = hashlib.sha256()
+    entries = 0
+    for key, alg in ALGEBRAS.items():
+        for case, (kind, params) in zip(CASE_IDS, CASES):
+            for u in random_unknowns(alg, kind, f"{key}|{case}"):
+                h.update(f"{key}|{case}\n".encode())
+                for idx, r in one_check(alg, kind, params, u):
+                    entries += 1
+                    h.update(f"{idx}:{','.join(map(str, r))}\n".encode())
+    assert entries == 3501
+    assert h.hexdigest() == DEFECT_SWEEP
+
+
+@pytest.mark.parametrize("key", ["L_{1,1}", "sl2", "B~"])
+def test_a_perturbed_basis_element_is_the_only_one_reported(key):
+    alg = catalog.get(key)
+    space = solvers.biderivations(alg)
+    rng = random.Random(key)
+    for e, t in enumerate(space.tensors()):
+        entries = solvers.vectorize_tensor(t)
+        # from a seeded start, the first entry whose change leaves the space
+        start = rng.randrange(len(entries))
+        for at in ((start + s) % len(entries) for s in range(len(entries))):
+            bumped = list(entries)
+            bumped[at] += 1
+            perturbed = unknown(bumped, alg.dim, 2)
+            if not space.contains_tensor(perturbed):
+                break
+        else:
+            pytest.fail(f"every unit tensor is a biderivation of {key}")
+        members = list(space.tensors())
+        members[e] = perturbed
+        found = solvers.defects(alg, "biderivation", members)
+        assert [bool(r) for r in found] == [i == e for i in range(space.rank)], (e, at)
 
 
 # sha256 of the canonical bases of all 43 catalog instances, one per kind,
