@@ -11,7 +11,9 @@ solution plus such a space, and :meth:`SubspaceBasis.reduced_from_last`
 gives its canonical particular member (free coordinates zero).  Dense
 :class:`Matrix` values are inputs and outputs, never the working form.
 Exact arithmetic uses :class:`fractions.Fraction`; there are no floats and
-no tolerances anywhere.
+no tolerances anywhere.  The one membership test that is not read off a
+solve, the local point scan's "is this vector in that small span", runs on
+integer multiples in :class:`_IntegerEchelon`, fraction-free over Z.
 
 :func:`nullspace_of_sparse_rows` puts a modular filter in front of
 ``_Echelon``: it scales each row to integers, eliminates in GF(P) with
@@ -324,6 +326,51 @@ def _integral(row: SparseRow) -> dict[int, int]:
     """
     den = lcm(*[v.denominator for v in row.values()])
     return {c: num * (den // v.denominator) for c, v in row.items() if (num := v.numerator)}
+
+
+class _IntegerEchelon:
+    """Fraction-free row echelon over the integers, for span membership only.
+
+    Rows are dense integer sequences.  Each stored row is primitive (divided
+    by the gcd of its entries) and zero at the pivot of every row stored
+    before it, so one forward pass in insertion order reduces an incoming
+    row: at each stored row ``r`` with pivot entry ``a``, where the row has
+    entry ``b``, it becomes ``a*row - b*r``.  The row's own multiplier is a
+    product of pivot entries, never zero, so the residue is zero exactly
+    when the row lies in the span of the rows inserted so far.  Integer
+    arithmetic is exact: no prime, no tolerance.
+    """
+
+    def __init__(self, ambient: int) -> None:
+        self.ambient = ambient
+        self.rows: list[tuple[int, list[int]]] = []  # (pivot column, primitive row), in insertion order
+
+    def reduce(self, row: Sequence[int]) -> list[int]:
+        """The residue of ``row``: zero at every pivot, and zero exactly for a member."""
+        residue = list(row)
+        for pivot, stored in self.rows:
+            b = residue[pivot]
+            if b:
+                a = stored[pivot]
+                g = gcd(a, b)
+                a, b = a // g, b // g
+                residue = [a * v - b * s for v, s in zip(residue, stored)]
+        return residue
+
+    def insert(self, row: Sequence[int]) -> bool:
+        """Fold one row in; returns True when the rank grew."""
+        if len(self.rows) == self.ambient:
+            return False
+        residue = self.reduce(row)
+        content = gcd(*residue)
+        if not content:
+            return False
+        pivot = next(j for j, v in enumerate(residue) if v)
+        self.rows.append((pivot, [v // content for v in residue]))
+        return True
+
+    def contains(self, row: Sequence[int]) -> bool:
+        return len(self.rows) == self.ambient or not any(self.reduce(row))
 
 
 def _check_columns(row: SparseRow, ambient: int) -> None:

@@ -28,7 +28,12 @@ space's basis; ``affine_local_closure`` closes the family's directions
 alone, because ``B x in base@x + span`` is ``(B - base) x in span`` and the
 base solves its own rows.  ``_escape`` is the one point scan, finding where
 some ``S x`` leaves ``W(x)``, for both ``recheck_certification`` and
-``is_local_member``.
+``is_local_member``.  It decides membership fraction-free over the integers
+(``linalg._IntegerEchelon``): it scales the space's basis, the tested
+matrices and each point to integer multiples, and elimination over ``Z`` is
+exact.  Scaling ``x`` or any ``S`` by a nonzero rational changes neither
+``W(x)`` nor whether ``S x`` lies in it, so the verdicts and the escaping
+point are those of the rational computation.
 
 Results are bitwise deterministic for a fixed :class:`SamplePlan`: samples
 are the basis vectors, then all pairwise sums, then seeded random vectors.
@@ -51,6 +56,9 @@ from .linalg import (
     SubspaceBasis,
     Vector,
     ZERO,
+    _IntegerEchelon,
+    _integral,
+    _to_sparse,
     frac,
     nullspace_of_sparse_rows,
     vector,
@@ -59,8 +67,9 @@ from .solvers import MapSpace, unvectorize_map, vectorize_map
 
 DEFAULT_SEED = 0xC0FFEE
 DEFAULT_RANDOM_COUNT = 8
-# Largest random_count a plan accepts; every point costs one evaluation
-# subspace per analysed space, so a larger count is refused up front.
+# Largest random_count a plan accepts, and largest point count of a recheck;
+# every point costs one evaluation per analysed space, so a larger count is
+# refused up front.
 MAX_RANDOM_COUNT = 10_000
 _RANDOM_ENTRY_POOL = tuple(Fraction(v) for v in (-5, -4, -3, -2, -1, 1, 2, 3, 4, 5))
 
@@ -109,7 +118,8 @@ def _images(vectors: Sequence[Vector], x: Vector, n: int) -> list[Vector]:
     """``S @ x`` for each vectorized ``n x n`` matrix ``S``; entry ``k*n + j`` is ``S[k][j]``.
 
     Zero entries of ``S`` and of ``x`` are skipped, so a sparse basis costs
-    only its nonzeros.
+    only its nonzeros.  The sums start at ``0``, so integer matrices and
+    points give integer images.
     """
     if len(x) != n:
         raise ValueError(f"point must have length {n}")
@@ -118,7 +128,7 @@ def _images(vectors: Sequence[Vector], x: Vector, n: int) -> list[Vector]:
     for s in vectors:
         image = []
         for k in range(0, n * n, n or 1):  # n = 0: no rows, and range() refuses step 0
-            acc = ZERO
+            acc = 0
             for j, xj in support:
                 entry = s[k + j]
                 if entry:
@@ -162,11 +172,29 @@ def _closure(n: int, samples: Sequence[Vector], generators: Sequence[Vector]) ->
     return space
 
 
+def _scaled(v: Sequence) -> tuple[int, ...]:
+    """``v`` times the lcm of its denominators (``_integral``), as a dense integer tuple."""
+    row = _integral(_to_sparse(v))
+    return tuple(row.get(j, 0) for j in range(len(v)))
+
+
 def _escape(space: MapSpace, vectors: Sequence[Vector], points: Sequence[Vector]) -> Optional[Vector]:
-    """First of ``points`` where some ``S x``, ``S`` in ``vectors``, leaves ``W(x)``; ``None`` if none."""
+    """First of ``points`` where some ``S x``, ``S`` in ``vectors``, leaves ``W(x)``; ``None`` if none.
+
+    Decided over the integers: the basis, ``vectors`` and each point are
+    scaled to integer multiples, which changes neither ``W(x)`` nor
+    membership in it, and a fraction-free echelon of the basis images
+    answers membership exactly.  The point returned is the original one.
+    """
     n = space.algebra.dim
+    basis = [_scaled(s) for s in space.space.basis]
+    tested = [_scaled(v) for v in vectors]
     for x in points:
-        if not evaluation_subspace(space, x).contains_all(_images(vectors, x, n)):
+        scaled_x = _scaled(x)
+        span = _IntegerEchelon(n)
+        for image in _images(basis, scaled_x, n):
+            span.insert(image)
+        if not all(span.contains(image) for image in _images(tested, scaled_x, n)):
             return x
     return None
 
@@ -210,7 +238,10 @@ def recheck_certification(
 
     Every candidate basis matrix must satisfy ``B x in W(x)`` at each fresh
     point; used by the verification suite to back up ``certified == True``.
+    ``points`` must lie in ``1..MAX_RANDOM_COUNT``: zero points would check nothing.
     """
+    if not 1 <= points <= MAX_RANDOM_COUNT:
+        raise ValueError(f"points must be between 1 and {MAX_RANDOM_COUNT}, got {points}")
     plan = plan or SamplePlan()
     return _escape(result.base, result.candidate.basis, plan.fresh_points(algebra.dim, points)) is None
 

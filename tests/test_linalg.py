@@ -6,6 +6,7 @@ Reference answers come from the dense Gauss-Jordan elimination in
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -14,6 +15,7 @@ from omega_lie.linalg import (
     Matrix,
     SubspaceBasis,
     _Echelon,
+    _IntegerEchelon,
     _rational,
     _to_sparse,
     frac,
@@ -287,6 +289,40 @@ def test_intersection_rank_formula_on_random_subspaces():
         join = a.plus(b)
         assert both.rank == a.rank + b.rank - join.rank
         assert both.is_subspace_of(a) and both.is_subspace_of(b)
+
+
+class TestIntegerEchelon:
+    """The fraction-free membership echelon agrees with the dense reference over Q."""
+
+    def test_rank_and_membership_on_random_integer_rows(self):
+        rng = random.Random(2024)
+        for _ in range(400):
+            ambient = rng.randint(1, 5)
+            rows = [[rng.randint(-6, 6) for _ in range(ambient)] for _ in range(rng.randint(0, 6))]
+            ech = _IntegerEchelon(ambient)
+            grew = [ech.insert(row) for row in rows]
+            rank = len(gauss_jordan(rows, ambient)[1])
+            assert sum(grew) == rank == len(ech.rows)
+            for pivot, stored in ech.rows:
+                assert stored[pivot] and gcd(*stored) == 1
+            coeffs = [rng.randint(-4, 4) for _ in rows]
+            assert ech.contains([sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(ambient)])
+            probe = [rng.randint(-6, 6) for _ in range(ambient)]
+            assert ech.contains(probe) == (len(gauss_jordan(rows + [probe], ambient)[1]) == rank)
+
+    def test_large_entries_stay_exact(self):
+        big = 2**61 - 1
+        ech = _IntegerEchelon(3)
+        assert ech.insert([big, 1, 0]) and ech.insert([0, big, 1])
+        assert ech.contains([big * big, 2 * big, 1])  # big * row 0 + row 1
+        assert not ech.contains([big * big, 2 * big, 2])
+
+    def test_full_and_empty_ambient(self):
+        ech = _IntegerEchelon(2)
+        assert not ech.contains([1, 0]) and ech.contains([0, 0])
+        assert ech.insert([2, 4]) and ech.insert([3, 5]) and not ech.insert([7, 7])
+        assert ech.contains([1, 0])
+        assert _IntegerEchelon(0).contains([]) and not _IntegerEchelon(0).insert([])
 
 
 class TestMatrixApply:

@@ -1,11 +1,13 @@
 """Local and 2-local analysis engine."""
 
 import hashlib
+import random
 from fractions import Fraction
 
 import pytest
 
 from omega_lie import catalog, local
+from omega_lie.algebra import OmegaAlgebra
 from omega_lie.linalg import Matrix, SubspaceBasis
 from omega_lie.local import (
     _images,
@@ -153,6 +155,19 @@ class TestLocalClosure:
         alg = catalog.get("L_{1,1}")
         res = local_closure(alg, derivations(alg), PLAN)
         assert recheck_certification(alg, res, points=120, plan=PLAN)
+
+    @pytest.mark.parametrize("points", [0, -3, MAX_RANDOM_COUNT + 1])
+    def test_recheck_refuses_point_counts_out_of_range(self, monkeypatch, points):
+        # zero or negative counts used to pass without checking a single point
+        alg = catalog.get("L_{1,1}")
+        res = local_closure(alg, derivations(alg), PLAN)
+
+        def no_scan(*args):
+            raise AssertionError("the scan started")
+
+        monkeypatch.setattr(local, "_escape", no_scan)
+        with pytest.raises(ValueError, match=f"points must be between 1 and {MAX_RANDOM_COUNT}, got {points}"):
+            recheck_certification(alg, res, points=points, plan=PLAN)
 
 
 class TestLocalMembership:
@@ -316,6 +331,76 @@ class TestAffineClosure:
             for a, b in zip(vectorize_map(member), vectorize_map(res.particular))
         )
         assert res.directions.contains(diff)
+
+
+def _random_rational(rng, big=False):
+    top = 2**40 if big else 9
+    return Fraction(rng.randint(-top, top), rng.randint(1, 12))
+
+
+def _scan_case(rng, n):
+    """A space with fractional basis rows, matrices inside and outside it, and points to scan.
+
+    An outside matrix is an inside one with one column ``j`` moved, so it
+    can only escape at points with ``x_j != 0``; sparse points then put
+    escapes after the first few points.
+    """
+    size = n * n
+    generators = [
+        [_random_rational(rng) if rng.random() < 0.6 else 0 for _ in range(size)] for _ in range(rng.randint(0, 4))
+    ]
+    algebra = OmegaAlgebra.from_tables("abelian", n, {}, {})
+    space = MapSpace(algebra, "probe", SubspaceBasis.from_generators(size, generators))
+
+    def inside():
+        return [sum((_random_rational(rng) * row[i] for row in space.space.basis), Fraction(0)) for i in range(size)]
+
+    vectors = [tuple(inside()) for _ in range(rng.randint(0, 2))]
+    for _ in range(rng.randint(0, 2) if n else 0):
+        moved, j = inside(), rng.randrange(n)
+        for k in range(n):
+            moved[k * n + j] += _random_rational(rng)
+        vectors.append(tuple(moved))
+    rng.shuffle(vectors)
+    points = [tuple(Fraction(0) for _ in range(n))]  # every S x lies in W(0)
+    for _ in range(6):
+        big = rng.random() < 0.3
+        points.append(tuple(_random_rational(rng, big) if rng.random() < 0.6 else Fraction(0) for _ in range(n)))
+    return space, vectors, points
+
+
+def _reference_escape(space, vectors, points):
+    """The first escaping point, decided by rational elimination over Fractions."""
+    n = space.algebra.dim
+    for x in points:
+        if not evaluation_subspace(space, x).contains_all(_images(vectors, x, n)):
+            return x
+    return None
+
+
+def _scan_cases():
+    rng = random.Random(0x5CA7)
+    return [_scan_case(rng, n) for n in range(6) for _ in range(40)]
+
+
+def test_integer_scan_equals_the_fraction_reference():
+    escapes = late = 0
+    for space, vectors, points in _scan_cases():
+        expected = _reference_escape(space, vectors, points)
+        found = local._escape(space, vectors, points)
+        assert found is expected, (space.space.basis, vectors, points)
+        escapes += found is not None
+        late += found is not None and found is not points[1]
+    assert escapes >= 50 and late >= 10  # escapes occur, and not only at the first nonzero point
+
+
+def test_integer_scan_cases_cover_the_hard_inputs():
+    cases = _scan_cases()
+    assert {space.algebra.dim for space, _, _ in cases} == set(range(6))
+    assert any(v.denominator > 1 for space, _, _ in cases for row in space.space.basis for v in row)
+    points = [x for _, _, pts in cases for x in pts]
+    assert any(len({v.denominator for v in x if v}) > 1 for x in points)  # mixed denominators
+    assert any(abs(v.numerator) > 2**31 for x in points for v in x)
 
 
 def _property_families():

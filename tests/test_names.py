@@ -31,6 +31,13 @@ The sixth guard keeps the residual check independent of the solver: no
 function of the checker (``solvers.defects`` and the functions behind it)
 names the row-assembly functions ``_rows``, ``_tables`` or ``_kernel``, so a
 fault in row indexing cannot hide by being repeated in the re-check.
+
+The seventh guard keeps the local point scan on integers: the scan
+(``local._escape``, the scaling ``local._scaled``, the column action
+``local._images`` and ``linalg._IntegerEchelon``) neither builds a
+``Fraction`` (directly, through ``frac``/``vector`` or from the constants
+``ZERO``/``ONE``) nor reaches ``SubspaceBasis``, ``_Echelon`` or
+``evaluation_subspace``, the rational path it replaced.
 """
 
 import ast
@@ -363,4 +370,49 @@ def test_guard_catches_a_checker_that_reads_rows(tmp_path):
     assert row_assembly_in_checker([module], ("probe._defects",)) == [
         ("probe._defects.step", 4, "_tables"),
         ("probe._defects", 5, "_rows"),
+    ]
+
+
+FRACTION_PATH = {
+    "Fraction",
+    "frac",
+    "vector",
+    "ZERO",
+    "ONE",
+    "SubspaceBasis",
+    "_Echelon",
+    "evaluation_subspace",
+}
+POINT_SCAN = ("local._escape", "local._scaled", "local._images", "linalg._IntegerEchelon")
+
+
+def fractions_in_scan(paths, scan):
+    """``(scope, line, name)`` of each reference to the rational path inside the point scan."""
+    return inside(names_in(paths, FRACTION_PATH, _referenced), scan)
+
+
+def test_point_scan_stays_on_integers():
+    for dotted in POINT_SCAN:
+        resolve(dotted)
+    assert fractions_in_scan(SOURCES, POINT_SCAN) == []
+
+
+def test_guard_catches_a_scan_back_on_fractions(tmp_path):
+    module = tmp_path / "probe.py"
+    module.write_text(
+        "from fractions import Fraction\n"
+        "def _escape(space, points):\n"
+        "    for x in points:\n"
+        "        if not evaluation_subspace(space, x).contains_all(()):\n"
+        "            return x\n"
+        "class _IntegerEchelon:\n"
+        "    def insert(self, row):\n        return linalg._Echelon(len(row)).insert({0: Fraction(row[0])})\n"
+        "    def contains(self, row):\n        return SubspaceBasis.zero(1).contains(row)\n"
+        "def _closure(x):\n    return Fraction(x)\n"
+    )
+    assert fractions_in_scan([module], ("probe._escape", "probe._IntegerEchelon")) == [
+        ("probe._escape", 4, "evaluation_subspace"),
+        ("probe._IntegerEchelon.insert", 8, "_Echelon"),
+        ("probe._IntegerEchelon.insert", 8, "Fraction"),
+        ("probe._IntegerEchelon.contains", 10, "SubspaceBasis"),
     ]
