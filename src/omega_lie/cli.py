@@ -414,6 +414,11 @@ def cmd_verify(args) -> int:
     return 1 if failures else 0
 
 
+def seed(text: str) -> int:
+    """A seed in Python integer syntax (``12``, ``0xC0FFEE``); argparse names this function in its error."""
+    return int(text, 0)
+
+
 def random_count(text: str) -> int:
     value = int(text)
     if not 0 <= value <= MAX_RANDOM_COUNT:
@@ -429,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("text", "json"), default="text", help="output mode")
     parser.add_argument(
         "--seed",
-        type=lambda s: int(s, 0),
+        type=seed,
         default=SamplePlan().seed,
         help="seed for the deterministic sample plan (default 0xC0FFEE)",
     )

@@ -1,19 +1,19 @@
 """Exact sparse linear algebra over the rationals.
 
 Everything in this package reduces to the primitives here.  One exact
-sparse elimination, :class:`_Echelon`, does every solve: nullspaces and
-annihilators both read their answer off a single echelon through one
-free-column extraction, and a small lattice of subspace operations
-(membership, sum, inclusion, equality) sits on top.
+sparse elimination, :class:`_Echelon`, does every solve and every
+membership test: nullspaces and annihilators both read their answer off a
+single echelon through one free-column extraction, and a small lattice of
+subspace operations (membership, sum, inclusion, equality) sits on top.
 :func:`nullspace_of_sparse_rows` is the one function that turns the rows of
 a linear system into its solution space.  An affine solution set is a known
 solution plus such a space, and :meth:`SubspaceBasis.reduced_from_last`
 gives its canonical particular member (free coordinates zero).  Dense
 :class:`Matrix` values are inputs and outputs, never the working form.
-Exact arithmetic uses :class:`fractions.Fraction`; there are no floats and
-no tolerances anywhere.  The one membership test that is not read off a
-solve, the local point scan's "is this vector in that small span", runs on
-integer multiples in :class:`_IntegerEchelon`, fraction-free over Z.
+Values are :class:`fractions.Fraction`, with no floats and no tolerances,
+but elimination is fraction-free over Z on the :func:`_integral` multiples
+of the rows, which span the same lines.  Fractions are made again only
+where a reduced form is read: each entry over its row's pivot entry.
 
 :func:`nullspace_of_sparse_rows` puts a modular filter in front of
 ``_Echelon``: it scales each row to integers, eliminates in GF(P) with
@@ -148,71 +148,74 @@ SparseRow = dict[int, Fraction]
 
 
 class _Echelon:
-    """Incremental reduced row echelon accumulator over sparse rows.
+    """Fraction-free row echelon over Z, the one exact elimination.
 
-    Rows are kept fully back-reduced, so each stored row is zero at every
-    other pivot column.  That keeps rows sparse for the large but
-    near-full-rank systems produced by the solvers, and makes reduction of
-    an incoming row a single pass over its pivot columns.
+    Rows are sparse integer dicts without zero entries.  A stored row is
+    primitive, its lowest column is its pivot and holds a positive entry,
+    and it is zero at the pivot of every row stored before it.  So one
+    forward pass in insertion order (:func:`_eliminate`) reduces an incoming
+    row; its own multiplier is a product of pivot entries, never zero, so
+    the residue is empty exactly for a member.  :meth:`span` and
+    :meth:`kernel` read a reduced form after :meth:`_back_substitute`.
     """
 
     def __init__(self, ambient: int) -> None:
         self.ambient = ambient
-        self.rows: dict[int, SparseRow] = {}  # pivot column -> row
+        self.rows: dict[int, dict[int, int]] = {}  # pivot column -> primitive row, in insertion order
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
-    def reduce(self, row: SparseRow) -> SparseRow:
-        """Return the residue of ``row`` after eliminating existing pivots."""
-        residue = dict(row)
-        for col in [c for c in residue if c in self.rows]:
-            coeff = residue.get(col)
-            if not coeff:
-                continue
-            pivot_row = self.rows[col]
-            for c, v in pivot_row.items():
-                acc = residue.get(c, ZERO) - coeff * v
-                if acc:
-                    residue[c] = acc
-                else:
-                    residue.pop(c, None)
+    def reduce(self, row: dict[int, int]) -> dict[int, int]:
+        """The residue of ``row``: zero at every pivot, and empty exactly for a member."""
+        if len(self.rows) == self.ambient:
+            return {}
+        residue = row
+        for pivot, stored in self.rows.items():
+            if pivot in residue:
+                residue = _eliminate(residue, stored, pivot)
         return residue
 
-    def insert(self, row: SparseRow) -> bool:
+    def insert(self, row: dict[int, int]) -> bool:
         """Fold one row in; returns True when the rank grew."""
         residue = self.reduce(row)
         if not residue:
             return False
         pivot = min(residue)
-        lead = residue[pivot]
-        normalized = {c: v / lead for c, v in residue.items()}
-        for other in self.rows.values():
-            coeff = other.get(pivot)
-            if coeff:
-                for c, v in normalized.items():
-                    acc = other.get(c, ZERO) - coeff * v
-                    if acc:
-                        other[c] = acc
-                    else:
-                        other.pop(c, None)
-        self.rows[pivot] = normalized
+        content = gcd(*residue.values())
+        if residue[pivot] < 0:
+            content = -content
+        self.rows[pivot] = {c: v // content for c, v in residue.items()}
         return True
 
-    def pivot_columns(self) -> tuple[int, ...]:
-        return tuple(sorted(self.rows))
-
-    def dense_rows(self) -> list[Vector]:
-        out = []
-        for pivot in self.pivot_columns():
-            sparse = self.rows[pivot]
-            out.append(tuple(sparse.get(j, ZERO) for j in range(self.ambient)))
-        return out
+    def _back_substitute(self) -> None:
+        """Clear each row at the later rows' pivots, last first: each becomes the primitive multiple of its RREF row."""
+        rows = self.rows
+        later: set[int] = set()
+        for pivot, row in reversed(list(rows.items())):
+            hits = [c for c in row if c in later]
+            if hits:
+                for c in hits:  # a cleared row is zero at every other pivot, so no hit comes back
+                    row = _eliminate(row, rows[c], c)
+                content = gcd(*row.values())
+                rows[pivot] = {c: v // content for c, v in row.items()}
+            later.add(pivot)
 
     def span(self) -> "SubspaceBasis":
-        """The row space as a canonical basis that keeps this echelon for its queries."""
-        space = SubspaceBasis(self.ambient, tuple(self.dense_rows()))
+        """The row space as a canonical basis that keeps this echelon for its queries.
+
+        The basis is the reduced row echelon form: each entry over its row's pivot entry.
+        """
+        self._back_substitute()
+        basis = []
+        for pivot in sorted(self.rows):
+            row = self.rows[pivot]
+            dense = [ZERO] * self.ambient
+            for c, v in row.items():
+                dense[c] = Fraction(v, row[pivot])
+            basis.append(tuple(dense))
+        space = SubspaceBasis(self.ambient, tuple(basis))
         space.__dict__["_echelon"] = self
         return space
 
@@ -220,15 +223,33 @@ class _Echelon:
         """Canonical basis of the vectors every row annihilates.
 
         Each free column ``f`` gives one kernel vector: 1 at ``f`` and, at
-        each pivot, minus that pivot row's entry in column ``f``.
+        each pivot, minus that reduced row's entry in column ``f`` over its
+        pivot entry.
         """
+        self._back_substitute()
+        rows = self.rows
         ker = _Echelon(self.ambient)
         for f in range(self.ambient):
-            if f not in self.rows:
-                gen = {p: -row[f] for p, row in self.rows.items() if f in row}
+            if f not in rows:
+                gen = {p: Fraction(-row[f], row[p]) for p, row in rows.items() if f in row}
                 gen[f] = ONE
-                ker.insert(gen)
+                ker.insert(_integral(gen))
         return ker.span()
+
+
+def _eliminate(row: dict[int, int], stored: dict[int, int], col: int) -> dict[int, int]:
+    """``a*row - b*stored``, zero at ``col``: ``a``, ``b`` are the entries of ``stored``, ``row`` there over their gcd."""
+    a, b = stored[col], row[col]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    out = {c: a * v for c, v in row.items()} if a != 1 else dict(row)
+    for c, s in stored.items():
+        acc = out.get(c, 0) - b * s
+        if acc:
+            out[c] = acc
+        else:
+            del out[c]
+    return out
 
 
 # The prime of the modular filter in front of ``_Echelon``, and the largest
@@ -238,7 +259,7 @@ _LIFT_BOUND = isqrt(P // 2)
 
 
 class _ModEchelon:
-    """The echelon of :class:`_Echelon` over GF(P), fed with integer rows.
+    """A reduced row echelon over GF(P), fed with integer rows.
 
     A stored row leaves out its leading 1, so it holds only free columns.
     It gives the rank mod ``P`` and the kernel mod ``P``; no exact answer is
@@ -277,8 +298,8 @@ class _ModEchelon:
                         del other[c]
         rows[pivot] = normalized
 
-    def kernel(self) -> Optional[list[SparseRow]]:
-        """The free-column kernel basis of ``_Echelon.kernel``, lifted to Q; None if an entry does not lift."""
+    def kernel(self) -> Optional[list[dict[int, int]]]:
+        """The free-column kernel basis of ``_Echelon.kernel``, lifted to Q and made integral; None if it does not lift."""
         gens = {f: {f: ONE} for f in range(self.ambient) if f not in self.rows}
         for p, row in self.rows.items():
             for f, v in row.items():
@@ -286,7 +307,7 @@ class _ModEchelon:
                 if lifted is None:
                     return None
                 gens[f][p] = lifted
-        return list(gens.values())
+        return [_integral(gen) for gen in gens.values()]
 
 
 def _rational(a: int) -> Optional[Fraction]:
@@ -305,11 +326,11 @@ def _rational(a: int) -> Optional[Fraction]:
     return Fraction(r1, s1)
 
 
-def _annihilated(rows: list[dict[int, int]], kernel: list[SparseRow], ambient: int) -> bool:
-    """Whether every integer row has a zero exact dot product with every kernel vector."""
+def _annihilated(rows: list[dict[int, int]], kernel: list[dict[int, int]], ambient: int) -> bool:
+    """Whether every integer row has a zero exact dot product with every integer kernel vector."""
     for gen in kernel:
         scaled = [0] * ambient
-        for c, v in _integral(gen).items():
+        for c, v in gen.items():
             scaled[c] = v
         at = scaled.__getitem__
         for row in rows:
@@ -321,56 +342,12 @@ def _annihilated(rows: list[dict[int, int]], kernel: list[SparseRow], ambient: i
 def _integral(row: SparseRow) -> dict[int, int]:
     """``row`` times the lcm of its denominators: integer entries on the same line.
 
-    Zero entries are dropped here, where every row enters, so no echelon
-    ever sees one (``_Echelon.insert`` divides by the entry at its lowest column).
+    Every row enters an echelon through here.  Zero entries are dropped, so
+    no echelon ever sees one (``_Echelon`` takes a row's lowest column as
+    its pivot).
     """
     den = lcm(*[v.denominator for v in row.values()])
     return {c: num * (den // v.denominator) for c, v in row.items() if (num := v.numerator)}
-
-
-class _IntegerEchelon:
-    """Fraction-free row echelon over the integers, for span membership only.
-
-    Rows are dense integer sequences.  Each stored row is primitive (divided
-    by the gcd of its entries) and zero at the pivot of every row stored
-    before it, so one forward pass in insertion order reduces an incoming
-    row: at each stored row ``r`` with pivot entry ``a``, where the row has
-    entry ``b``, it becomes ``a*row - b*r``.  The row's own multiplier is a
-    product of pivot entries, never zero, so the residue is zero exactly
-    when the row lies in the span of the rows inserted so far.  Integer
-    arithmetic is exact: no prime, no tolerance.
-    """
-
-    def __init__(self, ambient: int) -> None:
-        self.ambient = ambient
-        self.rows: list[tuple[int, list[int]]] = []  # (pivot column, primitive row), in insertion order
-
-    def reduce(self, row: Sequence[int]) -> list[int]:
-        """The residue of ``row``: zero at every pivot, and zero exactly for a member."""
-        residue = list(row)
-        for pivot, stored in self.rows:
-            b = residue[pivot]
-            if b:
-                a = stored[pivot]
-                g = gcd(a, b)
-                a, b = a // g, b // g
-                residue = [a * v - b * s for v, s in zip(residue, stored)]
-        return residue
-
-    def insert(self, row: Sequence[int]) -> bool:
-        """Fold one row in; returns True when the rank grew."""
-        if len(self.rows) == self.ambient:
-            return False
-        residue = self.reduce(row)
-        content = gcd(*residue)
-        if not content:
-            return False
-        pivot = next(j for j, v in enumerate(residue) if v)
-        self.rows.append((pivot, [v // content for v in residue]))
-        return True
-
-    def contains(self, row: Sequence[int]) -> bool:
-        return len(self.rows) == self.ambient or not any(self.reduce(row))
 
 
 def _check_columns(row: SparseRow, ambient: int) -> None:
@@ -405,7 +382,7 @@ class SubspaceBasis:
             gen = vector(gen)
             if len(gen) != ambient_dim:
                 raise ValueError(f"generator length {len(gen)} != ambient dimension {ambient_dim}")
-            ech.insert(_to_sparse(gen))
+            ech.insert(_integral(_to_sparse(gen)))
         return ech.span()
 
     @classmethod
@@ -414,7 +391,7 @@ class SubspaceBasis:
 
     @cached_property
     def _echelon(self) -> _Echelon:
-        """The basis folded into an echelon once per instance; only ever reduced against.
+        """The basis folded into an echelon once per instance; never given a row after that.
 
         It lives in the instance ``__dict__``, outside the dataclass fields,
         so ``==``, ``hash`` and ``repr`` do not see it.  A basis built by an
@@ -424,14 +401,14 @@ class SubspaceBasis:
         """
         ech = _Echelon(self.ambient_dim)
         for row in self.basis:
-            ech.insert(_to_sparse(row))
+            ech.insert(_integral(_to_sparse(row)))
         return ech
 
     def contains(self, v: Sequence[RationalLike]) -> bool:
         v = vector(v)
         if len(v) != self.ambient_dim:
             raise ValueError(f"vector length {len(v)} != ambient dimension {self.ambient_dim}")
-        return not self._echelon.reduce(_to_sparse(v))
+        return not self._echelon.reduce(_integral(_to_sparse(v)))
 
     def contains_all(self, vectors: Iterable[Sequence[RationalLike]]) -> bool:
         return all(self.contains(v) for v in vectors)
@@ -469,13 +446,15 @@ class SubspaceBasis:
         system's free columns (each free-column kernel vector of
         ``_Echelon.kernel`` ends at its free column), so for a solution ``v``
         this is the particular solution with every free coordinate zero.
+        Column ``n`` marks ``v``: the residue of ``(v, 1)`` is ``m * (v - s, 1)``
+        with ``s`` in the space, and division by its entry there gives the vector.
         """
-        last = self.ambient_dim - 1
-        ech = _Echelon(self.ambient_dim)
+        n = self.ambient_dim
+        ech = _Echelon(n + 1)
         for row in self.basis:
-            ech.insert({last - j: x for j, x in enumerate(row) if x})
-        residue = ech.reduce({last - j: x for j, x in enumerate(v) if x})
-        return tuple(residue.get(last - j, ZERO) for j in range(self.ambient_dim))
+            ech.insert(_integral({n - 1 - j: x for j, x in enumerate(row) if x}))
+        residue = ech.reduce(_integral({n - 1 - j: x for j, x in enumerate(v) if x} | {n: ONE}))
+        return tuple(Fraction(residue.get(n - 1 - j, 0), residue[n]) for j in range(n))
 
 
 def nullspace_of_sparse_rows(ambient: int, rows: Iterable[SparseRow]) -> tuple[SubspaceBasis, int]:
@@ -502,5 +481,5 @@ def nullspace_of_sparse_rows(ambient: int, rows: Iterable[SparseRow]) -> tuple[S
             ech.insert(gen)
         return ech.span(), ambient - len(kernel)
     for row in scaled:
-        ech.insert({c: Fraction(v) for c, v in row.items()})
+        ech.insert(row)
     return ech.kernel(), ech.rank

@@ -28,12 +28,12 @@ space's basis; ``affine_local_closure`` closes the family's directions
 alone, because ``B x in base@x + span`` is ``(B - base) x in span`` and the
 base solves its own rows.  ``_escape`` is the one point scan, finding where
 some ``S x`` leaves ``W(x)``, for both ``recheck_certification`` and
-``is_local_member``.  It decides membership fraction-free over the integers
-(``linalg._IntegerEchelon``): it scales the space's basis, the tested
-matrices and each point to integer multiples, and elimination over ``Z`` is
-exact.  Scaling ``x`` or any ``S`` by a nonzero rational changes neither
-``W(x)`` nor whether ``S x`` lies in it, so the verdicts and the escaping
-point are those of the rational computation.
+``is_local_member``.  It scales the space's basis, the tested matrices and
+each point to integer multiples once, and decides membership in
+``linalg._Echelon``, the package's one elimination, which is fraction-free
+over ``Z``.  Scaling ``x`` or any ``S`` by a nonzero rational changes
+neither ``W(x)`` nor whether ``S x`` lies in it, so the verdicts and the
+escaping point are those of the rational computation.
 
 Results are bitwise deterministic for a fixed :class:`SamplePlan`: samples
 are the basis vectors, then all pairwise sums, then seeded random vectors.
@@ -56,7 +56,7 @@ from .linalg import (
     SubspaceBasis,
     Vector,
     ZERO,
-    _IntegerEchelon,
+    _Echelon,
     _integral,
     _to_sparse,
     frac,
@@ -114,46 +114,55 @@ class SamplePlan:
         return tuple(pts)
 
 
-def _images(vectors: Sequence[Vector], x: Vector, n: int) -> list[Vector]:
-    """``S @ x`` for each vectorized ``n x n`` matrix ``S``; entry ``k*n + j`` is ``S[k][j]``.
+def _images(vectors: Sequence[Vector], x: Vector, n: int) -> list[dict]:
+    """``S @ x`` as a sparse row for each vectorized ``n x n`` matrix ``S``; entry ``k*n + j`` is ``S[k][j]``.
 
-    Zero entries of ``S`` and of ``x`` are skipped, so a sparse basis costs
-    only its nonzeros.  The sums start at ``0``, so integer matrices and
-    points give integer images.
+    Zero entries of ``S``, of ``x`` and of the image are skipped, so a sparse
+    basis costs only its nonzeros.  The sums start at ``0``, so integer
+    matrices and points give integer images.
     """
     if len(x) != n:
         raise ValueError(f"point must have length {n}")
     support = [(j, xj) for j, xj in enumerate(x) if xj]
     images = []
     for s in vectors:
-        image = []
-        for k in range(0, n * n, n or 1):  # n = 0: no rows, and range() refuses step 0
+        image = {}
+        for k in range(n):
             acc = 0
             for j, xj in support:
-                entry = s[k + j]
+                entry = s[k * n + j]
                 if entry:
                     acc += entry * xj
-            image.append(acc)
-        images.append(tuple(image))
+            if acc:
+                image[k] = acc
+        images.append(image)
     return images
+
+
+def _span_at(vectors: Sequence[Vector], x: Vector, n: int) -> _Echelon:
+    """The echelon of the images ``S x``, each scaled to integers by ``_integral``: ``W(x)`` for a basis."""
+    ech = _Echelon(n)
+    for image in _images(vectors, x, n):
+        ech.insert(_integral(image))
+    return ech
 
 
 def evaluation_subspace(space: MapSpace, x: Sequence) -> SubspaceBasis:
     """Attainable values ``{S x : S in space}`` at one point ``x``."""
     n = space.algebra.dim
-    return SubspaceBasis.from_generators(n, _images(space.space.basis, vector(x), n))
+    return _span_at(space.space.basis, vector(x), n).span()
 
 
-def _point_rows(x: Vector, span: SubspaceBasis) -> list[SparseRow]:
+def _point_rows(x: Vector, span: _Echelon) -> list[SparseRow]:
     """The equations of ``B x in span`` on vec(B).
 
-    One row per functional ``q`` of ``span.annihilator()``:
-    sum_{k,j} q_k x_j B[k][j] = 0.
+    One row per functional ``q`` of ``span.kernel()``, the annihilator of
+    the row space: sum_{k,j} q_k x_j B[k][j] = 0.
     """
     n = len(x)
     return [
         {k * n + j: q[k] * x[j] for k in range(n) if q[k] for j in range(n) if x[j]}
-        for q in span.annihilator().basis
+        for q in span.kernel().basis
     ]
 
 
@@ -165,7 +174,7 @@ def _closure(n: int, samples: Sequence[Vector], generators: Sequence[Vector]) ->
     """
     rows: list[SparseRow] = []
     for x in samples:
-        rows.extend(_point_rows(x, SubspaceBasis.from_generators(n, _images(generators, x, n))))
+        rows.extend(_point_rows(x, _span_at(generators, x, n)))
     space = nullspace_of_sparse_rows(n * n, rows)[0]
     if not space.contains_all(generators):
         raise AssertionError("soundness violation: the closed family escaped its own closure")
@@ -183,20 +192,27 @@ def _escape(space: MapSpace, vectors: Sequence[Vector], points: Sequence[Vector]
 
     Decided over the integers: the basis, ``vectors`` and each point are
     scaled to integer multiples, which changes neither ``W(x)`` nor
-    membership in it, and a fraction-free echelon of the basis images
-    answers membership exactly.  The point returned is the original one.
+    membership in it, and the echelon of the basis images answers
+    membership exactly.  The point returned is the original one.
     """
     n = space.algebra.dim
     basis = [_scaled(s) for s in space.space.basis]
     tested = [_scaled(v) for v in vectors]
     for x in points:
         scaled_x = _scaled(x)
-        span = _IntegerEchelon(n)
+        span = _Echelon(n)
         for image in _images(basis, scaled_x, n):
             span.insert(image)
-        if not all(span.contains(image) for image in _images(tested, scaled_x, n)):
+        if any(span.reduce(image) for image in _images(tested, scaled_x, n)):
             return x
     return None
+
+
+def _dim(algebra: OmegaAlgebra, space: MapSpace) -> int:
+    """``algebra.dim``, once ``space`` is known to be a space of maps on an algebra of that dimension."""
+    if space.algebra.dim != algebra.dim:
+        raise ValueError("space and algebra dimensions differ")
+    return algebra.dim
 
 
 @dataclass(frozen=True)
@@ -217,9 +233,7 @@ def local_closure(algebra: OmegaAlgebra, space: MapSpace, plan: Optional[SampleP
     is already a member of the space.
     """
     plan = plan or SamplePlan()
-    n = algebra.dim
-    if space.algebra.dim != n:
-        raise ValueError("space and algebra dimensions differ")
+    n = _dim(algebra, space)
     samples = plan.points(n)
     candidate = _closure(n, samples, space.space.basis)
     witness = None
@@ -240,10 +254,11 @@ def recheck_certification(
     point; used by the verification suite to back up ``certified == True``.
     ``points`` must lie in ``1..MAX_RANDOM_COUNT``: zero points would check nothing.
     """
+    n = _dim(algebra, result.base)
     if not 1 <= points <= MAX_RANDOM_COUNT:
         raise ValueError(f"points must be between 1 and {MAX_RANDOM_COUNT}, got {points}")
     plan = plan or SamplePlan()
-    return _escape(result.base, result.candidate.basis, plan.fresh_points(algebra.dim, points)) is None
+    return _escape(result.base, result.candidate.basis, plan.fresh_points(n, points)) is None
 
 
 LOCAL_CERTIFIED = "LOCAL_CERTIFIED"
@@ -270,7 +285,7 @@ def is_local_member(
     space are local at every point, not just the samples).
     """
     plan = plan or SamplePlan()
-    n = algebra.dim
+    n = _dim(algebra, space)
     if candidate.shape != (n, n):
         raise ValueError("candidate matrix has wrong shape")
     candidate_vec = vectorize_map(candidate)
@@ -323,7 +338,7 @@ def two_local_report(
     """
     plan = plan or SamplePlan()
     ranks = []
-    for e in plan.points(algebra.dim):
+    for e in plan.points(_dim(algebra, space)):
         rank = kernel_rank(space, e)
         if rank == 0:
             return TwoLocalReport(RIGID, SeparatingCertificate(e), 0)

@@ -97,10 +97,19 @@ class TestErrors:
         code, _, err = run(capsys, "check", str(bad))
         assert code == 3
 
-    def test_usage_error_exits_2(self, capsys):
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("solve", "nonsense-kind", "@B"), "invalid choice: 'nonsense-kind'"),
+            (("--seed", "010", "local", "der", "@B"), "argument --seed: invalid seed value: '010'"),
+        ],
+        ids=["kind", "seed"],
+    )
+    def test_usage_error_exits_2(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
-            main(["solve", "nonsense-kind", "@B"])
+            main(list(argv))
         assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",

@@ -6,7 +6,7 @@ Reference answers come from the dense Gauss-Jordan elimination in
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -15,7 +15,7 @@ from omega_lie.linalg import (
     Matrix,
     SubspaceBasis,
     _Echelon,
-    _IntegerEchelon,
+    _integral,
     _rational,
     _to_sparse,
     frac,
@@ -38,16 +38,21 @@ def kernel_of(m):
     return nullspace_of_sparse_rows(m.ncols, map(_to_sparse, m.rows))
 
 
+def integer_rows(rows):
+    """Each row as the sparse integer row ``_Echelon`` takes: times the lcm of its denominators."""
+    return [_integral(_to_sparse(vector(row))) for row in rows]
+
+
 def rref(m):
     """Reduced row echelon form of ``m`` as the library stores it, checked against the oracle.
 
     Returns ``(nonzero rows, rank, pivot columns)``.
     """
     ech = _Echelon(m.ncols)
-    for row in m.rows:
-        ech.insert(_to_sparse(row))
+    for row in integer_rows(m.rows):
+        ech.insert(row)
     reduced, pivots = gauss_jordan(m.rows, m.ncols)
-    assert (ech.dense_rows(), ech.pivot_columns()) == (reduced, pivots)
+    assert (list(ech.span().basis), tuple(sorted(ech.rows))) == (reduced, pivots)
     return tuple(reduced), ech.rank, pivots
 
 
@@ -291,38 +296,75 @@ def test_intersection_rank_formula_on_random_subspaces():
         assert both.is_subspace_of(a) and both.is_subspace_of(b)
 
 
-class TestIntegerEchelon:
-    """The fraction-free membership echelon agrees with the dense reference over Q."""
+class TestEchelon:
+    """The fraction-free echelon agrees with the dense reference over Q."""
 
     def test_rank_and_membership_on_random_integer_rows(self):
         rng = random.Random(2024)
         for _ in range(400):
             ambient = rng.randint(1, 5)
             rows = [[rng.randint(-6, 6) for _ in range(ambient)] for _ in range(rng.randint(0, 6))]
-            ech = _IntegerEchelon(ambient)
-            grew = [ech.insert(row) for row in rows]
+            ech = _Echelon(ambient)
+            grew = [ech.insert(_to_sparse(row)) for row in rows]
             rank = len(gauss_jordan(rows, ambient)[1])
-            assert sum(grew) == rank == len(ech.rows)
-            for pivot, stored in ech.rows:
-                assert stored[pivot] and gcd(*stored) == 1
+            assert sum(grew) == rank == ech.rank
+            for pivot, stored in ech.rows.items():
+                assert min(stored) == pivot and stored[pivot] > 0 and gcd(*stored.values()) == 1
             coeffs = [rng.randint(-4, 4) for _ in rows]
-            assert ech.contains([sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(ambient)])
+            assert not ech.reduce(_to_sparse([sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(ambient)]))
             probe = [rng.randint(-6, 6) for _ in range(ambient)]
-            assert ech.contains(probe) == (len(gauss_jordan(rows + [probe], ambient)[1]) == rank)
+            assert (not ech.reduce(_to_sparse(probe))) == (len(gauss_jordan(rows + [probe], ambient)[1]) == rank)
 
     def test_large_entries_stay_exact(self):
         big = 2**61 - 1
-        ech = _IntegerEchelon(3)
-        assert ech.insert([big, 1, 0]) and ech.insert([0, big, 1])
-        assert ech.contains([big * big, 2 * big, 1])  # big * row 0 + row 1
-        assert not ech.contains([big * big, 2 * big, 2])
+        ech = _Echelon(3)
+        assert ech.insert({0: big, 1: 1}) and ech.insert({1: big, 2: 1})
+        assert not ech.reduce({0: big * big, 1: 2 * big, 2: 1})  # big * row 0 + row 1
+        assert ech.reduce({0: big * big, 1: 2 * big, 2: 2})
+        assert ech.span().basis == ((1, 0, Fraction(-1, big * big)), (0, 1, Fraction(1, big)))
 
     def test_full_and_empty_ambient(self):
-        ech = _IntegerEchelon(2)
-        assert not ech.contains([1, 0]) and ech.contains([0, 0])
-        assert ech.insert([2, 4]) and ech.insert([3, 5]) and not ech.insert([7, 7])
-        assert ech.contains([1, 0])
-        assert _IntegerEchelon(0).contains([]) and not _IntegerEchelon(0).insert([])
+        ech = _Echelon(2)
+        assert ech.reduce({0: 1}) and not ech.reduce({})
+        assert ech.insert({0: 2, 1: 4}) and ech.insert({0: 3, 1: 5}) and not ech.insert({0: 7, 1: 7})
+        assert not ech.reduce({0: 1})
+        assert ech.kernel() == SubspaceBasis.zero(2)
+        assert not _Echelon(0).reduce({}) and not _Echelon(0).insert({})
+        assert _Echelon(0).span() == _Echelon(0).kernel() == SubspaceBasis.zero(0)
+
+    def test_a_read_span_leaves_primitive_multiples_of_its_rref_rows(self):
+        """Reading the span back-substitutes in place: each stored row becomes its RREF row times the lcm of its denominators."""
+        rng = random.Random(0xB5)
+        moved = 0
+        for _ in range(300):
+            ambient = rng.randint(1, 6)
+            rows = [[rng.randint(-6, 6) for _ in range(ambient)] for _ in range(rng.randint(0, 7))]
+            ech = _Echelon(ambient)
+            for row in rows:
+                ech.insert(_to_sparse(row))
+            forward = {p: dict(row) for p, row in ech.rows.items()}
+            reduced, pivots = gauss_jordan(rows, ambient)
+            assert ech.span().basis == tuple(reduced) and tuple(sorted(ech.rows)) == pivots
+            for pivot, rref_row in zip(pivots, reduced):
+                scale = lcm(*[v.denominator for v in rref_row])
+                multiple = {j: int(v * scale) for j, v in enumerate(rref_row) if v}
+                assert gcd(*multiple.values()) == 1 and multiple[pivot] > 0
+                assert ech.rows[pivot] == multiple
+            moved += forward != ech.rows
+        assert moved > 50  # the forward rows really were not reduced
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_hilbert_matrices_match_the_oracle(self, n):
+        """RREF, rank and kernel of the n x n Hilbert matrix and of its n x (n + 1) extension."""
+        for ncols in (n, n + 1):
+            hilbert = [[Fraction(1, i + j + 1) for j in range(ncols)] for i in range(n)]
+            ech = _Echelon(ncols)
+            for row in integer_rows(hilbert):
+                ech.insert(row)
+            reduced, pivots = gauss_jordan(hilbert, ncols)
+            assert ech.rank == len(pivots) == n
+            assert ech.kernel().basis == dense_kernel(hilbert, ncols)
+            assert (list(ech.span().basis), tuple(sorted(ech.rows))) == (reduced, pivots)
 
 
 class TestMatrixApply:
@@ -436,9 +478,9 @@ class TestCachedEchelon:
     @staticmethod
     def fresh_contains(space, v):
         ech = _Echelon(space.ambient_dim)
-        for row in space.basis:
-            ech.insert(_to_sparse(row))
-        return not ech.reduce(_to_sparse(vector(v)))
+        for row in integer_rows(space.basis):
+            ech.insert(row)
+        return not ech.reduce(*integer_rows([v]))
 
     @staticmethod
     def spaces(rng, ambient):
@@ -512,11 +554,9 @@ class TestCachedEchelon:
 
 
 def exact_nullspace(ambient, rows):
-    """Reference: every row folded into one exact echelon, kernel read off its free columns."""
-    ech = _Echelon(ambient)
-    for row in rows:
-        ech.insert(row)
-    return ech.kernel(), ech.rank
+    """Reference: the kernel and rank of the sparse rows by the oracle's dense Gauss-Jordan elimination."""
+    dense = [[row.get(j, 0) for j in range(ambient)] for row in rows]
+    return SubspaceBasis(ambient, dense_kernel(dense, ambient)), len(gauss_jordan(dense, ambient)[1])
 
 
 class TestModularFilter:

@@ -31,7 +31,7 @@ from omega_lie.local import (
 )
 from omega_lie.solvers import MapSpace, derivations, half_derivations, vectorize_map
 from omega_lie.verification import automorphism_family_L11, automorphism_family_L23
-from oracle import matvec, realized
+from oracle import gauss_jordan, matvec, realized
 
 PLAN = SamplePlan()
 
@@ -81,7 +81,8 @@ class TestEvaluator:
             for space in (derivations(alg), half_derivations(alg)):
                 matrices = space.maps()
                 for x in points:
-                    assert _images(space.space.basis, x, 4) == [matvec(m.rows, x) for m in matrices], key
+                    expected = [{k: v for k, v in enumerate(matvec(m.rows, x)) if v} for m in matrices]
+                    assert _images(space.space.basis, x, 4) == expected, key
 
     @pytest.mark.parametrize("point", [(1, 0), (1, 0, 0, 0, 0)])
     def test_wrong_length_points_raise(self, point):
@@ -370,10 +371,21 @@ def _scan_case(rng, n):
 
 
 def _reference_escape(space, vectors, points):
-    """The first escaping point, decided by rational elimination over Fractions."""
+    """The first escaping point, decided by the oracle's dense Gauss-Jordan elimination over Fractions.
+
+    ``S x`` lies in ``W(x)`` exactly when adding it to the basis images leaves the rank unchanged.
+    """
     n = space.algebra.dim
+
+    def image(s, x):
+        return matvec([s[k * n : (k + 1) * n] for k in range(n)], x)
+
+    def rank(rows):
+        return len(gauss_jordan(rows, n)[1])
+
     for x in points:
-        if not evaluation_subspace(space, x).contains_all(_images(vectors, x, n)):
+        span = [image(s, x) for s in space.space.basis]
+        if any(rank(span + [image(v, x)]) > rank(span) for v in vectors):
             return x
     return None
 
@@ -401,6 +413,20 @@ def test_integer_scan_cases_cover_the_hard_inputs():
     points = [x for _, _, pts in cases for x in pts]
     assert any(len({v.denominator for v in x if v}) > 1 for x in points)  # mixed denominators
     assert any(abs(v.numerator) > 2**31 for x in points for v in x)
+
+
+@pytest.mark.parametrize("check", ["is_local_member", "recheck_certification", "two_local_report"])
+def test_a_space_of_another_dimension_is_refused(check):
+    """Derivations of a 4-dimensional algebra analysed over the 3-dimensional ``B``."""
+    algebra, l11 = catalog.get("B"), catalog.get("L_{1,1}")
+    space = derivations(l11)
+    calls = {
+        "is_local_member": lambda: is_local_member(algebra, space, Matrix.identity(3), PLAN),
+        "recheck_certification": lambda: recheck_certification(algebra, local_closure(l11, space, PLAN), 5, PLAN),
+        "two_local_report": lambda: two_local_report(algebra, space, PLAN),
+    }
+    with pytest.raises(ValueError, match="space and algebra dimensions differ"):
+        calls[check]()
 
 
 def _property_families():

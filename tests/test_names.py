@@ -32,12 +32,14 @@ function of the checker (``solvers.defects`` and the functions behind it)
 names the row-assembly functions ``_rows``, ``_tables`` or ``_kernel``, so a
 fault in row indexing cannot hide by being repeated in the re-check.
 
-The seventh guard keeps the local point scan on integers: the scan
-(``local._escape``, the scaling ``local._scaled``, the column action
-``local._images`` and ``linalg._IntegerEchelon``) neither builds a
-``Fraction`` (directly, through ``frac``/``vector`` or from the constants
-``ZERO``/``ONE``) nor reaches ``SubspaceBasis``, ``_Echelon`` or
-``evaluation_subspace``, the rational path it replaced.
+The seventh guard keeps exact elimination on integers: the elimination
+core (``linalg._Echelon.insert``, ``linalg._Echelon.reduce`` and their row
+combination ``linalg._eliminate``) and the local point scan
+(``local._escape``, the scaling ``local._scaled`` and the column action
+``local._images``) neither build a ``Fraction`` (directly, through
+``frac``/``vector`` or from the constants ``ZERO``/``ONE``) nor reach
+``SubspaceBasis`` or ``evaluation_subspace``, the rational path.
+Fractions are made only where a reduced form is read.
 """
 
 import ast
@@ -380,24 +382,30 @@ FRACTION_PATH = {
     "ZERO",
     "ONE",
     "SubspaceBasis",
-    "_Echelon",
     "evaluation_subspace",
 }
-POINT_SCAN = ("local._escape", "local._scaled", "local._images", "linalg._IntegerEchelon")
+INTEGER_CORE = (
+    "linalg._Echelon.insert",
+    "linalg._Echelon.reduce",
+    "linalg._eliminate",
+    "local._escape",
+    "local._scaled",
+    "local._images",
+)
 
 
-def fractions_in_scan(paths, scan):
-    """``(scope, line, name)`` of each reference to the rational path inside the point scan."""
-    return inside(names_in(paths, FRACTION_PATH, _referenced), scan)
+def fractions_in_core(paths, core):
+    """``(scope, line, name)`` of each reference to the rational path inside the integer core."""
+    return inside(names_in(paths, FRACTION_PATH, _referenced), core)
 
 
-def test_point_scan_stays_on_integers():
-    for dotted in POINT_SCAN:
+def test_elimination_and_point_scan_stay_on_integers():
+    for dotted in INTEGER_CORE:
         resolve(dotted)
-    assert fractions_in_scan(SOURCES, POINT_SCAN) == []
+    assert fractions_in_core(SOURCES, INTEGER_CORE) == []
 
 
-def test_guard_catches_a_scan_back_on_fractions(tmp_path):
+def test_guard_catches_a_core_back_on_fractions(tmp_path):
     module = tmp_path / "probe.py"
     module.write_text(
         "from fractions import Fraction\n"
@@ -405,14 +413,14 @@ def test_guard_catches_a_scan_back_on_fractions(tmp_path):
         "    for x in points:\n"
         "        if not evaluation_subspace(space, x).contains_all(()):\n"
         "            return x\n"
-        "class _IntegerEchelon:\n"
-        "    def insert(self, row):\n        return linalg._Echelon(len(row)).insert({0: Fraction(row[0])})\n"
-        "    def contains(self, row):\n        return SubspaceBasis.zero(1).contains(row)\n"
+        "class _Echelon:\n"
+        "    def insert(self, row):\n        return self.reduce({0: Fraction(row[0])})\n"
+        "    def reduce(self, row):\n        return SubspaceBasis.zero(1).contains(row)\n"
+        "    def span(self):\n        return [Fraction(1)]\n"
         "def _closure(x):\n    return Fraction(x)\n"
     )
-    assert fractions_in_scan([module], ("probe._escape", "probe._IntegerEchelon")) == [
+    assert fractions_in_core([module], ("probe._escape", "probe._Echelon.insert", "probe._Echelon.reduce")) == [
         ("probe._escape", 4, "evaluation_subspace"),
-        ("probe._IntegerEchelon.insert", 8, "_Echelon"),
-        ("probe._IntegerEchelon.insert", 8, "Fraction"),
-        ("probe._IntegerEchelon.contains", 10, "SubspaceBasis"),
+        ("probe._Echelon.insert", 8, "Fraction"),
+        ("probe._Echelon.reduce", 10, "SubspaceBasis"),
     ]
