@@ -50,7 +50,6 @@ from .local import (
     SeparatingCertificate,
     TwoLocalReport,
     affine_local_closure,
-    evaluation_subspace,
     is_local_member,
     kernel_rank,
     local_closure,

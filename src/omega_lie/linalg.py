@@ -2,11 +2,12 @@
 
 Everything in this package reduces to the primitives here.  One exact
 sparse elimination, :class:`_Echelon`, does every solve and every
-membership test: nullspaces and annihilators both read their answer off a
-single echelon through one free-column extraction, and a small lattice of
-subspace operations (membership, sum, inclusion, equality) sits on top.
-:func:`nullspace_of_sparse_rows` is the one function that turns the rows of
-a linear system into its solution space.  An affine solution set is a known
+membership test, and a small lattice of subspace operations (membership,
+sum, inclusion, equality) sits on top.  It and the modular echelon below
+read a kernel off as integer generator rows, one per free column;
+:func:`nullspace_of_sparse_rows`, the one function that turns the rows of
+a linear system into its solution space, is the one place those
+generators become a canonical basis.  An affine solution set is a known
 solution plus such a space, and :meth:`SubspaceBasis.reduced_from_last`
 gives its canonical particular member (free coordinates zero).  Dense
 :class:`Matrix` values are inputs and outputs, never the working form.
@@ -219,22 +220,25 @@ class _Echelon:
         space.__dict__["_echelon"] = self
         return space
 
-    def kernel(self) -> "SubspaceBasis":
-        """Canonical basis of the vectors every row annihilates.
+    def kernel(self) -> list[dict[int, int]]:
+        """Integer generators of the vectors every row annihilates, one per free column.
 
-        Each free column ``f`` gives one kernel vector: 1 at ``f`` and, at
-        each pivot, minus that reduced row's entry in column ``f`` over its
-        pivot entry.
+        Free column ``f`` gives the primitive multiple of the vector that is 1
+        at ``f`` and, at each pivot, minus that reduced row's entry in column
+        ``f`` over its pivot entry.
         """
         self._back_substitute()
         rows = self.rows
-        ker = _Echelon(self.ambient)
+        gens = []
         for f in range(self.ambient):
             if f not in rows:
-                gen = {p: Fraction(-row[f], row[p]) for p, row in rows.items() if f in row}
-                gen[f] = ONE
-                ker.insert(_integral(gen))
-        return ker.span()
+                hits = [(p, row) for p, row in rows.items() if f in row]
+                scale = lcm(*[row[p] for p, row in hits])
+                gen = {p: -row[f] * (scale // row[p]) for p, row in hits}
+                gen[f] = scale
+                content = gcd(*gen.values())
+                gens.append({c: v // content for c, v in gen.items()})
+        return gens
 
 
 def _eliminate(row: dict[int, int], stored: dict[int, int], col: int) -> dict[int, int]:
@@ -299,7 +303,7 @@ class _ModEchelon:
         rows[pivot] = normalized
 
     def kernel(self) -> Optional[list[dict[int, int]]]:
-        """The free-column kernel basis of ``_Echelon.kernel``, lifted to Q and made integral; None if it does not lift."""
+        """The free-column generators of ``_Echelon.kernel``, lifted to Q and made integral; None if one does not lift."""
         gens = {f: {f: ONE} for f in range(self.ambient) if f not in self.rows}
         for p, row in self.rows.items():
             for f, v in row.items():
@@ -435,10 +439,6 @@ class SubspaceBasis:
         _check_columns(functional, self.ambient_dim)
         return all(not sum((c * v[j] for j, c in functional.items()), ZERO) for v in self.basis)
 
-    def annihilator(self) -> "SubspaceBasis":
-        """Canonical basis of the functionals ``q`` with ``sum(q[j] * v[j]) == 0`` on the subspace."""
-        return self._echelon.kernel()
-
     def reduced_from_last(self, v: Sequence[Fraction]) -> Vector:
         """The one vector of ``v + space`` that is zero at the pivots of a last-to-first echelon.
 
@@ -463,7 +463,8 @@ def nullspace_of_sparse_rows(ambient: int, rows: Iterable[SparseRow]) -> tuple[S
     Each row is scaled to integers by the lcm of its denominators, which
     keeps the row space, and is the only copy kept.  ``rows`` is read only
     until the rank mod ``P`` reaches ``ambient``.  The module docstring
-    gives the argument that makes the answer exact.
+    gives the argument that makes the answer exact.  The kernel generators
+    of either echelon go into one echelon of their own for the basis.
     """
     mod = _ModEchelon(ambient)
     scaled = []
@@ -474,12 +475,13 @@ def nullspace_of_sparse_rows(ambient: int, rows: Iterable[SparseRow]) -> tuple[S
         mod.insert(row)
         if mod.rank == ambient:
             return SubspaceBasis.zero(ambient), ambient
-    ech = _Echelon(ambient)
     kernel = mod.kernel()
-    if kernel is not None and _annihilated(scaled, kernel, ambient):
-        for gen in kernel:
-            ech.insert(gen)
-        return ech.span(), ambient - len(kernel)
-    for row in scaled:
-        ech.insert(row)
-    return ech.kernel(), ech.rank
+    if kernel is None or not _annihilated(scaled, kernel, ambient):
+        ech = _Echelon(ambient)
+        for row in scaled:
+            ech.insert(row)
+        kernel = ech.kernel()
+    basis = _Echelon(ambient)
+    for gen in kernel:
+        basis.insert(gen)
+    return basis.span(), ambient - len(kernel)

@@ -20,20 +20,22 @@ Throughout this module a stored matrix ``S`` acts on a point by the plain
 column product ``S @ x``, reading index ``k*n + j`` of its vectorized form
 as row ``k``, column ``j``.  ``_images`` is the one place where that action
 is applied: space elements, single candidate matrices and affine families
-are all evaluated through it.  Its transpose, the functional ``q(B x)`` on
-``vec(B)``, is written once in ``_point_rows``.  ``_closure`` is the one
+are all evaluated through it, and ``_span_at`` is the one place ``W(x)`` is
+built: from vectors and a point already scaled to integer multiples
+(``_scaled``), straight into ``linalg._Echelon``, the package's one
+elimination, which is fraction-free over ``Z``.  Scaling ``x`` or any ``S``
+by a nonzero rational changes neither ``W(x)`` nor whether ``S x`` lies in
+it, so ranks, verdicts and escaping points are those of the rational
+computation.  Its transpose, the functional ``q(B x)`` on ``vec(B)``, is
+written once in ``_point_rows``, in integers.  ``_closure`` is the one
 closure solve: it turns ``B x in span`` at every sample into one homogeneous
 system for ``nullspace_of_sparse_rows``.  ``local_closure`` closes the
 space's basis; ``affine_local_closure`` closes the family's directions
 alone, because ``B x in base@x + span`` is ``(B - base) x in span`` and the
 base solves its own rows.  ``_escape`` is the one point scan, finding where
 some ``S x`` leaves ``W(x)``, for both ``recheck_certification`` and
-``is_local_member``.  It scales the space's basis, the tested matrices and
-each point to integer multiples once, and decides membership in
-``linalg._Echelon``, the package's one elimination, which is fraction-free
-over ``Z``.  Scaling ``x`` or any ``S`` by a nonzero rational changes
-neither ``W(x)`` nor whether ``S x`` lies in it, so the verdicts and the
-escaping point are those of the rational computation.
+``is_local_member``; ``kernel_rank`` reads the rank of ``W(e)``.  Each
+entry point refuses a space whose ambient is not ``n**2``.
 
 Results are bitwise deterministic for a fixed :class:`SamplePlan`: samples
 are the basis vectors, then all pairwise sums, then seeded random vectors.
@@ -139,42 +141,39 @@ def _images(vectors: Sequence[Vector], x: Vector, n: int) -> list[dict]:
     return images
 
 
-def _span_at(vectors: Sequence[Vector], x: Vector, n: int) -> _Echelon:
-    """The echelon of the images ``S x``, each scaled to integers by ``_integral``: ``W(x)`` for a basis."""
-    ech = _Echelon(n)
+def _span_at(vectors: Sequence[tuple[int, ...]], x: tuple[int, ...], n: int) -> _Echelon:
+    """``W(x)``, the echelon of the images ``S x``; ``vectors`` and ``x`` are integer multiples (``_scaled``)."""
+    span = _Echelon(n)
     for image in _images(vectors, x, n):
-        ech.insert(_integral(image))
-    return ech
+        span.insert(image)
+    return span
 
 
-def evaluation_subspace(space: MapSpace, x: Sequence) -> SubspaceBasis:
-    """Attainable values ``{S x : S in space}`` at one point ``x``."""
-    n = space.algebra.dim
-    return _span_at(space.space.basis, vector(x), n).span()
+def _point_rows(x: tuple[int, ...], span: _Echelon) -> list[SparseRow]:
+    """The equations of ``B x in span`` on vec(B), in integers.
 
-
-def _point_rows(x: Vector, span: _Echelon) -> list[SparseRow]:
-    """The equations of ``B x in span`` on vec(B).
-
-    One row per functional ``q`` of ``span.kernel()``, the annihilator of
-    the row space: sum_{k,j} q_k x_j B[k][j] = 0.
+    One row per generator ``q`` of ``span.kernel()``, which spans the
+    annihilator of the row space: sum_{k,j} q_k x_j B[k][j] = 0.
     """
     n = len(x)
     return [
-        {k * n + j: q[k] * x[j] for k in range(n) if q[k] for j in range(n) if x[j]}
-        for q in span.kernel().basis
+        {k * n + j: q_k * x[j] for k, q_k in q.items() for j in range(n) if x[j]}
+        for q in span.kernel()
     ]
 
 
 def _closure(n: int, samples: Sequence[Vector], generators: Sequence[Vector]) -> SubspaceBasis:
     """The space ``{B : B x in span(generators@x) at every sample}``, from one sparse solve.
 
-    The space always contains ``span(generators)``, so a generator outside
-    it is a soundness violation.
+    Generators and samples are each scaled to integers once.  The space
+    always contains ``span(generators)``, so a generator outside it is a
+    soundness violation.
     """
+    scaled = [_scaled(g) for g in generators]
     rows: list[SparseRow] = []
     for x in samples:
-        rows.extend(_point_rows(x, _span_at(generators, x, n)))
+        scaled_x = _scaled(x)
+        rows.extend(_point_rows(scaled_x, _span_at(scaled, scaled_x, n)))
     space = nullspace_of_sparse_rows(n * n, rows)[0]
     if not space.contains_all(generators):
         raise AssertionError("soundness violation: the closed family escaped its own closure")
@@ -200,19 +199,20 @@ def _escape(space: MapSpace, vectors: Sequence[Vector], points: Sequence[Vector]
     tested = [_scaled(v) for v in vectors]
     for x in points:
         scaled_x = _scaled(x)
-        span = _Echelon(n)
-        for image in _images(basis, scaled_x, n):
-            span.insert(image)
+        span = _span_at(basis, scaled_x, n)
         if any(span.reduce(image) for image in _images(tested, scaled_x, n)):
             return x
     return None
 
 
 def _dim(algebra: OmegaAlgebra, space: MapSpace) -> int:
-    """``algebra.dim``, once ``space`` is known to be a space of maps on an algebra of that dimension."""
-    if space.algebra.dim != algebra.dim:
+    """``algebra.dim``, once ``space`` is known to be a space of ``n x n`` maps (ambient ``n**2``) on that algebra."""
+    n = algebra.dim
+    if space.algebra.dim != n:
         raise ValueError("space and algebra dimensions differ")
-    return algebra.dim
+    if space.space.ambient_dim != n * n:
+        raise ValueError(f"expected a space of {n} x {n} maps (ambient {n * n}), got ambient {space.space.ambient_dim}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -310,8 +310,9 @@ class SeparatingCertificate:
 
 
 def kernel_rank(space: MapSpace, e: Sequence) -> int:
-    """Dimension of ``{S in space : S e = 0}``."""
-    return space.rank - evaluation_subspace(space, e).rank
+    """Dimension of ``{S in space : S e = 0}``: ``space.rank`` minus the rank of ``W(e)``."""
+    n = _dim(space.algebra, space)
+    return space.rank - _span_at([_scaled(s) for s in space.space.basis], _scaled(vector(e)), n).rank
 
 
 RIGID = "RIGID"

@@ -272,9 +272,6 @@ class TensorSpace:
             for row in self.space.basis
         )
 
-    def contains_tensor(self, t: BilinearMap) -> bool:
-        return self.space.contains(vectorize_tensor(t))
-
 
 def vectorize_map(matrix: Matrix) -> Vector:
     return tuple(x for row in matrix.rows for x in row)

@@ -334,7 +334,7 @@ def criterion_9_omega_biderivations() -> CheckResult:
                 )
             else:
                 witness = next(
-                    (t for t in full.tensors() if not compat.contains_tensor(t)), None
+                    (t for t in full.tensors() if not compat.space.contains(vectorize_tensor(t))), None
                 )
                 if witness is None or not any(
                     witness.tensor[2][2][k] for k in range(4)

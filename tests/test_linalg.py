@@ -43,22 +43,41 @@ def integer_rows(rows):
     return [_integral(_to_sparse(vector(row))) for row in rows]
 
 
+def echelon_of(ambient, rows):
+    """A fresh ``_Echelon`` with ``rows`` (any rationals) inserted."""
+    ech = _Echelon(ambient)
+    for row in integer_rows(rows):
+        ech.insert(row)
+    return ech
+
+
 def rref(m):
     """Reduced row echelon form of ``m`` as the library stores it, checked against the oracle.
 
     Returns ``(nonzero rows, rank, pivot columns)``.
     """
-    ech = _Echelon(m.ncols)
-    for row in integer_rows(m.rows):
-        ech.insert(row)
+    ech = echelon_of(m.ncols, m.rows)
     reduced, pivots = gauss_jordan(m.rows, m.ncols)
     assert (list(ech.span().basis), tuple(sorted(ech.rows))) == (reduced, pivots)
     return tuple(reduced), ech.rank, pivots
 
 
+def canonical_span(ambient, gens):
+    """The reduced echelon basis of sparse integer ``gens``, through a fresh ``_Echelon``."""
+    ech = _Echelon(ambient)
+    for gen in gens:
+        ech.insert(gen)
+    return ech.span().basis
+
+
+def annihilator_rows(space):
+    """Integer generators of the functionals vanishing on ``space``: the kernel of an echelon of its basis."""
+    return echelon_of(space.ambient_dim, space.basis).kernel()
+
+
 def meet(a, b):
-    """``a`` intersected with ``b``: the functionals vanishing on both span the annihilator of the meet."""
-    return a.annihilator().plus(b.annihilator()).annihilator()
+    """``a`` intersected with ``b``: the vectors annihilated by every functional vanishing on ``a`` or on ``b``."""
+    return nullspace_of_sparse_rows(a.ambient_dim, annihilator_rows(a) + annihilator_rows(b))[0]
 
 
 class TestRref:
@@ -328,9 +347,9 @@ class TestEchelon:
         assert ech.reduce({0: 1}) and not ech.reduce({})
         assert ech.insert({0: 2, 1: 4}) and ech.insert({0: 3, 1: 5}) and not ech.insert({0: 7, 1: 7})
         assert not ech.reduce({0: 1})
-        assert ech.kernel() == SubspaceBasis.zero(2)
+        assert ech.kernel() == []
         assert not _Echelon(0).reduce({}) and not _Echelon(0).insert({})
-        assert _Echelon(0).span() == _Echelon(0).kernel() == SubspaceBasis.zero(0)
+        assert _Echelon(0).span() == SubspaceBasis.zero(0) and _Echelon(0).kernel() == []
 
     def test_a_read_span_leaves_primitive_multiples_of_its_rref_rows(self):
         """Reading the span back-substitutes in place: each stored row becomes its RREF row times the lcm of its denominators."""
@@ -358,12 +377,10 @@ class TestEchelon:
         """RREF, rank and kernel of the n x n Hilbert matrix and of its n x (n + 1) extension."""
         for ncols in (n, n + 1):
             hilbert = [[Fraction(1, i + j + 1) for j in range(ncols)] for i in range(n)]
-            ech = _Echelon(ncols)
-            for row in integer_rows(hilbert):
-                ech.insert(row)
+            ech = echelon_of(ncols, hilbert)
             reduced, pivots = gauss_jordan(hilbert, ncols)
             assert ech.rank == len(pivots) == n
-            assert ech.kernel().basis == dense_kernel(hilbert, ncols)
+            assert canonical_span(ncols, ech.kernel()) == dense_kernel(hilbert, ncols)
             assert (list(ech.span().basis), tuple(sorted(ech.rows))) == (reduced, pivots)
 
 
@@ -434,28 +451,47 @@ class TestFrac:
             frac(value)
 
 
-class TestAnnihilator:
+class TestEchelonKernel:
+    """``_Echelon.kernel`` returns one primitive integer generator per free column, not a basis."""
+
     @staticmethod
-    def random_spaces(rng, count):
-        spaces = [SubspaceBasis.zero(4), full(4), SubspaceBasis.zero(1), full(1)]
-        for _ in range(count):
-            ambient = rng.randint(1, 6)
-            spaces.append(TestCachedEchelon.spaces(rng, ambient)[rng.randint(0, 1)])
-        return spaces
+    def check(ambient, rows):
+        ech = echelon_of(ambient, rows)
+        gens = ech.kernel()
+        free = [f for f in range(ambient) if f not in ech.rows]
+        assert len(gens) == ambient - ech.rank == len(free)
+        for f, gen in zip(free, gens):
+            assert all(type(v) is int and v for v in gen.values())
+            assert max(gen) == f and gen[f] > 0 and gcd(*gen.values()) == 1
+            for row in rows:
+                assert not sum((Fraction(row[c]) * v for c, v in gen.items()), Fraction(0))
+        assert canonical_span(ambient, gens) == dense_kernel(rows, ambient)
+
+    def test_random_integer_systems(self):
+        rng = random.Random(0x4E7)
+        for _ in range(400):
+            ambient = rng.randint(0, 7)
+            self.check(ambient, [[rng.randint(-6, 6) for _ in range(ambient)] for _ in range(rng.randint(0, 8))])
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_hilbert_systems(self, n):
+        for ncols in (n, n + 1, n + 3):
+            self.check(ncols, [[Fraction(1, i + j + 1) for j in range(ncols)] for i in range(n)])
 
     def test_functionals_vanish_and_have_complementary_rank(self):
         rng = random.Random(0xA2)
-        for space in self.random_spaces(rng, 200):
+        spaces = [SubspaceBasis.zero(4), full(4), SubspaceBasis.zero(1), full(1)]
+        spaces += [TestCachedEchelon.spaces(rng, rng.randint(1, 6))[rng.randint(0, 1)] for _ in range(200)]
+        for space in spaces:
             n = space.ambient_dim
-            ann = space.annihilator()
-            assert ann.ambient_dim == n
-            assert all(space.annihilated_by(_to_sparse(q)) for q in ann.basis)
-            assert SubspaceBasis.from_generators(n, ann.basis).rank == n - space.rank
-            assert ann.annihilator() == SubspaceBasis.from_generators(n, space.basis)
+            gens = annihilator_rows(space)
+            assert len(gens) == n - space.rank
+            assert all(space.annihilated_by(q) for q in gens)
+            assert nullspace_of_sparse_rows(n, gens)[0] == SubspaceBasis.from_generators(n, space.basis)
 
     def test_zero_and_full_spaces(self):
-        assert SubspaceBasis.zero(3).annihilator() == full(3)
-        assert full(3).annihilator() == SubspaceBasis.zero(3)
+        assert annihilator_rows(SubspaceBasis.zero(3)) == [{0: 1}, {1: 1}, {2: 1}]
+        assert annihilator_rows(full(3)) == []
 
 
 def test_spaces_built_by_an_echelon_keep_it(monkeypatch):

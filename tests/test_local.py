@@ -11,6 +11,8 @@ from omega_lie.algebra import OmegaAlgebra
 from omega_lie.linalg import Matrix, SubspaceBasis
 from omega_lie.local import (
     _images,
+    _scaled,
+    _span_at,
     MAX_RANDOM_COUNT,
     EXCEEDS_FAMILY_HULL,
     INCONCLUSIVE,
@@ -20,20 +22,25 @@ from omega_lie.local import (
     RIGID,
     AffineCondition,
     AffineFamily,
+    LocalClosureResult,
     SamplePlan,
     affine_local_closure,
-    evaluation_subspace,
     is_local_member,
     kernel_rank,
     local_closure,
     recheck_certification,
     two_local_report,
 )
-from omega_lie.solvers import MapSpace, derivations, half_derivations, vectorize_map
+from omega_lie.solvers import MapSpace, biderivations, derivations, half_derivations, vectorize_map
 from omega_lie.verification import automorphism_family_L11, automorphism_family_L23
 from oracle import gauss_jordan, matvec, realized
 
 PLAN = SamplePlan()
+
+
+def span_at(space, x):
+    """``W(x)`` of ``space`` through ``_span_at``, the basis and ``x`` scaled to integers as its callers do."""
+    return _span_at([_scaled(s) for s in space.space.basis], _scaled(x), space.algebra.dim)
 
 
 class TestSamplePlan:
@@ -88,30 +95,62 @@ class TestEvaluator:
     def test_wrong_length_points_raise(self, point):
         space = derivations(catalog.get("L_{1,4}"))
         with pytest.raises(ValueError):
-            evaluation_subspace(space, point)
+            span_at(space, point)
         with pytest.raises(ValueError):
             kernel_rank(space, point)
 
 
-class TestEvaluationSubspace:
+class TestSpanAt:
     def test_zero_point(self):
         space = derivations(catalog.get("L_{1,4}"))
-        assert evaluation_subspace(space, (0, 0, 0, 0)).rank == 0
+        assert span_at(space, (0, 0, 0, 0)).rank == 0
 
     def test_L14_at_e3(self):
         space = derivations(catalog.get("L_{1,4}"))
-        w = evaluation_subspace(space, (0, 0, 1, 0))
+        w = span_at(space, (0, 0, 1, 0))
         assert w.rank == 2
-        assert w == SubspaceBasis.from_generators(4, [(1, -1, 1, 0), (0, 0, 0, 1)])
+        assert w.span() == SubspaceBasis.from_generators(4, [(1, -1, 1, 0), (0, 0, 0, 1)])
 
     def test_L14_at_e1(self):
         space = derivations(catalog.get("L_{1,4}"))
-        assert evaluation_subspace(space, (1, 0, 0, 0)).rank == 0
+        assert span_at(space, (1, 0, 0, 0)).rank == 0
 
     def test_dimension_mismatch(self):
         space = derivations(catalog.get("L_{1,4}"))
         with pytest.raises(ValueError):
-            evaluation_subspace(space, (1, 0))
+            span_at(space, (1, 0))
+
+
+def test_kernel_rank_matches_the_oracle_on_the_four_dimensional_catalog():
+    """``kernel_rank`` is the space's rank minus the dense rank of its images, at plan, fresh and zero points."""
+    points = PLAN.points(4) + PLAN.fresh_points(4, 12) + ((0, 0, 0, 0),)
+    for key in catalog.four_dimensional_keys():
+        alg = catalog.get(key)
+        for space in (derivations(alg), half_derivations(alg)):
+            matrices = space.maps()
+            for x in points:
+                images = [matvec(m.rows, x) for m in matrices]
+                assert kernel_rank(space, x) == space.rank - len(gauss_jordan(images, 4)[1]), (key, x)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda alg, b: local_closure(alg, b, PLAN),
+        lambda alg, b: two_local_report(alg, b, PLAN),
+        lambda alg, b: kernel_rank(b, (1, 0, 0, 0)),
+        lambda alg, b: is_local_member(alg, b, Matrix.identity(4), PLAN),
+        lambda alg, b: recheck_certification(alg, LocalClosureResult(b, b.space, True, ()), points=5, plan=PLAN),
+    ],
+    ids=["local_closure", "two_local_report", "kernel_rank", "is_local_member", "recheck_certification"],
+)
+def test_a_space_of_bilinear_maps_is_refused(call):
+    """A space whose ambient is not n**2 is not read as matrices: every local entry point refuses it."""
+    alg = catalog.get("L_{1,4}")
+    bider = biderivations(alg)
+    assert bider.space.ambient_dim == 64
+    with pytest.raises(ValueError, match="ambient 64"):
+        call(alg, bider)
 
 
 class TestLocalClosure:
@@ -216,6 +255,9 @@ class TestSeparatingVectors:
         der = derivations(catalog.get("L_{1,4}"))
         assert kernel_rank(der, (0, 0, 1, 0)) == 0
         assert kernel_rank(der, (1, 0, 0, 0)) == 2
+        assert kernel_rank(der, ("0", "0", "1/2", "0")) == 0  # coordinates are read like every other input
+        with pytest.raises(TypeError):
+            kernel_rank(der, (0.0, 0.0, 1.0, 0.0))
 
 
 class TestTwoLocalReports:

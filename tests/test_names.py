@@ -34,12 +34,14 @@ fault in row indexing cannot hide by being repeated in the re-check.
 
 The seventh guard keeps exact elimination on integers: the elimination
 core (``linalg._Echelon.insert``, ``linalg._Echelon.reduce`` and their row
-combination ``linalg._eliminate``) and the local point scan
-(``local._escape``, the scaling ``local._scaled`` and the column action
-``local._images``) neither build a ``Fraction`` (directly, through
-``frac``/``vector`` or from the constants ``ZERO``/``ONE``) nor reach
-``SubspaceBasis`` or ``evaluation_subspace``, the rational path.
-Fractions are made only where a reduced form is read.
+combination ``linalg._eliminate``) and the local engine's integer path
+(the point scan ``local._escape``, the scaling ``local._scaled``, the
+column action ``local._images``, the one builder of ``W(x)``
+``local._span_at`` and its equations ``local._point_rows``) neither build
+a ``Fraction`` (directly, through ``frac``/``vector`` or from the constants
+``ZERO``/``ONE``) nor reach ``SubspaceBasis`` or ``evaluation_subspace``,
+the deleted rational path.  Fractions are made only where a reduced form
+is read.
 """
 
 import ast
@@ -391,6 +393,8 @@ INTEGER_CORE = (
     "local._escape",
     "local._scaled",
     "local._images",
+    "local._span_at",
+    "local._point_rows",
 )
 
 
@@ -418,9 +422,16 @@ def test_guard_catches_a_core_back_on_fractions(tmp_path):
         "    def reduce(self, row):\n        return SubspaceBasis.zero(1).contains(row)\n"
         "    def span(self):\n        return [Fraction(1)]\n"
         "def _closure(x):\n    return Fraction(x)\n"
+        "def _span_at(vectors, x, n):\n"
+        "    span = _Echelon(n)\n"
+        "    for image in _images(vectors, x, n):\n"
+        "        span.insert({k: Fraction(v) for k, v in image.items()})\n"
+        "    return span\n"
     )
-    assert fractions_in_core([module], ("probe._escape", "probe._Echelon.insert", "probe._Echelon.reduce")) == [
+    core = ("probe._escape", "probe._Echelon.insert", "probe._Echelon.reduce", "probe._span_at")
+    assert fractions_in_core([module], core) == [
         ("probe._escape", 4, "evaluation_subspace"),
         ("probe._Echelon.insert", 8, "Fraction"),
         ("probe._Echelon.reduce", 10, "SubspaceBasis"),
+        ("probe._span_at", 18, "Fraction"),
     ]
