@@ -19,23 +19,25 @@ questions:
 Throughout this module a stored matrix ``S`` acts on a point by the plain
 column product ``S @ x``, reading index ``k*n + j`` of its vectorized form
 as row ``k``, column ``j``.  ``_images`` is the one place where that action
-is applied: space elements, single candidate matrices and affine families
-are all evaluated through it, and ``_span_at`` is the one place ``W(x)`` is
-built: from vectors and a point already scaled to integer multiples
-(``_scaled``), straight into ``linalg._Echelon``, the package's one
+is applied, on sparse integer rows and points.  ``_walk`` is the one walk
+over sample points: it scales the generators (space elements, candidate
+matrices or family directions) to integer rows once (``linalg._integral``)
+and each point once, and yields ``W(x)`` from ``_span_at``, the one builder
+of ``W(x)``, an echelon in ``linalg._Echelon``, the package's one
 elimination, which is fraction-free over ``Z``.  Scaling ``x`` or any ``S``
 by a nonzero rational changes neither ``W(x)`` nor whether ``S x`` lies in
 it, so ranks, verdicts and escaping points are those of the rational
-computation.  Its transpose, the functional ``q(B x)`` on ``vec(B)``, is
-written once in ``_point_rows``, in integers.  ``_closure`` is the one
-closure solve: it turns ``B x in span`` at every sample into one homogeneous
-system for ``nullspace_of_sparse_rows``.  ``local_closure`` closes the
-space's basis; ``affine_local_closure`` closes the family's directions
-alone, because ``B x in base@x + span`` is ``(B - base) x in span`` and the
-base solves its own rows.  ``_escape`` is the one point scan, finding where
-some ``S x`` leaves ``W(x)``, for both ``recheck_certification`` and
-``is_local_member``; ``kernel_rank`` reads the rank of ``W(e)``.  Each
-entry point refuses a space whose ambient is not ``n**2``.
+computation.  The transpose of the action, the functional ``q(B x)`` on
+``vec(B)``, is written once in ``_point_rows``, in integers.  ``_closure``
+is the one closure solve: it turns ``B x in span`` at every sample into
+one homogeneous system for ``nullspace_of_sparse_rows``.  ``local_closure``
+closes the space's basis; ``affine_local_closure`` closes the family's
+directions alone, because ``B x in base@x + span`` is ``(B - base) x in
+span`` and the base solves its own rows.  ``_escape`` is the one point
+scan, finding where some ``S x`` leaves ``W(x)``, for both
+``recheck_certification`` and ``is_local_member``; ``two_local_report``
+reads the rank of ``W(e)`` at each plan point, ``kernel_rank`` at one.
+Each entry point refuses a space whose ambient is not ``n**2``.
 
 Results are bitwise deterministic for a fixed :class:`SamplePlan`: samples
 are the basis vectors, then all pairwise sums, then seeded random vectors.
@@ -49,12 +51,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import ClassVar, Mapping, Optional, Sequence
+from typing import ClassVar, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .algebra import OmegaAlgebra
 from .linalg import (
     Matrix,
-    SparseRow,
     SubspaceBasis,
     Vector,
     ZERO,
@@ -76,6 +77,12 @@ MAX_RANDOM_COUNT = 10_000
 _RANDOM_ENTRY_POOL = tuple(Fraction(v) for v in (-5, -4, -3, -2, -1, 1, 2, 3, 4, 5))
 
 
+def _check_count(name: str, value: int, low: int) -> None:
+    """Refuse a count that is not an ``int`` in ``low..MAX_RANDOM_COUNT``; a bool is not a count."""
+    if isinstance(value, bool) or not isinstance(value, int) or not low <= value <= MAX_RANDOM_COUNT:
+        raise ValueError(f"{name} must be between {low} and {MAX_RANDOM_COUNT}, got {value}")
+
+
 @dataclass(frozen=True)
 class SamplePlan:
     """Deterministic sample-point plan: basis, pairwise sums, seeded randoms."""
@@ -84,8 +91,7 @@ class SamplePlan:
     random_count: int = DEFAULT_RANDOM_COUNT
 
     def __post_init__(self) -> None:
-        if not 0 <= self.random_count <= MAX_RANDOM_COUNT:
-            raise ValueError(f"random_count must be between 0 and {MAX_RANDOM_COUNT}, got {self.random_count}")
+        _check_count("random_count", self.random_count, 0)
 
     def points(self, dim: int) -> tuple[Vector, ...]:
         basis = [
@@ -116,90 +122,83 @@ class SamplePlan:
         return tuple(pts)
 
 
-def _images(vectors: Sequence[Vector], x: Vector, n: int) -> list[dict]:
-    """``S @ x`` as a sparse row for each vectorized ``n x n`` matrix ``S``; entry ``k*n + j`` is ``S[k][j]``.
+def _images(rows: Sequence[dict[int, int]], x: dict[int, int], n: int) -> list[dict[int, int]]:
+    """``S @ x`` as a sparse row for each sparse vectorized ``n x n`` matrix ``S``; entry ``k*n + j`` is ``S[k][j]``.
 
-    Zero entries of ``S``, of ``x`` and of the image are skipped, so a sparse
-    basis costs only its nonzeros.  The sums start at ``0``, so integer
-    matrices and points give integer images.
+    Only the nonzeros of ``S`` are visited, each against the sparse point
+    ``x``, and zero entries of the image are dropped.  The sums start at
+    ``0``, so integer rows and points give integer images.
     """
-    if len(x) != n:
-        raise ValueError(f"point must have length {n}")
-    support = [(j, xj) for j, xj in enumerate(x) if xj]
     images = []
-    for s in vectors:
-        image = {}
-        for k in range(n):
-            acc = 0
-            for j, xj in support:
-                entry = s[k * n + j]
-                if entry:
-                    acc += entry * xj
-            if acc:
-                image[k] = acc
-        images.append(image)
+    for s in rows:
+        image: dict[int, int] = {}
+        for c, entry in s.items():
+            k, j = divmod(c, n)
+            xj = x.get(j)
+            if xj:
+                image[k] = image.get(k, 0) + entry * xj
+        images.append({k: v for k, v in image.items() if v})
     return images
 
 
-def _span_at(vectors: Sequence[tuple[int, ...]], x: tuple[int, ...], n: int) -> _Echelon:
-    """``W(x)``, the echelon of the images ``S x``; ``vectors`` and ``x`` are integer multiples (``_scaled``)."""
+def _span_at(rows: Sequence[dict[int, int]], x: dict[int, int], n: int) -> _Echelon:
+    """``W(x)``, the echelon of the images ``S x``; ``rows`` and ``x`` are sparse integer multiples (``_walk``)."""
     span = _Echelon(n)
-    for image in _images(vectors, x, n):
+    for image in _images(rows, x, n):
         span.insert(image)
     return span
 
 
-def _point_rows(x: tuple[int, ...], span: _Echelon) -> list[SparseRow]:
-    """The equations of ``B x in span`` on vec(B), in integers.
+def _walk(generators: Sequence[Sequence], points: Iterable[Sequence], n: int) -> Iterator[tuple[Sequence, dict, _Echelon]]:
+    """``(x, scaled x, W(x))`` at each of ``points``, with ``W(x)`` spanned by the generators' images.
+
+    The generators are scaled to sparse integer rows once and each point
+    once (``linalg._integral``).  Scaling ``x`` or any ``S`` by a nonzero
+    rational changes neither ``W(x)`` nor membership in it, so every rank
+    and membership read off the echelon is that of the rational
+    computation.  ``x`` is the point as given.
+    """
+    rows = [_integral(_to_sparse(g)) for g in generators]
+    for x in points:
+        if len(x) != n:
+            raise ValueError(f"point must have length {n}")
+        scaled_x = _integral(_to_sparse(x))
+        yield x, scaled_x, _span_at(rows, scaled_x, n)
+
+
+def _point_rows(x: dict[int, int], span: _Echelon) -> list[dict[int, int]]:
+    """The equations of ``B x in span`` on vec(B), in integers, for a sparse integer point ``x``.
 
     One row per generator ``q`` of ``span.kernel()``, which spans the
     annihilator of the row space: sum_{k,j} q_k x_j B[k][j] = 0.
     """
-    n = len(x)
-    return [
-        {k * n + j: q_k * x[j] for k, q_k in q.items() for j in range(n) if x[j]}
-        for q in span.kernel()
-    ]
+    n = span.ambient
+    return [{k * n + j: q_k * xj for k, q_k in q.items() for j, xj in x.items()} for q in span.kernel()]
 
 
 def _closure(n: int, samples: Sequence[Vector], generators: Sequence[Vector]) -> SubspaceBasis:
     """The space ``{B : B x in span(generators@x) at every sample}``, from one sparse solve.
 
-    Generators and samples are each scaled to integers once.  The space
-    always contains ``span(generators)``, so a generator outside it is a
-    soundness violation.
+    The space always contains ``span(generators)``, so a generator outside
+    it is a soundness violation.
     """
-    scaled = [_scaled(g) for g in generators]
-    rows: list[SparseRow] = []
-    for x in samples:
-        scaled_x = _scaled(x)
-        rows.extend(_point_rows(scaled_x, _span_at(scaled, scaled_x, n)))
+    rows = [row for _, x, span in _walk(generators, samples, n) for row in _point_rows(x, span)]
     space = nullspace_of_sparse_rows(n * n, rows)[0]
     if not space.contains_all(generators):
         raise AssertionError("soundness violation: the closed family escaped its own closure")
     return space
 
 
-def _scaled(v: Sequence) -> tuple[int, ...]:
-    """``v`` times the lcm of its denominators (``_integral``), as a dense integer tuple."""
-    row = _integral(_to_sparse(v))
-    return tuple(row.get(j, 0) for j in range(len(v)))
-
-
 def _escape(space: MapSpace, vectors: Sequence[Vector], points: Sequence[Vector]) -> Optional[Vector]:
     """First of ``points`` where some ``S x``, ``S`` in ``vectors``, leaves ``W(x)``; ``None`` if none.
 
-    Decided over the integers: the basis, ``vectors`` and each point are
-    scaled to integer multiples, which changes neither ``W(x)`` nor
-    membership in it, and the echelon of the basis images answers
-    membership exactly.  The point returned is the original one.
+    Decided over the integers: ``vectors`` are scaled like the basis in
+    ``_walk``, and the echelon of the basis images answers membership
+    exactly.  The point returned is the original one.
     """
     n = space.algebra.dim
-    basis = [_scaled(s) for s in space.space.basis]
-    tested = [_scaled(v) for v in vectors]
-    for x in points:
-        scaled_x = _scaled(x)
-        span = _span_at(basis, scaled_x, n)
+    tested = [_integral(_to_sparse(v)) for v in vectors]
+    for x, scaled_x, span in _walk(space.space.basis, points, n):
         if any(span.reduce(image) for image in _images(tested, scaled_x, n)):
             return x
     return None
@@ -255,8 +254,7 @@ def recheck_certification(
     ``points`` must lie in ``1..MAX_RANDOM_COUNT``: zero points would check nothing.
     """
     n = _dim(algebra, result.base)
-    if not 1 <= points <= MAX_RANDOM_COUNT:
-        raise ValueError(f"points must be between 1 and {MAX_RANDOM_COUNT}, got {points}")
+    _check_count("points", points, 1)
     plan = plan or SamplePlan()
     return _escape(result.base, result.candidate.basis, plan.fresh_points(n, points)) is None
 
@@ -312,7 +310,7 @@ class SeparatingCertificate:
 def kernel_rank(space: MapSpace, e: Sequence) -> int:
     """Dimension of ``{S in space : S e = 0}``: ``space.rank`` minus the rank of ``W(e)``."""
     n = _dim(space.algebra, space)
-    return space.rank - _span_at([_scaled(s) for s in space.space.basis], _scaled(vector(e)), n).rank
+    return space.rank - next(_walk(space.space.basis, [vector(e)], n))[2].rank
 
 
 RIGID = "RIGID"
@@ -338,9 +336,10 @@ def two_local_report(
     algebra dimension); the kernel rank at each point scanned is reported.
     """
     plan = plan or SamplePlan()
+    n = _dim(algebra, space)
     ranks = []
-    for e in plan.points(_dim(algebra, space)):
-        rank = kernel_rank(space, e)
+    for e, _, span in _walk(space.space.basis, plan.points(n), n):
+        rank = space.rank - span.rank
         if rank == 0:
             return TwoLocalReport(RIGID, SeparatingCertificate(e), 0)
         ranks.append((e, rank))

@@ -2,17 +2,17 @@
 
 import hashlib
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from omega_lie import catalog, local
 from omega_lie.algebra import OmegaAlgebra
-from omega_lie.linalg import Matrix, SubspaceBasis
+from omega_lie.linalg import Matrix, SubspaceBasis, _to_sparse
 from omega_lie.local import (
     _images,
-    _scaled,
-    _span_at,
+    _walk,
     MAX_RANDOM_COUNT,
     EXCEEDS_FAMILY_HULL,
     INCONCLUSIVE,
@@ -39,8 +39,8 @@ PLAN = SamplePlan()
 
 
 def span_at(space, x):
-    """``W(x)`` of ``space`` through ``_span_at``, the basis and ``x`` scaled to integers as its callers do."""
-    return _span_at([_scaled(s) for s in space.space.basis], _scaled(x), space.algebra.dim)
+    """``W(x)`` of ``space`` at one point, through ``_walk``, the one caller of ``_span_at``."""
+    return next(_walk(space.space.basis, [x], space.algebra.dim))[2]
 
 
 class TestSamplePlan:
@@ -75,6 +75,12 @@ class TestSamplePlan:
         with pytest.raises(ValueError):
             SamplePlan(random_count=count)
 
+    @pytest.mark.parametrize("count", [True, False, 2.5, 3.0, "3", None])
+    def test_random_count_that_is_not_an_integer_is_refused(self, count):
+        # True used to mean one random point, and 2.5 failed only when points() reached range()
+        with pytest.raises(ValueError, match=re.escape(f"random_count must be between 0 and {MAX_RANDOM_COUNT}, got {count}")):
+            SamplePlan(random_count=count)
+
 
 class TestEvaluator:
     """The one place a stored space acts on a point keeps the column action ``S @ x``."""
@@ -87,16 +93,17 @@ class TestEvaluator:
             alg = catalog.get(key)
             for space in (derivations(alg), half_derivations(alg)):
                 matrices = space.maps()
+                rows = [_to_sparse(s) for s in space.space.basis]
                 for x in points:
                     expected = [{k: v for k, v in enumerate(matvec(m.rows, x)) if v} for m in matrices]
-                    assert _images(space.space.basis, x, 4) == expected, key
+                    assert _images(rows, _to_sparse(x), 4) == expected, key
 
     @pytest.mark.parametrize("point", [(1, 0), (1, 0, 0, 0, 0)])
     def test_wrong_length_points_raise(self, point):
         space = derivations(catalog.get("L_{1,4}"))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="point must have length 4"):
             span_at(space, point)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="point must have length 4"):
             kernel_rank(space, point)
 
 
@@ -117,20 +124,44 @@ class TestSpanAt:
 
     def test_dimension_mismatch(self):
         space = derivations(catalog.get("L_{1,4}"))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="point must have length 4"):
             span_at(space, (1, 0))
 
 
-def test_kernel_rank_matches_the_oracle_on_the_four_dimensional_catalog():
-    """``kernel_rank`` is the space's rank minus the dense rank of its images, at plan, fresh and zero points."""
+def _catalog_inputs():
+    """The derivation and half-derivation spaces of the four-dimensional catalog, at plan, fresh and zero points."""
     points = PLAN.points(4) + PLAN.fresh_points(4, 12) + ((0, 0, 0, 0),)
     for key in catalog.four_dimensional_keys():
         alg = catalog.get(key)
         for space in (derivations(alg), half_derivations(alg)):
-            matrices = space.maps()
-            for x in points:
-                images = [matvec(m.rows, x) for m in matrices]
-                assert kernel_rank(space, x) == space.rank - len(gauss_jordan(images, 4)[1]), (key, x)
+            yield alg, space, points
+
+
+def _scan_inputs():
+    """The fractional bases of ``_scan_cases`` at their points: zero, mixed denominators, numerators above 2**31."""
+    for space, _, points in _scan_cases():
+        yield space.algebra, space, points
+
+
+@pytest.mark.parametrize("inputs", [_catalog_inputs, _scan_inputs], ids=["catalog", "scan_cases"])
+def test_kernel_rank_matches_the_oracle(inputs):
+    """``kernel_rank``, and each rank ``two_local_report`` scans, is the space's rank minus the dense rank of its images."""
+    for alg, space, points in inputs():
+        n = alg.dim
+        matrices = [[s[k * n : (k + 1) * n] for k in range(n)] for s in space.space.basis]
+
+        def expected(x):
+            return space.rank - len(gauss_jordan([matvec(m, x) for m in matrices], n)[1])
+
+        for x in points:
+            assert kernel_rank(space, x) == expected(x), (space.space.basis, x)
+        report = two_local_report(alg, space, PLAN)
+        for e, rank in report.kernel_ranks:
+            assert rank == kernel_rank(space, e) == expected(e), (space.space.basis, e)
+        if report.verdict == RIGID:  # the certificate is the first plan point that separates
+            plan_points = PLAN.points(n)
+            first = plan_points.index(report.certificate.point)
+            assert [expected(e) == 0 for e in plan_points[: first + 1]] == [False] * first + [True]
 
 
 @pytest.mark.parametrize(
@@ -196,9 +227,10 @@ class TestLocalClosure:
         res = local_closure(alg, derivations(alg), PLAN)
         assert recheck_certification(alg, res, points=120, plan=PLAN)
 
-    @pytest.mark.parametrize("points", [0, -3, MAX_RANDOM_COUNT + 1])
+    @pytest.mark.parametrize("points", [0, -3, MAX_RANDOM_COUNT + 1, True, 2.5, 5.0, "5", None])
     def test_recheck_refuses_point_counts_out_of_range(self, monkeypatch, points):
-        # zero or negative counts used to pass without checking a single point
+        # zero or negative counts used to pass without checking a single point,
+        # True checked one point, and 2.5 failed late inside range()
         alg = catalog.get("L_{1,1}")
         res = local_closure(alg, derivations(alg), PLAN)
 
@@ -206,7 +238,7 @@ class TestLocalClosure:
             raise AssertionError("the scan started")
 
         monkeypatch.setattr(local, "_escape", no_scan)
-        with pytest.raises(ValueError, match=f"points must be between 1 and {MAX_RANDOM_COUNT}, got {points}"):
+        with pytest.raises(ValueError, match=re.escape(f"points must be between 1 and {MAX_RANDOM_COUNT}, got {points}")):
             recheck_certification(alg, res, points=points, plan=PLAN)
 
 
@@ -283,23 +315,16 @@ class TestTwoLocalReports:
             ("C~_1", derivations, [4, 2, 2, 3, 2, 2, 3, 2] + [1] * 10),
         ],
     )
-    def test_one_kernel_rank_per_candidate(self, monkeypatch, key, solver, ranks):
+    def test_one_kernel_rank_per_candidate(self, key, solver, ranks):
         # no candidate separates although the space rank is at most dim 4
         alg = catalog.get(key)
         space = solver(alg)
         assert space.rank <= 4
-        calls = []
-
-        def counted(space, e):
-            calls.append(e)
-            return kernel_rank(space, e)
-
-        monkeypatch.setattr(local, "kernel_rank", counted)
         report = two_local_report(alg, space, PLAN)
         assert report.verdict == INCONCLUSIVE
+        assert [e for e, _ in report.kernel_ranks] == list(PLAN.points(4))
         assert [r for _, r in report.kernel_ranks] == ranks
         assert report.min_kernel_rank == 1
-        assert calls == list(PLAN.points(4))
 
     def test_halfder_rigidity_of_simple_3d(self):
         for key in ("A_alpha", "B", "C_alpha"):

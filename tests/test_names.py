@@ -35,13 +35,19 @@ fault in row indexing cannot hide by being repeated in the re-check.
 The seventh guard keeps exact elimination on integers: the elimination
 core (``linalg._Echelon.insert``, ``linalg._Echelon.reduce`` and their row
 combination ``linalg._eliminate``) and the local engine's integer path
-(the point scan ``local._escape``, the scaling ``local._scaled``, the
-column action ``local._images``, the one builder of ``W(x)``
-``local._span_at`` and its equations ``local._point_rows``) neither build
-a ``Fraction`` (directly, through ``frac``/``vector`` or from the constants
+(the point scan ``local._escape``, the walk over sample points
+``local._walk``, which scales the generators and each point, the column
+action ``local._images``, the one builder of ``W(x)`` ``local._span_at``
+and its equations ``local._point_rows``) neither build a ``Fraction``
+(directly, through ``frac``/``vector`` or from the constants
 ``ZERO``/``ONE``) nor reach ``SubspaceBasis`` or ``evaluation_subspace``,
 the deleted rational path.  Fractions are made only where a reduced form
 is read.
+
+The eighth guard keeps one walk over the sample points: inside ``src/``
+only ``local._walk`` names ``local._span_at``, so ``W(x)`` is built, and
+the generators scaled to integers, in one loop for every reader (closures,
+the point scan, 2-local reports and ``kernel_rank``).
 """
 
 import ast
@@ -391,7 +397,7 @@ INTEGER_CORE = (
     "linalg._Echelon.reduce",
     "linalg._eliminate",
     "local._escape",
-    "local._scaled",
+    "local._walk",
     "local._images",
     "local._span_at",
     "local._point_rows",
@@ -434,4 +440,33 @@ def test_guard_catches_a_core_back_on_fractions(tmp_path):
         ("probe._Echelon.insert", 8, "Fraction"),
         ("probe._Echelon.reduce", 10, "SubspaceBasis"),
         ("probe._span_at", 18, "Fraction"),
+    ]
+
+
+SPAN_BUILDER = {"_span_at"}
+
+
+def span_builders(paths):
+    """``(scope, line, name)`` of each reference to ``_span_at``, the builder of ``W(x)``."""
+    return names_in(paths, SPAN_BUILDER, _referenced)
+
+
+def test_one_walk_builds_every_span():
+    resolve("local._span_at")
+    resolve("local._walk")
+    assert {scope for scope, _, _ in span_builders(SOURCES)} == {"local._walk"}
+
+
+def test_guard_catches_a_second_span_builder(tmp_path):
+    module = tmp_path / "probe.py"
+    module.write_text(
+        "import local\n"
+        "def _walk(rows, points, n):\n    for x in points:\n        yield x, _span_at(rows, x, n)\n"
+        "def kernel_rank(space, e):\n    return space.rank - local._span_at(space.rows, e, 4).rank\n"
+        "class Report:\n    def scan(self, points):\n        return map(_span_at, points)\n"
+    )
+    assert span_builders([module]) == [
+        ("probe._walk", 4, "_span_at"),
+        ("probe.kernel_rank", 6, "_span_at"),
+        ("probe.Report.scan", 9, "_span_at"),
     ]
