@@ -1,20 +1,21 @@
 """Exact sparse linear algebra over the rationals.
 
-Everything in this package reduces to the primitives here.  One exact
-sparse elimination, :class:`_Echelon`, does every solve and every
-membership test, and a small lattice of subspace operations (membership,
-sum, inclusion, equality) sits on top.  It and the modular echelon below
-read a kernel off as integer generator rows, one per free column;
-:func:`nullspace_of_sparse_rows`, the one function that turns the rows of
-a linear system into its solution space, is the one place those
+Everything in this package reduces to the primitives here.  One exact sparse
+elimination, :class:`_Echelon`, does every solve and every membership test,
+and a small lattice of subspace operations (membership, sum, inclusion,
+equality) sits on top.  An echelon is built from the rows that define it,
+and outside vectors enter through :func:`_entering`.  It and the modular
+echelon below read a kernel off as integer generator rows, one per free
+column; :func:`nullspace_of_sparse_rows`, the one function that turns the
+rows of a linear system into its solution space, is the one place those
 generators become a canonical basis.  An affine solution set is a known
 solution plus such a space, and :meth:`SubspaceBasis.reduced_from_last`
 gives its canonical particular member (free coordinates zero).  Dense
 :class:`Matrix` values are inputs and outputs, never the working form.
 Values are :class:`fractions.Fraction`, with no floats and no tolerances,
 but elimination is fraction-free over Z on the :func:`_integral` multiples
-of the rows, which span the same lines.  Fractions are made again only
-where a reduced form is read: each entry over its row's pivot entry.
+of the rows, which span the same lines.  Fractions are made again only where
+a reduced form is read: each entry over its row's pivot entry.
 
 :func:`nullspace_of_sparse_rows` puts a modular filter in front of
 ``_Echelon``: it scales each row to integers, eliminates in GF(P) with
@@ -158,11 +159,14 @@ class _Echelon:
     row; its own multiplier is a product of pivot entries, never zero, so
     the residue is empty exactly for a member.  :meth:`span` and
     :meth:`kernel` read a reduced form after :meth:`_back_substitute`.
+    It is built from the rows that define it, inserted in order, and none after.
     """
 
-    def __init__(self, ambient: int) -> None:
+    def __init__(self, ambient: int, rows: Iterable[dict[int, int]] = ()) -> None:
         self.ambient = ambient
         self.rows: dict[int, dict[int, int]] = {}  # pivot column -> primitive row, in insertion order
+        for row in rows:
+            self.insert(row)
 
     @property
     def rank(self) -> int:
@@ -354,6 +358,14 @@ def _integral(row: SparseRow) -> dict[int, int]:
     return {c: num * (den // v.denominator) for c, v in row.items() if (num := v.numerator)}
 
 
+def _entering(v: Sequence[RationalLike], ambient: int, what: str) -> dict[int, int]:
+    """A vector from outside as an echelon's integer row, once its length is checked against ``ambient``."""
+    v = vector(v)
+    if len(v) != ambient:
+        raise ValueError(f"{what} length {len(v)} != ambient dimension {ambient}")
+    return _integral(_to_sparse(v))
+
+
 def _check_columns(row: SparseRow, ambient: int) -> None:
     if row and (min(row) < 0 or max(row) >= ambient):
         raise ValueError(f"sparse row has a column outside 0..{ambient - 1}: {sorted(row)}")
@@ -375,23 +387,18 @@ class SubspaceBasis:
     ambient_dim: int
     basis: tuple[Vector, ...]
 
+    def __post_init__(self) -> None:
+        for row in self.basis:
+            if len(row) != self.ambient_dim:
+                raise ValueError(f"basis row length {len(row)} != ambient dimension {self.ambient_dim}")
+
     @property
     def rank(self) -> int:
         return len(self.basis)
 
     @classmethod
     def from_generators(cls, ambient_dim: int, generators: Iterable[Sequence[RationalLike]]) -> "SubspaceBasis":
-        ech = _Echelon(ambient_dim)
-        for gen in generators:
-            gen = vector(gen)
-            if len(gen) != ambient_dim:
-                raise ValueError(f"generator length {len(gen)} != ambient dimension {ambient_dim}")
-            ech.insert(_integral(_to_sparse(gen)))
-        return ech.span()
-
-    @classmethod
-    def zero(cls, ambient_dim: int) -> "SubspaceBasis":
-        return cls(ambient_dim, ())
+        return _Echelon(ambient_dim, (_entering(gen, ambient_dim, "generator") for gen in generators)).span()
 
     @cached_property
     def _echelon(self) -> _Echelon:
@@ -400,19 +407,13 @@ class SubspaceBasis:
         It lives in the instance ``__dict__``, outside the dataclass fields,
         so ``==``, ``hash`` and ``repr`` do not see it.  A basis built by an
         echelon (``from_generators``, kernels) arrives with that echelon; a
-        basis given to the constructor is inserted row by row here, so one
-        that is not already reduced still gives the right echelon.
+        basis given to the constructor is folded in here, so one that is not
+        already reduced still gives the right echelon.
         """
-        ech = _Echelon(self.ambient_dim)
-        for row in self.basis:
-            ech.insert(_integral(_to_sparse(row)))
-        return ech
+        return _Echelon(self.ambient_dim, (_integral(_to_sparse(row)) for row in self.basis))
 
     def contains(self, v: Sequence[RationalLike]) -> bool:
-        v = vector(v)
-        if len(v) != self.ambient_dim:
-            raise ValueError(f"vector length {len(v)} != ambient dimension {self.ambient_dim}")
-        return not self._echelon.reduce(_integral(_to_sparse(v)))
+        return not self._echelon.reduce(_entering(v, self.ambient_dim, "vector"))
 
     def contains_all(self, vectors: Iterable[Sequence[RationalLike]]) -> bool:
         return all(self.contains(v) for v in vectors)
@@ -450,9 +451,7 @@ class SubspaceBasis:
         with ``s`` in the space, and division by its entry there gives the vector.
         """
         n = self.ambient_dim
-        ech = _Echelon(n + 1)
-        for row in self.basis:
-            ech.insert(_integral({n - 1 - j: x for j, x in enumerate(row) if x}))
+        ech = _Echelon(n + 1, (_integral({n - 1 - j: x for j, x in enumerate(row) if x}) for row in self.basis))
         residue = ech.reduce(_integral({n - 1 - j: x for j, x in enumerate(v) if x} | {n: ONE}))
         return tuple(Fraction(residue.get(n - 1 - j, 0), residue[n]) for j in range(n))
 
@@ -474,14 +473,8 @@ def nullspace_of_sparse_rows(ambient: int, rows: Iterable[SparseRow]) -> tuple[S
         scaled.append(row)
         mod.insert(row)
         if mod.rank == ambient:
-            return SubspaceBasis.zero(ambient), ambient
+            return _Echelon(ambient).span(), ambient
     kernel = mod.kernel()
     if kernel is None or not _annihilated(scaled, kernel, ambient):
-        ech = _Echelon(ambient)
-        for row in scaled:
-            ech.insert(row)
-        kernel = ech.kernel()
-    basis = _Echelon(ambient)
-    for gen in kernel:
-        basis.insert(gen)
-    return basis.span(), ambient - len(kernel)
+        kernel = _Echelon(ambient, scaled).kernel()
+    return _Echelon(ambient, kernel).span(), ambient - len(kernel)

@@ -23,21 +23,21 @@ is applied, on sparse integer rows and points.  ``_walk`` is the one walk
 over sample points: it scales the generators (space elements, candidate
 matrices or family directions) to integer rows once (``linalg._integral``)
 and each point once, and yields ``W(x)`` from ``_span_at``, the one builder
-of ``W(x)``, an echelon in ``linalg._Echelon``, the package's one
-elimination, which is fraction-free over ``Z``.  Scaling ``x`` or any ``S``
-by a nonzero rational changes neither ``W(x)`` nor whether ``S x`` lies in
-it, so ranks, verdicts and escaping points are those of the rational
+of ``W(x)``: a ``linalg._Echelon`` (the package's one elimination,
+fraction-free over ``Z``) built from the images ``S x``.  Scaling ``x`` or
+any ``S`` by a nonzero rational changes neither ``W(x)`` nor whether ``S x``
+lies in it, so ranks, verdicts and escaping points are those of the rational
 computation.  The transpose of the action, the functional ``q(B x)`` on
 ``vec(B)``, is written once in ``_point_rows``, in integers.  ``_closure``
-is the one closure solve: it turns ``B x in span`` at every sample into
-one homogeneous system for ``nullspace_of_sparse_rows``.  ``local_closure``
+is the one closure solve: it turns ``B x in span`` at every sample into one
+homogeneous system for ``nullspace_of_sparse_rows``.  ``local_closure``
 closes the space's basis; ``affine_local_closure`` closes the family's
-directions alone, because ``B x in base@x + span`` is ``(B - base) x in
-span`` and the base solves its own rows.  ``_escape`` is the one point
-scan, finding where some ``S x`` leaves ``W(x)``, for both
+directions alone, because ``B x in base@x + span`` is
+``(B - base) x in span`` and the base solves its own rows.  ``_escape`` is
+the one point scan, finding where some ``S x`` leaves ``W(x)``, for both
 ``recheck_certification`` and ``is_local_member``; ``two_local_report``
-reads the rank of ``W(e)`` at each plan point, ``kernel_rank`` at one.
-Each entry point refuses a space whose ambient is not ``n**2``.
+reads the rank of ``W(e)`` at each plan point, ``kernel_rank`` at one.  Each
+entry point refuses a space whose ambient is not ``n**2``.
 
 Results are bitwise deterministic for a fixed :class:`SamplePlan`: samples
 are the basis vectors, then all pairwise sums, then seeded random vectors.
@@ -91,6 +91,8 @@ class SamplePlan:
     random_count: int = DEFAULT_RANDOM_COUNT
 
     def __post_init__(self) -> None:
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise ValueError(f"seed must be an int, got {self.seed!r}")
         _check_count("random_count", self.random_count, 0)
 
     def points(self, dim: int) -> tuple[Vector, ...]:
@@ -112,14 +114,9 @@ class SamplePlan:
     def fresh_points(self, dim: int, count: int) -> tuple[Vector, ...]:
         """Extra random rational points from an independent seeded stream."""
         rng = random.Random((self.seed << 4) ^ 1)
-        pts = []
-        for _ in range(count):
-            pts.append(
-                tuple(
-                    Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(dim)
-                )
-            )
-        return tuple(pts)
+        return tuple(
+            tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(dim)) for _ in range(count)
+        )
 
 
 def _images(rows: Sequence[dict[int, int]], x: dict[int, int], n: int) -> list[dict[int, int]]:
@@ -143,10 +140,7 @@ def _images(rows: Sequence[dict[int, int]], x: dict[int, int], n: int) -> list[d
 
 def _span_at(rows: Sequence[dict[int, int]], x: dict[int, int], n: int) -> _Echelon:
     """``W(x)``, the echelon of the images ``S x``; ``rows`` and ``x`` are sparse integer multiples (``_walk``)."""
-    span = _Echelon(n)
-    for image in _images(rows, x, n):
-        span.insert(image)
-    return span
+    return _Echelon(n, _images(rows, x, n))
 
 
 def _walk(generators: Sequence[Sequence], points: Iterable[Sequence], n: int) -> Iterator[tuple[Sequence, dict, _Echelon]]:

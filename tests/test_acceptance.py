@@ -89,7 +89,7 @@ def test_criterion_11_property_suite():
 
 def test_criterion_11_fails_when_skew_biderivations_go_missing(monkeypatch):
     def zero(alg):
-        return TensorSpace(alg, "skew", SubspaceBasis.zero(alg.dim ** 3))
+        return TensorSpace(alg, "skew", SubspaceBasis(alg.dim ** 3, ()))
 
     monkeypatch.setattr(verification, "skew_biderivations", zero)
     result = verification.criterion_11_property_suite(PLAN)

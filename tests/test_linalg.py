@@ -44,11 +44,8 @@ def integer_rows(rows):
 
 
 def echelon_of(ambient, rows):
-    """A fresh ``_Echelon`` with ``rows`` (any rationals) inserted."""
-    ech = _Echelon(ambient)
-    for row in integer_rows(rows):
-        ech.insert(row)
-    return ech
+    """A fresh ``_Echelon`` built from ``rows`` (any rationals)."""
+    return _Echelon(ambient, integer_rows(rows))
 
 
 def rref(m):
@@ -64,10 +61,7 @@ def rref(m):
 
 def canonical_span(ambient, gens):
     """The reduced echelon basis of sparse integer ``gens``, through a fresh ``_Echelon``."""
-    ech = _Echelon(ambient)
-    for gen in gens:
-        ech.insert(gen)
-    return ech.span().basis
+    return _Echelon(ambient, gens).span().basis
 
 
 def annihilator_rows(space):
@@ -121,7 +115,7 @@ class TestNullspace:
         assert kernel_of(Matrix.from_rows([[0] * 3] * 3)) == (full(3), 0)
 
     def test_identity_gives_zero_space(self):
-        assert kernel_of(Matrix.identity(4)) == (SubspaceBasis.zero(4), 4)
+        assert kernel_of(Matrix.identity(4)) == (SubspaceBasis(4, ()), 4)
 
     def test_single_equation(self):
         # x + 2y = 0 solved by hand: span{(-2, 1)}.
@@ -153,19 +147,29 @@ class TestSubspaceLattice:
 
     def test_contains_dimension_mismatch(self):
         s = SubspaceBasis.from_generators(2, [(1, 0)])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"vector length 3 != ambient dimension 2"):
             s.contains((1, 0, 0))
 
     def test_contains_all_dimension_mismatch(self):
         s = SubspaceBasis.from_generators(3, [(1, 0, 0)])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"vector length 2 != ambient dimension 3"):
             s.contains_all([(1, 0)])
+
+    def test_generator_dimension_mismatch(self):
+        with pytest.raises(ValueError, match=r"generator length 3 != ambient dimension 2"):
+            SubspaceBasis.from_generators(2, [(1, 0), (1, 0, 0)])
+
+    @pytest.mark.parametrize("ambient, basis", [(3, ((1, 2),)), (2, ((1, 0, 5),)), (2, ((1, 0), (0, 1, 0)))])
+    def test_basis_rows_of_the_wrong_length_are_refused(self, ambient, basis):
+        # unchecked, (1, 2) in ambient 3 made (1, 2, 0) a member, and (1, 0, 5) in ambient 2 made (1, 0) a non-member
+        with pytest.raises(ValueError, match=rf"basis row length {len(basis[-1])} != ambient dimension {ambient}"):
+            SubspaceBasis(ambient, basis)
 
     def test_is_subspace_of_across_ambient_dimensions(self):
         with pytest.raises(ValueError):
             SubspaceBasis.from_generators(2, [(1, 0)]).is_subspace_of(full(3))
         with pytest.raises(ValueError):
-            SubspaceBasis.zero(2).is_subspace_of(full(3))
+            SubspaceBasis(2, ()).is_subspace_of(full(3))
 
     def test_annihilated_by_a_column_outside_the_ambient(self):
         with pytest.raises(ValueError):
@@ -189,7 +193,7 @@ class TestSubspaceLattice:
         a = SubspaceBasis.from_generators(2, [(1, 2)])
         b = SubspaceBasis.from_generators(2, [(2, 4)])
         assert a == b
-        assert full(2) != SubspaceBasis.zero(2)
+        assert full(2) != SubspaceBasis(2, ())
 
     def test_canonical_under_shuffle_and_scale(self):
         rng = random.Random(7)
@@ -327,6 +331,8 @@ class TestEchelon:
             grew = [ech.insert(_to_sparse(row)) for row in rows]
             rank = len(gauss_jordan(rows, ambient)[1])
             assert sum(grew) == rank == ech.rank
+            # the constructor stores the same rows: same pivots, same order, same entries
+            assert list(_Echelon(ambient, map(_to_sparse, rows)).rows.items()) == list(ech.rows.items())
             for pivot, stored in ech.rows.items():
                 assert min(stored) == pivot and stored[pivot] > 0 and gcd(*stored.values()) == 1
             coeffs = [rng.randint(-4, 4) for _ in rows]
@@ -349,7 +355,7 @@ class TestEchelon:
         assert not ech.reduce({0: 1})
         assert ech.kernel() == []
         assert not _Echelon(0).reduce({}) and not _Echelon(0).insert({})
-        assert _Echelon(0).span() == SubspaceBasis.zero(0) and _Echelon(0).kernel() == []
+        assert _Echelon(0).span() == SubspaceBasis(0, ()) and _Echelon(0).kernel() == []
 
     def test_a_read_span_leaves_primitive_multiples_of_its_rref_rows(self):
         """Reading the span back-substitutes in place: each stored row becomes its RREF row times the lcm of its denominators."""
@@ -358,9 +364,7 @@ class TestEchelon:
         for _ in range(300):
             ambient = rng.randint(1, 6)
             rows = [[rng.randint(-6, 6) for _ in range(ambient)] for _ in range(rng.randint(0, 7))]
-            ech = _Echelon(ambient)
-            for row in rows:
-                ech.insert(_to_sparse(row))
+            ech = _Echelon(ambient, map(_to_sparse, rows))
             forward = {p: dict(row) for p, row in ech.rows.items()}
             reduced, pivots = gauss_jordan(rows, ambient)
             assert ech.span().basis == tuple(reduced) and tuple(sorted(ech.rows)) == pivots
@@ -480,7 +484,7 @@ class TestEchelonKernel:
 
     def test_functionals_vanish_and_have_complementary_rank(self):
         rng = random.Random(0xA2)
-        spaces = [SubspaceBasis.zero(4), full(4), SubspaceBasis.zero(1), full(1)]
+        spaces = [SubspaceBasis(4, ()), full(4), SubspaceBasis(1, ()), full(1)]
         spaces += [TestCachedEchelon.spaces(rng, rng.randint(1, 6))[rng.randint(0, 1)] for _ in range(200)]
         for space in spaces:
             n = space.ambient_dim
@@ -490,14 +494,16 @@ class TestEchelonKernel:
             assert nullspace_of_sparse_rows(n, gens)[0] == SubspaceBasis.from_generators(n, space.basis)
 
     def test_zero_and_full_spaces(self):
-        assert annihilator_rows(SubspaceBasis.zero(3)) == [{0: 1}, {1: 1}, {2: 1}]
+        assert annihilator_rows(SubspaceBasis(3, ())) == [{0: 1}, {1: 1}, {2: 1}]
         assert annihilator_rows(full(3)) == []
 
 
 def test_spaces_built_by_an_echelon_keep_it(monkeypatch):
-    """``from_generators`` and kernels hand over the echelon they built: queries insert nothing."""
+    """``from_generators`` and kernels, the zero kernel too, hand over the echelon they built: queries insert nothing."""
     spanned = SubspaceBasis.from_generators(3, [(1, 2, 0), (0, 1, 1)])
     kernel = kernel_of(M([[1, 2, 3]]))[0]
+    zero = kernel_of(Matrix.identity(2))[0]  # a full-rank system's zero space
+    assert all("_echelon" in vars(space) for space in (spanned, kernel, zero))
     inserted = []
     insert = _Echelon.insert
     monkeypatch.setattr(_Echelon, "insert", lambda self, row: inserted.append(row) or insert(self, row))
@@ -513,10 +519,7 @@ class TestCachedEchelon:
 
     @staticmethod
     def fresh_contains(space, v):
-        ech = _Echelon(space.ambient_dim)
-        for row in integer_rows(space.basis):
-            ech.insert(row)
-        return not ech.reduce(*integer_rows([v]))
+        return not _Echelon(space.ambient_dim, integer_rows(space.basis)).reduce(*integer_rows([v]))
 
     @staticmethod
     def spaces(rng, ambient):
@@ -671,7 +674,7 @@ class TestModularFilter:
             yield {1: Fraction(3)}
             raise AssertionError("read past full rank")
 
-        assert nullspace_of_sparse_rows(2, rows()) == (SubspaceBasis.zero(2), 2)
+        assert nullspace_of_sparse_rows(2, rows()) == (SubspaceBasis(2, ()), 2)
 
     @pytest.mark.parametrize("row", [{0: Fraction(1), 3: Fraction(1)}, {-1: Fraction(1)}, {2: Fraction(1)}])
     def test_columns_outside_the_ambient_are_refused(self, row):

@@ -75,6 +75,12 @@ class TestSamplePlan:
         with pytest.raises(ValueError):
             SamplePlan(random_count=count)
 
+    @pytest.mark.parametrize("seed", [True, 2.5, "7", [1]])
+    def test_seed_that_is_not_an_integer_is_refused(self, seed):
+        # True used to give seed 1's plan, 2.5 and "7" failed only in fresh_points, [1] inside random.Random
+        with pytest.raises(ValueError, match=re.escape(f"seed must be an int, got {seed!r}")):
+            SamplePlan(seed=seed)
+
     @pytest.mark.parametrize("count", [True, False, 2.5, 3.0, "3", None])
     def test_random_count_that_is_not_an_integer_is_refused(self, count):
         # True used to mean one random point, and 2.5 failed only when points() reached range()

@@ -48,6 +48,12 @@ The eighth guard keeps one walk over the sample points: inside ``src/``
 only ``local._walk`` names ``local._span_at``, so ``W(x)`` is built, and
 the generators scaled to integers, in one loop for every reader (closures,
 the point scan, 2-local reports and ``kernel_rank``).
+
+The ninth guard keeps one way to build an echelon: inside ``src/`` a method
+``insert`` is called only by ``linalg._Echelon.__init__``, which folds in
+the rows that define the echelon, and by the modular filter's loop in
+``linalg.nullspace_of_sparse_rows``, which stops at full rank.  Every other
+echelon is a constructor call, ``_Echelon(ambient, rows)``.
 """
 
 import ast
@@ -425,7 +431,7 @@ def test_guard_catches_a_core_back_on_fractions(tmp_path):
         "            return x\n"
         "class _Echelon:\n"
         "    def insert(self, row):\n        return self.reduce({0: Fraction(row[0])})\n"
-        "    def reduce(self, row):\n        return SubspaceBasis.zero(1).contains(row)\n"
+        "    def reduce(self, row):\n        return SubspaceBasis(1, ()).contains(row)\n"
         "    def span(self):\n        return [Fraction(1)]\n"
         "def _closure(x):\n    return Fraction(x)\n"
         "def _span_at(vectors, x, n):\n"
@@ -469,4 +475,38 @@ def test_guard_catches_a_second_span_builder(tmp_path):
         ("probe._walk", 4, "_span_at"),
         ("probe.kernel_rank", 6, "_span_at"),
         ("probe.Report.scan", 9, "_span_at"),
+    ]
+
+
+def _method_called(node):
+    """The method name of a call ``<expression>.name(...)``, or None."""
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        return node.func.attr
+    return None
+
+
+def insert_calls(paths):
+    """``(scope, line, "insert")`` of each call of a method named ``insert``."""
+    return names_in(paths, {"insert"}, _method_called)
+
+
+def test_every_echelon_is_built_by_its_constructor():
+    for dotted in ("linalg._Echelon.__init__", "linalg._ModEchelon.insert", "linalg.nullspace_of_sparse_rows"):
+        resolve(dotted)
+    assert [scope for scope, _, _ in insert_calls(SOURCES)] == ["linalg._Echelon.__init__", "linalg.nullspace_of_sparse_rows"]
+
+
+def test_guard_catches_a_second_insert_loop(tmp_path):
+    module = tmp_path / "probe.py"
+    module.write_text(
+        "class _Echelon:\n"
+        "    def __init__(self, ambient, rows=()):\n        for row in rows:\n            self.insert(row)\n"
+        "def _span_at(images, n):\n    span = _Echelon(n)\n    for image in images:\n        span.insert(image)\n    return span\n"
+        "def nullspace_of_sparse_rows(ambient, rows):\n    for row in rows:\n        mod.insert(row)\n"
+        "    return _Echelon(ambient, rows), sorted(rows).index(0)\n"
+    )
+    assert insert_calls([module]) == [
+        ("probe._Echelon.__init__", 4, "insert"),
+        ("probe._span_at", 8, "insert"),
+        ("probe.nullspace_of_sparse_rows", 12, "insert"),
     ]

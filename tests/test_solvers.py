@@ -406,5 +406,5 @@ def test_full_rank_systems_need_no_exact_elimination(monkeypatch):
         raise AssertionError("exact elimination on a full-rank system")
 
     monkeypatch.setattr(linalg._Echelon, "insert", refuse)
-    assert derivations(alg).space == SubspaceBasis.zero(25)
-    assert biderivations(alg).space == SubspaceBasis.zero(125)
+    assert derivations(alg).space == SubspaceBasis(25, ())
+    assert biderivations(alg).space == SubspaceBasis(125, ())
