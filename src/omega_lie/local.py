@@ -424,15 +424,16 @@ class AffineClosureResult:
     def functional_value(self, coefficients: Mapping[tuple[int, int], object]):
         """Value of ``sum coeff[i,j] * B[i][j]`` over the closure, if constant.
 
-        ``(i, j)`` are 0-based matrix positions.  Returns the constant
-        Fraction, or ``None`` when the functional varies over the closure.
+        ``(i, j)`` are 0-based matrix positions; one outside the matrix is
+        refused with ``ValueError``.  Returns the constant Fraction, or
+        ``None`` when the functional varies over the closure.
         """
         n = self.family.dim
         coeffs = {(i, j): frac(v) for (i, j), v in coefficients.items()}
-        for row in self.directions.basis:
-            drift = sum((c * row[i * n + j] for (i, j), c in coeffs.items()), ZERO)
-            if drift:
-                return None
+        if outside := [(i, j) for i, j in coeffs if not (0 <= i < n and 0 <= j < n)]:
+            raise ValueError(f"positions {outside} lie outside the {n} x {n} matrix")
+        if not self.directions.annihilated_by({i * n + j: c for (i, j), c in coeffs.items()}):
+            return None
         return sum((c * self.particular.rows[i][j] for (i, j), c in coeffs.items()), ZERO)
 
 

@@ -1,5 +1,9 @@
 """References kept apart from the library, for tests to compare against.
 
+* The weighted Jacobi defects of an algebra, evaluated through
+  ``algebra.bracket`` and ``algebra.omega_form`` on unit vectors at every
+  basis triple, so ``check_axioms``, which reads the tables, can be
+  compared against them.
 * Biderivation and form-compatibility residual operators, built column by
   column from unit tensors through ``algebra.bracket``,
   ``algebra.omega_form`` and ``BilinearMap.apply`` only, never through the
@@ -15,6 +19,36 @@ from typing import Optional
 
 from omega_lie.algebra import BilinearMap
 from omega_lie.linalg import Matrix, SubspaceBasis, nullspace_of_sparse_rows
+
+
+def oracle_axiom_defects(algebra) -> list:
+    """``[(triple, defect)]`` over the basis triples ``i < j < k`` (1-based)
+    whose defect ``([[e_i,e_j],e_k] + cyclic) - (w(e_i,e_j) e_k + cyclic)``
+    is nonzero, in lexicographic order."""
+    n = algebra.dim
+    basis = algebra.basis_vectors()
+    found = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                ei, ej, ek = basis[i], basis[j], basis[k]
+                lhs_terms = (
+                    algebra.bracket(algebra.bracket(ei, ej), ek),
+                    algebra.bracket(algebra.bracket(ej, ek), ei),
+                    algebra.bracket(algebra.bracket(ek, ei), ej),
+                )
+                weights = (
+                    (algebra.omega_form(ei, ej), ek),
+                    (algebra.omega_form(ej, ek), ei),
+                    (algebra.omega_form(ek, ei), ej),
+                )
+                defect = tuple(
+                    sum(t[m] for t in lhs_terms) - sum(coeff * vec[m] for coeff, vec in weights)
+                    for m in range(n)
+                )
+                if any(defect):
+                    found.append(((i + 1, j + 1, k + 1), defect))
+    return found
 
 
 def _operator_rows(columns):

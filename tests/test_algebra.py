@@ -4,6 +4,7 @@ import json
 import random
 from dataclasses import replace
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -21,7 +22,7 @@ from omega_lie.algebra import (
 )
 from omega_lie.linalg import Matrix
 from omega_lie.verification import automorphism_family_L11
-from oracle import realized
+from oracle import oracle_axiom_defects, realized
 
 
 def abelian(n):
@@ -30,6 +31,19 @@ def abelian(n):
 
 def scalar_map(n, c):
     return Matrix.from_rows([[c if i == j else 0 for j in range(n)] for i in range(n)])
+
+
+def random_table(rng, n):
+    """A sparse random bracket table with small integer entries and a nonzero skew form."""
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    brackets = {
+        pair: {rng.randint(1, n): rng.choice((-2, -1, 1, 2)) for _ in range(rng.randint(1, 2))}
+        for pair in pairs
+        if rng.random() < 0.25
+    }
+    omega = {pair: rng.choice((-1, 1, 2)) for pair in pairs if rng.random() < 0.15}
+    omega.setdefault(rng.choice(pairs), 1)
+    return OmegaAlgebra.from_tables(f"random{n}", n, brackets, omega)
 
 
 def rand_vec(rng, n):
@@ -119,8 +133,12 @@ class TestAxioms:
         assert defect.defect == (0, 0, -1, 0)
 
     def test_zero_form_defect_is_plain_jacobi(self):
-        alg = catalog.get("sl2")
+        # a Lie-type table (omega = 0) on which the Jacobi identity fails
+        alg = OmegaAlgebra.from_tables(
+            "broken", 4, {(1, 2): {3: 1}, (2, 3): {1: 1}, (1, 3): {3: -1}, (1, 4): {4: 1}}, {}
+        )
         report = check_axioms(alg)
+        assert report.omega_is_zero and not report.jacobi_holds
         e = alg.basis_vectors()
         for d in report.defects:
             i, j, k = (idx - 1 for idx in d.triple)
@@ -132,7 +150,68 @@ class TestAxioms:
                     alg.bracket(alg.bracket(e[k], e[i]), e[j]),
                 )
             )
-            assert d.defect == jacobi == (0, 0, 0)
+            assert d.defect == jacobi != (0, 0, 0, 0)
+
+    def test_catalog_defects_match_the_oracle(self):
+        for entry in catalog.list_entries():
+            for sample in entry.parameter_samples():
+                alg = entry.build({"alpha": sample} if sample is not None else None)
+                report = check_axioms(alg)
+                assert [(d.triple, d.defect) for d in report.defects] == oracle_axiom_defects(alg)
+
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_random_table_defects_match_the_oracle(self, n):
+        rng = random.Random(n)
+        kept = 0
+        for _ in range(40):
+            alg = random_table(rng, n)
+            assert not alg.omega_is_zero
+            report = check_axioms(alg)
+            expected = oracle_axiom_defects(alg)
+            assert [(d.triple, d.defect) for d in report.defects] == expected
+            assert report.failing_triples() == tuple(t for t, _ in expected)
+            assert report.jacobi_holds == (not expected)
+            kept += len(expected)
+        # some triples fail and, once a table has more than one triple, some hold
+        assert 0 < kept and (n == 3 or kept < 40 * comb(n, 3))
+
+    def test_the_tables_are_read_without_evaluation(self, monkeypatch):
+        calls = []
+
+        def counted(name):
+            def evaluate(self, x, y):
+                calls.append(name)
+                return original[name](self, x, y)
+
+            return evaluate
+
+        original = {name: getattr(OmegaAlgebra, name) for name in ("bracket", "omega_form")}
+        for name in original:
+            monkeypatch.setattr(OmegaAlgebra, name, counted(name))
+        report = check_axioms(abelian(30))
+        assert report.passed and report.defects == ()
+        assert calls == []
+
+    def test_a_nonzero_diagonal_is_not_antisymmetric(self):
+        alg = abelian(3)
+        plane = [list(p) for p in alg.structure]
+        plane[1][1] = (Fraction(0), Fraction(0), Fraction(1))  # [e2, e2] = e3
+        assert not check_axioms(replace(alg, structure=tuple(map(tuple, plane)))).bracket_antisymmetric
+        omega = [list(row) for row in alg.omega]
+        omega[2][2] = Fraction(1)  # w(e3, e3) = 1
+        report = check_axioms(replace(alg, omega=tuple(map(tuple, omega))))
+        assert report.bracket_antisymmetric and not report.omega_skew and not report.passed
+
+    def test_an_unskew_pair_is_reported(self):
+        alg = abelian(3)
+        plane = [[list(row) for row in p] for p in alg.structure]
+        plane[0][1][2] = Fraction(1)  # [e1, e2] = e3 with [e2, e1] = 0
+        omega = [list(row) for row in alg.omega]
+        omega[0][2] = Fraction(1)  # w(e1, e3) = 1 with w(e3, e1) = 0
+        report = check_axioms(
+            replace(alg, structure=tuple(tuple(map(tuple, p)) for p in plane), omega=tuple(map(tuple, omega)))
+        )
+        assert not report.bracket_antisymmetric and not report.omega_skew
 
 
 class TestDirectSum:

@@ -329,6 +329,59 @@ class TestAlgebraArgument:
         assert out == ""
 
 
+# the B~ table as printed, with [e4,e2] = -e4 (the catalog entry drops that bracket)
+PRINTED_B_TILDE = {
+    "name": "B~ (printed)",
+    "dim": 4,
+    "brackets": [
+        {"i": 1, "j": 2, "coeffs": {"2": "1"}},
+        {"i": 1, "j": 3, "coeffs": {"2": "1", "3": "1"}},
+        {"i": 2, "j": 3, "coeffs": {"1": "1"}},
+        {"i": 1, "j": 4, "coeffs": {"4": "2"}},
+        {"i": 2, "j": 4, "coeffs": {"4": "1"}},
+    ],
+    "omega": [{"i": 2, "j": 3, "value": "2"}],
+}
+
+
+class TestCheck:
+    def test_printed_b_tilde_text(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("btilde.json").write_text(json.dumps(PRINTED_B_TILDE))
+        code, out, _ = run(capsys, "check", "btilde.json")
+        assert code == 0
+        assert out == (
+            "algebra B~ (printed) (dim 4, hash bd39fc004aed36c8)\n"
+            "  bracket antisymmetric: True\n"
+            "  omega skew-symmetric:  True\n"
+            "  weighted Jacobi holds: False\n"
+            "  omega is zero (plain Lie algebra): False\n"
+            "  axioms passed: False\n"
+            "  failing triples: ((1, 2, 4), (1, 3, 4))\n"
+        )
+
+    def test_printed_b_tilde_json(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("btilde.json").write_text(json.dumps(PRINTED_B_TILDE))
+        code, out, _ = run(capsys, "--format", "json", "check", "btilde.json")
+        assert code == 0
+        assert out == json.dumps(
+            {
+                "algebra": {"dim": 4, "hash": "bd39fc004aed36c8", "name": "B~ (printed)", "path": "btilde.json"},
+                "command": "omega-lie --format json check btilde.json",
+                "result": {
+                    "bracket_antisymmetric": True,
+                    "failing_triples": [[1, 2, 4], [1, 3, 4]],
+                    "omega_is_zero": False,
+                    "omega_skew": True,
+                    "passed": False,
+                },
+            },
+            indent=2,
+            sort_keys=True,
+        ) + "\n"
+
+
 class TestFiles:
     def test_algebra_file_input(self, capsys, tmp_path):
         doc = to_document(catalog.get("L_{1,4}"))

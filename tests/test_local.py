@@ -362,6 +362,12 @@ class TestAffineClosure:
         assert res.functional_value({(3, 3): 1}) is None  # b44 stays free
         assert any("1 + t2 != 0" in c for c in res.caveats)
 
+    @pytest.mark.parametrize("position", [(0, 4), (-1, 0), (4, 0), (0, -1)])
+    def test_a_position_outside_the_matrix_is_refused(self, position):
+        res = affine_local_closure(catalog.get("L_{2,3}"), automorphism_family_L23(), PLAN)
+        with pytest.raises(ValueError, match="outside the 4 x 4 matrix"):
+            res.functional_value({(3, 3): 1, position: 1})
+
     def test_identity_only_family(self):
         alg = catalog.get("L_{1,1}")
         family = AffineFamily(base=Matrix.identity(4), directions=())
