@@ -46,6 +46,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from math import gcd, isqrt, lcm
 from operator import mul
 from typing import Iterable, Optional, Sequence, Union
@@ -391,6 +392,9 @@ class SubspaceBasis:
         for row in self.basis:
             if len(row) != self.ambient_dim:
                 raise ValueError(f"basis row length {len(row)} != ambient dimension {self.ambient_dim}")
+        strange = set(map(type, chain.from_iterable(self.basis))) - {Fraction, int}
+        if strange:
+            raise ValueError(f"basis entries must be Fraction or int, got {min(t.__name__ for t in strange)}")
 
     @property
     def rank(self) -> int:
@@ -439,6 +443,40 @@ class SubspaceBasis:
         """
         _check_columns(functional, self.ambient_dim)
         return all(not sum((c * v[j] for j, c in functional.items()), ZERO) for v in self.basis)
+
+    def restricted(self, rows: Iterable[SparseRow]) -> "SubspaceBasis":
+        """The vectors of the subspace that every row annihilates, in canonical form.
+
+        The echelon's r primitive integer rows ``g`` span the subspace, so a
+        member is ``sum(c[i] * g[i])``, and a row ``e`` annihilates it exactly
+        when ``sum(c[i] * (e . g[i])) = 0``.  The kernel of those composed rows
+        in the r coordinates ``c`` is lifted back through ``g`` into one
+        echelon.  ``rows`` is read only until the composed rows reach rank r.
+        """
+        gens = list(self._echelon.rows.values())
+        by_column: dict[int, list[tuple[int, int]]] = {}
+        for i, g in enumerate(gens):
+            for col, v in g.items():
+                by_column.setdefault(col, []).append((i, v))
+
+        def composed():
+            for row in rows:
+                _check_columns(row, self.ambient_dim)
+                out: dict[int, int] = {}
+                for col, v in _integral(row).items():
+                    for i, g in by_column.get(col, ()):
+                        out[i] = out.get(i, 0) + v * g
+                yield {i: v for i, v in out.items() if v}
+
+        kernel, _ = nullspace_of_sparse_rows(len(gens), composed())
+        lifted = []
+        for c in kernel._echelon.rows.values():
+            vec: dict[int, int] = {}
+            for i, ci in c.items():
+                for col, v in gens[i].items():
+                    vec[col] = vec.get(col, 0) + ci * v
+            lifted.append({col: v for col, v in vec.items() if v})
+        return _Echelon(self.ambient_dim, lifted).span()
 
     def reduced_from_last(self, v: Sequence[Fraction]) -> Vector:
         """The one vector of ``v + space`` that is zero at the pivots of a last-to-first echelon.

@@ -29,6 +29,19 @@ maps to a multiple of itself declares an ``order`` such as ``(x, y, True)``
 only.  Enumeration is lexicographic, which makes the rows, and so the
 canonical bases, fully deterministic.
 
+A kind may extend a parent kind: the parent's identities are a proper
+prefix of its own, and both pin the same parameters (``symmetric``, ``skew``
+and ``omega_biderivation`` extend ``biderivation``; ``omega_derivation``
+extends ``derivation``).  :func:`solve` always assembles every identity's
+rows.  A :class:`Session`, which the verification suite creates once per
+run, instead remembers each space it solves, keyed by the algebra's value,
+the kind and its parameter values, and reads an extending kind off the
+parent space: the remaining identities' rows are composed with the parent
+echelon's r integer rows, their kernel is taken in those r coordinates and
+lifted back (``SubspaceBasis.restricted``).  Canonical bases make the two
+answers equal.  A one-off solve keeps the direct path, since it has no
+parent space to reuse.
+
 Adding an identity means one term list in ``KINDS`` plus one test.
 """
 
@@ -123,7 +136,7 @@ def _lookup(kind: str, given: dict, arity: Optional[int] = None) -> tuple[Kind, 
     spec = KINDS.get(kind)
     if spec is None or arity not in (None, spec.arity):
         raise ValueError(f"unknown {('', 'map ', 'tensor ')[arity or 0]}kind {kind!r}")
-    settable = {p for identity in spec.identities for _, p, _ in identity.terms if p} - set(spec.fixed)
+    settable = _settable(spec)
     given = {name: frac(value) for name, value in given.items() if value is not None}
     unknown = sorted(set(given) - settable)
     if unknown:
@@ -132,6 +145,27 @@ def _lookup(kind: str, given: dict, arity: Optional[int] = None) -> tuple[Kind, 
     if missing:
         raise ValueError(f"{kind} needs a value for {missing[0]!r}")
     return spec, {**spec.fixed, **spec.defaults, **given}
+
+
+def _settable(spec: Kind) -> set[str]:
+    """The parameters a caller may give ``spec``: those its identities name and it does not pin."""
+    return {p for identity in spec.identities for _, p, _ in identity.terms if p} - set(spec.fixed)
+
+
+def _parent(spec: Kind) -> Optional[str]:
+    """The kind whose identities are the longest proper prefix of ``spec``'s and that pins the same parameters.
+
+    Its solution space contains that of ``spec``, which is the part of it the
+    remaining identities annihilate.
+    """
+    parents = [
+        name
+        for name, other in KINDS.items()
+        if len(other.identities) < len(spec.identities)
+        and spec.identities[: len(other.identities)] == other.identities
+        and other.fixed == spec.fixed
+    ]
+    return max(parents, key=lambda name: len(KINDS[name].identities), default=None)
 
 
 def _coefficient(multiplier: int, param: Optional[str], params: dict) -> Fraction:
@@ -286,20 +320,52 @@ def vectorize_tensor(t: BilinearMap) -> Vector:
     return tuple(x for plane in t.tensor for row in plane for x in row)
 
 
+def _identity_rows(algebra: OmegaAlgebra, identities, values: dict):
+    tables = _tables(algebra)
+    return (row for identity in identities for row in _rows(algebra, identity, values, tables))
+
+
+def _solution(algebra: OmegaAlgebra, kind: str, arity: int, space: SubspaceBasis) -> Union[MapSpace, TensorSpace]:
+    return (MapSpace if arity == 1 else TensorSpace)(algebra, kind, space)
+
+
 def solve(algebra: OmegaAlgebra, kind: str, **params) -> Union[MapSpace, TensorSpace]:
-    """Solution space of a kind of ``KINDS``.
+    """Solution space of a kind of ``KINDS``, from all of its identities' rows.
 
     ``params`` give values to the parameters a kind leaves open: ``delta`` of
     ``delta_derivation`` (required) and ``sign`` of ``omega_biderivation``;
     ``None`` keeps the default.
     """
     spec, values = _lookup(kind, params)
-    tables = _tables(algebra)
-    rows = (row for identity in spec.identities for row in _rows(algebra, identity, values, tables))
+    rows = _identity_rows(algebra, spec.identities, values)
     space, _ = nullspace_of_sparse_rows(algebra.dim ** (spec.arity + 1), rows)
-    if spec.arity == 1:
-        return MapSpace(algebra, kind, space)
-    return TensorSpace(algebra, kind, space)
+    return _solution(algebra, kind, spec.arity, space)
+
+
+class Session:
+    """The solution spaces of one run, each solved once (see the module docstring).
+
+    :meth:`solve` takes the arguments of :func:`solve` and gives an equal answer.
+    """
+
+    def __init__(self) -> None:
+        self._solved: dict = {}
+
+    def solve(self, algebra: OmegaAlgebra, kind: str, **params) -> Union[MapSpace, TensorSpace]:
+        spec, values = _lookup(kind, params)
+        key = (algebra, kind, tuple(sorted(values.items())))
+        found = self._solved.get(key)
+        if found is None:
+            parent = _parent(spec)
+            if parent is None:
+                found = solve(algebra, kind, **params)
+            else:
+                parent_spec = KINDS[parent]
+                base = self.solve(algebra, parent, **{p: values[p] for p in _settable(parent_spec)})
+                rows = _identity_rows(algebra, spec.identities[len(parent_spec.identities) :], values)
+                found = _solution(algebra, kind, spec.arity, base.space.restricted(rows))
+            self._solved[key] = found
+        return found
 
 
 def derivations(algebra: OmegaAlgebra) -> MapSpace:

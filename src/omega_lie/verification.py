@@ -5,7 +5,9 @@ arithmetic and compares the output against reference values it reads from
 ``catalog.expected``, the one table ``catalog show`` publishes; together the
 criteria read every value of that table and restate none.  Checks are pure
 and deterministic; a check either passes or reports precisely which
-computed value deviates from the reference one.
+computed value deviates from the reference one.  A criterion that solves
+takes the run's ``solvers.Session`` and asks it for every space, so a space
+is solved once per run and a derived kind is restricted from its parent.
 
 Several reference rows are mechanically inconsistent with the bracket
 tables they accompany, so the corresponding checks fail by design rather
@@ -38,24 +40,10 @@ from .local import (
     recheck_certification,
     two_local_report,
 )
-from .solvers import (
-    anticommuting_maps,
-    biderivations,
-    centroid,
-    commuting_maps,
-    defects,
-    delta_derivations,
-    derivations,
-    half_derivations,
-    omega_biderivations,
-    omega_derivations,
-    skew_biderivations,
-    symmetric_biderivations,
-    vectorize_map,
-    vectorize_tensor,
-)
+from .solvers import Session, defects, vectorize_map, vectorize_tensor
 
 SIMPLE_3D_KEYS = ("A_alpha", "B", "C_alpha")
+HALF = Fraction(1, 2)  # the weight of a half-derivation
 
 
 @dataclass(frozen=True)
@@ -99,12 +87,12 @@ def _column_support(m: Matrix, columns: set[int]) -> bool:
     return all(not v or j in columns for row in m.rows for j, v in enumerate(row))
 
 
-def criterion_2_derivation_forms() -> CheckResult:
+def criterion_2_derivation_forms(session: Session) -> CheckResult:
     """Derivation spaces of L_{1,1} and L_{1,4} have the reference matrix forms."""
     mismatches = []
 
     def solved(key: str):
-        der, expected = derivations(catalog.get(key)), catalog.expected(key).der_rank
+        der, expected = session.solve(catalog.get(key), "derivation"), catalog.expected(key).der_rank
         if der.rank != expected:
             mismatches.append(f"{key}: derivation rank {der.rank} != {expected}")
         return der
@@ -122,23 +110,23 @@ def criterion_2_derivation_forms() -> CheckResult:
     return _result(2, "derivation matrix forms of L_{1,1} and L_{1,4}", mismatches)
 
 
-def criterion_3_skew_biderivations() -> CheckResult:
+def criterion_3_skew_biderivations(session: Session) -> CheckResult:
     """Reference claim: no 4-dimensional algebra has nonzero skew biderivations."""
     mismatches = []
     for key in catalog.four_dimensional_keys():
-        rank, expected = skew_biderivations(catalog.get(key)).rank, catalog.expected(key).skew_bider_rank
+        rank, expected = session.solve(catalog.get(key), "skew").rank, catalog.expected(key).skew_bider_rank
         if rank != expected:
             mismatches.append(f"{key}: computed skew-biderivation rank {rank} != {expected}")
     return _result(3, "skew biderivations vanish on all 4-dimensional algebras", mismatches)
 
 
-def criterion_4_symmetric_biderivations() -> CheckResult:
+def criterion_4_symmetric_biderivations(session: Session) -> CheckResult:
     """Symmetric biderivation ranks match the reference table."""
     mismatches = []
     notes = []
     for key in catalog.four_dimensional_keys():
         expected = catalog.expected(key).sym_bider_rank
-        computed = symmetric_biderivations(catalog.get(key)).rank
+        computed = session.solve(catalog.get(key), "symmetric").rank
         if computed != expected:
             if key == "E_{1,alpha}":
                 notes.append(
@@ -146,7 +134,7 @@ def criterion_4_symmetric_biderivations() -> CheckResult:
                     "coefficients and is recorded as a documented discrepancy"
                 )
             mismatches.append(f"{key}: computed symmetric rank {computed} != reference {expected}")
-    sym11 = symmetric_biderivations(catalog.get("L_{1,1}"))
+    sym11 = session.solve(catalog.get("L_{1,1}"), "symmetric")
     for t in sym11.tensors():
         support = {
             (i + 1, j + 1)
@@ -163,16 +151,16 @@ def criterion_4_symmetric_biderivations() -> CheckResult:
     return _result(4, "symmetric biderivation ranks match the reference table", mismatches, notes)
 
 
-def criterion_5_simple_3d() -> CheckResult:
+def criterion_5_simple_3d(session: Session) -> CheckResult:
     """Simple 3-dimensional algebras: biderivations, half-derivations, assembled rows."""
     mismatches = []
     algebras = {key: catalog.get(key) for key in SIMPLE_3D_KEYS}
     for key, alg in algebras.items():
-        rank, expected = biderivations(alg).rank, catalog.expected(key).bider_rank
+        rank, expected = session.solve(alg, "biderivation").rank, catalog.expected(key).bider_rank
         if rank != expected:
             mismatches.append(f"{key}: computed biderivation rank {rank} != {expected}")
     for key, alg in algebras.items():
-        hd, expected = half_derivations(alg), catalog.expected(key).half_der_rank
+        hd, expected = session.solve(alg, "delta_derivation", delta=HALF), catalog.expected(key).half_der_rank
         identity_span = SubspaceBasis.from_generators(9, [vectorize_map(Matrix.identity(3))])
         if hd.rank != expected or hd.space != identity_span:
             mismatches.append(
@@ -183,7 +171,7 @@ def criterion_5_simple_3d() -> CheckResult:
     # first-pair system: 2a11 = a11 - alpha*a31 + a22, 2a21 = a32, 2a31 = -a31,
     # where a_{ij} is the coefficient of e_i in the image of e_j.
     alpha = Fraction(2)
-    hd_a = half_derivations(algebras["A_alpha"])
+    hd_a = session.solve(algebras["A_alpha"], "delta_derivation", delta=HALF)
 
     def var(i: int, j: int) -> int:  # a_{ij} = e_i-coefficient of the image of e_j
         return (j - 1) * 3 + (i - 1)
@@ -199,12 +187,12 @@ def criterion_5_simple_3d() -> CheckResult:
     return _result(5, "simple 3-dimensional solver results", mismatches)
 
 
-def criterion_6_local_rigidity(plan: SamplePlan) -> CheckResult:
+def criterion_6_local_rigidity(session: Session, plan: SamplePlan) -> CheckResult:
     """Sampled local closures collapse onto the base spaces."""
     mismatches = []
     for key in catalog.four_dimensional_keys() + ("L_1", "L_2") + SIMPLE_3D_KEYS:
         alg = catalog.get(key)
-        res = local_closure(alg, derivations(alg), plan)
+        res = local_closure(alg, session.solve(alg, "derivation"), plan)
         if res.certified != catalog.expected(key).local_der_certified:
             mismatches.append(
                 f"{key}: local closure of derivations not certified "
@@ -213,7 +201,7 @@ def criterion_6_local_rigidity(plan: SamplePlan) -> CheckResult:
     for key in SIMPLE_3D_KEYS:
         expected = catalog.expected(key)
         alg = catalog.get(key)
-        res = local_closure(alg, half_derivations(alg), plan)
+        res = local_closure(alg, session.solve(alg, "delta_derivation", delta=HALF), plan)
         if res.certified != expected.local_half_certified or res.candidate.rank != expected.half_der_rank:
             mismatches.append(
                 f"{key}: half-derivation closure certified={res.certified} "
@@ -222,13 +210,13 @@ def criterion_6_local_rigidity(plan: SamplePlan) -> CheckResult:
     return _result(6, "local closures certify rigidity", mismatches)
 
 
-def criterion_7_two_local(plan: SamplePlan) -> CheckResult:
+def criterion_7_two_local(session: Session, plan: SamplePlan) -> CheckResult:
     """Separating-vector rigidity matches the reference lists."""
     mismatches = []
     keys = catalog.four_dimensional_keys()
     for key in (key for key in keys if catalog.expected(key).two_local_rigid):
         alg = catalog.get(key)
-        der = derivations(alg)
+        der = session.solve(alg, "derivation")
         report = two_local_report(alg, der, plan)
         if report.verdict != RIGID:
             mismatches.append(f"{key}: expected RIGID with derivations, got {report.verdict}")
@@ -239,7 +227,7 @@ def criterion_7_two_local(plan: SamplePlan) -> CheckResult:
             mismatches.append(f"{key}: neither {named} separates the derivation space")
     for key in (key for key in keys if not catalog.expected(key).two_local_rigid):
         alg = catalog.get(key)
-        report = two_local_report(alg, derivations(alg), plan)
+        report = two_local_report(alg, session.solve(alg, "derivation"), plan)
         if report.verdict == RIGID:
             mismatches.append(
                 f"{key}: separating certificate found (at {report.certificate.point}) although "
@@ -247,12 +235,12 @@ def criterion_7_two_local(plan: SamplePlan) -> CheckResult:
             )
     alg = catalog.get("L_{1,1}")
     rank = catalog.expected("L_{1,1}").der_rank
-    report = two_local_report(alg, derivations(alg), plan)
+    report = two_local_report(alg, session.solve(alg, "derivation"), plan)
     if report.verdict != INCONCLUSIVE:
         mismatches.append(f"L_{{1,1}}: expected INCONCLUSIVE (rank {rank} > {alg.dim}), got {report.verdict}")
     for key in SIMPLE_3D_KEYS:
         alg = catalog.get(key)
-        report = two_local_report(alg, half_derivations(alg), plan)
+        report = two_local_report(alg, session.solve(alg, "delta_derivation", delta=HALF), plan)
         if (report.verdict == RIGID) != catalog.expected(key).two_local_half_rigid:
             mismatches.append(f"{key}: expected RIGID with half-derivations, got {report.verdict}")
     return _result(7, "2-local rigidity certificates", mismatches)
@@ -316,13 +304,13 @@ def criterion_8_affine_families(plan: SamplePlan) -> CheckResult:
     return _result(8, "affine automorphism-family closures", mismatches)
 
 
-def criterion_9_omega_biderivations() -> CheckResult:
+def criterion_9_omega_biderivations(session: Session) -> CheckResult:
     """Form-compatible biderivations versus plain biderivations per algebra."""
     mismatches = []
     for key in catalog.four_dimensional_keys():
         alg = catalog.get(key)
-        full = biderivations(alg)
-        compat = omega_biderivations(alg)
+        full = session.solve(alg, "biderivation")
+        compat = session.solve(alg, "omega_biderivation")
         if not compat.space.is_subspace_of(full.space):
             mismatches.append(f"{key}: compatibility space escaped the biderivation space")
             continue
@@ -348,51 +336,55 @@ def criterion_9_omega_biderivations() -> CheckResult:
     return _result(9, "form-compatible biderivations match the reference pattern", mismatches)
 
 
-def criterion_10_semisimple_fixtures() -> CheckResult:
+def criterion_10_semisimple_fixtures(session: Session) -> CheckResult:
     """Classical semisimple results on sl2 and sl2+sl2."""
     mismatches = []
     sl2 = catalog.get("sl2")
     expected = catalog.expected("sl2")
-    if anticommuting_maps(sl2).rank != 0:
+    if session.solve(sl2, "anticommuting").rank != 0:
         mismatches.append("sl2: anticommuting maps should vanish")
-    if symmetric_biderivations(sl2).rank != expected.sym_bider_rank:
+    if session.solve(sl2, "symmetric").rank != expected.sym_bider_rank:
         mismatches.append("sl2: symmetric biderivations should vanish")
-    skw = skew_biderivations(sl2)
+    skw = session.solve(sl2, "skew")
     bracket_span = SubspaceBasis.from_generators(27, [vectorize_tensor(BilinearMap(sl2.structure))])
     if skw.rank != expected.skew_bider_rank or skw.space != bracket_span:
         mismatches.append("sl2: skew biderivations should be spanned by the bracket tensor")
-    cent = centroid(sl2)
+    cent = session.solve(sl2, "centroid")
     if cent.rank != 1:
         mismatches.append(f"sl2: centroid rank {cent.rank} != 1")
-    if commuting_maps(sl2).space != cent.space:
+    if session.solve(sl2, "commuting").space != cent.space:
         mismatches.append("sl2: commuting maps differ from the centroid")
     expected = catalog.expected("sl2_plus_sl2").skew_bider_rank
-    if skew_biderivations(catalog.get("sl2_plus_sl2")).rank != expected:
+    if session.solve(catalog.get("sl2_plus_sl2"), "skew").rank != expected:
         mismatches.append(f"sl2+sl2: skew biderivation rank != {expected}")
     return _result(10, "semisimple Lie fixtures reproduce the classical results", mismatches)
 
 
-def criterion_11_property_suite(plan: SamplePlan) -> CheckResult:
+def criterion_11_property_suite(session: Session, plan: SamplePlan) -> CheckResult:
     """Residuals, the symmetric/skew rank law, soundness, determinism."""
     mismatches = []
     # Exact residuals of every returned basis element, across solvers, and
     # the decomposition of each biderivation into symmetric and skew parts.
     for key in ("L_{1,1}", "L_{1,6}", "B~", "A_alpha", "B", "C_alpha", "sl2"):
         alg = catalog.get(key)
-        for space in (derivations(alg), omega_derivations(alg), centroid(alg), commuting_maps(alg), anticommuting_maps(alg)):
+        for kind in ("derivation", "omega_derivation", "centroid", "commuting", "anticommuting"):
+            space = session.solve(alg, kind)
             if any(defects(alg, space.kind, space.maps())):
                 mismatches.append(f"{key}: nonzero residual in {space.kind} basis")
-        if any(defects(alg, "delta_derivation", half_derivations(alg).maps(), delta=Fraction(1, 2))):
+        half = session.solve(alg, "delta_derivation", delta=HALF)
+        if any(defects(alg, "delta_derivation", half.maps(), delta=HALF)):
             mismatches.append(f"{key}: nonzero residual in half-derivation basis")
-        bider, sym, skw = biderivations(alg), symmetric_biderivations(alg), skew_biderivations(alg)
-        for tspace in (bider, sym, skw, omega_biderivations(alg)):
+        bider, sym, skw, compat = (
+            session.solve(alg, kind) for kind in ("biderivation", "symmetric", "skew", "omega_biderivation")
+        )
+        for tspace in (bider, sym, skw, compat):
             if any(defects(alg, tspace.kind, tspace.tensors())):
                 mismatches.append(f"{key}: nonzero residual in {tspace.kind} basis")
         if sym.space.plus(skw.space) != bider.space:
             mismatches.append(f"{key}: symmetric + skew biderivations differ from the biderivation space")
     # Soundness sandwich, 500-point recheck, and determinism of a closure.
     alg = catalog.get("L_{1,1}")
-    der = derivations(alg)
+    der = session.solve(alg, "derivation")
     first = local_closure(alg, der, plan)
     second = local_closure(alg, der, plan)
     if first != second:
@@ -404,24 +396,29 @@ def criterion_11_property_suite(plan: SamplePlan) -> CheckResult:
     # Specialization: weight-1 solver coincides with the derivation solver bitwise.
     for key in ("L_{1,4}", "B", "sl2"):
         alg = catalog.get(key)
-        if delta_derivations(alg, 1).space != derivations(alg).space:
+        if session.solve(alg, "delta_derivation", delta=1).space != session.solve(alg, "derivation").space:
             mismatches.append(f"{key}: weight-1 solution space differs from derivations")
     return _result(11, "property suite (residuals, rank laws, soundness, determinism)", mismatches)
 
 
 def run_all(plan: Optional[SamplePlan] = None) -> list[CheckResult]:
-    """Run every criterion; deterministic for a fixed plan."""
+    """Run every criterion; deterministic for a fixed plan.
+
+    The criteria share one :class:`~omega_lie.solvers.Session`, so each space
+    is solved once per run and dropped with it.
+    """
     plan = plan or SamplePlan()
+    session = Session()
     return [
         criterion_1_axioms(),
-        criterion_2_derivation_forms(),
-        criterion_3_skew_biderivations(),
-        criterion_4_symmetric_biderivations(),
-        criterion_5_simple_3d(),
-        criterion_6_local_rigidity(plan),
-        criterion_7_two_local(plan),
+        criterion_2_derivation_forms(session),
+        criterion_3_skew_biderivations(session),
+        criterion_4_symmetric_biderivations(session),
+        criterion_5_simple_3d(session),
+        criterion_6_local_rigidity(session, plan),
+        criterion_7_two_local(session, plan),
         criterion_8_affine_families(plan),
-        criterion_9_omega_biderivations(),
-        criterion_10_semisimple_fixtures(),
-        criterion_11_property_suite(plan),
+        criterion_9_omega_biderivations(session),
+        criterion_10_semisimple_fixtures(session),
+        criterion_11_property_suite(session, plan),
     ]

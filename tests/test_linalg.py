@@ -165,6 +165,16 @@ class TestSubspaceLattice:
         with pytest.raises(ValueError, match=rf"basis row length {len(basis[-1])} != ambient dimension {ambient}"):
             SubspaceBasis(ambient, basis)
 
+    @pytest.mark.parametrize("entry, name", [(0.5, "float"), ("1", "str"), (True, "bool"), (None, "NoneType")])
+    def test_basis_entries_that_are_not_rationals_are_refused(self, entry, name):
+        # unchecked, 0.5 and "1" were kept and failed only at the first query, with AttributeError
+        with pytest.raises(ValueError, match=rf"basis entries must be Fraction or int, got {name}"):
+            SubspaceBasis(2, ((entry, 0),))
+
+    def test_basis_entries_may_be_fractions_or_ints(self):
+        space = SubspaceBasis(2, ((1, Fraction(1, 2)),))
+        assert space.contains((2, 1)) and space == SubspaceBasis.from_generators(2, [(2, 1)])
+
     def test_is_subspace_of_across_ambient_dimensions(self):
         with pytest.raises(ValueError):
             SubspaceBasis.from_generators(2, [(1, 0)]).is_subspace_of(full(3))
@@ -496,6 +506,26 @@ class TestEchelonKernel:
     def test_zero_and_full_spaces(self):
         assert annihilator_rows(SubspaceBasis(3, ())) == [{0: 1}, {1: 1}, {2: 1}]
         assert annihilator_rows(full(3)) == []
+
+
+class TestRestricted:
+    """``restricted(rows)`` is the subspace met with the kernel of ``rows``, solved in the subspace's coordinates."""
+
+    def test_equals_the_kernel_of_the_stacked_system(self):
+        rng = random.Random(0x5E55)
+        for _ in range(300):
+            n = rng.randint(1, 6)
+            space = TestCachedEchelon.spaces(rng, n)[rng.randint(0, 1)]
+            rows = [
+                {c: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for c in rng.sample(range(n), rng.randint(1, n))}
+                for _ in range(rng.randint(0, n))
+            ]
+            rows = [{c: v for c, v in row.items() if v} for row in rows]
+            assert space.restricted(rows) == nullspace_of_sparse_rows(n, annihilator_rows(space) + rows)[0]
+
+    def test_a_column_outside_the_ambient_is_refused(self):
+        with pytest.raises(ValueError, match="column outside"):
+            full(3).restricted([{3: Fraction(1)}])
 
 
 def test_spaces_built_by_an_echelon_keep_it(monkeypatch):

@@ -54,6 +54,12 @@ The ninth guard keeps one way to build an echelon: inside ``src/`` a method
 the rows that define the echelon, and by the modular filter's loop in
 ``linalg.nullspace_of_sparse_rows``, which stops at full rank.  Every other
 echelon is a constructor call, ``_Echelon(ambient, rows)``.
+
+The tenth guard keeps every solve of the verification suite in its session:
+``verification.py`` neither imports nor names any of the eleven one-line
+solver wrappers (``derivations``, ``skew_biderivations``, ...), so no
+criterion can solve a space the run's ``solvers.Session`` already holds, or
+solve a derived kind from scratch.
 """
 
 import ast
@@ -509,4 +515,52 @@ def test_guard_catches_a_second_insert_loop(tmp_path):
         ("probe._Echelon.__init__", 4, "insert"),
         ("probe._span_at", 8, "insert"),
         ("probe.nullspace_of_sparse_rows", 12, "insert"),
+    ]
+
+
+SOLVER_WRAPPERS = {
+    "derivations",
+    "delta_derivations",
+    "half_derivations",
+    "omega_derivations",
+    "centroid",
+    "commuting_maps",
+    "anticommuting_maps",
+    "biderivations",
+    "symmetric_biderivations",
+    "skew_biderivations",
+    "omega_biderivations",
+}
+
+
+def _imported_or_referenced(node):
+    """The name an import binds, or the name a ``Name`` or ``Attribute`` node reads."""
+    if isinstance(node, ast.alias):
+        return node.name.rpartition(".")[2]
+    return _referenced(node)
+
+
+def wrapper_names(paths):
+    """``(scope, line, name)`` of each import of or reference to a one-line solver wrapper."""
+    return names_in(paths, SOLVER_WRAPPERS, _imported_or_referenced)
+
+
+def test_verification_solves_through_the_session():
+    for name in sorted(SOLVER_WRAPPERS) + ["Session.solve"]:
+        resolve(f"solvers.{name}")
+    assert wrapper_names([ROOT / "src" / "omega_lie" / "verification.py"]) == []
+
+
+def test_guard_catches_a_criterion_that_bypasses_the_session(tmp_path):
+    module = tmp_path / "probe.py"
+    module.write_text(
+        "from solvers import skew_biderivations\n"
+        "import solvers\n"
+        "def criterion_3(session, alg):\n    return session.solve(alg, 'skew'), skew_biderivations(alg)\n"
+        "def criterion_9(session, alg):\n    return solvers.omega_biderivations(alg)\n"
+    )
+    assert wrapper_names([module]) == [
+        ("probe", 1, "skew_biderivations"),
+        ("probe.criterion_3", 4, "skew_biderivations"),
+        ("probe.criterion_9", 6, "omega_biderivations"),
     ]

@@ -12,20 +12,21 @@ import pytest
 from omega_lie import catalog, verification
 from omega_lie.catalog import ExpectedResults
 from omega_lie.local import SamplePlan
+from omega_lie.solvers import Session
 
 PLAN = SamplePlan()
 
 CRITERIA = {
     1: verification.criterion_1_axioms,
-    2: verification.criterion_2_derivation_forms,
-    3: verification.criterion_3_skew_biderivations,
-    4: verification.criterion_4_symmetric_biderivations,
-    5: verification.criterion_5_simple_3d,
-    6: lambda: verification.criterion_6_local_rigidity(PLAN),
-    7: lambda: verification.criterion_7_two_local(PLAN),
+    2: lambda: verification.criterion_2_derivation_forms(Session()),
+    3: lambda: verification.criterion_3_skew_biderivations(Session()),
+    4: lambda: verification.criterion_4_symmetric_biderivations(Session()),
+    5: lambda: verification.criterion_5_simple_3d(Session()),
+    6: lambda: verification.criterion_6_local_rigidity(Session(), PLAN),
+    7: lambda: verification.criterion_7_two_local(Session(), PLAN),
     8: lambda: verification.criterion_8_affine_families(PLAN),
-    9: verification.criterion_9_omega_biderivations,
-    10: verification.criterion_10_semisimple_fixtures,
+    9: lambda: verification.criterion_9_omega_biderivations(Session()),
+    10: lambda: verification.criterion_10_semisimple_fixtures(Session()),
 }
 
 REFERENCE_FIELDS = {f.name for f in fields(ExpectedResults)} - {"source"}
