@@ -19,26 +19,41 @@ one application ``x -> sum_i x_i f(e_i)``; the local-analysis engine
 additionally evaluates stored matrices on coordinate columns (see
 :mod:`omega_lie.local`).
 
-Evaluation (``bracket``, ``omega_form``, ``Matrix.apply``) takes ``int`` or
-``Fraction`` coordinates and does not convert them: values from files and the
-command line are converted by ``frac`` where they enter.
+Evaluation (``bracket``, ``omega_form``, ``BilinearMap.apply``,
+``Matrix.apply``) takes ``int`` or ``Fraction`` coordinates and does not
+convert them: values from files and the command line are converted by
+``frac`` where they enter, and other coordinate types are not supported.
+It is sparse.  Each object caches the support of its table once, the
+nonzero entries as ``(index, value)`` pairs with an integral entry held as
+its ``int`` (``linalg._exact``: exact, and cheaper than ``Fraction``
+arithmetic); the skew form is read as an ``n x n x 1`` table and a matrix
+as a ``1 x n x m`` one.  ``linalg._bilinear`` is the one bilinear kernel,
+on sparse arguments and results; all four evaluators are dense views of
+it, which sum into ``ZERO``, so every coordinate they return is a
+``Fraction``.  :func:`check_axioms` reads the same support of the structure
+constants.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, product
 from typing import Mapping, Optional, Sequence
 
 from .linalg import (
+    Entries,
     Matrix,
     RationalLike,
     SubspaceBasis,
     Vector,
     ZERO,
+    _bilinear,
+    _dense,
+    _entries,
     format_scalar,
     frac,
 )
@@ -51,24 +66,16 @@ class AlgebraFormatError(ValueError):
     """Raised when an algebra document or file cannot be interpreted."""
 
 
-def _bilinear(tensor, x: Sequence[Fraction], y: Sequence[Fraction], what: str) -> Vector:
-    """``sum_{i,j,k} x_i y_j tensor[i][j][k] e_k``, skipping zero coordinates."""
-    n = len(tensor)
-    if len(x) != n or len(y) != n:
+def _tensor_support(tensor) -> tuple[tuple[Entries, ...], ...]:
+    """``support[i][j]``: the nonzero entries of ``tensor[i][j]``, as ``linalg._entries``; read by ``linalg._bilinear``."""
+    return tuple(tuple(_entries(row) for row in plane) for plane in tensor)
+
+
+def _argument(x: Sequence[Fraction], n: int, what: str) -> Entries:
+    """The nonzero entries of a dense argument of an evaluator on an ``n``-dimensional space."""
+    if len(x) != n:
         raise ValueError(f"{what} arguments must have length {n}")
-    out = [ZERO] * n
-    for i in range(n):
-        if not x[i]:
-            continue
-        for j in range(n):
-            if not y[j]:
-                continue
-            coeff = x[i] * y[j]
-            row = tensor[i][j]
-            for k in range(n):
-                if row[k]:
-                    out[k] += coeff * row[k]
-    return tuple(out)
+    return _entries(x)
 
 
 @dataclass(frozen=True)
@@ -76,7 +83,9 @@ class OmegaAlgebra:
     """Structure constants and skew form of a finite-dimensional algebra.
 
     All tensors are stored 0-based internally; the file format and the CLI
-    speak 1-based indices.
+    speak 1-based indices.  Equality and the hash read the fields; the hash
+    is computed once per object, since a solve session looks an algebra up
+    by its value on every request.
     """
 
     name: str
@@ -96,6 +105,13 @@ class OmegaAlgebra:
             raise ValueError("omega table must be dim x dim")
         if len(self.basis_labels) != n:
             raise ValueError("need one basis label per dimension")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash(tuple(getattr(self, f.name) for f in fields(self)))
 
     @classmethod
     def from_tables(
@@ -147,21 +163,24 @@ class OmegaAlgebra:
     def basis_vectors(self) -> tuple[Vector, ...]:
         return tuple(self.basis_vector(i) for i in range(self.dim))
 
+    @cached_property
+    def _support(self) -> tuple[tuple[Entries, ...], ...]:
+        """The nonzero structure constants: ``[e_i, e_j]`` has the entries ``_support[i][j]``."""
+        return _tensor_support(self.structure)
+
+    @cached_property
+    def _form_support(self) -> tuple[tuple[Entries, ...], ...]:
+        """The skew form as an ``n x n x 1`` tensor: ``w(e_i, e_j)`` is the one entry of ``_form_support[i][j]``, if any."""
+        return _tensor_support(tuple(tuple((v,) for v in row) for row in self.omega))
+
     def bracket(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
-        return _bilinear(self.structure, x, y, "bracket")
+        n = self.dim
+        return _dense(_bilinear(self._support, _argument(x, n, "bracket"), _argument(y, n, "bracket")), n)
 
     def omega_form(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
         n = self.dim
-        if len(x) != n or len(y) != n:
-            raise ValueError(f"omega arguments must have length {n}")
-        total = ZERO
-        for i in range(n):
-            if not x[i]:
-                continue
-            for j in range(n):
-                if y[j] and self.omega[i][j]:
-                    total += x[i] * y[j] * self.omega[i][j]
-        return total
+        value = _bilinear(self._form_support, _argument(x, n, "omega"), _argument(y, n, "omega"))
+        return _dense(value, 1)[0]
 
     @property
     def omega_is_zero(self) -> bool:
@@ -210,7 +229,7 @@ def check_axioms(algebra: OmegaAlgebra) -> AxiomReport:
     # over the rationals x == -x only for x == 0, so the diagonals are checked too
     antisym = all(c[i][j][k] == -c[j][i][k] for i, j, k in product(range(n), repeat=3))
     skew = all(w[i][j] == -w[j][i] for i, j in product(range(n), repeat=2))
-    support = [[[(m, x) for m, x in enumerate(row) if x] for row in plane] for plane in c]
+    support = algebra._support
     defects = []
     for i, j, k in combinations(range(n), 3):
         defect = {}  # coordinate -> value, over the coordinates a term reaches
@@ -246,8 +265,13 @@ class BilinearMap:
         ):
             raise ValueError("bilinear tensor must be cubic")
 
+    @cached_property
+    def _support(self) -> tuple[tuple[Entries, ...], ...]:
+        return _tensor_support(self.tensor)
+
     def apply(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
-        return _bilinear(self.tensor, x, y, "bilinear")
+        n = self.dim
+        return _dense(_bilinear(self._support, _argument(x, n, "bilinear"), _argument(y, n, "bilinear")), n)
 
 
 def direct_sum(a: OmegaAlgebra, b: OmegaAlgebra) -> OmegaAlgebra:

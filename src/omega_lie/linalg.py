@@ -58,6 +58,9 @@ ONE = Fraction(1)
 
 RationalLike = Union[int, str, Fraction]
 
+# nonzero (index, value) pairs, an integral value held as its int (see _entries)
+Entries = tuple[tuple[int, Union[int, Fraction]], ...]
+
 
 _RATIONAL = re.compile(r"\s*[+-]?[0-9]+(/[0-9]+)?\s*")
 
@@ -92,6 +95,46 @@ def format_scalar(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
+
+
+def _exact(value: Union[int, Fraction]) -> Union[int, Fraction]:
+    """``value`` as its ``int`` if it is integral, else unchanged: exact, and much cheaper to multiply."""
+    return value.numerator if value.denominator == 1 else value
+
+
+def _entries(row: Sequence[Union[int, Fraction]]) -> Entries:
+    """The nonzero entries of ``row`` as ``(index, value)`` pairs, each value as :func:`_exact`.
+
+    This is the sparse form every evaluator works on.
+    """
+    return tuple((k, _exact(v)) for k, v in enumerate(row) if v)
+
+
+def _bilinear(support, xs: Entries, ys: Entries) -> Entries:
+    """``sum_{i,j,k} x_i y_j t[i][j][k] e_k`` over the nonzeros of ``x``, ``y`` and ``t``, the one bilinear kernel.
+
+    ``support[i][j]`` holds the nonzero entries of ``t[i][j]``, as
+    :func:`_entries`, and ``xs``, ``ys`` are nonzero ``(index, value)``
+    pairs; so is the result.
+    """
+    out: dict = {}
+    for i, a in xs:
+        plane = support[i]
+        for j, b in ys:
+            row = plane[j]
+            if row:
+                ab = a * b
+                for k, v in row:
+                    out[k] = out.get(k, 0) + ab * v
+    return tuple((k, v) for k, v in out.items() if v)
+
+
+def _dense(entries: Entries, n: int) -> Vector:
+    """The dense vector of length ``n`` with these entries, summed into ``ZERO`` so each is a ``Fraction``."""
+    out = [ZERO] * n
+    for k, v in entries:
+        out[k] += v
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -131,17 +174,21 @@ class Matrix:
     def shape(self) -> tuple[int, int]:
         return (self.nrows, self.ncols)
 
+    @cached_property
+    def _support(self) -> tuple[Entries, ...]:
+        """The nonzero entries of each row, as :func:`_entries`."""
+        return tuple(_entries(row) for row in self.rows)
+
     def apply(self, x: Sequence[Fraction]) -> Vector:
-        """The one row action ``x -> sum_i x[i] rows[i]`` (zeros skipped, ``x`` not converted)."""
+        """The one row action ``x -> sum_i x[i] rows[i]``, a dense view of :func:`_bilinear`.
+
+        The rows act as the ``1 x nrows x ncols`` table of the bilinear map
+        ``(1, x) -> sum_i x[i] rows[i]``.  ``x`` is not converted; every
+        coordinate of the image is a ``Fraction``.
+        """
         if len(x) != self.nrows:
             raise ValueError(f"point has length {len(x)}, matrix has {self.nrows} rows")
-        out = [ZERO] * self.ncols
-        for xi, row in zip(x, self.rows):
-            if xi:
-                for j, v in enumerate(row):
-                    if v:
-                        out[j] += xi * v
-        return tuple(out)
+        return _dense(_bilinear((self._support,), ((0, 1),), _entries(x)), self.ncols)
 
     def to_strings(self) -> list[list[str]]:
         return [[format_scalar(x) for x in row] for row in self.rows]

@@ -12,14 +12,20 @@ with ``delta = 1``.  Two independent interpreters read the term lists:
   nullspace of the rows is the solution space.  Linear maps are vectorized
   row-major over their stored matrix, ``M[r][c] -> r*n + c``; bilinear maps
   ``d[i][j][k] -> (i*n + j)*n + k``;
-* ``defects`` evaluates the same terms through ``algebra.bracket``,
-  ``Matrix.apply`` / ``BilinearMap.apply`` and ``algebra.omega_form`` on
-  every basis tuple, for a list of unknowns at once, and reports any nonzero
-  residual, so a re-check shares no row indexing with the solver.  Each
-  kind's identities are compiled once into numbered steps; at each tuple
-  the steps that do not read the unknown (``br(x, y)``, ``w(x, y)``) are
-  evaluated once for all unknowns, and a step with a zero argument is zero
-  without a call, which is exact because every evaluator is multilinear.
+* ``defects`` evaluates the same terms on every basis tuple, for a list of
+  unknowns at once, and reports any nonzero residual, so a re-check shares
+  no row indexing with the solver.  Every term is evaluated by the one
+  bilinear kernel ``linalg._bilinear`` (the kernel behind
+  ``algebra.bracket``, ``algebra.omega_form``, ``BilinearMap.apply`` and
+  ``Matrix.apply``) over the cached support of the bracket, the form or
+  the unknown, a map read as a ``1 x n x n`` table as in ``Matrix.apply``,
+  on sparse values: a basis vector is ``((i, 1),)``, zero is ``()``, and an
+  integral entry is held as its ``int``.  Each kind's identities are
+  compiled once into numbered steps; at each tuple the steps that do not
+  read the unknown (``br(x, y)``, ``w(x, y)``) are evaluated once for all
+  unknowns, and a step with a zero argument is zero without a call, which
+  is exact because every evaluator is multilinear.  Residuals are summed
+  from nonzero entries only and reported as ``Fraction`` tuples.
   ``map_defects`` / ``tensor_defects`` check one unknown.
 
 Every identity is multilinear, so holding on basis tuples is equivalent to
@@ -53,7 +59,17 @@ from itertools import product
 from typing import NamedTuple, Optional, Union
 
 from .algebra import BilinearMap, OmegaAlgebra
-from .linalg import Matrix, SparseRow, SubspaceBasis, Vector, ZERO, frac, nullspace_of_sparse_rows
+from .linalg import (
+    Matrix,
+    SparseRow,
+    SubspaceBasis,
+    Vector,
+    ZERO,
+    _bilinear,
+    _exact,
+    frac,
+    nullspace_of_sparse_rows,
+)
 
 # -- term lists ---------------------------------------------------------------
 
@@ -442,7 +458,8 @@ class _Plan(NamedTuple):
     ``(position, head, argument positions)``.  ``shared`` lists the steps that
     do not read the unknown and ``own`` the others, each in evaluation order.
     ``identities`` holds ``(width, ((coefficient, position), ...))`` per
-    identity, ``width`` being 1 for a form identity and ``n`` otherwise.
+    identity, ``width`` being 1 for a form identity and ``n`` otherwise; an
+    integral coefficient is held as its ``int``.
     """
 
     nvars: int
@@ -477,29 +494,13 @@ def _plans(spec: Kind, params: dict, n: int) -> list[_Plan]:
                     shared.append((pos, expr[0], args))
             return position[expr]
 
-        compiled = tuple(
-            (
-                1 if identity.terms[0][2][0] == "w" else n,
-                tuple((_coefficient(m, p, params), compile_term(expr)) for m, p, expr in identity.terms),
-            )
-            for identity in identities
-        )
-        plans.append(_Plan(nvars, len(position), tuple(shared), tuple(own), compiled))
+        compiled = []
+        for identity in identities:
+            terms = [(_coefficient(m, p, params), compile_term(expr)) for m, p, expr in identity.terms]
+            width = 1 if identity.terms[0][2][0] == "w" else n
+            compiled.append((width, tuple((_exact(c), pos) for c, pos in terms)))
+        plans.append(_Plan(nvars, len(position), tuple(shared), tuple(own), tuple(compiled)))
     return plans
-
-
-def _run(steps, values: list) -> None:
-    """Evaluate ``steps`` into ``values``, where ``None`` is the zero vector.
-
-    Every evaluator is multilinear, so a step with a zero argument stays zero
-    without a call.
-    """
-    for pos, evaluate, args in steps:
-        xs = [values[a] for a in args]
-        if all(xs):
-            value = evaluate(*xs)
-            if any(value):
-                values[pos] = value
 
 
 def _defects(algebra: OmegaAlgebra, kind: str, arity: Optional[int], unknowns, given: dict) -> list[list]:
@@ -507,8 +508,11 @@ def _defects(algebra: OmegaAlgebra, kind: str, arity: Optional[int], unknowns, g
 
     Identities with the same number of variables share their tuples: each
     entry is ``(1-based indices, residuals of those identities concatenated)``.
-    At each tuple the steps that do not read the unknown are evaluated once
-    for all unknowns.
+    Every value is sparse, nonzero ``(index, value)`` pairs: a basis vector is
+    ``((i, 1),)`` and zero is ``()``.  A step evaluates ``_bilinear`` over
+    the support of its operator.  Every step is multilinear, so one with a
+    zero argument stays zero without a call.  At each tuple the steps that
+    do not read the unknown are evaluated once for all unknowns.
     """
     spec, params = _lookup(kind, given, arity)
     n = algebra.dim
@@ -520,34 +524,38 @@ def _defects(algebra: OmegaAlgebra, kind: str, arity: Optional[int], unknowns, g
             raise ValueError(
                 f"a bilinear map on the algebra must be {n} x {n} x {n}, got {getattr(u, 'dim', type(u).__name__)}"
             )
-    evaluators = {"br": algebra.bracket, "w": lambda a, b: (algebra.omega_form(a, b),)}
-    basis = algebra.basis_vectors()
+    supports = {"br": algebra._support, "w": algebra._form_support}
+    # a map acts as the 1 x n x n table of its rows (as in Matrix.apply), whose first argument is the scalar 1, kept as the last value
+    operators = [u._support if spec.arity == 2 else (u._support,) for u in unknowns]
     found: list[list] = [[] for _ in unknowns]
     for plan in _plans(spec, params, n):
-        shared = [(pos, evaluators[head], args) for pos, head, args in plan.shared]
+        shared = [(pos, supports[head], *args) for pos, head, args in plan.shared]
         own = [
-            [(pos, u.apply if head == "U" else evaluators[head], args) for pos, head, args in plan.own]
-            for u in unknowns
+            [
+                (pos, operator if head == "U" else supports[head], *(args if len(args) == 2 else (-1, *args)))
+                for pos, head, args in plan.own
+            ]
+            for operator in operators
         ]
         for idx in product(range(n), repeat=plan.nvars):
-            values = [basis[i] for i in idx] + [None] * plan.nsteps
-            _run(shared, values)
-            label = tuple(i + 1 for i in idx)
+            values = [((i, 1),) for i in idx] + [()] * plan.nsteps + [((0, 1),)]
+            for pos, support, a, b in shared:
+                if values[a] and values[b]:
+                    values[pos] = _bilinear(support, values[a], values[b])
             for steps, out in zip(own, found):
                 at = values.copy()
-                _run(steps, at)
+                for pos, support, a, b in steps:
+                    if at[a] and at[b]:
+                        at[pos] = _bilinear(support, at[a], at[b])
                 residual: list = []
                 for width, terms in plan.identities:
-                    sums = [ZERO] * width
+                    sums = [0] * width
                     for c, pos in terms:
-                        v = at[pos]
-                        if v is not None:
-                            for k in range(width):
-                                if v[k]:
-                                    sums[k] += c * v[k]
+                        for k, v in at[pos]:
+                            sums[k] += c * v
                     residual += sums
                 if any(residual):
-                    out.append((label, tuple(residual)))
+                    out.append((tuple(i + 1 for i in idx), tuple(ZERO + v for v in residual)))
     return found
 
 

@@ -44,6 +44,8 @@ from .solvers import Session, defects, vectorize_map, vectorize_tensor
 
 SIMPLE_3D_KEYS = ("A_alpha", "B", "C_alpha")
 HALF = Fraction(1, 2)  # the weight of a half-derivation
+# the algebras whose returned bases criterion 11 re-checks, every kind on each
+RESIDUAL_KEYS = ("L_{1,1}", "L_{1,6}", "B~", "A_alpha", "B", "C_alpha", "sl2")
 
 
 @dataclass(frozen=True)
@@ -365,7 +367,7 @@ def criterion_11_property_suite(session: Session, plan: SamplePlan) -> CheckResu
     mismatches = []
     # Exact residuals of every returned basis element, across solvers, and
     # the decomposition of each biderivation into symmetric and skew parts.
-    for key in ("L_{1,1}", "L_{1,6}", "B~", "A_alpha", "B", "C_alpha", "sl2"):
+    for key in RESIDUAL_KEYS:
         alg = catalog.get(key)
         for kind in ("derivation", "omega_derivation", "centroid", "commuting", "anticommuting"):
             space = session.solve(alg, kind)

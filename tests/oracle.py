@@ -12,6 +12,10 @@
   combinations over ``Fraction``, sharing no code with ``omega_lie.linalg``,
   so the sparse elimination and ``Matrix.apply`` can be compared against
   textbook ones.
+* A dense triple loop for a bilinear map given by its full table, with no
+  zero skipped and no support read, so the sparse evaluators (``bracket``,
+  ``omega_form``, ``BilinearMap.apply``, ``Matrix.apply``) can be compared
+  against the definition.
 """
 
 from fractions import Fraction
@@ -48,6 +52,43 @@ def oracle_axiom_defects(algebra) -> list:
                 )
                 if any(defect):
                     found.append(((i + 1, j + 1, k + 1), defect))
+    return found
+
+
+def oracle_leibniz_defects(algebra, unknown) -> list:
+    """``[(1-based indices, residual)]`` of the Leibniz identities on every basis tuple, in lexicographic order.
+
+    For a ``Matrix`` the residual at ``(x, y)`` is ``D([x,y]) - [D(x), y] -
+    [x, D(y)]``; for a ``BilinearMap`` it is, at ``(x, y, z)``, the residual of
+    the first slot ``d([x,y], z) - [x, d(y,z)] - [d(x,z), y]`` followed by
+    that of the second ``d(x, [y,z]) - [y, d(x,z)] - [d(x,y), z]``.  Only
+    ``bracket``, ``Matrix.apply`` and ``BilinearMap.apply`` are called, on
+    unit vectors.
+    """
+    n = algebra.dim
+    e = algebra.basis_vectors()
+    br, d = algebra.bracket, unknown.apply
+
+    def minus(a, b, c):
+        return [p - q - r for p, q, r in zip(a, b, c)]
+
+    found = []
+    if isinstance(unknown, Matrix):
+        for i in range(n):
+            for j in range(n):
+                residual = minus(d(br(e[i], e[j])), br(d(e[i]), e[j]), br(e[i], d(e[j])))
+                if any(residual):
+                    found.append(((i + 1, j + 1), tuple(residual)))
+        return found
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                x, y, z = e[i], e[j], e[k]
+                residual = minus(d(br(x, y), z), br(x, d(y, z)), br(d(x, z), y)) + minus(
+                    d(x, br(y, z)), br(y, d(x, z)), br(d(x, y), z)
+                )
+                if any(residual):
+                    found.append(((i + 1, j + 1, k + 1), tuple(residual)))
     return found
 
 
@@ -142,6 +183,16 @@ def oracle_form_compatible_rows(algebra, sign: Fraction) -> list:
                     residuals.append(w(d.apply(ex, ey), ez) + sign * w(ex, d.apply(ez, ey)))
         columns.append(residuals)
     return _operator_rows(columns)
+
+
+def triple_loop(tensor, x, y, width: int) -> tuple:
+    """``sum_{i,j,k} x[i] y[j] tensor[i][j][k] e_k`` for ``k < width``, every term computed in ``Fraction``."""
+    out = [Fraction(0)] * width
+    for i in range(len(x)):
+        for j in range(len(y)):
+            for k in range(width):
+                out[k] += Fraction(x[i]) * Fraction(y[j]) * Fraction(tensor[i][j][k])
+    return tuple(out)
 
 
 def matvec(rows, v) -> tuple:

@@ -12,6 +12,7 @@ from omega_lie import catalog
 from omega_lie.algebra import (
     MAX_DIM,
     AlgebraFormatError,
+    BilinearMap,
     OmegaAlgebra,
     check_axioms,
     direct_sum,
@@ -22,7 +23,7 @@ from omega_lie.algebra import (
 )
 from omega_lie.linalg import Matrix
 from omega_lie.verification import automorphism_family_L11
-from oracle import oracle_axiom_defects, realized
+from oracle import oracle_axiom_defects, realized, triple_loop
 
 
 def abelian(n):
@@ -48,6 +49,86 @@ def random_table(rng, n):
 
 def rand_vec(rng, n):
     return tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n))
+
+
+# integral values both as int and as Fraction, halves, and zero in both types
+MIXED = (0, Fraction(0), 1, -1, 2, Fraction(3), Fraction(1, 2), Fraction(-1, 2), Fraction(-5, 3))
+
+
+def mixed_point(rng, n):
+    """A point with about a third of its coordinates zero and the rest drawn from ``MIXED``."""
+    return tuple(rng.choice(MIXED) if rng.random() < 0.7 else 0 for _ in range(n))
+
+
+def mixed_tensor(rng, n, width):
+    return tuple(tuple(tuple(rng.choice(MIXED) for _ in range(width)) for _ in range(n)) for _ in range(n))
+
+
+def fractions_only(values):
+    return all(type(v) is Fraction for v in values)
+
+
+class TestEvaluatorsAgainstTheOracle:
+    """``bracket``, ``omega_form`` and ``BilinearMap.apply`` equal a dense triple loop over the whole table."""
+
+    @staticmethod
+    def check(alg, x, y):
+        n = alg.dim
+        bracket = alg.bracket(x, y)
+        assert bracket == triple_loop(alg.structure, x, y, n) and fractions_only(bracket)
+        form = alg.omega_form(x, y)
+        assert form == triple_loop([[(v,) for v in row] for row in alg.omega], x, y, 1)[0]
+        assert type(form) is Fraction
+        image = BilinearMap(alg.structure).apply(x, y)
+        assert image == bracket and fractions_only(image)
+
+    def test_every_catalog_algebra(self):
+        rng = random.Random(22)
+        instances = 0
+        for entry in catalog.list_entries():
+            for sample in entry.parameter_samples():
+                alg = entry.build({"alpha": sample} if sample is not None else None)
+                instances += 1
+                e = alg.basis_vectors()
+                for i in range(alg.dim):
+                    for j in range(alg.dim):
+                        self.check(alg, e[i], e[j])
+                for _ in range(4):
+                    self.check(alg, mixed_point(rng, alg.dim), mixed_point(rng, alg.dim))
+        assert instances == 43
+
+    @pytest.mark.parametrize("n", range(0, 6))
+    def test_seeded_random_tables_with_mixed_entries(self, n):
+        rng = random.Random(n)
+        for _ in range(20):
+            # the evaluators read tables as given: int and Fraction entries, no axiom assumed
+            alg = OmegaAlgebra(
+                "mixed", n, mixed_tensor(rng, n, n), tuple(tuple(rng.choice(MIXED) for _ in range(n)) for _ in range(n)),
+                tuple(f"e{k}" for k in range(n)),
+            )
+            for _ in range(5):
+                x, y = mixed_point(rng, n), mixed_point(rng, n)
+                self.check(alg, x, y)
+                t = mixed_tensor(rng, n, n)
+                image = BilinearMap(t).apply(x, y)
+                assert image == triple_loop(t, x, y, n) and fractions_only(image)
+
+    def test_integer_arguments_give_fractions(self):
+        alg = catalog.get("B")
+        assert alg.bracket((0, 1, 0), (0, 0, 1)) == (1, 0, 0)
+        assert fractions_only(alg.bracket((0, 1, 0), (0, 0, 1)))
+        assert fractions_only(alg.bracket((0, 0, 0), (1, 1, 1)))
+        assert type(catalog.get("L_{1,1}").omega_form((1, 0, 0, 0), (0, 1, 0, 0))) is Fraction
+        assert type(alg.omega_form((0, 0, 0), (0, 0, 0))) is Fraction
+
+    def test_wrong_lengths_keep_their_messages(self):
+        alg = catalog.get("B")
+        with pytest.raises(ValueError, match="bracket arguments must have length 3"):
+            alg.bracket((1, 0, 0), (1, 0))
+        with pytest.raises(ValueError, match="omega arguments must have length 3"):
+            alg.omega_form((1, 0, 0, 0), (1, 0, 0))
+        with pytest.raises(ValueError, match="bilinear arguments must have length 3"):
+            BilinearMap(alg.structure).apply((1, 0), (1, 0, 0))
 
 
 class TestBracketAndOmega:

@@ -22,7 +22,7 @@ from omega_lie.linalg import (
     nullspace_of_sparse_rows,
     vector,
 )
-from oracle import dense_kernel, gauss_jordan, matvec, row_combination
+from oracle import dense_kernel, gauss_jordan, matvec, row_combination, triple_loop
 
 
 def M(data):
@@ -415,6 +415,19 @@ class TestMatrixApply:
                 rows[rng.randrange(nrows)] = [Fraction(0)] * ncols
             x = [self.random_entry(rng) for _ in range(nrows)]
             assert Matrix.from_rows(rows, ncols=ncols).apply(x) == row_combination(x, rows, ncols)
+
+    def test_agrees_with_a_dense_triple_loop_on_mixed_entries(self):
+        # int and Fraction entries, integral values in both types, halves and zeros
+        pool = (0, Fraction(0), 1, -2, Fraction(3), Fraction(1, 2), Fraction(-7, 2))
+        rng = random.Random(22)
+        for _ in range(300):
+            nrows, ncols = rng.randint(0, 5), rng.randint(0, 5)
+            rows = tuple(tuple(rng.choice(pool) for _ in range(ncols)) for _ in range(nrows))
+            x = tuple(rng.choice(pool) for _ in range(nrows))
+            image = Matrix(rows, ncols).apply(x)
+            # the row action is the bilinear map (x, 1) -> sum_i x[i] rows[i] of an nrows x 1 x ncols table
+            assert image == triple_loop([[row] for row in rows], x, (1,), ncols)
+            assert all(type(v) is Fraction for v in image)
 
     def test_square_and_rectangular_shapes(self):
         m = M([[1, 2, 0], [0, "1/2", -1]])

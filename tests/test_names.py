@@ -21,11 +21,14 @@ The fourth guard keeps one reader: ``cli._load_json_file`` is the only
 function of the package that calls ``open``, ``json.load`` or ``json.loads``,
 so every file gets the same exit code 3 for what cannot be read or decoded.
 
-The fifth guard keeps evaluation conversion-free: the bracket and bilinear
-maps (``algebra._bilinear``), the skew form (``OmegaAlgebra.omega_form``),
-the row action (``linalg.Matrix.apply``) and the column action
-(``local._images``) never call ``vector`` or ``frac``.  Values are converted
-once, where they enter; these run on every residual check.
+The fifth guard keeps evaluation conversion-free: the one bilinear kernel
+(``linalg._bilinear``) and its dense read-out (``linalg._dense``), the
+builders of the supports it reads (``algebra._tensor_support`` over
+``linalg._entries`` and ``linalg._exact``), the skew form
+(``OmegaAlgebra.omega_form``), the row action (``linalg.Matrix.apply``) and
+the column action (``local._images``) never call ``vector`` or ``frac``.
+Values are converted once, where they enter; these run on every residual
+check.
 
 The sixth guard keeps the residual check independent of the solver: no
 function of the checker (``solvers.defects`` and the functions behind it)
@@ -60,6 +63,13 @@ The tenth guard keeps every solve of the verification suite in its session:
 solver wrappers (``derivations``, ``skew_biderivations``, ...), so no
 criterion can solve a space the run's ``solvers.Session`` already holds, or
 solve a derived kind from scratch.
+
+The eleventh guard keeps one bilinear kernel: inside ``src/`` only the
+dense views ``OmegaAlgebra.bracket``, ``OmegaAlgebra.omega_form``,
+``BilinearMap.apply`` and ``Matrix.apply``, and the residual check
+``solvers._defects``, name ``linalg._bilinear``, so every bracket, form
+value, bilinear image and row action is evaluated by one loop over one
+cached support.
 """
 
 import ast
@@ -331,7 +341,16 @@ def test_guard_catches_a_second_reader(tmp_path):
 
 
 CONVERTERS = {"vector", "frac", "linalg.vector", "linalg.frac"}
-EVALUATORS = ("algebra._bilinear", "algebra.OmegaAlgebra.omega_form", "linalg.Matrix.apply", "local._images")
+EVALUATORS = (
+    "linalg._bilinear",
+    "linalg._dense",
+    "algebra._tensor_support",
+    "linalg._entries",
+    "linalg._exact",
+    "algebra.OmegaAlgebra.omega_form",
+    "linalg.Matrix.apply",
+    "local._images",
+)
 
 
 def converting_evaluators(paths, evaluators):
@@ -363,7 +382,6 @@ def test_guard_catches_a_converting_evaluator(tmp_path):
 ROW_ASSEMBLY = {"_rows", "_tables", "_kernel"}
 RESIDUAL_CHECKER = (
     "solvers._plans",
-    "solvers._run",
     "solvers._defects",
     "solvers.defects",
     "solvers.map_defects",
@@ -563,4 +581,40 @@ def test_guard_catches_a_criterion_that_bypasses_the_session(tmp_path):
         ("probe", 1, "skew_biderivations"),
         ("probe.criterion_3", 4, "skew_biderivations"),
         ("probe.criterion_9", 6, "omega_biderivations"),
+    ]
+
+
+BILINEAR_KERNEL = {"_bilinear"}
+KERNEL_CALLERS = {
+    "algebra.OmegaAlgebra.bracket",
+    "algebra.OmegaAlgebra.omega_form",
+    "algebra.BilinearMap.apply",
+    "linalg.Matrix.apply",
+    "solvers._defects",
+}
+
+
+def kernel_callers(paths):
+    """``(scope, line, name)`` of each reference to ``_bilinear``, the one bilinear kernel."""
+    return names_in(paths, BILINEAR_KERNEL, _referenced)
+
+
+def test_one_kernel_evaluates_every_bilinear_map():
+    for dotted in sorted(KERNEL_CALLERS) + ["linalg._bilinear"]:
+        resolve(dotted)
+    assert {scope for scope, _, _ in kernel_callers(SOURCES)} == KERNEL_CALLERS
+
+
+def test_guard_catches_a_second_kernel_caller(tmp_path):
+    module = tmp_path / "probe.py"
+    module.write_text(
+        "import linalg\n"
+        "class OmegaAlgebra:\n    def bracket(self, x, y):\n        return _bilinear(self._support, x, y)\n"
+        "def _defects(support, values):\n    return [linalg._bilinear(support, a, b) for a, b in values]\n"
+        "def _respects_bracket(phi, x, y):\n    return _bilinear(phi, x, y)\n"
+    )
+    assert kernel_callers([module]) == [
+        ("probe.OmegaAlgebra.bracket", 4, "_bilinear"),
+        ("probe._defects", 6, "_bilinear"),
+        ("probe._respects_bracket", 8, "_bilinear"),
     ]

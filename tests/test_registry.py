@@ -17,10 +17,10 @@ from fractions import Fraction
 
 import pytest
 
-from omega_lie import catalog, solvers
+from omega_lie import catalog, solvers, verification
 from omega_lie.algebra import BilinearMap, OmegaAlgebra
 from omega_lie.linalg import Matrix, nullspace_of_sparse_rows
-from oracle import oracle_biderivation_rows, oracle_form_compatible_rows
+from oracle import oracle_biderivation_rows, oracle_form_compatible_rows, oracle_leibniz_defects
 
 
 def random_table(n, seed):
@@ -183,27 +183,62 @@ def test_residuals_of_random_unknowns_are_unchanged():
     assert h.hexdigest() == DEFECT_SWEEP
 
 
+def perturbed_members(alg, space, kind, e, rng):
+    """The basis of ``space`` with element ``e`` changed in one entry, the first from a random start that leaves the space."""
+    arity = solvers.KINDS[kind].arity
+    members = list(space.maps() if arity == 1 else space.tensors())
+    entries = space.space.basis[e]
+    start = rng.randrange(len(entries))
+    for at in ((start + s) % len(entries) for s in range(len(entries))):
+        bumped = list(entries)
+        bumped[at] += 1
+        if not space.space.contains(tuple(bumped)):
+            members[e] = unknown(bumped, alg.dim, arity)
+            return members, at
+    pytest.fail(f"every unit {('map', 'tensor')[arity - 1]} is in the {kind} space of {alg.name}")
+
+
+def only_the_perturbed_element_is_reported(key, kind):
+    """Exactly the perturbed element is reported, on exactly the tuples and with the residuals of a dense re-evaluation."""
+    alg = catalog.get(key)
+    space = solvers.solve(alg, kind)
+    assert space.rank
+    rng = random.Random(key)
+    for e in range(space.rank):
+        members, at = perturbed_members(alg, space, kind, e, rng)
+        found = solvers.defects(alg, kind, members)
+        assert [bool(r) for r in found] == [i == e for i in range(space.rank)], (e, at)
+        assert found[e] == oracle_leibniz_defects(alg, members[e]), (e, at)
+
+
 @pytest.mark.parametrize("key", ["L_{1,1}", "sl2", "B~"])
 def test_a_perturbed_basis_element_is_the_only_one_reported(key):
-    alg = catalog.get(key)
-    space = solvers.biderivations(alg)
-    rng = random.Random(key)
-    for e, t in enumerate(space.tensors()):
-        entries = solvers.vectorize_tensor(t)
-        # from a seeded start, the first entry whose change leaves the space
-        start = rng.randrange(len(entries))
-        for at in ((start + s) % len(entries) for s in range(len(entries))):
-            bumped = list(entries)
-            bumped[at] += 1
-            perturbed = unknown(bumped, alg.dim, 2)
-            if not space.space.contains(solvers.vectorize_tensor(perturbed)):
-                break
-        else:
-            pytest.fail(f"every unit tensor is a biderivation of {key}")
-        members = list(space.tensors())
-        members[e] = perturbed
-        found = solvers.defects(alg, "biderivation", members)
-        assert [bool(r) for r in found] == [i == e for i in range(space.rank)], (e, at)
+    only_the_perturbed_element_is_reported(key, "biderivation")
+
+
+@pytest.mark.parametrize("key", ["L_{1,1}", "sl2", "B~"])
+def test_a_perturbed_map_is_the_only_one_reported(key):
+    only_the_perturbed_element_is_reported(key, "derivation")
+
+
+RESIDUAL_KINDS = [(kind, {}) for kind in solvers.KINDS if kind != "delta_derivation"] + [
+    ("delta_derivation", {"delta": verification.HALF})
+]
+
+
+def test_the_spaces_criterion_11_rechecks_have_no_residual():
+    """The check the criterion runs, on its exact spaces: every list is empty, one per basis element."""
+    session = solvers.Session()
+    checked = elements = 0
+    for key in verification.RESIDUAL_KEYS:
+        alg = catalog.get(key)
+        for kind, params in RESIDUAL_KINDS:
+            space = session.solve(alg, kind, **params)
+            members = space.maps() if solvers.KINDS[kind].arity == 1 else space.tensors()
+            assert solvers.defects(alg, kind, members, **params) == [[] for _ in members], (key, kind)
+            checked += 1
+            elements += len(members)
+    assert (checked, elements) == (70, 143)
 
 
 # sha256 of the canonical bases of all 43 catalog instances, one per kind,

@@ -6,8 +6,10 @@ A kind whose identities extend another kind's (``symmetric``, ``skew`` and
 canonical, so the result must equal a direct :func:`solvers.solve` with ``==``.
 """
 
+import functools
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -128,3 +130,29 @@ def test_run_all_solves_each_request_once_and_derived_kinds_by_restriction(monke
     # 161 distinct requests (225 solver calls before the session), plus the
     # biderivations of sl2+sl2, solved only as the parent of its skew part
     assert (len(full), len(restricted)) == (82, 80)
+
+
+def test_an_algebra_is_hashed_once_and_equal_algebras_share_an_entry(monkeypatch):
+    """The session keys on the algebra's value; its field hash is computed once per object."""
+    hashed = []
+    field_hash = OmegaAlgebra._hash.func
+
+    def counted(self):
+        hashed.append(self)
+        return field_hash(self)
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(OmegaAlgebra, "_hash")
+    monkeypatch.setattr(OmegaAlgebra, "_hash", prop)
+    session = Session()
+    first, second = catalog.get("L_{1,1}"), catalog.get("L_{1,1}")
+    assert first is not second and first == second and hash(first) == hash(second)
+    kinds = [kind for kind in KINDS if kind != "delta_derivation"]
+    answers = {alg_id: [session.solve(alg, kind) for kind in kinds] for alg_id, alg in enumerate((first, second))}
+    assert all(a is b for a, b in zip(answers[0], answers[1]))
+    # every lookup, nested parent lookups included, reads one hash computation per object
+    assert [id(alg) for alg in hashed] == [id(first), id(second)]
+    # the cached hash does not enter equality, and a copy with a changed field computes its own, once
+    renamed = replace(first, name="other")
+    assert renamed != first and hash(renamed) == hash(renamed)
+    assert [id(alg) for alg in hashed[2:]] == [id(renamed)]
