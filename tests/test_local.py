@@ -228,10 +228,18 @@ class TestLocalClosure:
         der = derivations(alg)
         assert local_closure(alg, der, PLAN) == local_closure(alg, der, PLAN)
 
-    def test_soundness_recheck(self):
+    def test_soundness_recheck(self, monkeypatch):
+        # the candidate of a certified closure is the base, decided by containment alone
         alg = catalog.get("L_{1,1}")
         res = local_closure(alg, derivations(alg), PLAN)
-        assert recheck_certification(alg, res, points=120, plan=PLAN)
+        assert res.certified
+
+        def no_scan(*args):
+            raise AssertionError("the scan started")
+
+        monkeypatch.setattr(SamplePlan, "fresh_points", no_scan)
+        monkeypatch.setattr(local, "_escape", no_scan)
+        assert recheck_certification(alg, res, points=120, plan=PLAN) is True
 
     @pytest.mark.parametrize("points", [0, -3, MAX_RANDOM_COUNT + 1, True, 2.5, 5.0, "5", None])
     def test_recheck_refuses_point_counts_out_of_range(self, monkeypatch, points):
@@ -248,10 +256,49 @@ class TestLocalClosure:
             recheck_certification(alg, res, points=points, plan=PLAN)
 
 
+def _old_recheck(res, points, plan):
+    """The recheck as a plain scan of every candidate row at the fresh points."""
+    n = res.base.algebra.dim
+    return local._escape(res.base, res.candidate.basis, plan.fresh_points(n, points)) is None
+
+
+@pytest.mark.parametrize("points", [1, 20])
+@pytest.mark.parametrize("plan", [SamplePlan(), SamplePlan(seed=7, random_count=3)])
+def test_recheck_agrees_with_a_scan_of_every_row(plan, points):
+    """Containment first gives the full scan's answer on every catalog closure, certified or not."""
+    uncertified = 0
+    for key in (entry.key for entry in catalog.list_entries()):
+        alg = catalog.get(key)
+        for solver in (derivations, half_derivations):
+            res = local_closure(alg, solver(alg), plan)
+            uncertified += not res.certified
+            assert recheck_certification(alg, res, points=points, plan=plan) == _old_recheck(res, points, plan), key
+    assert uncertified > 0  # some closures keep rows outside the base, so the scan runs
+
+
+@pytest.mark.parametrize("key", ["L_{1,1}", "B", "L_{1,2}"])
+@pytest.mark.parametrize("plan", [SamplePlan(), SamplePlan(seed=7, random_count=3)])
+def test_recheck_fails_a_fabricated_certificate(key, plan):
+    """A candidate with the identity added to the derivations is caught by both the recheck and the full scan."""
+    alg = catalog.get(key)
+    der = derivations(alg)
+    n = alg.dim
+    candidate = SubspaceBasis.from_generators(n * n, der.space.basis + (vectorize_map(Matrix.identity(n)),))
+    res = LocalClosureResult(der, candidate, True, ())
+    assert recheck_certification(alg, res, points=20, plan=plan) is False
+    assert _old_recheck(res, 20, plan) is False
+
+
 class TestLocalMembership:
-    def test_members_are_certified(self):
+    def test_members_are_certified(self, monkeypatch):
+        # a member is decided by containment, before any point is scanned
         alg = catalog.get("L_{1,1}")
         der = derivations(alg)
+
+        def no_scan(*args):
+            raise AssertionError("the scan started")
+
+        monkeypatch.setattr(local, "_escape", no_scan)
         for m in der.maps():
             assert is_local_member(alg, der, m, PLAN).status == LOCAL_CERTIFIED
 
