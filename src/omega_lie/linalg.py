@@ -33,11 +33,10 @@ whenever it can prove the answer.  Its result is exact, by three facts:
 
 When a lift or the check fails, ``_Echelon`` eliminates every row exactly.
 
-Subspaces are always stored in a canonical form: the unique reduced row
-echelon basis with lexicographically earliest pivots and leading entries
-equal to 1.  Two subspaces are equal exactly when their stored bases are
-identical tuples, which makes equality (and hence solver comparisons
-downstream) a plain ``==``.
+A subspace is stored in one canonical form, its echelon's: the primitive
+integer multiples of its reduced row echelon basis (:class:`SubspaceBasis`).
+That form is unique, so equality (and hence solver comparisons downstream)
+is a plain ``==``, and the dense ``Fraction`` basis is only a view of it.
 """
 
 from __future__ import annotations
@@ -224,11 +223,7 @@ class _Echelon:
         """The residue of ``row``: zero at every pivot, and empty exactly for a member."""
         if len(self.rows) == self.ambient:
             return {}
-        residue = row
-        for pivot, stored in self.rows.items():
-            if pivot in residue:
-                residue = _eliminate(residue, stored, pivot)
-        return residue
+        return _reduce(self.rows, row)
 
     def insert(self, row: dict[int, int]) -> bool:
         """Fold one row in; returns True when the rank grew."""
@@ -256,20 +251,9 @@ class _Echelon:
             later.add(pivot)
 
     def span(self) -> "SubspaceBasis":
-        """The row space as a canonical basis that keeps this echelon for its queries.
-
-        The basis is the reduced row echelon form: each entry over its row's pivot entry.
-        """
-        self._back_substitute()
-        basis = []
-        for pivot in sorted(self.rows):
-            row = self.rows[pivot]
-            dense = [ZERO] * self.ambient
-            for c, v in row.items():
-                dense[c] = Fraction(v, row[pivot])
-            basis.append(tuple(dense))
-        space = SubspaceBasis(self.ambient, tuple(basis))
-        space.__dict__["_echelon"] = self
+        """The row space, as the :class:`SubspaceBasis` that holds these rows once reduced."""
+        space = object.__new__(SubspaceBasis)
+        space._hold(self)
         return space
 
     def kernel(self) -> list[dict[int, int]]:
@@ -291,6 +275,14 @@ class _Echelon:
                 content = gcd(*gen.values())
                 gens.append({c: v // content for c, v in gen.items()})
         return gens
+
+
+def _reduce(rows: dict[int, dict[int, int]], row: dict[int, int]) -> dict[int, int]:
+    """The residue of ``row`` against echelon ``rows`` (pivot column -> row, each zero at the pivots before it)."""
+    for pivot, stored in rows.items():
+        if pivot in row:
+            row = _eliminate(row, stored, pivot)
+    return row
 
 
 def _eliminate(row: dict[int, int], stored: dict[int, int], col: int) -> dict[int, int]:
@@ -423,48 +415,57 @@ def _to_sparse(row: Sequence[Fraction]) -> SparseRow:
     return {j: v for j, v in enumerate(row) if v}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SubspaceBasis:
-    """A linear subspace in canonical (RREF) basis form.
+    """A linear subspace, stored as the rows of its reduced echelon.
 
-    ``basis`` rows are the unique reduced echelon basis of the subspace, so
-    two SubspaceBasis values describe the same subspace exactly when they
-    compare equal.
+    ``rows`` maps each pivot column, ascending, to a sparse primitive integer
+    row, columns ascending, positive at its pivot and zero at every other
+    pivot.  That form is unique, so two values describe the same subspace
+    exactly when they compare equal.  Every value takes its rows from an
+    :class:`_Echelon`: the constructor folds the dense rows it is given into
+    one, and ``from_generators`` and kernels hand theirs over
+    (:meth:`_Echelon.span`).
     """
 
     ambient_dim: int
-    basis: tuple[Vector, ...]
+    rows: dict[int, dict[int, int]]
 
-    def __post_init__(self) -> None:
-        for row in self.basis:
-            if len(row) != self.ambient_dim:
-                raise ValueError(f"basis row length {len(row)} != ambient dimension {self.ambient_dim}")
-        strange = set(map(type, chain.from_iterable(self.basis))) - {Fraction, int}
+    def __init__(self, ambient_dim: int, basis: Sequence[Sequence[Union[int, Fraction]]] = ()) -> None:
+        """The span of dense ``basis`` rows of length ``ambient_dim``, with ``Fraction`` or ``int`` entries."""
+        for row in basis:
+            if len(row) != ambient_dim:
+                raise ValueError(f"basis row length {len(row)} != ambient dimension {ambient_dim}")
+        strange = set(map(type, chain.from_iterable(basis))) - {Fraction, int}
         if strange:
             raise ValueError(f"basis entries must be Fraction or int, got {min(t.__name__ for t in strange)}")
+        self._hold(_Echelon(ambient_dim, (_integral(_to_sparse(row)) for row in basis)))
+
+    def _hold(self, echelon: _Echelon) -> None:
+        """Store the rows of ``echelon``, reduced, pivots and columns sorted: the one way a value gets its rows."""
+        echelon._back_substitute()
+        object.__setattr__(self, "ambient_dim", echelon.ambient)
+        object.__setattr__(self, "rows", {p: dict(sorted(echelon.rows[p].items())) for p in sorted(echelon.rows)})
+
+    def __hash__(self) -> int:
+        return hash((self.ambient_dim, tuple(tuple(row.items()) for row in self.rows.values())))
+
+    @cached_property
+    def basis(self) -> tuple[Vector, ...]:
+        """The reduced row echelon basis, each entry over its row's pivot entry: a view for dense answers, built on first read."""
+        n = self.ambient_dim
+        return tuple(_dense([(c, Fraction(v, row[p])) for c, v in row.items()], n) for p, row in self.rows.items())
 
     @property
     def rank(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
 
     @classmethod
     def from_generators(cls, ambient_dim: int, generators: Iterable[Sequence[RationalLike]]) -> "SubspaceBasis":
         return _Echelon(ambient_dim, (_entering(gen, ambient_dim, "generator") for gen in generators)).span()
 
-    @cached_property
-    def _echelon(self) -> _Echelon:
-        """The basis folded into an echelon once per instance; never given a row after that.
-
-        It lives in the instance ``__dict__``, outside the dataclass fields,
-        so ``==``, ``hash`` and ``repr`` do not see it.  A basis built by an
-        echelon (``from_generators``, kernels) arrives with that echelon; a
-        basis given to the constructor is folded in here, so one that is not
-        already reduced still gives the right echelon.
-        """
-        return _Echelon(self.ambient_dim, (_integral(_to_sparse(row)) for row in self.basis))
-
     def contains(self, v: Sequence[RationalLike]) -> bool:
-        return not self._echelon.reduce(_entering(v, self.ambient_dim, "vector"))
+        return not _reduce(self.rows, _entering(v, self.ambient_dim, "vector"))
 
     def contains_all(self, vectors: Iterable[Sequence[RationalLike]]) -> bool:
         return all(self.contains(v) for v in vectors)
@@ -475,11 +476,11 @@ class SubspaceBasis:
 
     def plus(self, other: "SubspaceBasis") -> "SubspaceBasis":
         self._same_ambient(other, "add")
-        return SubspaceBasis.from_generators(self.ambient_dim, self.basis + other.basis)
+        return _Echelon(self.ambient_dim, chain(self.rows.values(), other.rows.values())).span()
 
     def is_subspace_of(self, other: "SubspaceBasis") -> bool:
         self._same_ambient(other, "compare")
-        return other.contains_all(self.basis)
+        return not any(_reduce(other.rows, row) for row in self.rows.values())
 
     def annihilated_by(self, functional: SparseRow) -> bool:
         """Whether the functional ``v -> sum(c * v[j])`` vanishes on the subspace.
@@ -489,18 +490,18 @@ class SubspaceBasis:
         the system that defines it.
         """
         _check_columns(functional, self.ambient_dim)
-        return all(not sum((c * v[j] for j, c in functional.items()), ZERO) for v in self.basis)
+        return not any(sum(c * row.get(j, 0) for j, c in functional.items()) for row in self.rows.values())
 
     def restricted(self, rows: Iterable[SparseRow]) -> "SubspaceBasis":
         """The vectors of the subspace that every row annihilates, in canonical form.
 
-        The echelon's r primitive integer rows ``g`` span the subspace, so a
-        member is ``sum(c[i] * g[i])``, and a row ``e`` annihilates it exactly
-        when ``sum(c[i] * (e . g[i])) = 0``.  The kernel of those composed rows
+        The r stored rows ``g`` span the subspace, so a member is
+        ``sum(c[i] * g[i])``, and a row ``e`` annihilates it exactly when
+        ``sum(c[i] * (e . g[i])) = 0``.  The kernel of those composed rows
         in the r coordinates ``c`` is lifted back through ``g`` into one
         echelon.  ``rows`` is read only until the composed rows reach rank r.
         """
-        gens = list(self._echelon.rows.values())
+        gens = list(self.rows.values())
         by_column: dict[int, list[tuple[int, int]]] = {}
         for i, g in enumerate(gens):
             for col, v in g.items():
@@ -517,7 +518,7 @@ class SubspaceBasis:
 
         kernel, _ = nullspace_of_sparse_rows(len(gens), composed())
         lifted = []
-        for c in kernel._echelon.rows.values():
+        for c in kernel.rows.values():
             vec: dict[int, int] = {}
             for i, ci in c.items():
                 for col, v in gens[i].items():
@@ -536,7 +537,7 @@ class SubspaceBasis:
         with ``s`` in the space, and division by its entry there gives the vector.
         """
         n = self.ambient_dim
-        ech = _Echelon(n + 1, (_integral({n - 1 - j: x for j, x in enumerate(row) if x}) for row in self.basis))
+        ech = _Echelon(n + 1, ({n - 1 - c: x for c, x in row.items()} for row in self.rows.values()))
         residue = ech.reduce(_integral({n - 1 - j: x for j, x in enumerate(v) if x} | {n: ONE}))
         return tuple(Fraction(residue.get(n - 1 - j, 0), residue[n]) for j in range(n))
 

@@ -20,18 +20,18 @@ Throughout this module a stored matrix ``S`` acts on a point by the plain
 column product ``S @ x``, reading index ``k*n + j`` of its vectorized form
 as row ``k``, column ``j``.  ``_images`` is the one place where that action
 is applied, on sparse integer rows and points.  ``_walk`` is the one walk
-over sample points: it scales the generators (space elements, candidate
-matrices or family directions) to integer rows once (``linalg._integral``)
-and each point once, and yields ``W(x)`` from ``_span_at``, the one builder
-of ``W(x)``: a ``linalg._Echelon`` (the package's one elimination,
-fraction-free over ``Z``) built from the images ``S x``.  Scaling ``x`` or
-any ``S`` by a nonzero rational changes neither ``W(x)`` nor whether ``S x``
-lies in it, so ranks, verdicts and escaping points are those of the rational
+over sample points: it reads a space's stored integer rows
+(``SubspaceBasis.rows``), scales each point once (``linalg._integral``),
+and yields ``W(x)`` from ``_span_at``, the one builder of ``W(x)``: a
+``linalg._Echelon`` (the package's one elimination, fraction-free over
+``Z``) built from the images ``S x``.  Scaling ``x`` or any ``S`` by a
+nonzero rational changes neither ``W(x)`` nor whether ``S x`` lies in it,
+so ranks, verdicts and escaping points are those of the rational
 computation.  The transpose of the action, the functional ``q(B x)`` on
 ``vec(B)``, is written once in ``_point_rows``, in integers.  ``_closure``
 is the one closure solve: it turns ``B x in span`` at every sample into one
 homogeneous system for ``nullspace_of_sparse_rows``.  ``local_closure``
-closes the space's basis; ``affine_local_closure`` closes the family's
+closes the space; ``affine_local_closure`` closes the family's hull
 directions alone, because ``B x in base@x + span`` is
 ``(B - base) x in span`` and the base solves its own rows.  ``_escape`` is
 the one point scan, finding where some ``S x`` leaves ``W(x)``, for both
@@ -64,6 +64,7 @@ from .linalg import (
     ZERO,
     _Echelon,
     _integral,
+    _reduce,
     _to_sparse,
     frac,
     nullspace_of_sparse_rows,
@@ -144,21 +145,19 @@ def _span_at(rows: Sequence[dict[int, int]], x: dict[int, int], n: int) -> _Eche
     return _Echelon(n, _images(rows, x, n))
 
 
-def _walk(generators: Sequence[Sequence], points: Iterable[Sequence], n: int) -> Iterator[tuple[Sequence, dict, _Echelon]]:
-    """``(x, scaled x, W(x))`` at each of ``points``, with ``W(x)`` spanned by the generators' images.
+def _walk(space, points: Iterable[Sequence], n: int) -> Iterator[tuple[Sequence, dict, _Echelon]]:
+    """``(x, scaled x, W(x))`` at each of ``points``, with ``W(x)`` spanned by the images of the subspace ``space``.
 
-    The generators are scaled to sparse integer rows once and each point
-    once (``linalg._integral``).  Scaling ``x`` or any ``S`` by a nonzero
-    rational changes neither ``W(x)`` nor membership in it, so every rank
-    and membership read off the echelon is that of the rational
-    computation.  ``x`` is the point as given.
+    The images are those of its stored integer rows, at each point scaled
+    once (``linalg._integral``).  Neither scaling changes ``W(x)`` or
+    membership in it, so every rank and membership read off the echelon is
+    that of the rational computation.  ``x`` is the point as given.
     """
-    rows = [_integral(_to_sparse(g)) for g in generators]
     for x in points:
         if len(x) != n:
             raise ValueError(f"point must have length {n}")
         scaled_x = _integral(_to_sparse(x))
-        yield x, scaled_x, _span_at(rows, scaled_x, n)
+        yield x, scaled_x, _span_at(space.rows.values(), scaled_x, n)
 
 
 def _point_rows(x: dict[int, int], span: _Echelon) -> list[dict[int, int]]:
@@ -171,29 +170,26 @@ def _point_rows(x: dict[int, int], span: _Echelon) -> list[dict[int, int]]:
     return [{k * n + j: q_k * xj for k, q_k in q.items() for j, xj in x.items()} for q in span.kernel()]
 
 
-def _closure(n: int, samples: Sequence[Vector], generators: Sequence[Vector]) -> SubspaceBasis:
-    """The space ``{B : B x in span(generators@x) at every sample}``, from one sparse solve.
+def _closure(n: int, samples: Sequence[Vector], generators: SubspaceBasis) -> SubspaceBasis:
+    """The space ``{B : B x in generators@x at every sample}``, from one sparse solve.
 
-    The space always contains ``span(generators)``, so a generator outside
-    it is a soundness violation.
+    The space always contains ``generators``, so a generator outside it is a
+    soundness violation.
     """
     rows = [row for _, x, span in _walk(generators, samples, n) for row in _point_rows(x, span)]
     space = nullspace_of_sparse_rows(n * n, rows)[0]
-    if not space.contains_all(generators):
+    if not generators.is_subspace_of(space):
         raise AssertionError("soundness violation: the closed family escaped its own closure")
     return space
 
 
-def _escape(space: MapSpace, vectors: Sequence[Vector], points: Sequence[Vector]) -> Optional[Vector]:
-    """First of ``points`` where some ``S x``, ``S`` in ``vectors``, leaves ``W(x)``; ``None`` if none.
+def _escape(space: MapSpace, tested: Sequence[dict[int, int]], points: Sequence[Vector]) -> Optional[Vector]:
+    """First of ``points`` where some ``S x``, ``S`` in the sparse integer rows ``tested``, leaves ``W(x)``; ``None`` if none.
 
-    Decided over the integers: ``vectors`` are scaled like the basis in
-    ``_walk``, and the echelon of the basis images answers membership
-    exactly.  The point returned is the original one.
+    The echelon of the space's images (``_walk``) answers membership exactly.
     """
     n = space.algebra.dim
-    tested = [_integral(_to_sparse(v)) for v in vectors]
-    for x, scaled_x, span in _walk(space.space.basis, points, n):
+    for x, scaled_x, span in _walk(space.space, points, n):
         if any(span.reduce(image) for image in _images(tested, scaled_x, n)):
             return x
     return None
@@ -229,10 +225,11 @@ def local_closure(algebra: OmegaAlgebra, space: MapSpace, plan: Optional[SampleP
     plan = plan or SamplePlan()
     n = _dim(algebra, space)
     samples = plan.points(n)
-    candidate = _closure(n, samples, space.space.basis)
+    candidate = _closure(n, samples, space.space)
     witness = None
     if candidate != space.space:  # the candidate contains the base, so some row lies outside it
-        witness = unvectorize_map(next(r for r in candidate.basis if not space.space.contains(r)), n)
+        rows = zip(candidate.basis, candidate.rows.values())
+        witness = unvectorize_map(next(dense for dense, row in rows if _reduce(space.space.rows, row)), n)
     return LocalClosureResult(space, candidate, witness is None, samples, witness)
 
 
@@ -246,14 +243,14 @@ def recheck_certification(
 
     Used by the verification suite to back up ``certified == True``.  A row
     in the base's span stays in ``W(x)`` at every point, by linearity, so
-    those rows are decided by containment alone; only the rows outside the
-    span are scanned (``_escape``) on ``plan.fresh_points(n, points)``.  On a
+    those rows are decided by containment alone; only the stored rows outside
+    the span are scanned (``_escape``) on ``plan.fresh_points(n, points)``.  On a
     certified closure no row is outside, and no point is drawn.  ``points``
     must lie in ``1..MAX_RANDOM_COUNT``: zero points would check nothing.
     """
     n = _dim(algebra, result.base)
     _check_count("points", points, 1)
-    outside = [row for row in result.candidate.basis if not result.base.space.contains(row)]
+    outside = [row for row in result.candidate.rows.values() if _reduce(result.base.space.rows, row)]
     if not outside:
         return True
     plan = plan or SamplePlan()
@@ -290,7 +287,7 @@ def is_local_member(
     candidate_vec = vectorize_map(candidate)
     if space.space.contains(candidate_vec):  # a member's image never leaves W(x)
         return LocalMemberVerdict(LOCAL_CERTIFIED)
-    escape = _escape(space, [candidate_vec], plan.points(n))
+    escape = _escape(space, [_integral(_to_sparse(candidate_vec))], plan.points(n))
     if escape is not None:
         return LocalMemberVerdict(NOT_LOCAL, witness=escape)
     return LocalMemberVerdict(LOCAL_ON_SAMPLES)
@@ -311,7 +308,7 @@ class SeparatingCertificate:
 def kernel_rank(space: MapSpace, e: Sequence) -> int:
     """Dimension of ``{S in space : S e = 0}``: ``space.rank`` minus the rank of ``W(e)``."""
     n = _dim(space.algebra, space)
-    return space.rank - next(_walk(space.space.basis, [vector(e)], n))[2].rank
+    return space.rank - next(_walk(space.space, [vector(e)], n))[2].rank
 
 
 RIGID = "RIGID"
@@ -339,7 +336,7 @@ def two_local_report(
     plan = plan or SamplePlan()
     n = _dim(algebra, space)
     ranks = []
-    for e, _, span in _walk(space.space.basis, plan.points(n), n):
+    for e, _, span in _walk(space.space, plan.points(n), n):
         rank = space.rank - span.rank
         if rank == 0:
             return TwoLocalReport(RIGID, SeparatingCertificate(e), 0)
@@ -463,13 +460,14 @@ def affine_local_closure(
     if family.dim != n:
         raise ValueError("family and algebra dimensions differ")
     samples = plan.points(n)
-    directions = _closure(n, samples, [vectorize_map(d) for d in family.directions])
+    hull = family.hull_directions()
+    directions = _closure(n, samples, hull)
     caveats = tuple(
         f"open condition (not enforced): {cond.describe()}" for cond in family.open_conditions
     ) + (
         "membership in the closure does not by itself guarantee invertibility at boundary parameters",
     )
-    comparison = MATCHES_FAMILY_HULL if directions == family.hull_directions() else EXCEEDS_FAMILY_HULL
+    comparison = MATCHES_FAMILY_HULL if directions == hull else EXCEEDS_FAMILY_HULL
     return AffineClosureResult(
         family=family,
         particular=unvectorize_map(directions.reduced_from_last(vectorize_map(family.base)), n),

@@ -175,6 +175,17 @@ class TestSubspaceLattice:
         space = SubspaceBasis(2, ((1, Fraction(1, 2)),))
         assert space.contains((2, 1)) and space == SubspaceBasis.from_generators(2, [(2, 1)])
 
+    def test_a_dependent_basis_has_the_rank_of_its_span(self):
+        # the second row is twice the first, so it adds nothing to the rank
+        assert SubspaceBasis(2, ((1, 0), (2, 0))).rank == 1
+
+    def test_a_basis_that_is_not_reduced_is_stored_in_canonical_form(self):
+        # equality, hash and repr read the canonical form, not the rows given
+        line = SubspaceBasis(2, ((2, 0),))
+        canonical = SubspaceBasis.from_generators(2, [(1, 0)])
+        assert line == canonical and hash(line) == hash(canonical) and repr(line) == repr(canonical)
+        assert line.basis == ((1, 0),)
+
     def test_is_subspace_of_across_ambient_dimensions(self):
         with pytest.raises(ValueError):
             SubspaceBasis.from_generators(2, [(1, 0)]).is_subspace_of(full(3))
@@ -542,18 +553,21 @@ class TestRestricted:
 
 
 def test_spaces_built_by_an_echelon_keep_it(monkeypatch):
-    """``from_generators`` and kernels, the zero kernel too, hand over the echelon they built: queries insert nothing."""
+    """``from_generators`` and kernels, the zero kernel too, hand over the rows of the echelon they built: queries insert nothing."""
     spanned = SubspaceBasis.from_generators(3, [(1, 2, 0), (0, 1, 1)])
     kernel = kernel_of(M([[1, 2, 3]]))[0]
     zero = kernel_of(Matrix.identity(2))[0]  # a full-rank system's zero space
-    assert all("_echelon" in vars(space) for space in (spanned, kernel, zero))
+    direct = SubspaceBasis(3, ((1, 3, 1), (0, 2, 2)))
     inserted = []
     insert = _Echelon.insert
     monkeypatch.setattr(_Echelon, "insert", lambda self, row: inserted.append(row) or insert(self, row))
     assert spanned.contains((1, 3, 1)) and not spanned.contains((0, 0, 1))
     assert kernel.contains((-2, 1, 0)) and not kernel.contains((1, 0, 0))
+    assert zero.contains((0, 0)) and not zero.contains((1, 0))
+    assert direct.contains((1, 2, 0)) and direct.is_subspace_of(spanned) and direct == spanned
     assert inserted == []
-    assert SubspaceBasis(3, spanned.basis).contains((1, 3, 1))  # a directly built basis folds its rows in
+    assert not any("basis" in vars(space) for space in (spanned, kernel, zero, direct))  # no query densifies
+    assert SubspaceBasis(3, spanned.basis) == spanned  # the constructor folds its rows in, once
     assert inserted
 
 
@@ -566,7 +580,7 @@ class TestCachedEchelon:
 
     @staticmethod
     def spaces(rng, ambient):
-        """A canonical subspace and the same subspace from a basis that is not reduced."""
+        """A canonical subspace, the same subspace from a basis that is not reduced, and that basis."""
         gens = [[rng.randint(-3, 3) for _ in range(ambient)] for _ in range(rng.randint(0, ambient))]
         canonical = SubspaceBasis.from_generators(ambient, gens)
         rows = [list(r) for r in canonical.basis]
@@ -575,7 +589,8 @@ class TestCachedEchelon:
                 if i != j:
                     c = rng.randint(-2, 2)
                     rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
-        return canonical, SubspaceBasis(ambient, tuple(tuple(r) for r in rows))
+        rows = tuple(tuple(r) for r in rows)
+        return canonical, SubspaceBasis(ambient, rows), rows
 
     @staticmethod
     def queries(rng, space, count):
@@ -595,9 +610,10 @@ class TestCachedEchelon:
         reduced_seen = 0
         for _ in range(150):
             ambient = rng.randint(1, 6)
-            a, loose = self.spaces(rng, ambient)
-            b, _ = self.spaces(rng, ambient)
-            reduced_seen += loose.basis != a.basis
+            a, loose, rows = self.spaces(rng, ambient)
+            b, _, _ = self.spaces(rng, ambient)
+            reduced_seen += rows != a.basis
+            assert loose == a
             for v in self.queries(rng, a, 8):
                 expected = self.fresh_contains(a, v)
                 assert a.contains(v) == expected
@@ -614,13 +630,13 @@ class TestCachedEchelon:
     def test_queries_leave_the_value_unchanged(self):
         rng = random.Random(7)
         for ambient in (3, 5, 6):
-            canonical, loose = self.spaces(rng, ambient)
+            canonical, loose, _ = self.spaces(rng, ambient)
             for space in (canonical, loose):
                 twin = SubspaceBasis(space.ambient_dim, space.basis)
                 basis, digest = space.basis, hash(space)
                 space.contains(self.queries(rng, space, 1)[0])
-                cached = space._echelon
-                snapshot = {p: dict(row) for p, row in cached.rows.items()}
+                cached = space.rows
+                snapshot = {p: dict(row) for p, row in cached.items()}
                 for k, v in enumerate(self.queries(rng, space, 100)):
                     if k % 3 == 0:
                         space.contains(v)
@@ -628,8 +644,8 @@ class TestCachedEchelon:
                         space.contains_all([v, v])
                     else:
                         SubspaceBasis.from_generators(ambient, [v]).is_subspace_of(space)
-                assert space._echelon is cached
-                assert cached.rows == snapshot
+                assert space.rows is cached
+                assert cached == snapshot
                 assert space.basis is basis
                 assert space == twin and hash(space) == hash(twin) == digest
                 assert repr(space) == repr(twin)

@@ -9,7 +9,7 @@ import pytest
 
 from omega_lie import catalog, local
 from omega_lie.algebra import OmegaAlgebra
-from omega_lie.linalg import Matrix, SubspaceBasis, _to_sparse
+from omega_lie.linalg import Matrix, SubspaceBasis, _integral, _to_sparse
 from omega_lie.local import (
     _images,
     _walk,
@@ -40,7 +40,7 @@ PLAN = SamplePlan()
 
 def span_at(space, x):
     """``W(x)`` of ``space`` at one point, through ``_walk``, the one caller of ``_span_at``."""
-    return next(_walk(space.space.basis, [x], space.algebra.dim))[2]
+    return next(_walk(space.space, [x], space.algebra.dim))[2]
 
 
 class TestSamplePlan:
@@ -259,7 +259,7 @@ class TestLocalClosure:
 def _old_recheck(res, points, plan):
     """The recheck as a plain scan of every candidate row at the fresh points."""
     n = res.base.algebra.dim
-    return local._escape(res.base, res.candidate.basis, plan.fresh_points(n, points)) is None
+    return local._escape(res.base, list(res.candidate.rows.values()), plan.fresh_points(n, points)) is None
 
 
 @pytest.mark.parametrize("points", [1, 20])
@@ -525,7 +525,7 @@ def test_integer_scan_equals_the_fraction_reference():
     escapes = late = 0
     for space, vectors, points in _scan_cases():
         expected = _reference_escape(space, vectors, points)
-        found = local._escape(space, vectors, points)
+        found = local._escape(space, [_integral(_to_sparse(v)) for v in vectors], points)
         assert found is expected, (space.space.basis, vectors, points)
         escapes += found is not None
         late += found is not None and found is not points[1]

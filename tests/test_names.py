@@ -36,10 +36,11 @@ names the row-assembly functions ``_rows``, ``_tables`` or ``_kernel``, so a
 fault in row indexing cannot hide by being repeated in the re-check.
 
 The seventh guard keeps exact elimination on integers: the elimination
-core (``linalg._Echelon.insert``, ``linalg._Echelon.reduce`` and their row
-combination ``linalg._eliminate``) and the local engine's integer path
+core (``linalg._Echelon.insert``, ``linalg._Echelon.reduce``, the residue
+``linalg._reduce`` that also answers a subspace's membership queries, and
+their row combination ``linalg._eliminate``) and the local engine's integer path
 (the point scan ``local._escape``, the walk over sample points
-``local._walk``, which scales the generators and each point, the column
+``local._walk``, which scales each point, the column
 action ``local._images``, the one builder of ``W(x)`` ``local._span_at``
 and its equations ``local._point_rows``) neither build a ``Fraction``
 (directly, through ``frac``/``vector`` or from the constants
@@ -49,7 +50,7 @@ is read.
 
 The eighth guard keeps one walk over the sample points: inside ``src/``
 only ``local._walk`` names ``local._span_at``, so ``W(x)`` is built, and
-the generators scaled to integers, in one loop for every reader (closures,
+each point scaled to integers, in one loop for every reader (closures,
 the point scan, 2-local reports and ``kernel_rank``).
 
 The ninth guard keeps one way to build an echelon: inside ``src/`` a method
@@ -70,6 +71,18 @@ dense views ``OmegaAlgebra.bracket``, ``OmegaAlgebra.omega_form``,
 ``solvers._defects``, name ``linalg._bilinear``, so every bracket, form
 value, bilinear image and row action is evaluated by one loop over one
 cached support.
+
+The twelfth guard keeps a subspace in its one stored form: outside
+``linalg`` the dense ``SubspaceBasis.basis`` view is read only where a
+dense answer is returned or printed, by ``MapSpace.maps``,
+``TensorSpace.tensors`` and the witness matrix of ``local.local_closure``.
+Every query and every walk over sample points reads the stored integer rows.
+
+The thirteenth guard keeps stored bases off ``linalg._integral``: outside
+``linalg`` it is called only by ``local._walk``, on each sample point, and
+by ``local.is_local_member``, on the candidate matrix, and by no function
+that reads a dense basis.  A stored row is already integral, so scaling one
+again would only redo work.
 """
 
 import ast
@@ -425,6 +438,7 @@ FRACTION_PATH = {
 INTEGER_CORE = (
     "linalg._Echelon.insert",
     "linalg._Echelon.reduce",
+    "linalg._reduce",
     "linalg._eliminate",
     "local._escape",
     "local._walk",
@@ -617,4 +631,67 @@ def test_guard_catches_a_second_kernel_caller(tmp_path):
         ("probe.OmegaAlgebra.bracket", 4, "_bilinear"),
         ("probe._defects", 6, "_bilinear"),
         ("probe._respects_bracket", 8, "_bilinear"),
+    ]
+
+
+OUTSIDE_LINALG = [path for path in SOURCES if path.stem != "linalg"]
+DENSE_ANSWERS = {"solvers.MapSpace.maps", "solvers.TensorSpace.tensors", "local.local_closure"}
+
+
+def dense_basis_reads(paths):
+    """``(scope, line, "basis")`` of each read of an attribute named ``basis``, the dense view of a subspace."""
+    return names_in(paths, {"basis"}, lambda node: node.attr if isinstance(node, ast.Attribute) else None)
+
+
+def test_dense_bases_are_read_only_for_dense_answers():
+    for dotted in sorted(DENSE_ANSWERS) + ["linalg.SubspaceBasis.basis"]:
+        resolve(dotted)
+    assert {scope for scope, _, _ in dense_basis_reads(OUTSIDE_LINALG)} == DENSE_ANSWERS
+
+
+def test_guard_catches_a_dense_basis_query(tmp_path):
+    module = tmp_path / "probe.py"
+    module.write_text(
+        "class MapSpace:\n    def maps(self):\n        return [unvectorize(r) for r in self.space.basis]\n"
+        "def _walk(space, points):\n    rows = [_integral(_to_sparse(g)) for g in space.basis]\n    return rows, points\n"
+        "def recheck(result):\n    return [r for r in result.candidate.basis if r], result.base.rows\n"
+    )
+    assert dense_basis_reads([module]) == [
+        ("probe.MapSpace.maps", 3, "basis"),
+        ("probe._walk", 5, "basis"),
+        ("probe.recheck", 8, "basis"),
+    ]
+
+
+SCALERS = {"_integral", "linalg._integral"}
+SCALED_INPUTS = {"local._walk", "local.is_local_member"}
+
+
+def scaled_stored_bases(paths, allowed):
+    """``(scope, line, call)`` of each ``_integral`` call outside the ``allowed`` scopes or in a function that reads a dense basis."""
+    readers = {scope for scope, _, _ in dense_basis_reads(paths)}
+    calls = calls_to(paths, SCALERS)
+    return [hit for hit in calls if hit[0] not in allowed or hit in inside(calls, readers)]
+
+
+def test_no_stored_basis_is_scaled_outside_linalg():
+    for dotted in sorted(SCALED_INPUTS) + ["linalg._integral"]:
+        resolve(dotted)
+    assert {scope for scope, _, _ in calls_to(OUTSIDE_LINALG, SCALERS)} == SCALED_INPUTS
+    assert scaled_stored_bases(OUTSIDE_LINALG, SCALED_INPUTS) == []
+
+
+def test_guard_catches_a_scaled_stored_basis(tmp_path):
+    module = tmp_path / "probe.py"
+    module.write_text(
+        "import linalg\n"
+        "def _walk(space, points):\n    rows = [_integral(_to_sparse(g)) for g in space.basis]\n"
+        "    return rows, [_integral(_to_sparse(x)) for x in points]\n"
+        "def is_local_member(space, candidate):\n    return _integral(_to_sparse(candidate))\n"
+        "def _escape(space, vectors):\n    return [linalg._integral(v) for v in vectors]\n"
+    )
+    assert scaled_stored_bases([module], {"probe._walk", "probe.is_local_member"}) == [
+        ("probe._walk", 3, "_integral"),
+        ("probe._walk", 4, "_integral"),
+        ("probe._escape", 8, "linalg._integral"),
     ]
