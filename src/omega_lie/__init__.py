@@ -64,7 +64,6 @@ from .solvers import (
     centroid,
     commuting_maps,
     defects,
-    delta_derivations,
     derivations,
     half_derivations,
     map_defects,

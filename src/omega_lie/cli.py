@@ -34,7 +34,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import catalog, verification
@@ -59,24 +58,24 @@ from .local import (
     local_closure,
     two_local_report,
 )
-from .solvers import KINDS, MapSpace, solve
+from .solvers import KINDS, solve
 
 USAGE_ERROR = 2
 FILE_ERROR = 3
 
-# label -> (solver kind, delta); ``dder`` takes its delta from ``--delta``
+# label -> solver kind; ``dder`` takes its delta from ``--delta``
 SOLVE_KINDS = {
-    "der": ("derivation", None),
-    "wder": ("omega_derivation", None),
-    "cent": ("centroid", None),
-    "cmap": ("commuting", None),
-    "acmap": ("anticommuting", None),
-    "halfder": ("delta_derivation", Fraction(1, 2)),
-    "dder": ("delta_derivation", None),
-    "bider": ("biderivation", None),
-    "bider-sym": ("symmetric", None),
-    "bider-skew": ("skew", None),
-    "bider-omega": ("omega_biderivation", None),
+    "der": "derivation",
+    "wder": "omega_derivation",
+    "cent": "centroid",
+    "cmap": "commuting",
+    "acmap": "anticommuting",
+    "halfder": "half_derivation",
+    "dder": "delta_derivation",
+    "bider": "biderivation",
+    "bider-sym": "symmetric",
+    "bider-skew": "skew",
+    "bider-omega": "omega_biderivation",
 }
 
 
@@ -218,7 +217,7 @@ def cmd_solve(args) -> int:
     if args.delta is not None and args.kind != "dder":
         raise CliError(f"--delta applies only to solve dder, not solve {args.kind}", USAGE_ERROR)
     algebra, identity = _parse_algebra_arg(args.algebra)
-    kind, delta = SOLVE_KINDS[args.kind]
+    kind, delta = SOLVE_KINDS[args.kind], None
     if args.kind == "dder":
         if args.delta is None:
             raise CliError("solve dder requires --delta p/q", USAGE_ERROR)
@@ -254,11 +253,6 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _space_for(algebra: OmegaAlgebra, which: str) -> MapSpace:
-    kind, delta = SOLVE_KINDS[which]
-    return solve(algebra, kind, delta=delta)
-
-
 def cmd_local(args) -> int:
     for option, mode in (("map", "map"), ("family", "family"), ("space", "map")):
         if getattr(args, option) is not None and args.mode != mode:
@@ -266,7 +260,7 @@ def cmd_local(args) -> int:
     algebra, identity = _parse_algebra_arg(args.algebra)
     plan = SamplePlan(seed=args.seed, random_count=args.random_count)
     if args.mode in ("der", "halfder"):
-        space = _space_for(algebra, args.mode)
+        space = solve(algebra, SOLVE_KINDS[args.mode])
         res = local_closure(algebra, space, plan)
         payload = {
             "mode": args.mode,
@@ -289,7 +283,7 @@ def cmd_local(args) -> int:
         if not args.map:
             raise CliError("local map requires --map FILE", USAGE_ERROR)
         kind = args.space or "der"
-        space = _space_for(algebra, kind)
+        space = solve(algebra, SOLVE_KINDS[kind])
         candidate = _parse_matrix(_load_json_file(args.map, "map"), algebra.dim, f"map file {args.map!r}")
         verdict = is_local_member(algebra, space, candidate, plan)
         payload = {
@@ -328,7 +322,7 @@ def cmd_local(args) -> int:
 def cmd_twolocal(args) -> int:
     algebra, identity = _parse_algebra_arg(args.algebra)
     plan = SamplePlan(seed=args.seed, random_count=args.random_count)
-    space = _space_for(algebra, args.space)
+    space = solve(algebra, SOLVE_KINDS[args.space])
     report = two_local_report(algebra, space, plan)
     payload = {
         "space": args.space,

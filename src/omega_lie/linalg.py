@@ -467,9 +467,6 @@ class SubspaceBasis:
     def contains(self, v: Sequence[RationalLike]) -> bool:
         return not _reduce(self.rows, _entering(v, self.ambient_dim, "vector"))
 
-    def contains_all(self, vectors: Iterable[Sequence[RationalLike]]) -> bool:
-        return all(self.contains(v) for v in vectors)
-
     def _same_ambient(self, other: "SubspaceBasis", verb: str) -> None:
         if self.ambient_dim != other.ambient_dim:
             raise ValueError(f"cannot {verb} subspaces of different ambient dimensions")

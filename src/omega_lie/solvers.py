@@ -4,7 +4,11 @@ Each identity (derivation, centroid, commuting map, biderivation, ...) is
 written once, as a term list in the registry ``KINDS``, which maps a kind to
 the arity of its unknown ``U`` and to its identities.  For example the
 derivation identity reads ``U([x,y]) - delta*[U(x),y] - delta*[x,U(y)] = 0``
-with ``delta = 1``.  Two independent interpreters read the term lists:
+with ``delta = 1``; ``half_derivation`` pins ``delta = 1/2`` on the same
+term list, and ``delta_derivation`` leaves it to the caller.  ``KINDS`` is
+the one table from a name to a kind and its fixed parameters: the CLI maps
+its labels onto it, and the verification suite residual-checks every entry.
+Two independent interpreters read the term lists:
 
 * row assembly turns an identity into exact sparse rows over the vectorized
   unknown, one row per basis tuple and output coordinate, with one small
@@ -135,6 +139,7 @@ KINDS = {
     "centroid": Kind(1, (CENTROID,)),
     "commuting": Kind(1, (COMMUTING,)),
     "anticommuting": Kind(1, (ANTICOMMUTING,)),
+    "half_derivation": Kind(1, (LEIBNIZ,), fixed={"delta": Fraction(1, 2)}),
     "delta_derivation": Kind(1, (LEIBNIZ,)),
     "biderivation": Kind(2, BIDERIVATION),
     "symmetric": Kind(2, BIDERIVATION + (SYMMETRIC,)),
@@ -350,7 +355,8 @@ def solve(algebra: OmegaAlgebra, kind: str, **params) -> Union[MapSpace, TensorS
 
     ``params`` give values to the parameters a kind leaves open: ``delta`` of
     ``delta_derivation`` (required) and ``sign`` of ``omega_biderivation``;
-    ``None`` keeps the default.
+    ``None`` keeps the default.  A value for a parameter the kind pins, such
+    as ``delta`` of ``derivation`` or ``half_derivation``, is an error.
     """
     spec, values = _lookup(kind, params)
     rows = _identity_rows(algebra, spec.identities, values)
@@ -389,17 +395,9 @@ def derivations(algebra: OmegaAlgebra) -> MapSpace:
     return solve(algebra, "derivation")
 
 
-def delta_derivations(algebra: OmegaAlgebra, delta) -> MapSpace:
-    """All ``D`` with ``D([x,y]) = delta * ([D(x), y] + [x, D(y)])``.
-
-    ``delta = 1`` assembles exactly the derivation system; ``delta = 1/2``
-    gives the half-derivations.
-    """
-    return solve(algebra, "delta_derivation", delta=delta)
-
-
 def half_derivations(algebra: OmegaAlgebra) -> MapSpace:
-    return delta_derivations(algebra, Fraction(1, 2))
+    """All ``D`` with ``D([x,y]) = ([D(x), y] + [x, D(y)]) / 2``."""
+    return solve(algebra, "half_derivation")
 
 
 def omega_derivations(algebra: OmegaAlgebra) -> MapSpace:

@@ -40,10 +40,9 @@ from .local import (
     recheck_certification,
     two_local_report,
 )
-from .solvers import Session, defects, vectorize_map, vectorize_tensor
+from .solvers import KINDS, Session, defects, vectorize_map, vectorize_tensor
 
 SIMPLE_3D_KEYS = ("A_alpha", "B", "C_alpha")
-HALF = Fraction(1, 2)  # the weight of a half-derivation
 # the algebras whose returned bases criterion 11 re-checks, every kind on each
 RESIDUAL_KEYS = ("L_{1,1}", "L_{1,6}", "B~", "A_alpha", "B", "C_alpha", "sl2")
 
@@ -162,7 +161,7 @@ def criterion_5_simple_3d(session: Session) -> CheckResult:
         if rank != expected:
             mismatches.append(f"{key}: computed biderivation rank {rank} != {expected}")
     for key, alg in algebras.items():
-        hd, expected = session.solve(alg, "delta_derivation", delta=HALF), catalog.expected(key).half_der_rank
+        hd, expected = session.solve(alg, "half_derivation"), catalog.expected(key).half_der_rank
         identity_span = SubspaceBasis.from_generators(9, [vectorize_map(Matrix.identity(3))])
         if hd.rank != expected or hd.space != identity_span:
             mismatches.append(
@@ -173,7 +172,7 @@ def criterion_5_simple_3d(session: Session) -> CheckResult:
     # first-pair system: 2a11 = a11 - alpha*a31 + a22, 2a21 = a32, 2a31 = -a31,
     # where a_{ij} is the coefficient of e_i in the image of e_j.
     alpha = Fraction(2)
-    hd_a = session.solve(algebras["A_alpha"], "delta_derivation", delta=HALF)
+    hd_a = session.solve(algebras["A_alpha"], "half_derivation")
 
     def var(i: int, j: int) -> int:  # a_{ij} = e_i-coefficient of the image of e_j
         return (j - 1) * 3 + (i - 1)
@@ -203,7 +202,7 @@ def criterion_6_local_rigidity(session: Session, plan: SamplePlan) -> CheckResul
     for key in SIMPLE_3D_KEYS:
         expected = catalog.expected(key)
         alg = catalog.get(key)
-        res = local_closure(alg, session.solve(alg, "delta_derivation", delta=HALF), plan)
+        res = local_closure(alg, session.solve(alg, "half_derivation"), plan)
         if res.certified != expected.local_half_certified or res.candidate.rank != expected.half_der_rank:
             mismatches.append(
                 f"{key}: half-derivation closure certified={res.certified} "
@@ -242,7 +241,7 @@ def criterion_7_two_local(session: Session, plan: SamplePlan) -> CheckResult:
         mismatches.append(f"L_{{1,1}}: expected INCONCLUSIVE (rank {rank} > {alg.dim}), got {report.verdict}")
     for key in SIMPLE_3D_KEYS:
         alg = catalog.get(key)
-        report = two_local_report(alg, session.solve(alg, "delta_derivation", delta=HALF), plan)
+        report = two_local_report(alg, session.solve(alg, "half_derivation"), plan)
         if (report.verdict == RIGID) != catalog.expected(key).two_local_half_rigid:
             mismatches.append(f"{key}: expected RIGID with half-derivations, got {report.verdict}")
     return _result(7, "2-local rigidity certificates", mismatches)
@@ -365,23 +364,17 @@ def criterion_10_semisimple_fixtures(session: Session) -> CheckResult:
 def criterion_11_property_suite(session: Session, plan: SamplePlan) -> CheckResult:
     """Residuals, the symmetric/skew rank law, soundness, determinism."""
     mismatches = []
-    # Exact residuals of every returned basis element, across solvers, and
-    # the decomposition of each biderivation into symmetric and skew parts.
+    # Exact residuals of every basis element of every kind in KINDS, and the
+    # decomposition of each biderivation into symmetric and skew parts.
     for key in RESIDUAL_KEYS:
         alg = catalog.get(key)
-        for kind in ("derivation", "omega_derivation", "centroid", "commuting", "anticommuting"):
+        for kind, spec in KINDS.items():
+            if kind == "delta_derivation":  # open delta: half_derivation and the weight-1 check pin it
+                continue
             space = session.solve(alg, kind)
-            if any(defects(alg, space.kind, space.maps())):
-                mismatches.append(f"{key}: nonzero residual in {space.kind} basis")
-        half = session.solve(alg, "delta_derivation", delta=HALF)
-        if any(defects(alg, "delta_derivation", half.maps(), delta=HALF)):
-            mismatches.append(f"{key}: nonzero residual in half-derivation basis")
-        bider, sym, skw, compat = (
-            session.solve(alg, kind) for kind in ("biderivation", "symmetric", "skew", "omega_biderivation")
-        )
-        for tspace in (bider, sym, skw, compat):
-            if any(defects(alg, tspace.kind, tspace.tensors())):
-                mismatches.append(f"{key}: nonzero residual in {tspace.kind} basis")
+            if any(defects(alg, kind, space.maps() if spec.arity == 1 else space.tensors())):
+                mismatches.append(f"{key}: nonzero residual in {kind} basis")
+        bider, sym, skw = (session.solve(alg, kind) for kind in ("biderivation", "symmetric", "skew"))
         if sym.space.plus(skw.space) != bider.space:
             mismatches.append(f"{key}: symmetric + skew biderivations differ from the biderivation space")
     # Soundness sandwich, 500-point recheck, and determinism of a closure.

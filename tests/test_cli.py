@@ -69,6 +69,17 @@ class TestSolve:
         assert code == 0
         assert json.loads(out)["result"]["rank"] == 1
 
+    @pytest.mark.parametrize("algebra", ["@B", "@C_alpha?alpha=2"])
+    def test_halfder_is_dder_at_one_half(self, capsys, algebra):
+        code, out, _ = run(capsys, "--format", "json", "solve", "halfder", algebra)
+        assert code == 0
+        half = json.loads(out)["result"]
+        code, out, _ = run(capsys, "--format", "json", "solve", "dder", algebra, "--delta", "1/2")
+        assert code == 0
+        weighted = json.loads(out)["result"]
+        assert (half["rank"], half["basis"]) == (weighted["rank"], weighted["basis"])
+        assert half["basis"]
+
     def test_determinism(self, capsys):
         _, first, _ = run(capsys, "--format", "json", "local", "der", "@L_{1,5}")
         _, second, _ = run(capsys, "--format", "json", "local", "der", "@L_{1,5}")

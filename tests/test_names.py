@@ -60,7 +60,7 @@ the rows that define the echelon, and by the modular filter's loop in
 echelon is a constructor call, ``_Echelon(ambient, rows)``.
 
 The tenth guard keeps every solve of the verification suite in its session:
-``verification.py`` neither imports nor names any of the eleven one-line
+``verification.py`` neither imports nor names any of the ten one-line
 solver wrappers (``derivations``, ``skew_biderivations``, ...), so no
 criterion can solve a space the run's ``solvers.Session`` already holds, or
 solve a derived kind from scratch.
@@ -83,6 +83,11 @@ The thirteenth guard keeps stored bases off ``linalg._integral``: outside
 by ``local.is_local_member``, on the candidate matrix, and by no function
 that reads a dense basis.  A stored row is already integral, so scaling one
 again would only redo work.
+
+The fourteenth guard keeps one table of named kinds: no module of ``src/``
+but ``solvers`` builds ``Fraction(1, 2)``, which is built once, as the
+``delta`` that ``solvers.KINDS`` pins for ``half_derivation``.  The CLI and
+the verification suite name the kind instead of restating its weight.
 """
 
 import ast
@@ -465,7 +470,7 @@ def test_guard_catches_a_core_back_on_fractions(tmp_path):
         "from fractions import Fraction\n"
         "def _escape(space, points):\n"
         "    for x in points:\n"
-        "        if not evaluation_subspace(space, x).contains_all(()):\n"
+        "        if not evaluation_subspace(space, x).contains(()):\n"
         "            return x\n"
         "class _Echelon:\n"
         "    def insert(self, row):\n        return self.reduce({0: Fraction(row[0])})\n"
@@ -552,7 +557,6 @@ def test_guard_catches_a_second_insert_loop(tmp_path):
 
 SOLVER_WRAPPERS = {
     "derivations",
-    "delta_derivations",
     "half_derivations",
     "omega_derivations",
     "centroid",
@@ -694,4 +698,40 @@ def test_guard_catches_a_scaled_stored_basis(tmp_path):
         ("probe._walk", 3, "_integral"),
         ("probe._walk", 4, "_integral"),
         ("probe._escape", 8, "linalg._integral"),
+    ]
+
+
+def _half(node):
+    """``"Fraction(1, 2)"`` for a call that builds one half as a ``Fraction``, else None."""
+    if isinstance(node, ast.Call) and _called(node.func) in ("Fraction", "fractions.Fraction"):
+        if [getattr(a, "value", None) for a in node.args] == [1, 2]:
+            return "Fraction(1, 2)"
+    return None
+
+
+def halves(paths):
+    """``(scope, line, "Fraction(1, 2)")`` of each call that builds one half."""
+    return names_in(paths, {"Fraction(1, 2)"}, _half)
+
+
+def test_one_half_is_built_only_by_the_kind_table():
+    assert resolve("solvers.KINDS")["half_derivation"].fixed == {"delta": 0.5}
+    tree = ast.parse((ROOT / "src" / "omega_lie" / "solvers.py").read_text(encoding="utf-8"))
+    table = next(node for node in tree.body if isinstance(node, ast.Assign) and _referenced(node.targets[0]) == "KINDS")
+    [(scope, line, _)] = halves(SOURCES)
+    assert scope == "solvers" and table.lineno <= line <= table.end_lineno
+
+
+def test_guard_catches_a_second_half(tmp_path):
+    module = tmp_path / "probe.py"
+    module.write_text(
+        "import fractions\n"
+        "from fractions import Fraction\n"
+        "HALF = Fraction(1, 2)\n"
+        "def criterion_5(session, alg):\n    return session.solve(alg, 'delta_derivation', delta=fractions.Fraction(1, 2))\n"
+        "def third():\n    return Fraction(1, 3), Fraction(2, 1), Fraction(1)\n"
+    )
+    assert halves([module]) == [
+        ("probe", 3, "Fraction(1, 2)"),
+        ("probe.criterion_5", 5, "Fraction(1, 2)"),
     ]

@@ -35,7 +35,8 @@ def random_table(n, seed):
 ALGEBRAS = {key: catalog.get(key) for key in ("B", "sl2", "L_{1,1}", "L_{1,6}", "B~")}
 ALGEBRAS["random4"] = random_table(4, seed=20261017)
 
-CASES = [(kind, {}) for kind in solvers.KINDS if kind != "delta_derivation"] + [
+# half_derivation is the first delta_derivation case
+CASES = [(kind, {}) for kind in solvers.KINDS if kind not in ("delta_derivation", "half_derivation")] + [
     ("delta_derivation", {"delta": Fraction(1, 2)}),
     ("delta_derivation", {"delta": Fraction(3)}),
     ("omega_biderivation", {"sign": Fraction(1)}),
@@ -221,9 +222,7 @@ def test_a_perturbed_map_is_the_only_one_reported(key):
     only_the_perturbed_element_is_reported(key, "derivation")
 
 
-RESIDUAL_KINDS = [(kind, {}) for kind in solvers.KINDS if kind != "delta_derivation"] + [
-    ("delta_derivation", {"delta": verification.HALF})
-]
+RESIDUAL_KINDS = [kind for kind in solvers.KINDS if kind != "delta_derivation"]
 
 
 def test_the_spaces_criterion_11_rechecks_have_no_residual():
@@ -232,13 +231,41 @@ def test_the_spaces_criterion_11_rechecks_have_no_residual():
     checked = elements = 0
     for key in verification.RESIDUAL_KEYS:
         alg = catalog.get(key)
-        for kind, params in RESIDUAL_KINDS:
-            space = session.solve(alg, kind, **params)
+        for kind in RESIDUAL_KINDS:
+            space = session.solve(alg, kind)
             members = space.maps() if solvers.KINDS[kind].arity == 1 else space.tensors()
-            assert solvers.defects(alg, kind, members, **params) == [[] for _ in members], (key, kind)
+            assert solvers.defects(alg, kind, members) == [[] for _ in members], (key, kind)
             checked += 1
             elements += len(members)
     assert (checked, elements) == (70, 143)
+
+
+def test_criterion_11_residual_checks_every_registered_kind(monkeypatch):
+    """A kind added to ``KINDS`` is solved and residual-checked on every algebra, with no edit to the criterion."""
+    monkeypatch.setitem(solvers.KINDS, "centroid_copy", solvers.KINDS["centroid"])
+    checked = []
+
+    class Recording(solvers.Session):
+        def __init__(self):
+            super().__init__()
+            self.requests = []
+
+        def solve(self, algebra, kind, **params):
+            self.requests.append((algebra, kind))
+            return super().solve(algebra, kind, **params)
+
+    def recording_defects(alg, kind, unknowns, **params):
+        checked.append((alg, kind))
+        return solvers.defects(alg, kind, unknowns, **params)
+
+    monkeypatch.setattr(verification, "defects", recording_defects)
+    session = Recording()
+    assert verification.criterion_11_property_suite(session, verification.SamplePlan()).passed
+    expected = {
+        (catalog.get(key), kind) for key in verification.RESIDUAL_KEYS for kind in RESIDUAL_KINDS + ["centroid_copy"]
+    }
+    assert expected <= set(session.requests)
+    assert set(checked) == expected
 
 
 # sha256 of the canonical bases of all 43 catalog instances, one per kind,
@@ -249,7 +276,7 @@ GOLDEN = {
     "centroid": (solvers.centroid, "2d6bb8f227464a0930bae62738b3013f2289bb9687a898d4916be606fb97dc88"),
     "commuting": (solvers.commuting_maps, "2d6bb8f227464a0930bae62738b3013f2289bb9687a898d4916be606fb97dc88"),
     "anticommuting": (solvers.anticommuting_maps, "e1854ebcd2928aebfbcc1c21acb436d8ce69d81fe07f1c87fc911f4ec7b1a6bf"),
-    "delta_derivation": (solvers.half_derivations, "8493fcb23849fba9f28a8d159b8cb9273ef771b6883ad744e2653765ff9eab7a"),
+    "half_derivation": (solvers.half_derivations, "8493fcb23849fba9f28a8d159b8cb9273ef771b6883ad744e2653765ff9eab7a"),
     "biderivation": (solvers.biderivations, "8fd2c32577a260c0346095e1cc6af568324103ad05ccdbf47546786e69f35639"),
     "symmetric": (solvers.symmetric_biderivations, "f066e47ef7ee2950deded1e64a13393d4e56a0d72b32a8b8fe7894d778399dd4"),
     "skew": (solvers.skew_biderivations, "8776bd8921513e95e45747f8c7495acf1baaf4b11f388da8d4cb925ab3bdb501"),

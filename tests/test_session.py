@@ -93,6 +93,14 @@ def test_a_request_is_answered_once():
     assert session.solve(alg, "delta_derivation", delta=1) is not session.solve(alg, "derivation")
 
 
+def test_half_derivations_are_delta_derivations_at_one_half():
+    session = Session()
+    for alg in (catalog.get("B"), catalog.get("C_alpha", {"alpha": 2}), catalog.get("L_{1,1}")):
+        half = session.solve(alg, "half_derivation")
+        assert replace(half, kind="delta_derivation") == session.solve(alg, "delta_derivation", delta=Fraction(1, 2))
+        assert half == solvers.half_derivations(alg)
+
+
 def test_session_refuses_what_solve_refuses():
     session = Session()
     with pytest.raises(ValueError, match="symmetric has no parameter 'sign'"):

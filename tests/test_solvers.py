@@ -18,13 +18,13 @@ from omega_lie.solvers import (
     biderivations,
     centroid,
     commuting_maps,
-    delta_derivations,
     derivations,
     half_derivations,
     map_defects,
     omega_biderivations,
     omega_derivations,
     skew_biderivations,
+    solve,
     symmetric_biderivations,
     tensor_defects,
     vectorize_map,
@@ -167,13 +167,19 @@ class TestDeltaDerivations:
     def test_weight_one_is_bitwise_derivations(self):
         for key in ("L_{1,4}", "B", "sl2", "G_{1,alpha}"):
             alg = catalog.get(key)
-            assert delta_derivations(alg, 1).space == derivations(alg).space
+            assert solve(alg, "delta_derivation", delta=1).space == derivations(alg).space
 
     def test_half_derivations_of_simple_3d(self):
         for key in ("A_alpha", "B"):
             hd = half_derivations(catalog.get(key))
             assert hd.rank == 1
             assert hd.space == identity_span(3)
+
+    def test_half_derivation_pins_its_delta(self):
+        for delta in (1, Fraction(1, 2)):
+            with pytest.raises(ValueError, match="half_derivation has no parameter 'delta'"):
+                solve(catalog.get("B"), "half_derivation", delta=delta)
+        assert half_derivations(catalog.get("B")).kind == "half_derivation"
 
     def test_C_alpha_resonance_at_two(self):
         # generic parameter: scalars only; alpha=2 gains the weight-shift map
@@ -227,7 +233,7 @@ class TestDeltaDerivations:
     def test_residuals(self):
         alg = catalog.get("L_{2,3}")
         for delta in (Fraction(1, 2), Fraction(3), Fraction(-2, 5)):
-            for f in delta_derivations(alg, delta).maps():
+            for f in solve(alg, "delta_derivation", delta=delta).maps():
                 assert not map_defects(alg, "delta_derivation", f, delta=delta)
 
 
