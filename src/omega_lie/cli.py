@@ -225,30 +225,26 @@ def cmd_solve(args) -> int:
             delta = frac(args.delta)
         except (ValueError, ZeroDivisionError, TypeError):
             raise CliError(f"bad --delta value {args.delta!r}", USAGE_ERROR) from None
-    space = solve(algebra, kind, delta=delta)
+    space = solve(algebra, kind, delta=delta).space
+    n, arity = algebra.dim, KINDS[kind].arity
     lines = [f"{args.kind} space of {algebra.name}: rank {space.rank}"]
-    if KINDS[kind].arity == 1:
-        basis = [m.to_strings() for m in space.maps()]
-        for idx, m in enumerate(basis, 1):
+    elements = []
+    for idx, pivot in enumerate(space.rows, 1):
+        entries = [(c, format_scalar(v)) for c, v in space.reduced_row(pivot)]
+        if arity == 1:  # the n x n grid, "0" where the row has no entry
+            cells = ["0"] * (n * n)
+            for c, text in entries:
+                cells[c] = text
+            elements.append([cells[i : i + n] for i in range(0, n * n, n)])
             lines.append(f"  basis matrix {idx}:")
-            lines.extend(_matrix_lines(m))
-    else:
-        basis = [
-            {
-                f"{i+1},{j+1},{k+1}": format_scalar(v)
-                for i, plane in enumerate(t.tensor)
-                for j, row in enumerate(plane)
-                for k, v in enumerate(row)
-                if v
-            }
-            for t in space.tensors()
-        ]
-        for idx, entries in enumerate(basis, 1):
+            lines.extend(_matrix_lines(elements[-1]))
+        else:  # column (i*n + j)*n + k holds d[i][j][k], listed when nonzero
+            elements.append({f"{c // n // n + 1},{c // n % n + 1},{c % n + 1}": text for c, text in entries})
             lines.append(f"  basis tensor {idx} (nonzero d[i][j][k]):")
-            lines.extend(f"    d[{key}] = {value}" for key, value in entries.items())
+            lines.extend(f"    d[{key}] = {value}" for key, value in elements[-1].items())
     key = identity.get("key")
     expected = (catalog.expected(key).as_dict() or None) if key else None
-    payload = {"kind": args.kind, "rank": space.rank, "basis": basis}
+    payload = {"kind": args.kind, "rank": space.rank, "basis": elements}
     _emit(args, lines, payload, algebra=identity, expected=expected)
     return 0
 

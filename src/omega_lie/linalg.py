@@ -36,7 +36,8 @@ When a lift or the check fails, ``_Echelon`` eliminates every row exactly.
 A subspace is stored in one canonical form, its echelon's: the primitive
 integer multiples of its reduced row echelon basis (:class:`SubspaceBasis`).
 That form is unique, so equality (and hence solver comparisons downstream)
-is a plain ``==``, and the dense ``Fraction`` basis is only a view of it.
+is a plain ``==``.  Its one rational reader is the sparse ``reduced_row``,
+and the dense ``Fraction`` basis is only a view built from that reader.
 """
 
 from __future__ import annotations
@@ -450,11 +451,15 @@ class SubspaceBasis:
     def __hash__(self) -> int:
         return hash((self.ambient_dim, tuple(tuple(row.items()) for row in self.rows.values())))
 
+    def reduced_row(self, pivot: int) -> tuple[tuple[int, Fraction], ...]:
+        """The reduced row at ``pivot`` as nonzero ``(column, value)`` pairs, each stored integer over the pivot entry."""
+        row = self.rows[pivot]
+        return tuple((c, Fraction(v, row[pivot])) for c, v in row.items())
+
     @cached_property
     def basis(self) -> tuple[Vector, ...]:
-        """The reduced row echelon basis, each entry over its row's pivot entry: a view for dense answers, built on first read."""
-        n = self.ambient_dim
-        return tuple(_dense([(c, Fraction(v, row[p])) for c, v in row.items()], n) for p, row in self.rows.items())
+        """The reduced row echelon basis, dense: a view for dense answers, built on first read."""
+        return tuple(_dense(self.reduced_row(p), self.ambient_dim) for p in self.rows)
 
     @property
     def rank(self) -> int:

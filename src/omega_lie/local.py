@@ -63,6 +63,7 @@ from .linalg import (
     Vector,
     ZERO,
     _Echelon,
+    _dense,
     _integral,
     _reduce,
     _to_sparse,
@@ -228,8 +229,8 @@ def local_closure(algebra: OmegaAlgebra, space: MapSpace, plan: Optional[SampleP
     candidate = _closure(n, samples, space.space)
     witness = None
     if candidate != space.space:  # the candidate contains the base, so some row lies outside it
-        rows = zip(candidate.basis, candidate.rows.values())
-        witness = unvectorize_map(next(dense for dense, row in rows if _reduce(space.space.rows, row)), n)
+        pivot = next(p for p, row in candidate.rows.items() if _reduce(space.space.rows, row))
+        witness = unvectorize_map(_dense(candidate.reduced_row(pivot), n * n), n)
     return LocalClosureResult(space, candidate, witness is None, samples, witness)
 
 

@@ -316,14 +316,9 @@ class TensorSpace:
         return self.space.rank
 
     def tensors(self) -> tuple[BilinearMap, ...]:
-        n = self.algebra.dim
+        n = self.algebra.dim  # d[i][j] is the n columns from (i*n + j)*n on
         return tuple(
-            BilinearMap(
-                tuple(
-                    tuple(tuple(row[(i * n + j) * n + k] for k in range(n)) for j in range(n))
-                    for i in range(n)
-                )
-            )
+            BilinearMap(tuple(tuple(row[s : s + n] for s in range(i * n * n, (i + 1) * n * n, n)) for i in range(n)))
             for row in self.space.basis
         )
 

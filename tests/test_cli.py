@@ -5,13 +5,14 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from omega_lie import catalog, verification
 from omega_lie.algebra import MAX_DIM, from_document, to_document
-from omega_lie.cli import main
+from omega_lie.cli import SOLVE_KINDS, main
 from omega_lie.local import MAX_RANDOM_COUNT
 
 
@@ -79,6 +80,31 @@ class TestSolve:
         weighted = json.loads(out)["result"]
         assert (half["rank"], half["basis"]) == (weighted["rank"], weighted["basis"])
         assert half["basis"]
+
+    def test_every_catalog_answer_is_pinned(self, capsys):
+        # every kind on every entry, both formats; L_{1,5} has fractional entries in every kind
+        digest = hashlib.sha256()
+        for entry in catalog.list_entries():
+            for label in sorted(SOLVE_KINDS):
+                for fmt in ("text", "json"):
+                    delta = ["--delta", "1/2"] if label == "dder" else []
+                    code, out, _ = run(capsys, "--format", fmt, "solve", label, "@" + entry.key, *delta)
+                    digest.update(f"{code}\n{out}".encode())
+        assert digest.hexdigest() == "53dd99e074afbf137198019108e2784a60fc9fcd7ca2fcb7a3c4ae01816612ce"
+
+    def test_answers_are_printed_without_a_dense_basis(self, capsys, tmp_path):
+        # every bilinear map on a 10-dimensional zero algebra is a biderivation: rank 1000,
+        # one entry per basis tensor, so a dense basis of 1000 x 1000 rationals would show
+        path = tmp_path / "z.json"
+        path.write_text(json.dumps({"name": "z", "dim": 10}), encoding="utf-8")
+        tracemalloc.start()
+        try:
+            code = main(["solve", "bider", str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and "rank 1000" in capsys.readouterr().out
+        assert peak < 5_000_000
 
     def test_determinism(self, capsys):
         _, first, _ = run(capsys, "--format", "json", "local", "der", "@L_{1,5}")

@@ -74,9 +74,11 @@ cached support.
 
 The twelfth guard keeps a subspace in its one stored form: outside
 ``linalg`` the dense ``SubspaceBasis.basis`` view is read only where a
-dense answer is returned or printed, by ``MapSpace.maps``,
-``TensorSpace.tensors`` and the witness matrix of ``local.local_closure``.
-Every query and every walk over sample points reads the stored integer rows.
+dense answer is returned, by ``MapSpace.maps`` and ``TensorSpace.tensors``.
+The CLI names none of ``basis``, ``maps`` or ``tensors``: it prints each
+answer from the stored rows through ``SubspaceBasis.reduced_row``, as
+``local.local_closure`` builds its witness matrix.  Every query and every
+walk over sample points reads the stored integer rows.
 
 The thirteenth guard keeps stored bases off ``linalg._integral``: outside
 ``linalg`` it is called only by ``local._walk``, on each sample point, and
@@ -639,7 +641,8 @@ def test_guard_catches_a_second_kernel_caller(tmp_path):
 
 
 OUTSIDE_LINALG = [path for path in SOURCES if path.stem != "linalg"]
-DENSE_ANSWERS = {"solvers.MapSpace.maps", "solvers.TensorSpace.tensors", "local.local_closure"}
+DENSE_ANSWERS = {"solvers.MapSpace.maps", "solvers.TensorSpace.tensors"}
+DENSE_NAMES = {"basis", "maps", "tensors"}
 
 
 def dense_basis_reads(paths):
@@ -651,6 +654,8 @@ def test_dense_bases_are_read_only_for_dense_answers():
     for dotted in sorted(DENSE_ANSWERS) + ["linalg.SubspaceBasis.basis"]:
         resolve(dotted)
     assert {scope for scope, _, _ in dense_basis_reads(OUTSIDE_LINALG)} == DENSE_ANSWERS
+    cli = [path for path in SOURCES if path.stem == "cli"]
+    assert cli and names_in(cli, DENSE_NAMES, _referenced) == []
 
 
 def test_guard_catches_a_dense_basis_query(tmp_path):
@@ -664,6 +669,13 @@ def test_guard_catches_a_dense_basis_query(tmp_path):
         ("probe.MapSpace.maps", 3, "basis"),
         ("probe._walk", 5, "basis"),
         ("probe.recheck", 8, "basis"),
+    ]
+    printer = tmp_path / "cli.py"
+    printer.write_text("def cmd_solve(space):\n    basis = [m.to_strings() for m in space.maps()]\n    return basis\n")
+    assert names_in([printer], DENSE_NAMES, _referenced) == [
+        ("cli.cmd_solve", 2, "basis"),
+        ("cli.cmd_solve", 2, "maps"),
+        ("cli.cmd_solve", 3, "basis"),
     ]
 
 
