@@ -34,7 +34,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import catalog, verification
 from .algebra import (
@@ -49,7 +49,6 @@ from .algebra import (
 from .catalog import ExcludedParameterError, UnknownAlgebraError
 from .linalg import Matrix, format_scalar, frac
 from .local import (
-    MAX_RANDOM_COUNT,
     AffineCondition,
     AffineFamily,
     SamplePlan,
@@ -175,7 +174,7 @@ def _parse_family(doc, n: int, path: str) -> AffineFamily:
         raise CliError(f"{where}: {exc}", FILE_ERROR) from None
 
 
-def _emit(args, lines: Sequence[str], result, **fields) -> None:
+def _emit(args, lines: Iterable[str], result, **fields) -> None:
     """Print ``lines``, or with ``--format json`` the report ``{"command", "result", **fields}``."""
     if args.format == "json":
         report = {"command": " ".join(args._argv), "result": result, **fields}
@@ -227,25 +226,31 @@ def cmd_solve(args) -> int:
             raise CliError(f"bad --delta value {args.delta!r}", USAGE_ERROR) from None
     space = solve(algebra, kind, delta=delta).space
     n, arity = algebra.dim, KINDS[kind].arity
-    lines = [f"{args.kind} space of {algebra.name}: rank {space.rank}"]
     elements = []
-    for idx, pivot in enumerate(space.rows, 1):
+    for pivot in space.rows:
         entries = [(c, format_scalar(v)) for c, v in space.reduced_row(pivot)]
         if arity == 1:  # the n x n grid, "0" where the row has no entry
             cells = ["0"] * (n * n)
             for c, text in entries:
                 cells[c] = text
             elements.append([cells[i : i + n] for i in range(0, n * n, n)])
-            lines.append(f"  basis matrix {idx}:")
-            lines.extend(_matrix_lines(elements[-1]))
         else:  # column (i*n + j)*n + k holds d[i][j][k], listed when nonzero
             elements.append({f"{c // n // n + 1},{c // n % n + 1},{c % n + 1}": text for c, text in entries})
-            lines.append(f"  basis tensor {idx} (nonzero d[i][j][k]):")
-            lines.extend(f"    d[{key}] = {value}" for key, value in elements[-1].items())
+
+    def lines():  # read by _emit only when text is printed
+        yield f"{args.kind} space of {algebra.name}: rank {space.rank}"
+        for idx, element in enumerate(elements, 1):
+            if arity == 1:
+                yield f"  basis matrix {idx}:"
+                yield from _matrix_lines(element)
+            else:
+                yield f"  basis tensor {idx} (nonzero d[i][j][k]):"
+                yield from (f"    d[{key}] = {value}" for key, value in element.items())
+
     key = identity.get("key")
     expected = (catalog.expected(key).as_dict() or None) if key else None
     payload = {"kind": args.kind, "rank": space.rank, "basis": elements}
-    _emit(args, lines, payload, algebra=identity, expected=expected)
+    _emit(args, lines(), payload, algebra=identity, expected=expected)
     return 0
 
 
@@ -254,7 +259,7 @@ def cmd_local(args) -> int:
         if getattr(args, option) is not None and args.mode != mode:
             raise CliError(f"--{option} applies only to local {mode}, not local {args.mode}", USAGE_ERROR)
     algebra, identity = _parse_algebra_arg(args.algebra)
-    plan = SamplePlan(seed=args.seed, random_count=args.random_count)
+    plan = SamplePlan(seed=args.seed)
     if args.mode in ("der", "halfder"):
         space = solve(algebra, SOLVE_KINDS[args.mode])
         res = local_closure(algebra, space, plan)
@@ -317,7 +322,7 @@ def cmd_local(args) -> int:
 
 def cmd_twolocal(args) -> int:
     algebra, identity = _parse_algebra_arg(args.algebra)
-    plan = SamplePlan(seed=args.seed, random_count=args.random_count)
+    plan = SamplePlan(seed=args.seed)
     space = solve(algebra, SOLVE_KINDS[args.space])
     report = two_local_report(algebra, space, plan)
     payload = {
@@ -339,6 +344,8 @@ def cmd_twolocal(args) -> int:
 
 def cmd_catalog(args) -> int:
     if args.action == "list":
+        if args.key is not None:
+            raise CliError(f"catalog list takes no KEY, got {args.key!r}", USAGE_ERROR)
         rows = []
         for entry in catalog.list_entries():
             param = ""
@@ -379,7 +386,7 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    plan = SamplePlan(seed=args.seed, random_count=args.random_count)
+    plan = SamplePlan(seed=args.seed)
     results = verification.run_all(plan)
     payload = [
         {
@@ -409,13 +416,6 @@ def seed(text: str) -> int:
     return int(text, 0)
 
 
-def random_count(text: str) -> int:
-    value = int(text)
-    if not 0 <= value <= MAX_RANDOM_COUNT:
-        raise argparse.ArgumentTypeError(f"must be an integer from 0 to {MAX_RANDOM_COUNT}, got {value}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="omega-lie",
@@ -427,12 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=seed,
         default=SamplePlan().seed,
         help="seed for the deterministic sample plan (default 0xC0FFEE)",
-    )
-    parser.add_argument(
-        "--random-count",
-        type=random_count,
-        default=SamplePlan().random_count,
-        help=f"random sample points per plan (0 to {MAX_RANDOM_COUNT})",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 

@@ -42,10 +42,11 @@ reads the rank of ``W(e)`` at each plan point, ``kernel_rank`` at one.  Each
 entry point refuses a space whose ambient is not ``n**2``.
 
 Results are bitwise deterministic for a fixed :class:`SamplePlan`: samples
-are the basis vectors, then all pairwise sums, then seeded random vectors.
-Samples only ever shrink the candidate, so certification is one-sided: a
-collapse proves rigidity, while a non-collapse only reports a witness for
-manual study (a degenerate locus could still cut the candidate down).
+are the basis vectors, then all pairwise sums, then eight seeded random
+vectors.  Samples only ever shrink the candidate, so certification is
+one-sided: a collapse proves rigidity, while a non-collapse only reports a
+witness for manual study (a degenerate locus could still cut the candidate
+down).
 """
 
 from __future__ import annotations
@@ -74,31 +75,22 @@ from .linalg import (
 from .solvers import MapSpace, unvectorize_map, vectorize_map
 
 DEFAULT_SEED = 0xC0FFEE
-DEFAULT_RANDOM_COUNT = 8
-# Largest random_count a plan accepts, and largest point count of a recheck;
-# every point costs one evaluation per analysed space, so a larger count is
-# refused up front.
+RANDOM_POINTS = 8  # seeded random points of every plan, after the basis and the pairwise sums
+# Largest point count of a recheck; every point costs one evaluation per
+# analysed space, so a larger count is refused up front.
 MAX_RANDOM_COUNT = 10_000
 _RANDOM_ENTRY_POOL = tuple(Fraction(v) for v in (-5, -4, -3, -2, -1, 1, 2, 3, 4, 5))
 
 
-def _check_count(name: str, value: int, low: int) -> None:
-    """Refuse a count that is not an ``int`` in ``low..MAX_RANDOM_COUNT``; a bool is not a count."""
-    if isinstance(value, bool) or not isinstance(value, int) or not low <= value <= MAX_RANDOM_COUNT:
-        raise ValueError(f"{name} must be between {low} and {MAX_RANDOM_COUNT}, got {value}")
-
-
 @dataclass(frozen=True)
 class SamplePlan:
-    """Deterministic sample-point plan: basis, pairwise sums, seeded randoms."""
+    """Deterministic sample-point plan: basis, pairwise sums, eight seeded randoms."""
 
     seed: int = DEFAULT_SEED
-    random_count: int = DEFAULT_RANDOM_COUNT
 
     def __post_init__(self) -> None:
         if isinstance(self.seed, bool) or not isinstance(self.seed, int):
             raise ValueError(f"seed must be an int, got {self.seed!r}")
-        _check_count("random_count", self.random_count, 0)
 
     def points(self, dim: int) -> tuple[Vector, ...]:
         basis = [tuple(ONE if j == i else ZERO for j in range(dim)) for i in range(dim)]
@@ -110,7 +102,7 @@ class SamplePlan:
         rng = random.Random(self.seed)
         randoms = [
             tuple(rng.choice(_RANDOM_ENTRY_POOL) for _ in range(dim))
-            for _ in range(self.random_count)
+            for _ in range(RANDOM_POINTS)
         ]
         return tuple(basis + sums + randoms)
 
@@ -247,10 +239,12 @@ def recheck_certification(
     those rows are decided by containment alone; only the stored rows outside
     the span are scanned (``_escape``) on ``plan.fresh_points(n, points)``.  On a
     certified closure no row is outside, and no point is drawn.  ``points``
-    must lie in ``1..MAX_RANDOM_COUNT``: zero points would check nothing.
+    must be an ``int`` (not a bool) in ``1..MAX_RANDOM_COUNT``: zero points
+    would check nothing.
     """
     n = _dim(algebra, result.base)
-    _check_count("points", points, 1)
+    if isinstance(points, bool) or not isinstance(points, int) or not 1 <= points <= MAX_RANDOM_COUNT:
+        raise ValueError(f"points must be between 1 and {MAX_RANDOM_COUNT}, got {points}")
     outside = [row for row in result.candidate.rows.values() if _reduce(result.base.space.rows, row)]
     if not outside:
         return True

@@ -13,7 +13,8 @@ import pytest
 from omega_lie import catalog, verification
 from omega_lie.algebra import MAX_DIM, from_document, to_document
 from omega_lie.cli import SOLVE_KINDS, main
-from omega_lie.local import MAX_RANDOM_COUNT
+from omega_lie.local import SamplePlan, local_closure
+from omega_lie.solvers import derivations
 
 
 IDENTITY_4 = [["1" if i == j else "0" for j in range(4)] for i in range(4)]
@@ -139,8 +140,10 @@ class TestErrors:
         [
             (("solve", "nonsense-kind", "@B"), "invalid choice: 'nonsense-kind'"),
             (("--seed", "010", "local", "der", "@B"), "argument --seed: invalid seed value: '010'"),
+            # the plan draws a fixed eight random points; the option that set the count is gone
+            (("local", "der", "@B", "--random-count", "5"), "unrecognized arguments: --random-count 5"),
         ],
-        ids=["kind", "seed"],
+        ids=["kind", "seed", "random-count"],
     )
     def test_usage_error_exits_2(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
@@ -166,20 +169,6 @@ class TestErrors:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"{argv[-2]} applies only to" in err
-
-    @pytest.mark.parametrize("count", ["-1", "-3"])
-    def test_negative_random_count_exits_2(self, capsys, count):
-        with pytest.raises(SystemExit) as exc:
-            main(["--random-count", count, "local", "der", "@B"])
-        assert exc.value.code == 2
-        assert "--random-count" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("count", [str(MAX_RANDOM_COUNT + 1), str(10**12)])
-    def test_random_count_over_budget_exits_2(self, capsys, count):
-        with pytest.raises(SystemExit) as exc:
-            main(["--random-count", count, "local", "der", "@B"])
-        assert exc.value.code == 2
-        assert "--random-count" in capsys.readouterr().err
 
     @pytest.mark.parametrize("dim", [MAX_DIM + 1, 10**12])
     def test_dim_over_budget_exits_3(self, capsys, tmp_path, dim):
@@ -279,7 +268,7 @@ class TestMalformedFiles:
     )
     def test_each_field_replaced(self, capsys, tmp_path, kind, field, value):
         doc, argv = FILE_KINDS[kind]
-        code, _, err = run_file(capsys, tmp_path, {**doc, field: value}, "--random-count", "0", *argv)
+        code, _, err = run_file(capsys, tmp_path, {**doc, field: value}, *argv)
         assert code in (0, 2, 3)
         assert "Traceback" not in err
 
@@ -511,6 +500,42 @@ class TestCatalogCommands:
         with pytest.raises(SystemExit) as exc:
             main(["catalog", "show"])
         assert exc.value.code == 2
+
+    def test_list_refuses_a_key(self, capsys):
+        # list reads no KEY; it used to exit 0 and ignore it
+        code, out, err = run(capsys, "catalog", "list", "B")
+        assert code == 2
+        assert out == ""
+        assert err == "error: catalog list takes no KEY, got 'B'\n"
+
+
+class TestSeed:
+    """``--seed`` reaches the sample plan of every command that samples."""
+
+    def test_local_closure_at_seed_7(self, capsys):
+        alg = catalog.get("L_{1,7}")
+        res = local_closure(alg, derivations(alg), SamplePlan(seed=7))
+        code, out, _ = run(capsys, "--format", "json", "--seed", "7", "local", "der", "@L_{1,7}")
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert result["candidate_rank"] == res.candidate.rank == 4
+        assert result["certified"] is res.certified is False
+        assert result["samples"] == len(res.samples_used)
+        assert result["witness"] == res.witness.to_strings()
+        # one of the default seed's eight random points cuts that witness out
+        code, out, _ = run(capsys, "--format", "json", "local", "der", "@L_{1,7}")
+        default = json.loads(out)["result"]
+        assert default["certified"] is True and default != result
+
+    def test_verify_paper_at_seed_7(self, capsys):
+        code, out, _ = run(capsys, "--format", "json", "--seed", "7", "verify-paper")
+        results = verification.run_all(SamplePlan(seed=7))
+        criteria = [
+            {"criterion": r.number, "title": r.title, "passed": r.passed, "details": list(r.details)} for r in results
+        ]
+        failures = sum(not r.passed for r in results)
+        assert json.loads(out)["result"] == {"criteria": criteria, "failures": failures}
+        assert code == 1
 
 
 class TestVerifyPaper:

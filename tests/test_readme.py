@@ -1,8 +1,10 @@
-"""The README's library quick tour runs, and each claim in its comments holds."""
+"""The README's library quick tour runs, each claim in its comments holds, and its CLI options are the parser's."""
 
+import argparse
 import pathlib
 import re
 
+from omega_lie.cli import build_parser
 from omega_lie.linalg import SubspaceBasis
 from omega_lie.local import RIGID
 from omega_lie import catalog
@@ -44,3 +46,21 @@ def test_session_tour_gives_the_direct_solves():
     assert names["bider"] == solve(alg, "biderivation")
     assert names["skew"] == solve(alg, "skew")
     assert names["compat"] == solve(alg, "omega_biderivation", sign=1)
+
+
+def _parser_options(parser: argparse.ArgumentParser) -> set[str]:
+    """Every long option of ``parser`` and of its subcommands, ``--help`` aside."""
+    options = set()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                options |= _parser_options(sub)
+        options.update(o for o in action.option_strings if o.startswith("--"))
+    return options - {"--help"}
+
+
+def test_command_line_section_names_the_parser_options():
+    """README's "Command line" section and the parser name the same options, so no stale or undocumented one."""
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    assert named == _parser_options(build_parser())
