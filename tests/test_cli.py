@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -140,16 +141,28 @@ class TestErrors:
         [
             (("solve", "nonsense-kind", "@B"), "invalid choice: 'nonsense-kind'"),
             (("--seed", "010", "local", "der", "@B"), "argument --seed: invalid seed value: '010'"),
-            # the plan draws a fixed eight random points; the option that set the count is gone
+            # the plan draws a fixed eight random points; the option that set the count is gone,
+            # globally and from each of the three commands that build a plan
             (("local", "der", "@B", "--random-count", "5"), "unrecognized arguments: --random-count 5"),
+            (("--random-count=8", "local", "der", "@B"), "unrecognized arguments: --random-count=8"),
+            (("twolocal", "der", "@B", "--random-count", "8"), "unrecognized arguments: --random-count 8"),
+            (("verify-paper", "--random-count", "0"), "unrecognized arguments: --random-count 0"),
         ],
-        ids=["kind", "seed", "random-count"],
+        ids=["kind", "seed", "random-count", "random-count-global", "random-count-twolocal", "random-count-verify-paper"],
     )
     def test_usage_error_exits_2(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
+
+    def test_global_options_are_format_and_seed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: omega-lie [-h] [--format {text,json}] [--seed SEED]\n")
+        assert set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", out)) == {"--help", "--format", "--seed"}
 
     @pytest.mark.parametrize(
         "argv",

@@ -14,6 +14,7 @@ from omega_lie.local import (
     _images,
     _walk,
     MAX_RANDOM_COUNT,
+    RANDOM_POINTS,
     EXCEEDS_FAMILY_HULL,
     INCONCLUSIVE,
     LOCAL_CERTIFIED,
@@ -69,6 +70,17 @@ class TestSamplePlan:
         # every plan draws eight random points; the field that set the count is gone
         with pytest.raises(TypeError):
             SamplePlan(random_count=3)
+        with pytest.raises(TypeError):
+            SamplePlan(7, 3)  # the count was the second positional field
+
+    @pytest.mark.parametrize("seed", [0xC0FFEE, 0, 7, -1, 2**70])
+    def test_every_plan_draws_eight_random_points(self, seed):
+        assert RANDOM_POINTS == 8
+        plan = SamplePlan(seed=seed)
+        for n in range(6):
+            pts = plan.points(n)
+            assert len(pts) == n + n * (n - 1) // 2 + RANDOM_POINTS
+            assert all(len(p) == n for p in pts)
 
     @pytest.mark.parametrize("seed", [True, 2.5, "7", [1]])
     def test_seed_that_is_not_an_integer_is_refused(self, seed):
