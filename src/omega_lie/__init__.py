@@ -6,7 +6,8 @@ with a skew bilinear form, and computes, with no floating point anywhere:
 * canonical solution spaces of the linear definitional identities
   (derivations, skew-form-compatible derivations, centroid, commuting and
   anticommuting maps, delta-derivations, biderivations and their symmetric,
-  skew and form-compatible variants);
+  skew and form-compatible variants): ``solve(algebra, kind)`` returns one
+  ``SolutionSpace`` for every kind, and ``defects`` re-checks its elements;
 * local and 2-local membership analysis with soundness certificates
   (sampled local closures, separating vectors, affine matrix families);
 * a catalog of the classified 3- and 4-dimensional algebras plus semisimple
@@ -57,21 +58,9 @@ from .local import (
     two_local_report,
 )
 from .solvers import (
-    MapSpace,
-    TensorSpace,
-    anticommuting_maps,
-    biderivations,
-    centroid,
-    commuting_maps,
+    SolutionSpace,
     defects,
-    derivations,
-    half_derivations,
-    map_defects,
-    omega_biderivations,
-    omega_derivations,
-    skew_biderivations,
-    symmetric_biderivations,
-    tensor_defects,
+    solve,
 )
 
 __version__ = "0.1.0"

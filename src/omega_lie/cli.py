@@ -226,30 +226,32 @@ def cmd_solve(args) -> int:
             raise CliError(f"bad --delta value {args.delta!r}", USAGE_ERROR) from None
     space = solve(algebra, kind, delta=delta).space
     n, arity = algebra.dim, KINDS[kind].arity
-    elements = []
-    for pivot in space.rows:
+
+    def element(pivot):
         entries = [(c, format_scalar(v)) for c, v in space.reduced_row(pivot)]
         if arity == 1:  # the n x n grid, "0" where the row has no entry
             cells = ["0"] * (n * n)
             for c, text in entries:
                 cells[c] = text
-            elements.append([cells[i : i + n] for i in range(0, n * n, n)])
-        else:  # column (i*n + j)*n + k holds d[i][j][k], listed when nonzero
-            elements.append({f"{c // n // n + 1},{c // n % n + 1},{c % n + 1}": text for c, text in entries})
+            return [cells[i : i + n] for i in range(0, n * n, n)]
+        # column (i*n + j)*n + k holds d[i][j][k], listed when nonzero
+        return {f"{c // n // n + 1},{c // n % n + 1},{c % n + 1}": text for c, text in entries}
 
-    def lines():  # read by _emit only when text is printed
+    def lines():  # read by _emit only when text is printed, one element at a time
         yield f"{args.kind} space of {algebra.name}: rank {space.rank}"
-        for idx, element in enumerate(elements, 1):
+        for idx, pivot in enumerate(space.rows, 1):
             if arity == 1:
                 yield f"  basis matrix {idx}:"
-                yield from _matrix_lines(element)
+                yield from _matrix_lines(element(pivot))
             else:
                 yield f"  basis tensor {idx} (nonzero d[i][j][k]):"
-                yield from (f"    d[{key}] = {value}" for key, value in element.items())
+                yield from (f"    d[{key}] = {value}" for key, value in element(pivot).items())
 
     key = identity.get("key")
     expected = (catalog.expected(key).as_dict() or None) if key else None
-    payload = {"kind": args.kind, "rank": space.rank, "basis": elements}
+    payload = None
+    if args.format == "json":  # the whole basis is built only for the JSON report
+        payload = {"kind": args.kind, "rank": space.rank, "basis": [element(pivot) for pivot in space.rows]}
     _emit(args, lines(), payload, algebra=identity, expected=expected)
     return 0
 
@@ -412,8 +414,11 @@ def cmd_verify(args) -> int:
 
 
 def seed(text: str) -> int:
-    """A seed in Python integer syntax (``12``, ``0xC0FFEE``); argparse names this function in its error."""
-    return int(text, 0)
+    """A seed in Python integer syntax (``12``, ``0xC0FFEE``) that ``SamplePlan`` takes, so not negative.
+
+    argparse names this function in its error.
+    """
+    return SamplePlan(seed=int(text, 0)).seed
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -518,7 +518,7 @@ class SubspaceBasis:
                         out[i] = out.get(i, 0) + v * g
                 yield {i: v for i, v in out.items() if v}
 
-        kernel, _ = nullspace_of_sparse_rows(len(gens), composed())
+        kernel = nullspace_of_sparse_rows(len(gens), composed())
         lifted = []
         for c in kernel.rows.values():
             vec: dict[int, int] = {}
@@ -544,8 +544,8 @@ class SubspaceBasis:
         return tuple(Fraction(residue.get(n - 1 - j, 0), residue[n]) for j in range(n))
 
 
-def nullspace_of_sparse_rows(ambient: int, rows: Iterable[SparseRow]) -> tuple[SubspaceBasis, int]:
-    """Nullspace of a system given as sparse rows; returns (basis, system rank).
+def nullspace_of_sparse_rows(ambient: int, rows: Iterable[SparseRow]) -> SubspaceBasis:
+    """Nullspace of a system given as sparse rows; the system's rank is ``ambient`` minus its rank.
 
     Each row is scaled to integers by the lcm of its denominators, which
     keeps the row space, and is the only copy kept.  ``rows`` is read only
@@ -561,8 +561,8 @@ def nullspace_of_sparse_rows(ambient: int, rows: Iterable[SparseRow]) -> tuple[S
         scaled.append(row)
         mod.insert(row)
         if mod.rank == ambient:
-            return _Echelon(ambient).span(), ambient
+            return _Echelon(ambient).span()
     kernel = mod.kernel()
     if kernel is None or not _annihilated(scaled, kernel, ambient):
         kernel = _Echelon(ambient, scaled).kernel()
-    return _Echelon(ambient, kernel).span(), ambient - len(kernel)
+    return _Echelon(ambient, kernel).span()

@@ -1,7 +1,7 @@
 """Local and 2-local membership analysis with exact certificates.
 
-Given a solution space of matrices (derivations, half-derivations, ...) or
-an affine matrix family, this module decides sampled local-membership
+Given the ``SolutionSpace`` of a map kind (derivations, half-derivations,
+...) or an affine matrix family, this module decides sampled local-membership
 questions:
 
 * ``local_closure`` intersects, over a deterministic set of sample points
@@ -72,7 +72,7 @@ from .linalg import (
     nullspace_of_sparse_rows,
     vector,
 )
-from .solvers import MapSpace, unvectorize_map, vectorize_map
+from .solvers import SolutionSpace, unvectorize_map, vectorize_map
 
 DEFAULT_SEED = 0xC0FFEE
 RANDOM_POINTS = 8  # seeded random points of every plan, after the basis and the pairwise sums
@@ -91,6 +91,8 @@ class SamplePlan:
     def __post_init__(self) -> None:
         if isinstance(self.seed, bool) or not isinstance(self.seed, int):
             raise ValueError(f"seed must be an int, got {self.seed!r}")
+        if self.seed < 0:  # random.Random seeds with abs(seed), so -5 would draw the points of 5
+            raise ValueError(f"seed must not be negative, got {self.seed}")
 
     def points(self, dim: int) -> tuple[Vector, ...]:
         basis = [tuple(ONE if j == i else ZERO for j in range(dim)) for i in range(dim)]
@@ -170,13 +172,13 @@ def _closure(n: int, samples: Sequence[Vector], generators: SubspaceBasis) -> Su
     soundness violation.
     """
     rows = [row for _, x, span in _walk(generators, samples, n) for row in _point_rows(x, span)]
-    space = nullspace_of_sparse_rows(n * n, rows)[0]
+    space = nullspace_of_sparse_rows(n * n, rows)
     if not generators.is_subspace_of(space):
         raise AssertionError("soundness violation: the closed family escaped its own closure")
     return space
 
 
-def _escape(space: MapSpace, tested: Sequence[dict[int, int]], points: Sequence[Vector]) -> Optional[Vector]:
+def _escape(space: SolutionSpace, tested: Sequence[dict[int, int]], points: Sequence[Vector]) -> Optional[Vector]:
     """First of ``points`` where some ``S x``, ``S`` in the sparse integer rows ``tested``, leaves ``W(x)``; ``None`` if none.
 
     The echelon of the space's images (``_walk``) answers membership exactly.
@@ -188,7 +190,7 @@ def _escape(space: MapSpace, tested: Sequence[dict[int, int]], points: Sequence[
     return None
 
 
-def _dim(algebra: OmegaAlgebra, space: MapSpace) -> int:
+def _dim(algebra: OmegaAlgebra, space: SolutionSpace) -> int:
     """``algebra.dim``, once ``space`` is known to be a space of ``n x n`` maps (ambient ``n**2``) on that algebra."""
     n = algebra.dim
     if space.algebra.dim != n:
@@ -200,14 +202,14 @@ def _dim(algebra: OmegaAlgebra, space: MapSpace) -> int:
 
 @dataclass(frozen=True)
 class LocalClosureResult:
-    base: MapSpace
+    base: SolutionSpace
     candidate: SubspaceBasis
     certified: bool
     samples_used: tuple[Vector, ...]
     witness: Optional[Matrix] = None
 
 
-def local_closure(algebra: OmegaAlgebra, space: MapSpace, plan: Optional[SamplePlan] = None) -> LocalClosureResult:
+def local_closure(algebra: OmegaAlgebra, space: SolutionSpace, plan: Optional[SamplePlan] = None) -> LocalClosureResult:
     """Sampled upper bound on the local set of ``space``, with certificate.
 
     ``candidate`` is the set of matrices ``B`` with ``B x in W(x)`` at every
@@ -265,7 +267,7 @@ class LocalMemberVerdict:
 
 def is_local_member(
     algebra: OmegaAlgebra,
-    space: MapSpace,
+    space: SolutionSpace,
     candidate: Matrix,
     plan: Optional[SamplePlan] = None,
 ) -> LocalMemberVerdict:
@@ -300,7 +302,7 @@ class SeparatingCertificate:
     )
 
 
-def kernel_rank(space: MapSpace, e: Sequence) -> int:
+def kernel_rank(space: SolutionSpace, e: Sequence) -> int:
     """Dimension of ``{S in space : S e = 0}``: ``space.rank`` minus the rank of ``W(e)``."""
     n = _dim(space.algebra, space)
     return space.rank - next(_walk(space.space, [vector(e)], n))[2].rank
@@ -319,7 +321,7 @@ class TwoLocalReport:
 
 
 def two_local_report(
-    algebra: OmegaAlgebra, space: MapSpace, plan: Optional[SamplePlan] = None
+    algebra: OmegaAlgebra, space: SolutionSpace, plan: Optional[SamplePlan] = None
 ) -> TwoLocalReport:
     """Rigidity via a separating vector.
 

@@ -283,12 +283,13 @@ def _rows(algebra: OmegaAlgebra, identity: Identity, params: dict, tables: dict)
 
 
 @dataclass(frozen=True)
-class MapSpace:
-    """Canonical solution space of a linear-map identity.
+class SolutionSpace:
+    """Canonical solution space of a kind of ``KINDS``.
 
-    ``space`` lives in ambient dimension ``n**2`` (row-major vectorization of
-    the stored matrices).  An equation is implied by the identity exactly when
-    ``space.annihilated_by`` holds for it.
+    ``space`` lives in ambient dimension ``n**(arity + 1)``: the row-major
+    vectorization of the stored matrices for a map kind, of the bilinear
+    maps for a tensor kind.  An equation is implied by the identities exactly
+    when ``space.annihilated_by`` holds for it.
     """
 
     algebra: OmegaAlgebra
@@ -299,28 +300,18 @@ class MapSpace:
     def rank(self) -> int:
         return self.space.rank
 
-    def maps(self) -> tuple[Matrix, ...]:
-        return tuple(unvectorize_map(row, self.algebra.dim) for row in self.space.basis)
-
-
-@dataclass(frozen=True)
-class TensorSpace:
-    """Canonical solution space of a bilinear-map identity (ambient ``n**3``)."""
-
-    algebra: OmegaAlgebra
-    kind: str
-    space: SubspaceBasis
-
-    @property
-    def rank(self) -> int:
-        return self.space.rank
-
-    def tensors(self) -> tuple[BilinearMap, ...]:
-        n = self.algebra.dim  # d[i][j] is the n columns from (i*n + j)*n on
-        return tuple(
+    def elements(self) -> tuple[Union[Matrix, BilinearMap], ...]:
+        """The basis as ``Matrix`` objects for a map kind, ``BilinearMap`` objects for a tensor kind."""
+        n = self.algebra.dim
+        if KINDS[self.kind].arity == 1:
+            return tuple(unvectorize_map(row, n) for row in self.space.basis)
+        return tuple(  # d[i][j] is the n columns from (i*n + j)*n on
             BilinearMap(tuple(tuple(row[s : s + n] for s in range(i * n * n, (i + 1) * n * n, n)) for i in range(n)))
             for row in self.space.basis
         )
+
+    # read only by bench/workloads.py's space_defect_error; the bench port (ROADMAP Direction 5 stage 1) deletes it
+    maps = tensors = elements
 
 
 def vectorize_map(matrix: Matrix) -> Vector:
@@ -341,11 +332,7 @@ def _identity_rows(algebra: OmegaAlgebra, identities, values: dict):
     return (row for identity in identities for row in _rows(algebra, identity, values, tables))
 
 
-def _solution(algebra: OmegaAlgebra, kind: str, arity: int, space: SubspaceBasis) -> Union[MapSpace, TensorSpace]:
-    return (MapSpace if arity == 1 else TensorSpace)(algebra, kind, space)
-
-
-def solve(algebra: OmegaAlgebra, kind: str, **params) -> Union[MapSpace, TensorSpace]:
+def solve(algebra: OmegaAlgebra, kind: str, **params) -> SolutionSpace:
     """Solution space of a kind of ``KINDS``, from all of its identities' rows.
 
     ``params`` give values to the parameters a kind leaves open: ``delta`` of
@@ -355,8 +342,7 @@ def solve(algebra: OmegaAlgebra, kind: str, **params) -> Union[MapSpace, TensorS
     """
     spec, values = _lookup(kind, params)
     rows = _identity_rows(algebra, spec.identities, values)
-    space, _ = nullspace_of_sparse_rows(algebra.dim ** (spec.arity + 1), rows)
-    return _solution(algebra, kind, spec.arity, space)
+    return SolutionSpace(algebra, kind, nullspace_of_sparse_rows(algebra.dim ** (spec.arity + 1), rows))
 
 
 class Session:
@@ -368,7 +354,7 @@ class Session:
     def __init__(self) -> None:
         self._solved: dict = {}
 
-    def solve(self, algebra: OmegaAlgebra, kind: str, **params) -> Union[MapSpace, TensorSpace]:
+    def solve(self, algebra: OmegaAlgebra, kind: str, **params) -> SolutionSpace:
         spec, values = _lookup(kind, params)
         key = (algebra, kind, tuple(sorted(values.items())))
         found = self._solved.get(key)
@@ -380,55 +366,55 @@ class Session:
                 parent_spec = KINDS[parent]
                 base = self.solve(algebra, parent, **{p: values[p] for p in _settable(parent_spec)})
                 rows = _identity_rows(algebra, spec.identities[len(parent_spec.identities) :], values)
-                found = _solution(algebra, kind, spec.arity, base.space.restricted(rows))
+                found = SolutionSpace(algebra, kind, base.space.restricted(rows))
             self._solved[key] = found
         return found
 
 
-def derivations(algebra: OmegaAlgebra) -> MapSpace:
+def derivations(algebra: OmegaAlgebra) -> SolutionSpace:
     """All ``D`` with ``D([x,y]) = [D(x), y] + [x, D(y)]``."""
     return solve(algebra, "derivation")
 
 
-def half_derivations(algebra: OmegaAlgebra) -> MapSpace:
+def half_derivations(algebra: OmegaAlgebra) -> SolutionSpace:
     """All ``D`` with ``D([x,y]) = ([D(x), y] + [x, D(y)]) / 2``."""
     return solve(algebra, "half_derivation")
 
 
-def omega_derivations(algebra: OmegaAlgebra) -> MapSpace:
+def omega_derivations(algebra: OmegaAlgebra) -> SolutionSpace:
     """Derivations compatible with the skew form; always inside ``derivations``."""
     return solve(algebra, "omega_derivation")
 
 
-def centroid(algebra: OmegaAlgebra) -> MapSpace:
+def centroid(algebra: OmegaAlgebra) -> SolutionSpace:
     """All ``a`` with ``a([x,y]) = [a(x), y]``."""
     return solve(algebra, "centroid")
 
 
-def commuting_maps(algebra: OmegaAlgebra) -> MapSpace:
+def commuting_maps(algebra: OmegaAlgebra) -> SolutionSpace:
     """All ``a`` with ``[a(x), y] = [x, a(y)]``."""
     return solve(algebra, "commuting")
 
 
-def anticommuting_maps(algebra: OmegaAlgebra) -> MapSpace:
+def anticommuting_maps(algebra: OmegaAlgebra) -> SolutionSpace:
     """All ``a`` with ``[a(x), y] = [a(y), x]``."""
     return solve(algebra, "anticommuting")
 
 
-def biderivations(algebra: OmegaAlgebra) -> TensorSpace:
+def biderivations(algebra: OmegaAlgebra) -> SolutionSpace:
     """All bilinear maps that are derivations in each slot."""
     return solve(algebra, "biderivation")
 
 
-def symmetric_biderivations(algebra: OmegaAlgebra) -> TensorSpace:
+def symmetric_biderivations(algebra: OmegaAlgebra) -> SolutionSpace:
     return solve(algebra, "symmetric")
 
 
-def skew_biderivations(algebra: OmegaAlgebra) -> TensorSpace:
+def skew_biderivations(algebra: OmegaAlgebra) -> SolutionSpace:
     return solve(algebra, "skew")
 
 
-def omega_biderivations(algebra: OmegaAlgebra, sign: Optional[Fraction] = None) -> TensorSpace:
+def omega_biderivations(algebra: OmegaAlgebra, sign: Optional[Fraction] = None) -> SolutionSpace:
     """Biderivations whose partial maps are compatible with the skew form.
 
     The compatibility family is ``w(delta(x,y), z) = w(y, delta(x,z))`` together

@@ -98,12 +98,12 @@ def criterion_2_derivation_forms(session: Session) -> CheckResult:
             mismatches.append(f"{key}: derivation rank {der.rank} != {expected}")
         return der
 
-    for m in solved("L_{1,1}").maps():
+    for m in solved("L_{1,1}").elements():
         if not _column_support(m, {2, 3}):
             mismatches.append("L_{1,1}: basis matrix supported outside columns 3-4")
         if m.rows[1][2] != -m.rows[0][2] or m.rows[1][3] != -m.rows[0][3]:
             mismatches.append("L_{1,1}: row 2 is not the negative of row 1 on columns 3-4")
-    for m in solved("L_{1,4}").maps():
+    for m in solved("L_{1,4}").elements():
         if not _column_support(m, {2}):
             mismatches.append("L_{1,4}: basis matrix supported outside column 3")
         if m.rows[1][2] != -m.rows[0][2] or m.rows[2][2] != m.rows[0][2]:
@@ -136,7 +136,7 @@ def criterion_4_symmetric_biderivations(session: Session) -> CheckResult:
                 )
             mismatches.append(f"{key}: computed symmetric rank {computed} != reference {expected}")
     sym11 = session.solve(catalog.get("L_{1,1}"), "symmetric")
-    for t in sym11.tensors():
+    for t in sym11.elements():
         support = {
             (i + 1, j + 1)
             for i in range(4)
@@ -323,7 +323,7 @@ def criterion_9_omega_biderivations(session: Session) -> CheckResult:
                 )
             else:
                 witness = next(
-                    (t for t in full.tensors() if not compat.space.contains(vectorize_tensor(t))), None
+                    (t for t in full.elements() if not compat.space.contains(vectorize_tensor(t))), None
                 )
                 if witness is None or not any(
                     witness.tensor[2][2][k] for k in range(4)
@@ -368,11 +368,11 @@ def criterion_11_property_suite(session: Session, plan: SamplePlan) -> CheckResu
     # decomposition of each biderivation into symmetric and skew parts.
     for key in RESIDUAL_KEYS:
         alg = catalog.get(key)
-        for kind, spec in KINDS.items():
+        for kind in KINDS:
             if kind == "delta_derivation":  # open delta: half_derivation and the weight-1 check pin it
                 continue
             space = session.solve(alg, kind)
-            if any(defects(alg, kind, space.maps() if spec.arity == 1 else space.tensors())):
+            if any(defects(alg, kind, space.elements())):
                 mismatches.append(f"{key}: nonzero residual in {kind} basis")
         bider, sym, skw = (session.solve(alg, kind) for kind in ("biderivation", "symmetric", "skew"))
         if sym.space.plus(skw.space) != bider.space:

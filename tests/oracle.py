@@ -151,7 +151,7 @@ def oracle_biderivation_rows(algebra, symmetry: Optional[int] = None) -> list:
 
 def oracle_biderivation_space(algebra, symmetry: Optional[int] = None) -> SubspaceBasis:
     """Brute-force biderivation space: the nullspace of :func:`oracle_biderivation_rows`."""
-    return nullspace_of_sparse_rows(algebra.dim ** 3, oracle_biderivation_rows(algebra, symmetry))[0]
+    return nullspace_of_sparse_rows(algebra.dim ** 3, oracle_biderivation_rows(algebra, symmetry))
 
 
 def oracle_form_compatible_rows(algebra, sign: Fraction) -> list:

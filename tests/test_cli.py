@@ -141,6 +141,9 @@ class TestErrors:
         [
             (("solve", "nonsense-kind", "@B"), "invalid choice: 'nonsense-kind'"),
             (("--seed", "010", "local", "der", "@B"), "argument --seed: invalid seed value: '010'"),
+            # a negative seed would draw the plan points of its absolute value
+            (("--seed", "-5", "local", "der", "@B"), "argument --seed: invalid seed value: '-5'"),
+            (("--seed=-0x5", "verify-paper"), "argument --seed: invalid seed value: '-0x5'"),
             # the plan draws a fixed eight random points; the option that set the count is gone,
             # globally and from each of the three commands that build a plan
             (("local", "der", "@B", "--random-count", "5"), "unrecognized arguments: --random-count 5"),
@@ -148,7 +151,16 @@ class TestErrors:
             (("twolocal", "der", "@B", "--random-count", "8"), "unrecognized arguments: --random-count 8"),
             (("verify-paper", "--random-count", "0"), "unrecognized arguments: --random-count 0"),
         ],
-        ids=["kind", "seed", "random-count", "random-count-global", "random-count-twolocal", "random-count-verify-paper"],
+        ids=[
+            "kind",
+            "seed",
+            "negative-seed",
+            "negative-seed-equals",
+            "random-count",
+            "random-count-global",
+            "random-count-twolocal",
+            "random-count-verify-paper",
+        ],
     )
     def test_usage_error_exits_2(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:

@@ -32,7 +32,7 @@ from omega_lie.local import (
     recheck_certification,
     two_local_report,
 )
-from omega_lie.solvers import MapSpace, biderivations, derivations, half_derivations, vectorize_map
+from omega_lie.solvers import SolutionSpace, biderivations, derivations, half_derivations, vectorize_map
 from omega_lie.verification import automorphism_family_L11, automorphism_family_L23
 from oracle import gauss_jordan, matvec, realized
 
@@ -73,7 +73,7 @@ class TestSamplePlan:
         with pytest.raises(TypeError):
             SamplePlan(7, 3)  # the count was the second positional field
 
-    @pytest.mark.parametrize("seed", [0xC0FFEE, 0, 7, -1, 2**70])
+    @pytest.mark.parametrize("seed", [0xC0FFEE, 0, 7, 5, 2**70])
     def test_every_plan_draws_eight_random_points(self, seed):
         assert RANDOM_POINTS == 8
         plan = SamplePlan(seed=seed)
@@ -88,6 +88,13 @@ class TestSamplePlan:
         with pytest.raises(ValueError, match=re.escape(f"seed must be an int, got {seed!r}")):
             SamplePlan(seed=seed)
 
+    @pytest.mark.parametrize("seed", [-1, -5, -0xC0FFEE])
+    def test_negative_seed_is_refused(self, seed):
+        # the plan's stream would lose the sign and draw the points of -seed, while fresh_points differed
+        assert random.Random(seed).getstate() == random.Random(-seed).getstate()
+        with pytest.raises(ValueError, match=re.escape(f"seed must not be negative, got {seed}")):
+            SamplePlan(seed=seed)
+
 
 class TestEvaluator:
     """The one place a stored space acts on a point keeps the column action ``S @ x``."""
@@ -99,7 +106,7 @@ class TestEvaluator:
         for key in catalog.four_dimensional_keys():
             alg = catalog.get(key)
             for space in (derivations(alg), half_derivations(alg)):
-                matrices = space.maps()
+                matrices = space.elements()
                 rows = [_to_sparse(s) for s in space.space.basis]
                 for x in points:
                     expected = [{k: v for k, v in enumerate(matvec(m.rows, x)) if v} for m in matrices]
@@ -303,7 +310,7 @@ class TestLocalMembership:
             raise AssertionError("the scan started")
 
         monkeypatch.setattr(local, "_escape", no_scan)
-        for m in der.maps():
+        for m in der.elements():
             assert is_local_member(alg, der, m, PLAN).status == LOCAL_CERTIFIED
 
     def test_zero_map_is_certified(self):
@@ -444,7 +451,7 @@ class TestAffineClosure:
         # L_{1,2} has local derivations outside its derivation space, so the
         # closure of identity + span(derivations) is larger than that span
         alg = catalog.get("L_{1,2}")
-        family = AffineFamily(base=Matrix.identity(4), directions=derivations(alg).maps())
+        family = AffineFamily(base=Matrix.identity(4), directions=derivations(alg).elements())
         res = affine_local_closure(alg, family, PLAN)
         assert res.comparison == EXCEEDS_FAMILY_HULL
         assert not res.matches_family_hull
@@ -481,7 +488,7 @@ def _scan_case(rng, n):
         [_random_rational(rng) if rng.random() < 0.6 else 0 for _ in range(size)] for _ in range(rng.randint(0, 4))
     ]
     algebra = OmegaAlgebra.from_tables("abelian", n, {}, {})
-    space = MapSpace(algebra, "probe", SubspaceBasis.from_generators(size, generators))
+    space = SolutionSpace(algebra, "probe", SubspaceBasis.from_generators(size, generators))
 
     def inside():
         return [sum((_random_rational(rng) * row[i] for row in space.space.basis), Fraction(0)) for i in range(size)]
@@ -563,7 +570,7 @@ def _property_families():
     l12 = catalog.get("L_{1,2}")
     yield catalog.get("L_{1,1}"), automorphism_family_L11()
     yield catalog.get("L_{2,3}"), automorphism_family_L23()
-    yield l12, AffineFamily(base=Matrix.identity(4), directions=derivations(l12).maps())
+    yield l12, AffineFamily(base=Matrix.identity(4), directions=derivations(l12).elements())
 
 
 @pytest.mark.parametrize("plan", [SamplePlan(), SamplePlan(seed=7)])
@@ -571,7 +578,7 @@ def test_affine_closure_is_the_base_plus_a_linear_closure(plan):
     """The directions are the local closure of their span; the particular is the base moved inside it."""
     for alg, family in _property_families():
         res = affine_local_closure(alg, family, plan)
-        hull = MapSpace(alg, "family", family.hull_directions())
+        hull = SolutionSpace(alg, "family", family.hull_directions())
         assert res.directions == local_closure(alg, hull, plan).candidate
         shift = tuple(p - b for p, b in zip(vectorize_map(res.particular), vectorize_map(family.base)))
         assert res.directions.contains(shift)

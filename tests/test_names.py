@@ -74,8 +74,8 @@ cached support.
 
 The twelfth guard keeps a subspace in its one stored form: outside
 ``linalg`` the dense ``SubspaceBasis.basis`` view is read only where a
-dense answer is returned, by ``MapSpace.maps`` and ``TensorSpace.tensors``.
-The CLI names none of ``basis``, ``maps`` or ``tensors``: it prints each
+dense answer is returned, by ``SolutionSpace.elements``.
+The CLI names none of ``basis``, ``maps``, ``tensors`` or ``elements``: it prints each
 answer from the stored rows through ``SubspaceBasis.reduced_row``, as
 ``local.local_closure`` builds its witness matrix.  Every query and every
 walk over sample points reads the stored integer rows.
@@ -90,6 +90,12 @@ The fourteenth guard keeps one table of named kinds: no module of ``src/``
 but ``solvers`` builds ``Fraction(1, 2)``, which is built once, as the
 ``delta`` that ``solvers.KINDS`` pins for ``half_derivation``.  The CLI and
 the verification suite name the kind instead of restating its weight.
+
+The fifteenth guard keeps the names that only the benchmark calls out of
+the package's own code: no module of ``src/`` calls or imports the ten
+one-kind wrappers, ``map_defects`` or ``tensor_defects``, or reads the
+``maps``/``tensors`` alias of ``SolutionSpace.elements``.  Deleting them
+once ``bench/`` solves through ``solve`` is then one edit to ``solvers.py``.
 """
 
 import ast
@@ -641,8 +647,8 @@ def test_guard_catches_a_second_kernel_caller(tmp_path):
 
 
 OUTSIDE_LINALG = [path for path in SOURCES if path.stem != "linalg"]
-DENSE_ANSWERS = {"solvers.MapSpace.maps", "solvers.TensorSpace.tensors"}
-DENSE_NAMES = {"basis", "maps", "tensors"}
+DENSE_ANSWERS = {"solvers.SolutionSpace.elements"}
+DENSE_NAMES = {"basis", "maps", "tensors", "elements"}
 
 
 def dense_basis_reads(paths):
@@ -661,21 +667,22 @@ def test_dense_bases_are_read_only_for_dense_answers():
 def test_guard_catches_a_dense_basis_query(tmp_path):
     module = tmp_path / "probe.py"
     module.write_text(
-        "class MapSpace:\n    def maps(self):\n        return [unvectorize(r) for r in self.space.basis]\n"
+        "class SolutionSpace:\n    def elements(self):\n        return [unvectorize(r) for r in self.space.basis]\n"
         "def _walk(space, points):\n    rows = [_integral(_to_sparse(g)) for g in space.basis]\n    return rows, points\n"
         "def recheck(result):\n    return [r for r in result.candidate.basis if r], result.base.rows\n"
     )
     assert dense_basis_reads([module]) == [
-        ("probe.MapSpace.maps", 3, "basis"),
+        ("probe.SolutionSpace.elements", 3, "basis"),
         ("probe._walk", 5, "basis"),
         ("probe.recheck", 8, "basis"),
     ]
     printer = tmp_path / "cli.py"
-    printer.write_text("def cmd_solve(space):\n    basis = [m.to_strings() for m in space.maps()]\n    return basis\n")
+    printer.write_text("def cmd_solve(space):\n    basis = [m.to_strings() for m in space.maps()]\n    return basis, space.elements()\n")
     assert names_in([printer], DENSE_NAMES, _referenced) == [
         ("cli.cmd_solve", 2, "basis"),
         ("cli.cmd_solve", 2, "maps"),
         ("cli.cmd_solve", 3, "basis"),
+        ("cli.cmd_solve", 3, "elements"),
     ]
 
 
@@ -746,4 +753,47 @@ def test_guard_catches_a_second_half(tmp_path):
     assert halves([module]) == [
         ("probe", 3, "Fraction(1, 2)"),
         ("probe.criterion_5", 5, "Fraction(1, 2)"),
+    ]
+
+
+BENCH_ONLY = SOLVER_WRAPPERS | {"map_defects", "tensor_defects", "maps", "tensors"}
+
+
+def _used(node):
+    """The name an import binds, a ``Name`` node loads or an ``Attribute`` node reads.
+
+    A name that is assigned, such as the alias ``maps = tensors = elements``, is not a use.
+    """
+    if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+        return None
+    return _imported_or_referenced(node)
+
+
+def bench_only_uses(paths):
+    """``(scope, line, name)`` of each use of a name that only the benchmark may call."""
+    return names_in(paths, BENCH_ONLY, _used)
+
+
+def test_the_package_uses_no_bench_only_name():
+    for name in sorted(SOLVER_WRAPPERS) + ["map_defects", "tensor_defects"]:
+        resolve(f"solvers.{name}")
+    space = resolve("solvers.SolutionSpace")
+    assert space.maps is space.tensors is space.elements  # the alias the bench reads
+    assert bench_only_uses(SOURCES) == []
+
+
+def test_guard_catches_a_bench_only_name(tmp_path):
+    module = tmp_path / "probe.py"
+    module.write_text(
+        "from solvers import derivations, solve\n"
+        "import solvers\n"
+        "class SolutionSpace:\n    def elements(self):\n        return ()\n    maps = tensors = elements\n"
+        "def criterion_11(alg, space):\n    return solvers.map_defects(alg, 'derivation', space.tensors()[0])\n"
+        "def show(space):\n    return [m for m in space.maps], solve(space.algebra, 'derivation')\n"
+    )
+    assert bench_only_uses([module]) == [
+        ("probe", 1, "derivations"),
+        ("probe.criterion_11", 8, "map_defects"),
+        ("probe.criterion_11", 8, "tensors"),
+        ("probe.show", 10, "maps"),
     ]

@@ -5,17 +5,18 @@ import pathlib
 import re
 
 from omega_lie.cli import build_parser
-from omega_lie.linalg import SubspaceBasis
+from omega_lie.algebra import BilinearMap
+from omega_lie.linalg import Matrix, SubspaceBasis
 from omega_lie.local import RIGID
 from omega_lie import catalog
-from omega_lie.solvers import MapSpace, TensorSpace, solve
+from omega_lie.solvers import SolutionSpace, solve
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 CLAIMS = (
-    "# MapSpace, rank 2, canonical basis",
+    "# SolutionSpace, rank 2, canonical basis",
     "# certified == True: local => member",
     "# RIGID with separating vector e3",
-    "# TensorSpace, rank 5",
+    "# SolutionSpace, rank 5",
 )
 
 
@@ -32,11 +33,13 @@ def test_quick_tour_claims_hold():
     names = {}
     exec(compile(source, "README quick tour", "exec"), names)
     der, res, rep, sym = names["der"], names["res"], names["rep"], names["sym"]
-    assert isinstance(der, MapSpace) and der.rank == 2
+    assert isinstance(der, SolutionSpace) and der.rank == 2
+    assert all(isinstance(m, Matrix) for m in der.elements())
     assert der.space == SubspaceBasis.from_generators(16, der.space.basis)
     assert res.certified is True and res.candidate == der.space
     assert rep.verdict == RIGID and rep.certificate.point == (0, 0, 1, 0)
-    assert isinstance(sym, TensorSpace) and sym.rank == 5
+    assert isinstance(sym, SolutionSpace) and sym.rank == 5
+    assert all(isinstance(t, BilinearMap) for t in sym.elements())
 
 
 def test_session_tour_gives_the_direct_solves():

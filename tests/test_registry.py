@@ -86,7 +86,7 @@ def residual_nullspace(alg, kind, params):
             for component, value in enumerate(residual):
                 if value:
                     rows.setdefault((idx, component), {})[col] = value
-    return nullspace_of_sparse_rows(ambient, rows.values())[0]
+    return nullspace_of_sparse_rows(ambient, rows.values())
 
 
 @pytest.mark.parametrize("key", ALGEBRAS)
@@ -94,6 +94,23 @@ def residual_nullspace(alg, kind, params):
 def test_solved_space_is_the_nullspace_of_the_residual_operator(key, kind, params):
     alg = ALGEBRAS[key]
     assert solvers.solve(alg, kind, **params).space == residual_nullspace(alg, kind, params)
+
+
+@pytest.mark.parametrize("key", ["sl2", "L_{1,1}", "B"])
+@pytest.mark.parametrize("kind", solvers.KINDS)
+def test_elements_are_the_stored_basis_in_the_arity_of_the_kind(key, kind):
+    """One answer type for both arities: ``Matrix`` objects for a map kind, ``BilinearMap`` objects for a tensor kind."""
+    alg = catalog.get(key)
+    space = solvers.solve(alg, kind, **({"delta": Fraction(3)} if kind == "delta_derivation" else {}))
+    if solvers.KINDS[kind].arity == 1:
+        element_type, vectorize = Matrix, solvers.vectorize_map
+    else:
+        element_type, vectorize = BilinearMap, solvers.vectorize_tensor
+    elements = space.elements()
+    assert len(elements) == space.rank
+    for element, row in zip(elements, space.space.basis):
+        assert type(element) is element_type
+        assert vectorize(element) == row
 
 
 # Zero bracket and a nondegenerate form: at sign -1 the omega-biderivation
@@ -107,7 +124,7 @@ SYMPLECTIC4 = OmegaAlgebra.from_tables("symplectic4", 4, {}, {(1, 2): 1, (3, 4):
 def test_omega_biderivations_match_the_oracle(key, sign):
     alg = SYMPLECTIC4 if key == "symplectic4" else catalog.get(key)
     rows = oracle_biderivation_rows(alg) + oracle_form_compatible_rows(alg, sign)
-    expected = nullspace_of_sparse_rows(alg.dim ** 3, rows)[0]
+    expected = nullspace_of_sparse_rows(alg.dim ** 3, rows)
     assert solvers.omega_biderivations(alg, sign=sign).space == expected
 
 
@@ -130,7 +147,7 @@ def test_parameters_are_checked():
     with pytest.raises(ValueError, match="has no parameter 'delta'"):
         solvers.map_defects(alg, "omega_derivation", f, delta=2)
     with pytest.raises(ValueError, match="has no parameter 'sign'"):
-        solvers.tensor_defects(alg, "biderivation", solvers.biderivations(alg).tensors()[0], omega_sign=1)
+        solvers.tensor_defects(alg, "biderivation", solvers.biderivations(alg).elements()[0], omega_sign=1)
 
 
 @pytest.mark.parametrize("shape", [(3, 4), (4, 3), (4, 4)])
@@ -158,7 +175,7 @@ def test_one_batch_check_equals_one_check_per_unknown(kind, params):
     for key, alg in ALGEBRAS.items():
         space = solvers.solve(alg, kind, **params)
         first, second = random_unknowns(alg, kind, f"{key}|{kind}")
-        members = list(space.maps() if solvers.KINDS[kind].arity == 1 else space.tensors())
+        members = list(space.elements())
         unknowns = [first] + members + [second]
         batch = solvers.defects(alg, kind, unknowns, **params)
         assert batch == [one_check(alg, kind, params, u) for u in unknowns], key
@@ -187,7 +204,7 @@ def test_residuals_of_random_unknowns_are_unchanged():
 def perturbed_members(alg, space, kind, e, rng):
     """The basis of ``space`` with element ``e`` changed in one entry, the first from a random start that leaves the space."""
     arity = solvers.KINDS[kind].arity
-    members = list(space.maps() if arity == 1 else space.tensors())
+    members = list(space.elements())
     entries = space.space.basis[e]
     start = rng.randrange(len(entries))
     for at in ((start + s) % len(entries) for s in range(len(entries))):
@@ -233,7 +250,7 @@ def test_the_spaces_criterion_11_rechecks_have_no_residual():
         alg = catalog.get(key)
         for kind in RESIDUAL_KINDS:
             space = session.solve(alg, kind)
-            members = space.maps() if solvers.KINDS[kind].arity == 1 else space.tensors()
+            members = space.elements()
             assert solvers.defects(alg, kind, members) == [[] for _ in members], (key, kind)
             checked += 1
             elements += len(members)

@@ -48,7 +48,7 @@ class TestDerivations:
     def test_L11_rank_and_matrix_form(self):
         der = derivations(catalog.get("L_{1,1}"))
         assert der.rank == 6
-        for m in der.maps():
+        for m in der.elements():
             # zero outside columns 3-4, and row 2 = -row 1 there
             assert all(m.rows[i][j] == 0 for i in range(4) for j in (0, 1))
             assert m.rows[1][2] == -m.rows[0][2]
@@ -57,7 +57,7 @@ class TestDerivations:
     def test_L14_rank_and_column_pattern(self):
         der = derivations(catalog.get("L_{1,4}"))
         assert der.rank == 2
-        for m in der.maps():
+        for m in der.elements():
             assert all(m.rows[i][j] == 0 for i in range(4) for j in (0, 1, 3))
             a = m.rows[0][2]
             assert m.rows[1][2] == -a and m.rows[2][2] == a
@@ -88,7 +88,7 @@ class TestDerivations:
     def test_residuals_vanish_everywhere(self):
         for key in KEYS:
             alg = catalog.get(key)
-            for f in derivations(alg).maps():
+            for f in derivations(alg).elements():
                 assert not map_defects(alg, "derivation", f), key
 
     def test_sl2_derivations_are_the_adjoint_maps(self):
@@ -117,7 +117,7 @@ class TestOmegaDerivations:
 
     def test_residuals(self):
         alg = catalog.get("L_{1,3}")
-        for f in omega_derivations(alg).maps():
+        for f in omega_derivations(alg).elements():
             assert not map_defects(alg, "omega_derivation", f)
 
 
@@ -144,13 +144,13 @@ class TestCentroidFamily:
                 ("commuting", commuting_maps(alg)),
                 ("anticommuting", anticommuting_maps(alg)),
             ):
-                for f in space.maps():
+                for f in space.elements():
                     assert not map_defects(alg, kind, f), (key, kind)
 
     def test_commuting_map_induces_skew_biderivation_on_sl2(self):
         # the correspondence delta(x, y) = [a(x), y] for a in the centroid
         sl2 = catalog.get("sl2")
-        alpha = commuting_maps(sl2).maps()[0]
+        alpha = commuting_maps(sl2).elements()[0]
         n = 3
         basis = sl2.basis_vectors()
         tensor = tuple(
@@ -233,7 +233,7 @@ class TestDeltaDerivations:
     def test_residuals(self):
         alg = catalog.get("L_{2,3}")
         for delta in (Fraction(1, 2), Fraction(3), Fraction(-2, 5)):
-            for f in solve(alg, "delta_derivation", delta=delta).maps():
+            for f in solve(alg, "delta_derivation", delta=delta).elements():
                 assert not map_defects(alg, "delta_derivation", f, delta=delta)
 
 
@@ -256,7 +256,7 @@ class TestBiderivations:
         # B carries one genuine biderivation: delta(e3, e3) = e2
         bid = biderivations(catalog.get("B"))
         assert bid.rank == 1
-        witness = bid.tensors()[0]
+        witness = bid.elements()[0]
         nonzero = {
             (i + 1, j + 1, k + 1)
             for i in range(3)
@@ -310,7 +310,7 @@ class TestBiderivations:
                 ("skew", skew_biderivations(alg)),
                 ("omega_biderivation", omega_biderivations(alg)),
             ):
-                for t in space.tensors():
+                for t in space.elements():
                     assert not tensor_defects(alg, kind, t), (key, kind)
 
 
@@ -338,7 +338,7 @@ class TestSplit:
         alg = catalog.get("B~")
         sym, skw, full = symmetric_biderivations(alg), skew_biderivations(alg), biderivations(alg)
         assert sym.rank > 0
-        for t in sym.tensors():
+        for t in sym.elements():
             assert transpose(t) == t
             assert full.space.contains(vectorize_tensor(t))
             assert not skw.space.contains(vectorize_tensor(t))
@@ -357,7 +357,7 @@ class TestSplit:
         half = Fraction(1, 2)
         for key in ("L_{1,1}", "L_{1,6}", "B~", "sl2"):
             alg = catalog.get(key)
-            basis = biderivations(alg).tensors()
+            basis = biderivations(alg).elements()
             sym, skw = symmetric_biderivations(alg), skew_biderivations(alg)
             for _ in range(5):
                 d = combine(0, basis[0], 0, basis[0])
