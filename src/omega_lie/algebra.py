@@ -30,8 +30,10 @@ arithmetic); the skew form is read as an ``n x n x 1`` table and a matrix
 as a ``1 x n x m`` one.  ``linalg._bilinear`` is the one bilinear kernel,
 on sparse arguments and results; all four evaluators are dense views of
 it, which sum into ``ZERO``, so every coordinate they return is a
-``Fraction``.  :func:`check_axioms` reads the same support of the structure
-constants.
+``Fraction``.  Row assembly (``solvers._tables``) and :func:`to_document`
+read the same supports, and :func:`check_axioms` the bracket's; it also
+reads the dense tables, for antisymmetry and skewness, because it
+validates input.
 """
 
 from __future__ import annotations
@@ -355,21 +357,15 @@ MAX_DIM = 100
 
 def to_document(algebra: OmegaAlgebra) -> dict:
     n = algebra.dim
-    brackets = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            coeffs = {
-                str(k + 1): format_scalar(algebra.structure[i][j][k])
-                for k in range(n)
-                if algebra.structure[i][j][k]
-            }
-            if coeffs:
-                brackets.append({"i": i + 1, "j": j + 1, "coeffs": coeffs})
-    omega = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if algebra.omega[i][j]:
-                omega.append({"i": i + 1, "j": j + 1, "value": format_scalar(algebra.omega[i][j])})
+    pairs = list(combinations(range(n), 2))
+    brackets = [
+        {"i": i + 1, "j": j + 1, "coeffs": {str(k + 1): format_scalar(v) for k, v in cell}}
+        for i, j in pairs
+        if (cell := algebra._support[i][j])
+    ]
+    omega = [
+        {"i": i + 1, "j": j + 1, "value": format_scalar(v)} for i, j in pairs for _, v in algebra._form_support[i][j]
+    ]
     doc = {
         "name": algebra.name,
         "dim": n,

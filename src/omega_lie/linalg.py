@@ -90,7 +90,7 @@ def vector(values: Iterable[RationalLike]) -> Vector:
     return tuple(frac(v) for v in values)
 
 
-def format_scalar(value: Fraction) -> str:
+def format_scalar(value: Union[int, Fraction]) -> str:
     """Render a rational as ``"p"`` or ``"p/q"`` (used by all file formats)."""
     if value.denominator == 1:
         return str(value.numerator)
@@ -194,7 +194,7 @@ class Matrix:
         return [[format_scalar(x) for x in row] for row in self.rows]
 
 
-SparseRow = dict[int, Fraction]
+SparseRow = dict[int, Union[int, Fraction]]  # column -> nonzero value; _integral scales int and Fraction values alike
 
 
 class _Echelon:

@@ -39,7 +39,8 @@ the one point scan, finding where some ``S x`` leaves ``W(x)``, for both
 containment in the base, whose members never leave ``W(x)``, and scan only
 what lies outside it; ``two_local_report``
 reads the rank of ``W(e)`` at each plan point, ``kernel_rank`` at one.  Each
-entry point refuses a space whose ambient is not ``n**2``.
+entry point refuses a space whose ambient is not ``n**2``, and a space that
+was solved on another algebra.
 
 Results are bitwise deterministic for a fixed :class:`SamplePlan`: samples
 are the basis vectors, then all pairwise sums, then eight seeded random
@@ -193,8 +194,9 @@ def _escape(space: SolutionSpace, tested: Sequence[dict[int, int]], points: Sequ
 def _dim(algebra: OmegaAlgebra, space: SolutionSpace) -> int:
     """``algebra.dim``, once ``space`` is known to be a space of ``n x n`` maps (ambient ``n**2``) on that algebra."""
     n = algebra.dim
-    if space.algebra.dim != n:
-        raise ValueError("space and algebra dimensions differ")
+    if space.algebra is not algebra and space.algebra != algebra:
+        what = "dimensions differ" if space.algebra.dim != n else "differ"
+        raise ValueError(f"space and algebra {what}: the space was solved on {space.algebra.name}, not {algebra.name}")
     if space.space.ambient_dim != n * n:
         raise ValueError(f"expected a space of {n} x {n} maps (ambient {n * n}), got ambient {space.space.ambient_dim}")
     return n

@@ -12,10 +12,11 @@ Two independent interpreters read the term lists:
 
 * row assembly turns an identity into exact sparse rows over the vectorized
   unknown, one row per basis tuple and output coordinate, with one small
-  kernel per term shape over the nonzero structure constants; the canonical
-  nullspace of the rows is the solution space.  Linear maps are vectorized
-  row-major over their stored matrix, ``M[r][c] -> r*n + c``; bilinear maps
-  ``d[i][j][k] -> (i*n + j)*n + k``;
+  kernel per term shape over the algebra's cached supports of the bracket
+  and the form and their transposes, applying each term's coefficient as
+  it adds; the canonical nullspace of the rows is the solution space.
+  Linear maps are vectorized row-major over their stored matrix,
+  ``M[r][c] -> r*n + c``; bilinear maps ``d[i][j][k] -> (i*n + j)*n + k``;
 * ``defects`` evaluates the same terms on every basis tuple, for a list of
   unknowns at once, and reports any nonzero residual, so a re-check shares
   no row indexing with the solver.  Every term is evaluated by the one
@@ -189,8 +190,8 @@ def _parent(spec: Kind) -> Optional[str]:
     return max(parents, key=lambda name: len(KINDS[name].identities), default=None)
 
 
-def _coefficient(multiplier: int, param: Optional[str], params: dict) -> Fraction:
-    return multiplier * (params[param] if param else Fraction(1))
+def _coefficient(multiplier: int, param: Optional[str], params: dict) -> Union[int, Fraction]:
+    return _exact(multiplier * (params[param] if param else 1))
 
 
 def _variables(expr) -> set[int]:
@@ -208,29 +209,33 @@ def _arity(identity: Identity) -> int:
 
 
 def _tables(algebra: OmegaAlgebra) -> dict:
-    """Nonzero structure constants and form values, indexed for the kernels."""
-    r = range(algebra.dim)
-    c, om = algebra.structure, algebra.omega
+    """``algebra._support`` and the transposes of it and of ``_form_support``, indexed for the kernels.
 
-    def nonzero(pairs):
-        return tuple((p, v) for p, v in pairs if v)
+    One pass over the nonzero entries scatters each transpose, so its cells list indices in ascending order.
+    """
+    n = algebra.dim
+    tables = {"br": algebra._support}
+    for head, support, width in (("br", algebra._support, n), ("w", algebra._form_support, 1)):
+        # left[v][k] lists (p, t[p][v][k]), for [U.., v] and w(U.., v);
+        # right[v][k] lists (p, t[v][p][k]), for [v, U..] and w(v, U..)
+        left, right = ([[[] for _ in range(width)] for _ in range(n)] for _ in range(2))
+        for a, plane in enumerate(support):
+            for b, cell in enumerate(plane):
+                for k, v in cell:
+                    left[b][k].append((a, v))
+                    right[a][k].append((b, v))
+        tables[head, 0], tables[head, 1] = left, right
+    return tables
 
-    return {
-        "br": [[nonzero((m, c[a][b][m]) for m in r) for b in r] for a in r],  # [a, b]_m
-        ("br", 0): [[nonzero((p, c[p][v][k]) for p in r) for k in r] for v in r],  # [U.., v]_k
-        ("br", 1): [[nonzero((p, c[v][p][k]) for p in r) for k in r] for v in r],  # [v, U..]_k
-        ("w", 0): [[nonzero((q, om[q][v]) for q in r)] for v in r],  # w(U.., v)
-        ("w", 1): [[nonzero((q, om[v][q]) for q in r)] for v in r],  # w(v, U..)
-    }
 
-
-def _kernel(expr, coef: Fraction, n: int, out: int, tables: dict):
+def _kernel(expr, n: int, out: int, tables: dict):
     """Compile one term into ``(slots, step, table, s, t)`` for ``_rows``.
 
     At the point ``at = (basis indices..., output coordinate)`` the term adds
-    ``v`` at column ``sum(at[a] * weight for a, weight in slots) + m * step``
-    for each ``(m, v)`` in ``table[at[s]][at[t]]``.  ``out`` is the position
-    of the output coordinate in ``at``.
+    its coefficient times ``v`` at column ``sum(at[a] * weight for a, weight
+    in slots) + m * step`` for each ``(m, v)`` in ``table[at[s]][at[t]]``, a
+    table shared by every term that reads it.  ``out`` is the position of
+    the output coordinate in ``at``.
     """
     if expr[0] == "U":  # U(args), one argument possibly a bracket of two variables
         args = expr[1:]
@@ -238,25 +243,23 @@ def _kernel(expr, coef: Fraction, n: int, out: int, tables: dict):
         slots = [(a, wt) for a, wt in zip(args, weights) if isinstance(a, int)] + [(out, 1)]
         inner = [(a, wt) for a, wt in zip(args, weights) if not isinstance(a, int)]
         if not inner:
-            return slots, 0, [[((0, coef),)] * n] * n, out, out
+            return slots, 0, [[((0, 1),)] * n] * n, out, out
         ((_, s, t), step), = inner
-        table = tables["br"]
-    else:  # [U(vars), v], [v, U(vars)], w(U(vars), v) or w(v, U(vars))
-        head, a, b = expr
-        side = 1 if isinstance(a, int) else 0
-        unknown, s = (b, a) if side else (a, b)
-        args = unknown[1:]
-        slots = [(v, n ** (len(args) - i)) for i, v in enumerate(args)]
-        step, t, table = 1, out, tables[head, side]
-    scaled = [[tuple((m, coef * v) for m, v in cell) for cell in line] for line in table]
-    return slots, step, scaled, s, t
+        return slots, step, tables["br"], s, t
+    # [U(vars), v], [v, U(vars)], w(U(vars), v) or w(v, U(vars))
+    head, a, b = expr
+    side = 1 if isinstance(a, int) else 0
+    unknown, s = (b, a) if side else (a, b)
+    args = unknown[1:]
+    slots = [(v, n ** (len(args) - i)) for i, v in enumerate(args)]
+    return slots, 1, tables[head, side], s, out
 
 
 def _rows(algebra: OmegaAlgebra, identity: Identity, params: dict, tables: dict):
     """Sparse rows of one identity: per basis tuple, per output coordinate."""
     n = algebra.dim
     nvars = _arity(identity)
-    kernels = [_kernel(expr, _coefficient(m, p, params), n, nvars, tables) for m, p, expr in identity.terms]
+    kernels = [(_coefficient(m, p, params), *_kernel(expr, n, nvars, tables)) for m, p, expr in identity.terms]
     outputs = range(1) if identity.terms[0][2][0] == "w" else range(n)
     tuples = product(range(n), repeat=nvars)
     if identity.order:
@@ -266,14 +269,14 @@ def _rows(algebra: OmegaAlgebra, identity: Identity, params: dict, tables: dict)
         for k in outputs:
             at = point + (k,)
             row: SparseRow = {}
-            for slots, step, table, s, t in kernels:
+            for coef, slots, step, table, s, t in kernels:
                 base = 0
                 for var, weight in slots:
                     base += at[var] * weight
                 for m, v in table[at[s]][at[t]]:
                     col = base + m * step
                     old = row.get(col)
-                    row[col] = v if old is None else old + v
+                    row[col] = coef * v if old is None else old + coef * v
             row = {col: v for col, v in row.items() if v}
             if row:
                 yield row
@@ -475,9 +478,8 @@ def _plans(spec: Kind, params: dict, n: int) -> list[_Plan]:
 
         compiled = []
         for identity in identities:
-            terms = [(_coefficient(m, p, params), compile_term(expr)) for m, p, expr in identity.terms]
-            width = 1 if identity.terms[0][2][0] == "w" else n
-            compiled.append((width, tuple((_exact(c), pos) for c, pos in terms)))
+            terms = tuple((_coefficient(m, p, params), compile_term(expr)) for m, p, expr in identity.terms)
+            compiled.append((1 if identity.terms[0][2][0] == "w" else n, terms))
         plans.append(_Plan(nvars, len(position), tuple(shared), tuple(own), tuple(compiled)))
     return plans
 

@@ -1,7 +1,9 @@
 """Algebra core: axioms, direct sums, automorphism predicates, serialization."""
 
+import hashlib
 import json
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 from math import comb
@@ -68,6 +70,50 @@ def fractions_only(values):
     return all(type(v) is Fraction for v in values)
 
 
+def catalog_instances():
+    """Every catalog algebra at each of its parameter samples, in catalog order."""
+    for entry in catalog.list_entries():
+        for sample in entry.parameter_samples():
+            yield entry.build({"alpha": sample} if sample is not None else None)
+
+
+def mixed_algebra(rng, n):
+    """Tables as given, with ``MIXED`` entries and no axiom assumed."""
+    structure = mixed_tensor(rng, n, n)
+    omega = tuple(tuple(rng.choice(MIXED) for _ in range(n)) for _ in range(n))
+    return OmegaAlgebra("mixed", n, structure, omega, tuple(f"e{k}" for k in range(n)))
+
+
+class TestSupports:
+    """The cached supports, read by the evaluators, row assembly and ``to_document``, against a dense scan."""
+
+    @staticmethod
+    def check(alg):
+        def scanned(table):
+            def entries(cell):  # ascending index, an integral value as its int
+                return [(k, int if v.denominator == 1 else Fraction, v) for k, v in enumerate(cell) if v]
+
+            return [[entries(cell) for cell in plane] for plane in table]
+
+        def typed(support):
+            return [[[(k, type(v), v) for k, v in cell] for cell in plane] for plane in support]
+
+        assert typed(alg._support) == scanned(alg.structure)
+        assert typed(alg._form_support) == scanned([[(v,) for v in row] for row in alg.omega])
+
+    def test_every_catalog_instance(self):
+        for alg in catalog_instances():
+            self.check(alg)
+
+    @pytest.mark.parametrize("n", range(0, 8))
+    def test_seeded_random_tables(self, n):
+        rng = random.Random(n)
+        for _ in range(20):
+            if n >= 2:
+                self.check(random_table(rng, n))
+            self.check(mixed_algebra(rng, n))
+
+
 class TestEvaluatorsAgainstTheOracle:
     """``bracket``, ``omega_form`` and ``BilinearMap.apply`` equal a dense triple loop over the whole table."""
 
@@ -85,16 +131,14 @@ class TestEvaluatorsAgainstTheOracle:
     def test_every_catalog_algebra(self):
         rng = random.Random(22)
         instances = 0
-        for entry in catalog.list_entries():
-            for sample in entry.parameter_samples():
-                alg = entry.build({"alpha": sample} if sample is not None else None)
-                instances += 1
-                e = alg.basis_vectors()
-                for i in range(alg.dim):
-                    for j in range(alg.dim):
-                        self.check(alg, e[i], e[j])
-                for _ in range(4):
-                    self.check(alg, mixed_point(rng, alg.dim), mixed_point(rng, alg.dim))
+        for alg in catalog_instances():
+            instances += 1
+            e = alg.basis_vectors()
+            for i in range(alg.dim):
+                for j in range(alg.dim):
+                    self.check(alg, e[i], e[j])
+            for _ in range(4):
+                self.check(alg, mixed_point(rng, alg.dim), mixed_point(rng, alg.dim))
         assert instances == 43
 
     @pytest.mark.parametrize("n", range(0, 6))
@@ -102,10 +146,7 @@ class TestEvaluatorsAgainstTheOracle:
         rng = random.Random(n)
         for _ in range(20):
             # the evaluators read tables as given: int and Fraction entries, no axiom assumed
-            alg = OmegaAlgebra(
-                "mixed", n, mixed_tensor(rng, n, n), tuple(tuple(rng.choice(MIXED) for _ in range(n)) for _ in range(n)),
-                tuple(f"e{k}" for k in range(n)),
-            )
+            alg = mixed_algebra(rng, n)
             for _ in range(5):
                 x, y = mixed_point(rng, n), mixed_point(rng, n)
                 self.check(alg, x, y)
@@ -377,7 +418,65 @@ class TestAutomorphismPredicates:
                 check(catalog.get("sl2"), phi)
 
 
+class TestRefusals:
+    """Tables of the wrong shape are refused where the object is built."""
+
+    @staticmethod
+    def zero(n):
+        return tuple(tuple((0,) * n for _ in range(n)) for _ in range(n)), tuple((0,) * n for _ in range(n))
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda c, w, labels: (c[:2], w, labels), "structure tensor must be dim x dim x dim"),
+            (lambda c, w, labels: ((c[0][:2],) + c[1:], w, labels), "structure tensor must be dim x dim x dim"),
+            (
+                lambda c, w, labels: (((c[0][0][:2],) + c[0][1:],) + c[1:], w, labels),
+                "structure tensor must be dim x dim x dim",
+            ),
+            (lambda c, w, labels: (c, w[:2], labels), "omega table must be dim x dim"),
+            (lambda c, w, labels: (c, (w[0] + (0,),) + w[1:], labels), "omega table must be dim x dim"),
+            (lambda c, w, labels: (c, w, labels[:2]), "need one basis label per dimension"),
+        ],
+        ids=["planes", "rows", "entries", "omega-rows", "omega-entries", "labels"],
+    )
+    def test_the_constructor_refuses_tables_of_another_shape(self, change, message):
+        c, w = self.zero(3)
+        structure, omega, labels = change(c, w, ("e1", "e2", "e3"))
+        with pytest.raises(ValueError, match=message):
+            OmegaAlgebra("bad", 3, structure, omega, labels)
+
+    @pytest.mark.parametrize("pair", [(2, 1), (1, 1), (0, 2), (1, 4)])
+    def test_an_omega_pair_outside_the_upper_triangle_is_refused(self, pair):
+        message = re.escape(f"omega pair ({pair[0]},{pair[1]}) must satisfy 1 <= i < j <= 3")
+        with pytest.raises(AlgebraFormatError, match=message):
+            OmegaAlgebra.from_tables("bad", 3, {}, {pair: 1})
+        doc = {"name": "bad", "dim": 3, "omega": [{"i": pair[0], "j": pair[1], "value": "1"}]}
+        with pytest.raises(AlgebraFormatError, match=message):
+            from_document(doc)
+
+    @pytest.mark.parametrize(
+        "tensor",
+        [
+            (((0, 0), (0, 0)),),
+            (((0, 0), (0, 0)), ((0, 0),)),
+            (((0, 0), (0, 0)), ((0, 0), (0,))),
+        ],
+        ids=["planes", "rows", "entries"],
+    )
+    def test_a_bilinear_map_that_is_not_cubic_is_refused(self, tensor):
+        with pytest.raises(ValueError, match="bilinear tensor must be cubic"):
+            BilinearMap(tensor)
+
+
 class TestSerialization:
+    def test_every_catalog_document_is_pinned(self):
+        # the documents are read off the cached supports; this is their text when read off the dense tables
+        docs = [dumps(alg) for alg in catalog_instances()]
+        assert len(docs) == 43
+        digest = hashlib.sha256("\n".join(docs).encode("utf-8")).hexdigest()
+        assert digest == "0ce39255a0721de25b987e0bef898331f3458b342eae8fc5895319d52e74242b"
+
     def test_round_trip_for_all_catalog_entries(self):
         for entry in catalog.list_entries():
             alg = entry.build(None)

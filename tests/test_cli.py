@@ -195,6 +195,23 @@ class TestErrors:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"{argv[-2]} applies only to" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("local", "map", "@B"), "local map requires --map FILE"),
+            (("local", "family", "@B"), "local family requires --family FILE"),
+            (("solve", "dder", "@B", "--delta", "abc"), "bad --delta value 'abc'"),
+            (("catalog", "show", "NOPE"), "unknown catalog key 'NOPE'"),
+        ],
+        ids=["map-missing", "family-missing", "delta-not-rational", "unknown-key"],
+    )
+    def test_usage_error_found_by_the_command_exits_2(self, capsys, argv, message):
+        # these pass the parser, so the command reports them: one line, no output
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
     @pytest.mark.parametrize("dim", [MAX_DIM + 1, 10**12])
     def test_dim_over_budget_exits_3(self, capsys, tmp_path, dim):
         path = tmp_path / "huge.json"
@@ -240,6 +257,27 @@ class TestErrors:
             os.close(write_end)
         assert "Traceback" not in proc.stderr
         assert proc.returncode == 141
+
+    def test_reader_that_closes_early_gets_exit_141(self, tmp_path):
+        # the answer (every 12 x 12 matrix) is larger than a pipe buffer, so
+        # the writer is still blocked on the pipe when its reader goes away
+        path = tmp_path / "zero12.json"
+        path.write_text(json.dumps({"name": "zero12", "dim": 12}))
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        with subprocess.Popen(
+            [sys.executable, "-m", "omega_lie.cli", "solve", "der", str(path)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True,
+        ) as proc:
+            try:
+                head = proc.stdout.read(100)
+                proc.stdout.close()
+                err = proc.stderr.read()
+                code = proc.wait(timeout=60)
+            finally:
+                proc.kill()
+        assert head.startswith("der space of zero12: rank 144\n")
+        assert "Traceback" not in err
+        assert code == 141
 
 
 def run_file(capsys, tmp_path, doc, *argv):
@@ -330,6 +368,13 @@ class TestMalformedFiles:
         code, _, err = run_file(capsys, tmp_path, doc, "local", "family", "@L_{1,1}", "--family", "{}")
         assert code == 3
         assert "distinct strings" in err
+
+    @pytest.mark.parametrize("doc", [[1], {"directions": []}], ids=["list", "no-base"])
+    def test_family_that_is_not_an_object_with_a_base_exits_3(self, capsys, tmp_path, doc):
+        code, out, err = run_file(capsys, tmp_path, doc, "local", "family", "@L_{1,1}", "--family", "{}")
+        assert code == 3
+        assert "expected an object with 'base'" in err
+        assert out == ""
 
     def test_family_condition_on_undeclared_parameter_exits_3(self, capsys, tmp_path):
         doc = {**FAMILY, "open_conditions": [{"constant": "1", "coeffs": {"zz": "1"}}]}
@@ -520,6 +565,12 @@ class TestCatalogCommands:
         assert code == 0
         doc = json.loads(out)
         assert doc["result"]["expected"]["sym_bider_rank"] == 0
+
+    def test_show_prints_the_notes_in_text(self, capsys):
+        code, out, _ = run(capsys, "catalog", "show", "L_{1,1}")
+        assert code == 0
+        assert out.startswith("L_{1,1}: L_{1,1} (dim 4, hash ")
+        assert f"\n  notes: {catalog.entry('L_{1,1}').notes}\n" in out
 
     def test_show_requires_key(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -457,6 +457,26 @@ class TestMatrixApply:
         assert all(type(v) is Fraction for v in image)
 
 
+class TestMatrixShape:
+    """Every row of a ``Matrix`` has ``ncols`` entries."""
+
+    @pytest.mark.parametrize("rows, ncols", [(((1, 0), (1,)), 2), (((1, 0), (0, 1)), 3), (((1,),), 0)])
+    def test_rows_of_another_length_are_refused(self, rows, ncols):
+        for build in (lambda: Matrix(rows, ncols), lambda: Matrix.from_rows(rows, ncols)):
+            with pytest.raises(ValueError, match="matrix rows must all have the same length"):
+                build()
+
+    def test_ragged_rows_are_refused_without_a_column_count(self):
+        # the count is read off the first row
+        with pytest.raises(ValueError, match="matrix rows must all have the same length"):
+            Matrix.from_rows([[1, 0], [1]])
+
+    def test_an_empty_matrix_needs_its_column_count(self):
+        with pytest.raises(ValueError, match="cannot infer column count of an empty matrix"):
+            Matrix.from_rows([])
+        assert Matrix.from_rows([], ncols=3).shape == (0, 3)
+
+
 class TestFrac:
     @pytest.mark.parametrize(
         "value, expected",

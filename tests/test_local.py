@@ -326,6 +326,13 @@ class TestLocalMembership:
         assert verdict.status == NOT_LOCAL
         assert verdict.witness == (1, 0, 0, 0)
 
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 3), (3, 4), (5, 5)])
+    def test_a_candidate_of_the_wrong_shape_is_refused(self, shape):
+        alg = catalog.get("L_{1,1}")
+        candidate = Matrix.from_rows([[0] * shape[1]] * shape[0])
+        with pytest.raises(ValueError, match="candidate matrix has wrong shape"):
+            is_local_member(alg, derivations(alg), candidate, PLAN)
+
 
 class TestSeparatingVectors:
     def test_L14_separates_at_e3(self):
@@ -447,6 +454,32 @@ class TestAffineClosure:
         with pytest.raises(ValueError):
             AffineFamily(family.base, family.directions, conditions, names)
 
+    def test_a_base_that_is_not_square_is_refused(self):
+        with pytest.raises(ValueError, match="base must be square"):
+            AffineFamily(Matrix.from_rows([[1, 0, 0], [0, 1, 0]]), ())
+
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 3), (3, 4)])
+    def test_a_direction_of_another_shape_is_refused(self, shape):
+        stray = Matrix.from_rows([[0] * shape[1]] * shape[0])
+        with pytest.raises(ValueError, match="directions must match the base shape"):
+            AffineFamily(Matrix.identity(4), (Matrix.identity(4), stray))
+
+    def test_a_family_of_another_dimension_is_refused(self):
+        family = AffineFamily(Matrix.identity(3), (Matrix.identity(3),))
+        with pytest.raises(ValueError, match="family and algebra dimensions differ"):
+            affine_local_closure(catalog.get("L_{1,1}"), family, PLAN)
+
+    @pytest.mark.parametrize(
+        "constant, coefficients, text",
+        [
+            (1, {"t1": 2}, "1 + 2*t1 != 0"),
+            (0, {"t1": "-1/2", "t2": 1}, "-1/2*t1 + t2 != 0"),
+            (0, {}, "0 != 0"),
+        ],
+    )
+    def test_a_condition_describes_each_coefficient(self, constant, coefficients, text):
+        assert AffineCondition.make(constant, coefficients).describe() == text
+
     def test_family_of_derivations_exceeds_its_hull(self):
         # L_{1,2} has local derivations outside its derivation space, so the
         # closure of identity + span(derivations) is larger than that span
@@ -564,6 +597,35 @@ def test_a_space_of_another_dimension_is_refused(check):
     }
     with pytest.raises(ValueError, match="space and algebra dimensions differ"):
         calls[check]()
+
+
+@pytest.mark.parametrize("check", ["local_closure", "recheck_certification", "is_local_member", "two_local_report"])
+def test_a_space_of_another_algebra_of_the_same_dimension_is_refused(check):
+    """Derivations of the 3-dimensional ``A_alpha`` analysed over the 3-dimensional ``B``.
+
+    Comparing dimensions alone let this through: ``local_closure`` returned
+    ``A_alpha``'s closure and ``two_local_report`` answered ``RIGID``.
+    """
+    algebra, other = catalog.get("B"), catalog.get("A_alpha")
+    space = derivations(other)
+    calls = {
+        "local_closure": lambda: local_closure(algebra, space, PLAN),
+        "recheck_certification": lambda: recheck_certification(algebra, local_closure(other, space, PLAN), 5, PLAN),
+        "is_local_member": lambda: is_local_member(algebra, space, Matrix.identity(3), PLAN),
+        "two_local_report": lambda: two_local_report(algebra, space, PLAN),
+    }
+    message = re.escape("space and algebra differ: the space was solved on A_alpha(alpha=2), not B")
+    with pytest.raises(ValueError, match=message):
+        calls[check]()
+
+
+def test_a_space_of_an_equal_algebra_is_accepted():
+    """The check compares values, so an equal algebra built again is the same algebra."""
+    space = derivations(catalog.get("B"))
+    again = catalog.get("B")
+    assert again is not space.algebra and again == space.algebra
+    assert local_closure(again, space, PLAN) == local_closure(space.algebra, space, PLAN)
+    assert two_local_report(again, space, PLAN) == two_local_report(space.algebra, space, PLAN)
 
 
 def _property_families():

@@ -96,6 +96,13 @@ the package's own code: no module of ``src/`` calls or imports the ten
 one-kind wrappers, ``map_defects`` or ``tensor_defects``, or reads the
 ``maps``/``tensors`` alias of ``SolutionSpace.elements``.  Deleting them
 once ``bench/`` solves through ``solve`` is then one edit to ``solvers.py``.
+
+The sixteenth guard keeps one indexed form of an algebra's tables: no
+function of ``solvers.py`` reads the attribute ``structure`` or ``omega``.
+Row assembly and the residual check read the cached supports
+``OmegaAlgebra._support`` and ``OmegaAlgebra._form_support``, so the
+nonzero structure constants are indexed once per algebra, not rescanned
+from the dense tables on every solve.
 """
 
 import ast
@@ -796,4 +803,33 @@ def test_guard_catches_a_bench_only_name(tmp_path):
         ("probe.criterion_11", 8, "map_defects"),
         ("probe.criterion_11", 8, "tensors"),
         ("probe.show", 10, "maps"),
+    ]
+
+
+DENSE_TABLES = {"structure", "omega"}
+
+
+def dense_table_reads(paths):
+    """``(scope, line, name)`` of each read of an attribute named ``structure`` or ``omega``."""
+    return names_in(paths, DENSE_TABLES, lambda node: node.attr if isinstance(node, ast.Attribute) else None)
+
+
+def test_the_solver_reads_the_cached_supports_only():
+    for dotted in ("algebra.OmegaAlgebra._support", "algebra.OmegaAlgebra._form_support", "solvers._tables"):
+        resolve(dotted)
+    solvers = [path for path in SOURCES if path.stem == "solvers"]
+    assert solvers and dense_table_reads(solvers) == []
+
+
+def test_guard_catches_a_dense_table_read(tmp_path):
+    module = tmp_path / "probe.py"
+    module.write_text(
+        "def _tables(algebra):\n    c, om = algebra.structure, algebra.omega\n    return c, om\n"
+        "def _defects(algebra):\n    def step():\n        return algebra._support, algebra.omega_is_zero\n"
+        "    return algebra.structure[0], step\n"
+    )
+    assert dense_table_reads([module]) == [
+        ("probe._tables", 2, "structure"),
+        ("probe._tables", 2, "omega"),
+        ("probe._defects", 7, "structure"),
     ]

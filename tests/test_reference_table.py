@@ -92,3 +92,22 @@ def test_a_wrong_reference_value_changes_the_result(baseline, monkeypatch, field
     mutated = replace(real(key), **{field: wrong})
     monkeypatch.setattr(catalog, "expected", lambda k: mutated if k == key else real(k))
     assert CRITERIA[number]() != results[number]
+
+
+def test_strict_inclusion_accepts_any_witness_outside_the_compatible_space(baseline, monkeypatch):
+    """Criterion 9's witness is any biderivation outside the form-compatible space with ``delta(e3, e3) != 0``.
+
+    The reference expects equality on ``B~`` and ``C~_1``, and both compute
+    a strict inclusion, so expecting strict inclusion clears their lines.  On
+    ``B~`` the first basis element outside the compatible space is a witness;
+    on ``C~_1`` the first two outside it have ``delta(e3, e3) = 0`` and the
+    next two are witnesses.
+    """
+    results, _ = baseline
+    real = catalog.expected
+    keys = ("C~_1", "B~")
+    cleared = tuple(line for line in results[9].details if not line.startswith(keys))
+    assert len(cleared) == len(results[9].details) - 2
+    strict = {key: replace(real(key), bider_omega_equal=False) for key in keys}
+    monkeypatch.setattr(catalog, "expected", lambda key: strict.get(key) or real(key))
+    assert CRITERIA[9]().details == cleared
