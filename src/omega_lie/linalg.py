@@ -18,16 +18,19 @@ of the rows, which span the same lines.  Fractions are made again only where
 a reduced form is read: each entry over its row's pivot entry.
 
 :func:`nullspace_of_sparse_rows` puts a modular filter in front of
-``_Echelon``: it scales each row to integers, eliminates in GF(P) with
-P = 2**31 - 1 (integers only), and skips the exact elimination of the rows
-whenever it can prove the answer.  Its result is exact, by three facts:
+``_Echelon``: it scales each row to integers, keeps a row echelon of them in
+GF(P) with P = 2**31 - 1 (integers only, each row only eliminated forward),
+and skips the exact elimination of the rows whenever it can prove the
+answer.  Its result is exact, by three facts:
 
 * the rank mod P is at most the rank over Q, so full rank mod P means the
-  kernel over Q is zero;
-* otherwise the kernel mod P is lifted to rationals, and the lift is
-  accepted only if every row annihilates every lifted vector in exact
-  integer arithmetic (M v = 0).  The lift then lies in the kernel over Q and
-  has at least its dimension, so it is the kernel;
+  kernel over Q is zero, and the echelon is never reduced;
+* otherwise the echelon is reduced once, its kernel mod P is lifted to
+  rationals, and the lift is accepted only if every row annihilates every
+  lifted vector in exact integer arithmetic (M v = 0), checked one row at
+  a time against an index of the lifted vectors by column.  The lift then
+  lies in the kernel over Q and has at least its dimension, so it is the
+  kernel;
 * the reduced row echelon basis of a space is unique, so canonicalizing
   the lift through ``_Echelon`` gives the basis exact elimination gives.
 
@@ -46,9 +49,9 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from heapq import heapify, heappop, heappush
 from itertools import chain
 from math import gcd, isqrt, lcm
-from operator import mul
 from typing import Iterable, Optional, Sequence, Union
 
 Vector = tuple[Fraction, ...]
@@ -308,16 +311,19 @@ _LIFT_BOUND = isqrt(P // 2)
 
 
 class _ModEchelon:
-    """A reduced row echelon over GF(P), fed with integer rows.
+    """A row echelon over GF(P), fed with integer rows; reduced only when its kernel is read.
 
-    A stored row leaves out its leading 1, so it holds only free columns.
-    It gives the rank mod ``P`` and the kernel mod ``P``; no exact answer is
+    A stored row leaves out its leading 1 and holds only columns after its
+    pivot.  :meth:`insert` reduces an incoming row against the stored rows
+    in ascending pivot order and touches no other row, so building the
+    echelon costs a forward pass; :meth:`kernel` back-substitutes once.  It
+    gives the rank mod ``P`` and the kernel mod ``P``; no exact answer is
     read off it without the check in :func:`nullspace_of_sparse_rows`.
     """
 
     def __init__(self, ambient: int) -> None:
         self.ambient = ambient
-        self.rows: dict[int, dict[int, int]] = {}  # pivot column -> free-column entries
+        self.rows: dict[int, dict[int, int]] = {}  # pivot column -> entries after the pivot
 
     @property
     def rank(self) -> int:
@@ -326,31 +332,46 @@ class _ModEchelon:
     def insert(self, row: dict[int, int]) -> None:
         rows = self.rows
         residue = dict(row)
-        for col in [c for c in residue if c in rows]:
+        pivots = [c for c in residue if c in rows]  # a min-heap of the residue's pivot columns still to clear
+        heapify(pivots)
+        get = residue.get
+        while pivots:
+            col = heappop(pivots)
             coeff = residue.pop(col) % P
-            for c, v in rows[col].items():
-                residue[c] = residue.get(c, 0) - coeff * v
+            if coeff:
+                for c, v in rows[col].items():  # every c is after col, so the heap stays ahead of it
+                    held = get(c)
+                    if held is None:
+                        residue[c] = -coeff * v
+                        if c in rows:
+                            heappush(pivots, c)
+                    else:
+                        residue[c] = held - coeff * v
         residue = {c: r for c, v in residue.items() if (r := v % P)}
         if not residue:
             return
         pivot = min(residue)
         inverse = pow(residue.pop(pivot), -1, P)
-        normalized = {c: v * inverse % P for c, v in residue.items()}
-        for other in rows.values():
-            if pivot in other:
-                coeff = other.pop(pivot)
-                for c, v in normalized.items():
-                    acc = (other.get(c, 0) - coeff * v) % P
-                    if acc:
-                        other[c] = acc
-                    else:
-                        del other[c]
-        rows[pivot] = normalized
+        rows[pivot] = {c: v * inverse % P for c, v in residue.items()}
 
     def kernel(self) -> Optional[list[dict[int, int]]]:
-        """The free-column generators of ``_Echelon.kernel``, lifted to Q and made integral; None if one does not lift."""
-        gens = {f: {f: ONE} for f in range(self.ambient) if f not in self.rows}
-        for p, row in self.rows.items():
+        """The free-column generators of ``_Echelon.kernel``, lifted to Q and made integral; None if one does not lift.
+
+        First each row is cleared at the later pivots, last pivot first, so
+        every row holds only free columns: the reduced echelon mod ``P``.
+        """
+        rows = self.rows
+        for p in sorted(rows, reverse=True):
+            row = rows[p]
+            hits = [c for c in row if c in rows]
+            if hits:
+                for c in hits:  # a cleared row holds only free columns, so no hit comes back
+                    coeff = row.pop(c)
+                    for f, v in rows[c].items():
+                        row[f] = row.get(f, 0) - coeff * v
+                rows[p] = {f: r for f, v in row.items() if (r := v % P)}
+        gens = {f: {f: ONE} for f in range(self.ambient) if f not in rows}
+        for p, row in rows.items():
             for f, v in row.items():
                 lifted = _rational(P - v)
                 if lifted is None:
@@ -375,17 +396,31 @@ def _rational(a: int) -> Optional[Fraction]:
     return Fraction(r1, s1)
 
 
-def _annihilated(rows: list[dict[int, int]], kernel: list[dict[int, int]], ambient: int) -> bool:
-    """Whether every integer row has a zero exact dot product with every integer kernel vector."""
-    for gen in kernel:
-        scaled = [0] * ambient
-        for c, v in gen.items():
-            scaled[c] = v
-        at = scaled.__getitem__
-        for row in rows:
-            if sum(map(mul, row.values(), map(at, row))):
-                return False
-    return True
+def _column_index(gens: list[dict[int, int]]) -> dict[int, list[tuple[int, int]]]:
+    """Each column, mapped to the ``(i, value)`` of every ``gens[i]`` nonzero there."""
+    by_column: dict[int, list[tuple[int, int]]] = {}
+    for i, gen in enumerate(gens):
+        for col, v in gen.items():
+            by_column.setdefault(col, []).append((i, v))
+    return by_column
+
+
+def _dots(row: dict[int, int], by_column: dict[int, list[tuple[int, int]]]) -> dict[int, int]:
+    """The exact dot products ``row . gens[i]``, by ``i``, through the :func:`_column_index` of ``gens``.
+
+    Every ``i`` whose ``gens[i]`` meets ``row`` is a key, so some values may be zero.
+    """
+    out: dict[int, int] = {}
+    for col, v in row.items():
+        for i, g in by_column.get(col, ()):
+            out[i] = out.get(i, 0) + v * g
+    return out
+
+
+def _annihilated(rows: list[dict[int, int]], kernel: list[dict[int, int]]) -> bool:
+    """Whether every integer row has a zero exact dot product with every integer kernel vector, each row read once."""
+    by_column = _column_index(kernel)
+    return not any(any(_dots(row, by_column).values()) for row in rows)
 
 
 def _integral(row: SparseRow) -> dict[int, int]:
@@ -504,19 +539,12 @@ class SubspaceBasis:
         echelon.  ``rows`` is read only until the composed rows reach rank r.
         """
         gens = list(self.rows.values())
-        by_column: dict[int, list[tuple[int, int]]] = {}
-        for i, g in enumerate(gens):
-            for col, v in g.items():
-                by_column.setdefault(col, []).append((i, v))
+        by_column = _column_index(gens)
 
         def composed():
             for row in rows:
                 _check_columns(row, self.ambient_dim)
-                out: dict[int, int] = {}
-                for col, v in _integral(row).items():
-                    for i, g in by_column.get(col, ()):
-                        out[i] = out.get(i, 0) + v * g
-                yield {i: v for i, v in out.items() if v}
+                yield {i: v for i, v in _dots(_integral(row), by_column).items() if v}
 
         kernel = nullspace_of_sparse_rows(len(gens), composed())
         lifted = []
@@ -563,6 +591,6 @@ def nullspace_of_sparse_rows(ambient: int, rows: Iterable[SparseRow]) -> Subspac
         if mod.rank == ambient:
             return _Echelon(ambient).span()
     kernel = mod.kernel()
-    if kernel is None or not _annihilated(scaled, kernel, ambient):
+    if kernel is None or not _annihilated(scaled, kernel):
         kernel = _Echelon(ambient, scaled).kernel()
     return _Echelon(ambient, kernel).span()

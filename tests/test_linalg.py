@@ -4,18 +4,22 @@ Reference answers come from the dense Gauss-Jordan elimination in
 ``tests/oracle.py``, which shares no code with ``omega_lie.linalg``.
 """
 
+import heapq
 import random
 from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
 
+from omega_lie import linalg
 from omega_lie.linalg import (
     P,
     Matrix,
     SubspaceBasis,
+    _annihilated,
     _Echelon,
     _integral,
+    _ModEchelon,
     _rational,
     _to_sparse,
     frac,
@@ -706,6 +710,166 @@ class TestModularFilter:
             full += expected.rank == 0
             deficient += expected.rank > 0
         assert full > 150 and deficient > 150  # both the shortcut and the lift are exercised
+
+    @staticmethod
+    def sparse_entries(rng, cols, count):
+        """``count`` entries in -9..9 without zeros, at distinct columns drawn from ``cols``."""
+        return {c: rng.choice((-1, 1)) * rng.randint(1, 9) for c in rng.sample(cols, min(count, len(cols)))}
+
+    def larger_system(self, rng, shape):
+        """A seeded sparse system at ambient 20..80, as integer rows: full rank or rank deficient.
+
+        A full-rank system hides a triangular core (nonzero diagonal, a few
+        entries after it) among shuffled rows.  A deficient one is built from
+        its reduced echelon form ``[I | A]`` with small entries in ``A``, so
+        its kernel lifts: each row is a sparse combination of those rows.
+        """
+        ambient = rng.randint(20, 80)
+        if shape == "full":
+            rows = [{i: rng.choice((-1, 1)) * rng.randint(1, 9)} | self.sparse_entries(rng, range(i + 1, ambient), 3)
+                    for i in range(ambient)]
+            rows += [self.sparse_entries(rng, range(ambient), 4) for _ in range(ambient // 4)]
+        else:
+            pivots = sorted(rng.sample(range(ambient), rng.randint(ambient // 2, ambient - 1)))
+            free = [c for c in range(ambient) if c not in pivots]
+            reduced = [{p: 1} | {f: rng.choice((-3, -2, -1, 1, 2, 3)) for f in free if f > p and rng.random() < 0.2}
+                       for p in pivots]
+            rows = []
+            for _ in range(len(pivots) + 5):
+                row: dict = {}
+                for r in rng.sample(reduced, 3):
+                    a = rng.choice((-2, -1, 1, 2, 3))
+                    for c, v in r.items():
+                        row[c] = row.get(c, 0) + a * v
+                rows.append({c: v for c, v in row.items() if v})
+            rows += [{c: a * v for c, v in r.items()} for r in reduced for a in [rng.randint(1, 3)]]
+        rng.shuffle(rows)
+        return ambient, rows
+
+    @staticmethod
+    def with_fractions(rng, rows):
+        """The same lines with ``Fraction`` entries: each row over a random denominator."""
+        return [{c: Fraction(v, d) for c, v in row.items()} for row in rows for d in [rng.randint(2, 9)]]
+
+    @staticmethod
+    def chain_system(rng):
+        """Rows whose last one starts a chain: clearing each pivot brings in the next, later, pivot column.
+
+        Rows ``e[c_i] + b_i e[c_(i+1)]`` (plus a few entries outside the
+        chain) on ascending columns ``c_0 < c_1 < ...`` are stored first, with
+        pivots ``c_i``; the row ``e[c_0]`` then holds no other pivot column
+        until each elimination adds the next.
+        """
+        ambient = rng.randint(20, 80)
+        chain = sorted(rng.sample(range(ambient), rng.randint(6, 15)))
+        others = [c for c in range(ambient) if c not in chain]
+        rows = []
+        for i, (a, b) in enumerate(zip(chain, chain[1:])):
+            row = {a: 1, b: rng.choice((-2, -1, 1, 2))}
+            later = [c for c in others if c > b]
+            if later and i % 3 == 2:
+                row[rng.choice(later)] = rng.randint(1, 2)
+            rows.append(row)
+        rows.append({chain[0]: rng.randint(1, 5)})
+        rows += [{c: rng.randint(1, 3) for c in rng.sample(others, 2)} for _ in range(rng.randint(0, 4))]
+        return ambient, rows
+
+    @pytest.mark.parametrize("shape", ["full", "deficient", "fractions"])
+    def test_matches_exact_elimination_on_larger_systems(self, shape):
+        rng = random.Random(f"larger-{shape}")
+        lifted = 0
+        for k in range(6):
+            kind = ("full", "deficient")[k % 2] if shape == "fractions" else shape
+            ambient, rows = self.larger_system(rng, kind)
+            if shape == "fractions":
+                rows = self.with_fractions(rng, rows)
+            rows = [{c: Fraction(v) for c, v in row.items()} for row in rows]
+            expected = exact_nullspace(ambient, rows)
+            assert nullspace_of_sparse_rows(ambient, rows) == expected
+            assert (expected.rank == 0) == (kind == "full")
+            ech = _ModEchelon(ambient)
+            for row in rows:
+                ech.insert(_integral(row))
+            lifted += ech.rank < ambient and ech.kernel() is not None
+        assert lifted == {"full": 0, "deficient": 6, "fractions": 3}[shape]  # every deficient system lifts
+
+    def test_a_chain_of_pivots_is_picked_up_by_the_heap(self, monkeypatch):
+        pushed = []
+
+        def heappush(heap, c):
+            pushed.append(c)
+            return heapq.heappush(heap, c)
+
+        monkeypatch.setattr(linalg, "heappush", heappush)
+        rng = random.Random(0xC4A1)
+        for _ in range(30):
+            ambient, rows = self.chain_system(rng)
+            rows = [{c: Fraction(v) for c, v in row.items()} for row in rows]
+            pushed.clear()
+            assert nullspace_of_sparse_rows(ambient, rows) == exact_nullspace(ambient, rows)
+            assert pushed  # the last chain row reached its later pivots only through the heap
+
+    @staticmethod
+    def gauss_jordan_mod_p(rows, ambient):
+        """Dense Gauss-Jordan elimination mod P: each pivot mapped to its reduced row's other nonzero entries."""
+        reduced: dict = {}
+        for row in rows:
+            v = [row.get(j, 0) % P for j in range(ambient)]
+            for p, r in reduced.items():
+                if v[p]:
+                    c = v[p]
+                    v = [(x - c * y) % P for x, y in zip(v, r)]
+            if not any(v):
+                continue
+            pivot = next(j for j, x in enumerate(v) if x)
+            inverse = pow(v[pivot], -1, P)
+            v = [x * inverse % P for x in v]
+            for p, r in reduced.items():
+                if r[pivot]:
+                    c = r[pivot]
+                    reduced[p] = [(x - c * y) % P for x, y in zip(r, v)]
+            reduced[pivot] = v
+        return {p: {j: x for j, x in enumerate(r) if x and j != p} for p, r in reduced.items()}
+
+    def test_the_reduced_form_is_built_only_when_the_kernel_is_read(self):
+        rng = random.Random(0x5EED)
+        for k in range(12):
+            ambient, rows = self.chain_system(rng) if k % 3 == 2 else self.larger_system(rng, "deficient")
+            rows = [_integral({c: Fraction(v) for c, v in row.items()}) for row in rows]
+            ech = _ModEchelon(ambient)
+            for row in rows:
+                ech.insert(row)
+            assert all(c > p and 0 < v < P for p, row in ech.rows.items() for c, v in row.items())
+            ech.kernel()
+            assert all(c not in ech.rows for row in ech.rows.values() for c in row)
+            assert ech.rows == self.gauss_jordan_mod_p(rows, ambient)
+
+    def test_a_full_rank_system_never_reduces(self, monkeypatch):
+        def kernel(self):
+            raise AssertionError("a full-rank system read its kernel")
+
+        monkeypatch.setattr(_ModEchelon, "kernel", kernel)
+        rng = random.Random(0xF011)
+        for _ in range(6):
+            ambient, rows = self.larger_system(rng, "full")
+            assert nullspace_of_sparse_rows(ambient, [{c: Fraction(v) for c, v in row.items()} for row in rows]) \
+                == SubspaceBasis(ambient, ())
+
+    def test_the_lift_check_reads_each_row_against_every_generator(self):
+        first, second = {0: 1, 1: 1, 2: 1}, {0: 1, 1: 2, 2: 3}
+        row = {0: 1, 1: -1}  # orthogonal to first, not to second, on the columns they share
+        assert _annihilated([row], [first])
+        assert not _annihilated([row], [first, second])
+        assert not _annihilated([row], [second, first])
+        assert not _annihilated([{2: 1}, row], [first])
+        rng = random.Random(0xA77)
+        for _ in range(10):
+            ambient, rows = self.larger_system(rng, "deficient")
+            kernel = _Echelon(ambient, rows).kernel()
+            assert kernel and _annihilated(rows, kernel)
+            col = next(iter(rows[0]))
+            wrong = kernel[-1] | {col: kernel[-1].get(col, 0) + 1}  # off the kernel at one column of a row
+            assert not _annihilated(rows, kernel[:-1] + [wrong])
 
     @pytest.mark.parametrize(
         "ambient, rows",
