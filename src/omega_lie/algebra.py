@@ -53,6 +53,7 @@ from .linalg import (
     SubspaceBasis,
     Vector,
     ZERO,
+    _INTEGER,
     _bilinear,
     _dense,
     _entries,
@@ -379,10 +380,20 @@ def to_document(algebra: OmegaAlgebra) -> dict:
 
 
 def _integer(value) -> int:
-    """An integer field of a document; booleans and non-integral numbers are refused."""
+    """An integer field of a document: an int, an integral float or a string of ASCII digits with an optional sign."""
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"expected an integer, got {value!r}")
+    if isinstance(value, str) and not _INTEGER.fullmatch(value):
+        raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
+
+
+def _components(coeffs: Mapping) -> dict:
+    """``{k: coefficient}`` of a bracket entry's ``coeffs``; two keys that name one component are refused."""
+    table = {_integer(k): frac(v) for k, v in coeffs.items()}
+    if len(table) < len(coeffs):
+        raise ValueError("two keys of 'coeffs' name the same component")
+    return table
 
 
 def _pairs(doc: Mapping, field: str, read) -> dict:
@@ -424,7 +435,7 @@ def from_document(doc: Mapping) -> OmegaAlgebra:
         raise AlgebraFormatError(f"'basis' must be a list of label strings, got {basis!r}")
     if basis and len(basis) != dim:
         raise AlgebraFormatError(f"basis has {len(basis)} labels but dim is {dim}")
-    brackets = _pairs(doc, "brackets", lambda item: {_integer(k): frac(v) for k, v in item["coeffs"].items()})
+    brackets = _pairs(doc, "brackets", lambda item: _components(item["coeffs"]))
     omega = _pairs(doc, "omega", lambda item: frac(item["value"]))
     return OmegaAlgebra.from_tables(name, dim, brackets, omega, basis_labels=basis, notes=notes)
 

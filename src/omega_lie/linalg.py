@@ -65,7 +65,8 @@ RationalLike = Union[int, str, Fraction]
 Entries = tuple[tuple[int, Union[int, Fraction]], ...]
 
 
-_RATIONAL = re.compile(r"\s*[+-]?[0-9]+(/[0-9]+)?\s*")
+_INTEGER = re.compile(r"[+-]?[0-9]+")  # ASCII digits only: int() also reads "1_0", " 4 " and other scripts' digits
+_RATIONAL = re.compile(rf"\s*{_INTEGER.pattern}(/[0-9]+)?\s*")
 
 
 def frac(value: RationalLike) -> Fraction:

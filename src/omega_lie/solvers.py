@@ -31,7 +31,7 @@ Two independent interpreters read the term lists:
   unknowns, and a step with a zero argument is zero without a call, which
   is exact because every evaluator is multilinear.  Residuals are summed
   from nonzero entries only and reported as ``Fraction`` tuples.
-  ``map_defects`` / ``tensor_defects`` check one unknown.
+  ``map_defects`` / ``tensor_defects`` call it on one unknown.
 
 Every identity is multilinear, so holding on basis tuples is equivalent to
 holding on the whole algebra.  An identity that an exchange of two variables
@@ -40,18 +40,19 @@ maps to a multiple of itself declares an ``order`` such as ``(x, y, True)``
 only.  Enumeration is lexicographic, which makes the rows, and so the
 canonical bases, fully deterministic.
 
-A kind may extend a parent kind: the parent's identities are a proper
-prefix of its own, and both pin the same parameters (``symmetric``, ``skew``
-and ``omega_biderivation`` extend ``biderivation``; ``omega_derivation``
-extends ``derivation``).  :func:`solve` always assembles every identity's
-rows.  A :class:`Session`, which the verification suite creates once per
-run, instead remembers each space it solves, keyed by the algebra's value,
-the kind and its parameter values, and reads an extending kind off the
-parent space: the remaining identities' rows are composed with the parent
-echelon's r integer rows, their kernel is taken in those r coordinates and
-lifted back (``SubspaceBasis.restricted``).  Canonical bases make the two
-answers equal.  A one-off solve keeps the direct path, since it has no
-parent space to reuse.
+A kind may name a ``parent`` kind of the same arity that pins the same
+parameters, and then lists only its own identities: it holds the parent's
+identities and then its own, so its solution space lies in the parent's
+(``symmetric``, ``skew`` and ``omega_biderivation`` name ``biderivation``;
+``omega_derivation`` names ``derivation``).  :func:`solve` always assembles
+every identity's rows.  A :class:`Session`, which the verification suite
+creates once per run, instead remembers each space it solves, keyed by the
+algebra's value, the kind and its parameter values, and reads a kind with
+a parent off the parent space: the rows of the kind's own identities are
+composed with the parent echelon's r integer rows, their kernel is taken
+in those r coordinates and lifted back (``SubspaceBasis.restricted``).
+Canonical bases make the two answers equal.  A one-off solve keeps the
+direct path, since it has no parent space to reuse.
 
 Adding an identity means one term list in ``KINDS`` plus one test.
 """
@@ -110,9 +111,10 @@ class Identity(NamedTuple):
 
 class Kind(NamedTuple):
     arity: int  # of the unknown: 1 for linear maps, 2 for bilinear maps
-    identities: tuple[Identity, ...]
+    identities: tuple[Identity, ...]  # its own, after those of its parent
     fixed: dict = {}  # parameter values the kind pins
     defaults: dict = {}  # parameter values a caller may override
+    parent: Optional[str] = None  # the kind whose solution space contains this one's
 
 
 LEIBNIZ = Identity(((1, None, U(br(x, y))), (-1, "delta", br(U(x), y)), (-1, "delta", br(x, U(y)))), (x, y, True))
@@ -132,32 +134,36 @@ FORM_FIRST = Identity(((1, None, w(U(x, y), z)), (1, "sign", w(y, U(x, z)))))
 FORM_SECOND = Identity(((1, None, w(U(x, y), z)), (1, "sign", w(x, U(z, y)))))
 
 OMEGA_BIDERIVATION_SIGN = Fraction(-1)
-BIDERIVATION = (LEIBNIZ_FIRST, LEIBNIZ_SECOND)
 
 KINDS = {
     "derivation": Kind(1, (LEIBNIZ,), fixed={"delta": Fraction(1)}),
-    "omega_derivation": Kind(1, (LEIBNIZ, FORM_SKEW), fixed={"delta": Fraction(1)}),
+    "omega_derivation": Kind(1, (FORM_SKEW,), fixed={"delta": Fraction(1)}, parent="derivation"),
     "centroid": Kind(1, (CENTROID,)),
     "commuting": Kind(1, (COMMUTING,)),
     "anticommuting": Kind(1, (ANTICOMMUTING,)),
     "half_derivation": Kind(1, (LEIBNIZ,), fixed={"delta": Fraction(1, 2)}),
     "delta_derivation": Kind(1, (LEIBNIZ,)),
-    "biderivation": Kind(2, BIDERIVATION),
-    "symmetric": Kind(2, BIDERIVATION + (SYMMETRIC,)),
-    "skew": Kind(2, BIDERIVATION + (SKEW,)),
-    "omega_biderivation": Kind(2, BIDERIVATION + (FORM_FIRST, FORM_SECOND), defaults={"sign": OMEGA_BIDERIVATION_SIGN}),
+    "biderivation": Kind(2, (LEIBNIZ_FIRST, LEIBNIZ_SECOND)),
+    "symmetric": Kind(2, (SYMMETRIC,), parent="biderivation"),
+    "skew": Kind(2, (SKEW,), parent="biderivation"),
+    "omega_biderivation": Kind(2, (FORM_FIRST, FORM_SECOND), defaults={"sign": OMEGA_BIDERIVATION_SIGN}, parent="biderivation"),
 }
 
 
-def _lookup(kind: str, given: dict, arity: Optional[int] = None) -> tuple[Kind, dict]:
+def _identities(spec: Kind) -> tuple[Identity, ...]:
+    """All identities of ``spec``: its parent's, then its own."""
+    return (_identities(KINDS[spec.parent]) if spec.parent else ()) + spec.identities
+
+
+def _lookup(kind: str, given: dict) -> tuple[Kind, dict]:
     """The registry entry of ``kind`` and the values of its parameters.
 
     A given value overrides a default; ``None`` keeps it.  A value for a
     parameter the kind pins, or does not name, is an error.
     """
     spec = KINDS.get(kind)
-    if spec is None or arity not in (None, spec.arity):
-        raise ValueError(f"unknown {('', 'map ', 'tensor ')[arity or 0]}kind {kind!r}")
+    if spec is None:
+        raise ValueError(f"unknown kind {kind!r}")
     settable = _settable(spec)
     given = {name: frac(value) for name, value in given.items() if value is not None}
     unknown = sorted(set(given) - settable)
@@ -171,23 +177,7 @@ def _lookup(kind: str, given: dict, arity: Optional[int] = None) -> tuple[Kind, 
 
 def _settable(spec: Kind) -> set[str]:
     """The parameters a caller may give ``spec``: those its identities name and it does not pin."""
-    return {p for identity in spec.identities for _, p, _ in identity.terms if p} - set(spec.fixed)
-
-
-def _parent(spec: Kind) -> Optional[str]:
-    """The kind whose identities are the longest proper prefix of ``spec``'s and that pins the same parameters.
-
-    Its solution space contains that of ``spec``, which is the part of it the
-    remaining identities annihilate.
-    """
-    parents = [
-        name
-        for name, other in KINDS.items()
-        if len(other.identities) < len(spec.identities)
-        and spec.identities[: len(other.identities)] == other.identities
-        and other.fixed == spec.fixed
-    ]
-    return max(parents, key=lambda name: len(KINDS[name].identities), default=None)
+    return {p for identity in _identities(spec) for _, p, _ in identity.terms if p} - set(spec.fixed)
 
 
 def _coefficient(multiplier: int, param: Optional[str], params: dict) -> Union[int, Fraction]:
@@ -344,7 +334,7 @@ def solve(algebra: OmegaAlgebra, kind: str, **params) -> SolutionSpace:
     as ``delta`` of ``derivation`` or ``half_derivation``, is an error.
     """
     spec, values = _lookup(kind, params)
-    rows = _identity_rows(algebra, spec.identities, values)
+    rows = _identity_rows(algebra, _identities(spec), values)
     return SolutionSpace(algebra, kind, nullspace_of_sparse_rows(algebra.dim ** (spec.arity + 1), rows))
 
 
@@ -362,13 +352,11 @@ class Session:
         key = (algebra, kind, tuple(sorted(values.items())))
         found = self._solved.get(key)
         if found is None:
-            parent = _parent(spec)
-            if parent is None:
+            if spec.parent is None:
                 found = solve(algebra, kind, **params)
             else:
-                parent_spec = KINDS[parent]
-                base = self.solve(algebra, parent, **{p: values[p] for p in _settable(parent_spec)})
-                rows = _identity_rows(algebra, spec.identities[len(parent_spec.identities) :], values)
+                base = self.solve(algebra, spec.parent, **{p: values[p] for p in _settable(KINDS[spec.parent])})
+                rows = _identity_rows(algebra, spec.identities, values)
                 found = SolutionSpace(algebra, kind, base.space.restricted(rows))
             self._solved[key] = found
         return found
@@ -454,7 +442,7 @@ class _Plan(NamedTuple):
 def _plans(spec: Kind, params: dict, n: int) -> list[_Plan]:
     """One plan per number of variables, in the order the identities first use it."""
     groups: dict[int, list] = {}
-    for identity in spec.identities:
+    for identity in _identities(spec):
         groups.setdefault(_arity(identity), []).append(identity)
     plans = []
     for nvars, identities in groups.items():
@@ -484,18 +472,23 @@ def _plans(spec: Kind, params: dict, n: int) -> list[_Plan]:
     return plans
 
 
-def _defects(algebra: OmegaAlgebra, kind: str, arity: Optional[int], unknowns, given: dict) -> list[list]:
-    """Nonzero residuals of a kind on all basis tuples, one list per unknown.
+def defects(algebra: OmegaAlgebra, kind: str, unknowns, **params) -> list[list[tuple[tuple[int, ...], Vector]]]:
+    """Nonzero residuals of the defining identities of ``kind``, one list per unknown.
 
-    Identities with the same number of variables share their tuples: each
-    entry is ``(1-based indices, residuals of those identities concatenated)``.
+    ``unknowns`` are ``Matrix`` objects for a map kind and ``BilinearMap``
+    objects for a tensor kind; ``params`` are those of :func:`solve`.  Each
+    list holds ``(1-based indices, residual)`` for every basis tuple with a
+    nonzero residual; an empty list means that unknown satisfies the
+    identities exactly.  Identities with the same number of variables share
+    their tuples, and their residuals are concatenated.
+
     Every value is sparse, nonzero ``(index, value)`` pairs: a basis vector is
     ``((i, 1),)`` and zero is ``()``.  A step evaluates ``_bilinear`` over
     the support of its operator.  Every step is multilinear, so one with a
     zero argument stays zero without a call.  At each tuple the steps that
     do not read the unknown are evaluated once for all unknowns.
     """
-    spec, params = _lookup(kind, given, arity)
+    spec, params = _lookup(kind, params)
     n = algebra.dim
     unknowns = tuple(unknowns)
     for u in unknowns:
@@ -540,18 +533,6 @@ def _defects(algebra: OmegaAlgebra, kind: str, arity: Optional[int], unknowns, g
     return found
 
 
-def defects(algebra: OmegaAlgebra, kind: str, unknowns, **params) -> list[list[tuple[tuple[int, ...], Vector]]]:
-    """Nonzero residuals of the defining identities of ``kind``, one list per unknown.
-
-    ``unknowns`` are ``Matrix`` objects for a map kind and ``BilinearMap``
-    objects for a tensor kind; ``params`` are those of :func:`solve`.  Each
-    list holds ``(1-based indices, residual)`` for every basis tuple with a
-    nonzero residual; an empty list means that unknown satisfies the
-    identities exactly.
-    """
-    return _defects(algebra, kind, None, unknowns, params)
-
-
 def map_defects(
     algebra: OmegaAlgebra, kind: str, f: Matrix, delta: Optional[Fraction] = None
 ) -> list[tuple[int, int, Vector]]:
@@ -560,7 +541,7 @@ def map_defects(
     Returns ``[(i, j, residual), ...]`` with 1-based indices; empty means the
     map satisfies the identities exactly.
     """
-    return [(i, j, r) for (i, j), r in _defects(algebra, kind, 1, [f], {"delta": delta})[0]]
+    return [(i, j, r) for (i, j), r in defects(algebra, kind, [f], delta=delta)[0]]
 
 
 def tensor_defects(
@@ -571,4 +552,4 @@ def tensor_defects(
     Returns ``[(indices, residual), ...]``: basis triples for the biderivation
     and form identities, basis pairs for the symmetry identities.
     """
-    return _defects(algebra, kind, 2, [t], {"sign": omega_sign})[0]
+    return defects(algebra, kind, [t], sign=omega_sign)[0]

@@ -524,6 +524,11 @@ class TestSerialization:
         assert alg.dim == 2
         assert alg.bracket((1, 0), (0, 1)) == (0, 1)
 
+    def test_integer_strings_are_signed_ascii_digits(self):
+        as_strings = {"name": "x", "dim": "2", "brackets": [{"i": "+1", "j": "02", "coeffs": {"2": 1}}]}
+        as_numbers = {"name": "x", "dim": 2.0, "brackets": [{"i": 1, "j": 2, "coeffs": {"2": 1}}]}
+        assert from_document(as_strings) == from_document(as_numbers)
+
     @pytest.mark.parametrize("dim", [MAX_DIM + 1, 10**12])
     def test_dim_over_budget_is_refused(self, dim):
         # one label: should the budget ever go, the basis check refuses the document without allocating

@@ -230,6 +230,22 @@ class TestErrors:
         assert code == 3
         assert "'dim'" in err
 
+    # int() reads each of these: "1_0" as 10, " 4 " as 4 and the Arabic-Indic digit three as 3
+    @pytest.mark.parametrize("text", ["1_0", " 4 ", "\u0663"], ids=["underscore", "spaces", "arabic-indic"])
+    @pytest.mark.parametrize("field", ["dim", "i", "coeffs"])
+    def test_integer_string_that_is_not_ascii_digits_exits_3(self, capsys, tmp_path, field, text):
+        doc = to_document(catalog.get("L_{1,1}"))
+        entry = {"i": 1, "j": 4, "coeffs": {"4": "1"}}
+        if field == "dim":
+            doc["dim"] = text
+        elif field == "i":
+            doc["brackets"] = [{**entry, "i": text}]
+        else:
+            doc["brackets"] = [{**entry, "coeffs": {text: "1"}}]
+        code, _, err = run_file(capsys, tmp_path, doc, "check", "{}")
+        assert code == 3
+        assert f"expected an integer, got {text!r}" in err
+
     def test_boolean_map_entry_exits_3(self, capsys, tmp_path):
         path = tmp_path / "map.json"
         path.write_text(json.dumps({"matrix": [[True, "0", "0", "0"], ["0"] * 4, ["0"] * 4, ["0"] * 4]}))
@@ -345,6 +361,7 @@ class TestMalformedFiles:
             ("brackets", [{"i": 1, "j": 2, "coeffs": [1]}]),
             ("brackets", [{"i": 1, "j": 2, "coeffs": {"2": "1"}}, {"i": 1, "j": 2, "coeffs": {"3": "1"}}]),
             ("omega", [{"i": 1, "j": 2, "value": "1"}, {"i": 1, "j": 2, "value": "2"}]),
+            ("brackets", [{"i": 1, "j": 2, "coeffs": {"2": "1", "02": "5"}}]),
             ("name", None),
             ("notes", [5]),
         ],

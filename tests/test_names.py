@@ -68,7 +68,7 @@ solve a derived kind from scratch.
 The eleventh guard keeps one bilinear kernel: inside ``src/`` only the
 dense views ``OmegaAlgebra.bracket``, ``OmegaAlgebra.omega_form``,
 ``BilinearMap.apply`` and ``Matrix.apply``, and the residual check
-``solvers._defects``, name ``linalg._bilinear``, so every bracket, form
+``solvers.defects``, name ``linalg._bilinear``, so every bracket, form
 value, bilinear image and row action is evaluated by one loop over one
 cached support.
 
@@ -415,7 +415,6 @@ def test_guard_catches_a_converting_evaluator(tmp_path):
 ROW_ASSEMBLY = {"_rows", "_tables", "_kernel"}
 RESIDUAL_CHECKER = (
     "solvers._plans",
-    "solvers._defects",
     "solvers.defects",
     "solvers.map_defects",
     "solvers.tensor_defects",
@@ -623,7 +622,7 @@ KERNEL_CALLERS = {
     "algebra.OmegaAlgebra.omega_form",
     "algebra.BilinearMap.apply",
     "linalg.Matrix.apply",
-    "solvers._defects",
+    "solvers.defects",
 }
 
 

@@ -137,7 +137,7 @@ def test_parameters_are_checked():
         solvers.solve(alg, "centroid", delta=2)
     with pytest.raises(ValueError, match="unknown kind"):
         solvers.solve(alg, "quasi_derivation")
-    with pytest.raises(ValueError, match="unknown map kind"):
+    with pytest.raises(ValueError, match="a bilinear map on the algebra must be 3 x 3 x 3, got Matrix"):
         solvers.map_defects(alg, "biderivation", f)
     # derivations pin delta = 1; only delta_derivation takes a delta
     with pytest.raises(ValueError, match="has no parameter 'delta'"):

@@ -1,9 +1,10 @@
 """The solve session: each request is solved once, and derived kinds are restricted from their parent.
 
-A kind whose identities extend another kind's (``symmetric``, ``skew`` and
-``omega_biderivation`` extend ``biderivation``; ``omega_derivation`` extends
-``derivation``) is read off the parent's space in a session.  Bases are
-canonical, so the result must equal a direct :func:`solvers.solve` with ``==``.
+A kind that names a parent in ``KINDS`` (``symmetric``, ``skew`` and
+``omega_biderivation`` name ``biderivation``; ``omega_derivation`` names
+``derivation``) lists only its own identities, and a session reads its space
+off the parent's by restricting with them.  Bases are canonical, so the
+result must equal a direct :func:`solvers.solve` with ``==``.
 """
 
 import functools
@@ -59,9 +60,37 @@ def instances():
 INSTANCES = list(instances())
 
 
+# every identity of each kind, parent's first, as the registry spelled them out before kinds named a parent
+BIDERIVATION = (solvers.LEIBNIZ_FIRST, solvers.LEIBNIZ_SECOND)
+ALL_IDENTITIES = {
+    "derivation": (solvers.LEIBNIZ,),
+    "omega_derivation": (solvers.LEIBNIZ, solvers.FORM_SKEW),
+    "centroid": (solvers.CENTROID,),
+    "commuting": (solvers.COMMUTING,),
+    "anticommuting": (solvers.ANTICOMMUTING,),
+    "half_derivation": (solvers.LEIBNIZ,),
+    "delta_derivation": (solvers.LEIBNIZ,),
+    "biderivation": BIDERIVATION,
+    "symmetric": BIDERIVATION + (solvers.SYMMETRIC,),
+    "skew": BIDERIVATION + (solvers.SKEW,),
+    "omega_biderivation": BIDERIVATION + (solvers.FORM_FIRST, solvers.FORM_SECOND),
+}
+
+
 def test_parents_are_read_off_the_registry():
-    parents = {kind: solvers._parent(spec) for kind, spec in KINDS.items()}
-    assert {kind: parent for kind, parent in parents.items() if parent} == PARENTS
+    assert {kind: spec.parent for kind, spec in KINDS.items() if spec.parent} == PARENTS
+    for kind, spec in KINDS.items():
+        if spec.parent:
+            assert spec.parent in KINDS, kind
+            parent = KINDS[spec.parent]
+            assert (parent.arity, parent.fixed) == (spec.arity, spec.fixed), kind
+        ancestors, at = [], spec
+        while at.parent:
+            assert at.parent not in ancestors and at.parent != kind, (kind, ancestors)
+            ancestors.append(at.parent)
+            at = KINDS[at.parent]
+        assert solvers._identities(spec) == ALL_IDENTITIES[kind], kind
+    assert set(ALL_IDENTITIES) == set(KINDS)
 
 
 @pytest.mark.parametrize("alg", [alg for _, alg in INSTANCES], ids=[tag for tag, _ in INSTANCES])
