@@ -414,10 +414,12 @@ def cmd_verify(args) -> int:
 
 
 def seed(text: str) -> int:
-    """A seed in Python integer syntax (``12``, ``0xC0FFEE``) that ``SamplePlan`` takes, so not negative.
+    """A seed in ASCII Python integer syntax (``12``, ``0xC0FFEE``) that ``SamplePlan`` takes, so not negative.
 
-    argparse names this function in its error.
+    argparse names this function in its error.  ``int`` alone also reads ``1_0``, `` 12 `` and other scripts' digits.
     """
+    if not (text.isascii() and text.lstrip("+-").isalnum()):
+        raise ValueError(text)
     return SamplePlan(seed=int(text, 0)).seed
 
 

@@ -66,7 +66,7 @@ Entries = tuple[tuple[int, Union[int, Fraction]], ...]
 
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")  # ASCII digits only: int() also reads "1_0", " 4 " and other scripts' digits
-_RATIONAL = re.compile(rf"\s*{_INTEGER.pattern}(/[0-9]+)?\s*")
+_RATIONAL = re.compile(rf"{_INTEGER.pattern}(/[0-9]+)?")
 
 
 def frac(value: RationalLike) -> Fraction:
@@ -75,9 +75,9 @@ def frac(value: RationalLike) -> Fraction:
     Booleans and floats are refused with ``TypeError``, so ``true`` or
     ``0.5`` in a JSON document is an error rather than a silent 1 or a
     rounded binary fraction.  A string must be an optionally signed integer
-    or quotient of digits; decimals and exponents (``"0.5"``, ``"1e3"``)
-    raise ``ValueError``, so no short string can make ``Fraction`` compute a
-    huge power of ten.
+    or quotient of ASCII digits, with no surrounding whitespace; decimals and
+    exponents (``"0.5"``, ``"1e3"``) raise ``ValueError``, so no short string
+    can make ``Fraction`` compute a huge power of ten.
     """
     if isinstance(value, Fraction):
         return value
@@ -86,7 +86,7 @@ def frac(value: RationalLike) -> Fraction:
     if isinstance(value, str):
         if not _RATIONAL.fullmatch(value):
             raise ValueError(f"expected an integer or 'p/q', got {value!r}")
-        return Fraction(value.strip())
+        return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as a rational number")
 
 

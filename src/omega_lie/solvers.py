@@ -40,19 +40,16 @@ maps to a multiple of itself declares an ``order`` such as ``(x, y, True)``
 only.  Enumeration is lexicographic, which makes the rows, and so the
 canonical bases, fully deterministic.
 
-A kind may name a ``parent`` kind of the same arity that pins the same
-parameters, and then lists only its own identities: it holds the parent's
-identities and then its own, so its solution space lies in the parent's
-(``symmetric``, ``skew`` and ``omega_biderivation`` name ``biderivation``;
-``omega_derivation`` names ``derivation``).  :func:`solve` always assembles
-every identity's rows.  A :class:`Session`, which the verification suite
-creates once per run, instead remembers each space it solves, keyed by the
-algebra's value, the kind and its parameter values, and reads a kind with
-a parent off the parent space: the rows of the kind's own identities are
-composed with the parent echelon's r integer rows, their kernel is taken
-in those r coordinates and lifted back (``SubspaceBasis.restricted``).
-Canonical bases make the two answers equal.  A one-off solve keeps the
-direct path, since it has no parent space to reuse.
+A kind may name a ``parent`` of the same arity that pins the same
+parameters; it then lists only its own identities and holds the parent's
+too (``symmetric``, ``skew`` and ``omega_biderivation`` name
+``biderivation``; ``omega_derivation`` names ``derivation``).  Its space is
+the parent's, restricted by its own rows (``SubspaceBasis.restricted``).  A
+bilinear map is a biderivation exactly when each slice ``U(e_i, .)`` and
+``U(., e_j)`` is a derivation, so ``biderivation`` names ``derivation`` as
+its ``slices`` and its space is read off theirs.  Only the other kinds
+eliminate over all ``n**(arity + 1)`` unknowns.  :func:`solve` is a
+:class:`Session` of one request; the verification suite keeps one per run.
 
 Adding an identity means one term list in ``KINDS`` plus one test.
 """
@@ -71,6 +68,7 @@ from .linalg import (
     SubspaceBasis,
     Vector,
     ZERO,
+    _Echelon,
     _bilinear,
     _exact,
     frac,
@@ -115,6 +113,7 @@ class Kind(NamedTuple):
     fixed: dict = {}  # parameter values the kind pins
     defaults: dict = {}  # parameter values a caller may override
     parent: Optional[str] = None  # the kind whose solution space contains this one's
+    slices: Optional[str] = None  # the linear kind of every slice of a bilinear solution, in either slot
 
 
 LEIBNIZ = Identity(((1, None, U(br(x, y))), (-1, "delta", br(U(x), y)), (-1, "delta", br(x, U(y)))), (x, y, True))
@@ -143,7 +142,7 @@ KINDS = {
     "anticommuting": Kind(1, (ANTICOMMUTING,)),
     "half_derivation": Kind(1, (LEIBNIZ,), fixed={"delta": Fraction(1, 2)}),
     "delta_derivation": Kind(1, (LEIBNIZ,)),
-    "biderivation": Kind(2, (LEIBNIZ_FIRST, LEIBNIZ_SECOND)),
+    "biderivation": Kind(2, (LEIBNIZ_FIRST, LEIBNIZ_SECOND), slices="derivation"),
     "symmetric": Kind(2, (SYMMETRIC,), parent="biderivation"),
     "skew": Kind(2, (SKEW,), parent="biderivation"),
     "omega_biderivation": Kind(2, (FORM_FIRST, FORM_SECOND), defaults={"sign": OMEGA_BIDERIVATION_SIGN}, parent="biderivation"),
@@ -325,41 +324,48 @@ def _identity_rows(algebra: OmegaAlgebra, identities, values: dict):
     return (row for identity in identities for row in _rows(algebra, identity, values, tables))
 
 
+def _solve(solved: dict, algebra: OmegaAlgebra, kind: str, params: dict) -> SolutionSpace:
+    """The one solve path (see the module docstring); ``solved`` holds the spaces of ``algebra`` solved so far."""
+    spec, values = _lookup(kind, params)
+    key = (kind, tuple(sorted(values.items())))
+    if key not in solved:
+        n = algebra.dim
+        if spec.parent:
+            base = _solve(solved, algebra, spec.parent, {p: values[p] for p in _settable(KINDS[spec.parent])}).space
+            space = base.restricted(_identity_rows(algebra, spec.identities, values))
+        elif spec.slices:
+            # block i, from column i*n*n, is the slice U(e_i, .); U(., e_j) has entry i*n + k at column (i*n + j)*n + k
+            base = _solve(solved, algebra, spec.slices, {}).space
+            blocks = _Echelon(n**3)  # the slice rows shifted into each block are a reduced echelon already: set, not inserted
+            blocks.rows = {i * n * n + p: {i * n * n + c: v for c, v in row.items()} for i in range(n) for p, row in base.rows.items()}
+            annihilator = _Echelon(n * n, base.rows.values()).kernel()
+            first = ({(c // n * n + j) * n + c % n: v for c, v in q.items()} for q in annihilator for j in range(n))
+            space = blocks.span().restricted(first)
+        else:
+            space = nullspace_of_sparse_rows(n ** (spec.arity + 1), _identity_rows(algebra, spec.identities, values))
+        solved[key] = SolutionSpace(algebra, kind, space)
+    return solved[key]
+
+
 def solve(algebra: OmegaAlgebra, kind: str, **params) -> SolutionSpace:
-    """Solution space of a kind of ``KINDS``, from all of its identities' rows.
+    """Solution space of a kind of ``KINDS``: a :class:`Session` of one request.
 
     ``params`` give values to the parameters a kind leaves open: ``delta`` of
     ``delta_derivation`` (required) and ``sign`` of ``omega_biderivation``;
     ``None`` keeps the default.  A value for a parameter the kind pins, such
     as ``delta`` of ``derivation`` or ``half_derivation``, is an error.
     """
-    spec, values = _lookup(kind, params)
-    rows = _identity_rows(algebra, _identities(spec), values)
-    return SolutionSpace(algebra, kind, nullspace_of_sparse_rows(algebra.dim ** (spec.arity + 1), rows))
+    return _solve({}, algebra, kind, params)
 
 
 class Session:
-    """The solution spaces of one run, each solved once (see the module docstring).
-
-    :meth:`solve` takes the arguments of :func:`solve` and gives an equal answer.
-    """
+    """The spaces of one run, each solved once, keyed by the algebra's value, the kind and its parameters."""
 
     def __init__(self) -> None:
         self._solved: dict = {}
 
     def solve(self, algebra: OmegaAlgebra, kind: str, **params) -> SolutionSpace:
-        spec, values = _lookup(kind, params)
-        key = (algebra, kind, tuple(sorted(values.items())))
-        found = self._solved.get(key)
-        if found is None:
-            if spec.parent is None:
-                found = solve(algebra, kind, **params)
-            else:
-                base = self.solve(algebra, spec.parent, **{p: values[p] for p in _settable(KINDS[spec.parent])})
-                rows = _identity_rows(algebra, spec.identities, values)
-                found = SolutionSpace(algebra, kind, base.space.restricted(rows))
-            self._solved[key] = found
-        return found
+        return _solve(self._solved.setdefault(algebra, {}), algebra, kind, params)
 
 
 def derivations(algebra: OmegaAlgebra) -> SolutionSpace:
@@ -536,20 +542,12 @@ def defects(algebra: OmegaAlgebra, kind: str, unknowns, **params) -> list[list[t
 def map_defects(
     algebra: OmegaAlgebra, kind: str, f: Matrix, delta: Optional[Fraction] = None
 ) -> list[tuple[int, int, Vector]]:
-    """Nonzero residuals of the defining identities of ``kind`` on basis pairs.
-
-    Returns ``[(i, j, residual), ...]`` with 1-based indices; empty means the
-    map satisfies the identities exactly.
-    """
+    """:func:`defects` of one map, as ``[(i, j, residual), ...]`` with 1-based indices."""
     return [(i, j, r) for (i, j), r in defects(algebra, kind, [f], delta=delta)[0]]
 
 
 def tensor_defects(
     algebra: OmegaAlgebra, kind: str, t: BilinearMap, omega_sign: Optional[Fraction] = None
 ) -> list[tuple[tuple[int, ...], Vector]]:
-    """Nonzero residuals of the defining identities of ``kind`` on basis tuples.
-
-    Returns ``[(indices, residual), ...]``: basis triples for the biderivation
-    and form identities, basis pairs for the symmetry identities.
-    """
+    """:func:`defects` of one bilinear map, ``omega_sign`` being its ``sign``: basis triples or pairs, with residuals."""
     return defects(algebra, kind, [t], sign=omega_sign)[0]

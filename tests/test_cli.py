@@ -13,7 +13,7 @@ import pytest
 
 from omega_lie import catalog, verification
 from omega_lie.algebra import MAX_DIM, from_document, to_document
-from omega_lie.cli import SOLVE_KINDS, main
+from omega_lie.cli import SOLVE_KINDS, main, seed
 from omega_lie.local import SamplePlan, local_closure
 from omega_lie.solvers import derivations
 
@@ -144,6 +144,10 @@ class TestErrors:
             # a negative seed would draw the plan points of its absolute value
             (("--seed", "-5", "local", "der", "@B"), "argument --seed: invalid seed value: '-5'"),
             (("--seed=-0x5", "verify-paper"), "argument --seed: invalid seed value: '-0x5'"),
+            # int(text, 0) reads these as 10, 12 and 12; a seed is read in ASCII Python integer syntax only
+            (("--seed", "1_0", "local", "der", "@B"), "argument --seed: invalid seed value: '1_0'"),
+            (("--seed", " 12 ", "local", "der", "@B"), "argument --seed: invalid seed value: ' 12 '"),
+            (("--seed", "\u0661\u0662", "local", "der", "@B"), "argument --seed: invalid seed value: '\u0661\u0662'"),
             # the plan draws a fixed eight random points; the option that set the count is gone,
             # globally and from each of the three commands that build a plan
             (("local", "der", "@B", "--random-count", "5"), "unrecognized arguments: --random-count 5"),
@@ -156,6 +160,9 @@ class TestErrors:
             "seed",
             "negative-seed",
             "negative-seed-equals",
+            "seed-underscore",
+            "seed-spaces",
+            "seed-arabic-indic",
             "random-count",
             "random-count-global",
             "random-count-twolocal",
@@ -167,6 +174,10 @@ class TestErrors:
             main(list(argv))
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["0xC0FFEE", "0XC0FFEE", "12648430", "+12648430"])
+    def test_seed_reads_python_integer_syntax(self, text):
+        assert seed(text) == SamplePlan().seed
 
     def test_global_options_are_format_and_seed(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -245,6 +256,15 @@ class TestErrors:
         code, _, err = run_file(capsys, tmp_path, doc, "check", "{}")
         assert code == 3
         assert f"expected an integer, got {text!r}" in err
+
+    # a rational is read without surrounding whitespace, as an integer field is
+    @pytest.mark.parametrize("text", [" 5", "\u3000-3", "1/2 "], ids=["space", "ideographic-space", "trailing"])
+    def test_padded_omega_value_exits_3(self, capsys, tmp_path, text):
+        doc = to_document(catalog.get("L_{1,1}"))
+        doc["omega"] = [{"i": 1, "j": 2, "value": text}]
+        code, _, err = run_file(capsys, tmp_path, doc, "check", "{}")
+        assert code == 3
+        assert f"expected an integer or 'p/q', got {text!r}" in err
 
     def test_boolean_map_entry_exits_3(self, capsys, tmp_path):
         path = tmp_path / "map.json"

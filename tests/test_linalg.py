@@ -490,14 +490,15 @@ class TestFrac:
             ("-3", Fraction(-3)),
             ("+3", Fraction(3)),
             ("6/4", Fraction(3, 2)),
-            (" -1/2 ", Fraction(-1, 2)),
             ("007", Fraction(7)),
         ],
     )
     def test_integers_and_quotients_are_read_exactly(self, value, expected):
         assert frac(value) == expected
 
-    @pytest.mark.parametrize("value", ["1e3", "0.5", "1e100000000", "", "1/", "/2", "1/-2", "inf", "nan", "1_000"])
+    @pytest.mark.parametrize(
+        "value", ["1e3", "0.5", "1e100000000", "", "1/", "/2", "1/-2", "inf", "nan", "1_000", " -1/2 ", "\u3000-3", "5\n"]
+    )
     def test_strings_that_are_not_p_over_q_are_refused(self, value):
         with pytest.raises(ValueError):
             frac(value)

@@ -1,23 +1,34 @@
-"""The solve session: each request is solved once, and derived kinds are restricted from their parent.
+"""The one solve path: each request is solved once, and derived kinds are read off their parent.
 
 A kind that names a parent in ``KINDS`` (``symmetric``, ``skew`` and
 ``omega_biderivation`` name ``biderivation``; ``omega_derivation`` names
-``derivation``) lists only its own identities, and a session reads its space
-off the parent's by restricting with them.  Bases are canonical, so the
-result must equal a direct :func:`solvers.solve` with ``==``.
+``derivation``) lists only its own identities, and its space is the parent's,
+restricted by them.  ``biderivation`` names ``derivation`` as its slices, and
+its space is read off the derivations'.  :func:`solvers.solve` and
+:meth:`Session.solve` both take that path, so neither is an oracle for the
+other: the oracle here is the nullspace of every identity's rows over all
+``n**(arity + 1)`` unknowns, a system no library path assembles any more.
+Bases are canonical, so the answers must be ``==``.
 """
 
 import functools
 import random
-from collections import Counter
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from omega_lie import catalog, linalg, solvers, verification
-from omega_lie.algebra import OmegaAlgebra
+from omega_lie.algebra import BilinearMap, OmegaAlgebra, direct_sum
+from omega_lie.cli import main
+from omega_lie.linalg import nullspace_of_sparse_rows
 from omega_lie.solvers import KINDS, Session
+
+sys.path.append(str(Path(__file__).resolve().parent.parent / "bench"))
+
+import workloads  # noqa: E402
 
 DERIVED = [
     ("symmetric", {}),
@@ -32,6 +43,8 @@ PARENTS = {
     "omega_biderivation": "biderivation",
     "omega_derivation": "derivation",
 }
+SLICES = {"biderivation": "derivation"}
+READ_OFF = DERIVED + [("biderivation", {})]  # every kind with a parent or slices, every reading of its parameters
 
 
 def graded_random_table(n, seed):
@@ -50,6 +63,31 @@ def graded_random_table(n, seed):
 RANDOM = {f"graded{n}-{seed}": graded_random_table(n, seed) for n in (3, 4, 5) for seed in (1, 2, 3)}
 
 
+def raw_table(n, seed):
+    """A structure tensor and form drawn entry by entry, neither antisymmetric.
+
+    Built with ``OmegaAlgebra(...)`` directly, so ``e_i e_j`` and ``e_j e_i``
+    are independent and ``e_i e_i`` may be nonzero.  ``e_i e_j`` lies in the
+    span of the ``e_k`` with k > i, j, so such tables have nonzero
+    biderivations.
+    """
+    rng = random.Random(seed)
+    structure = tuple(
+        tuple(tuple(Fraction(rng.choice((-1, 0, 0, 1, 2)) if k > max(i, j) else 0) for k in range(n)) for j in range(n))
+        for i in range(n)
+    )
+    omega = tuple(tuple(Fraction(rng.randint(-1, 1)) for _ in range(n)) for _ in range(n))
+    return OmegaAlgebra(f"raw{n}-{seed}", n, structure, omega, tuple(f"e{i + 1}" for i in range(n)))
+
+
+RAW = {f"raw{n}-{seed}": raw_table(n, seed) for n in (3, 4, 5) for seed in (1, 2, 3)}
+DENSE = {
+    f"dense{alg.dim}-{seed}": alg
+    for seed in (workloads.DEFAULT_SEED, 7, 8)
+    for alg in workloads.WORKLOADS["dense-elim"].inputs(seed)
+}
+
+
 def instances():
     for entry in catalog.list_entries():
         for sample in entry.parameter_samples():
@@ -58,6 +96,15 @@ def instances():
 
 
 INSTANCES = list(instances())
+SL2_CUBED = direct_sum(catalog.get("sl2_plus_sl2"), catalog.get("sl2"))
+ORACLE_CASES = INSTANCES + [("sl2+sl2+sl2", SL2_CUBED)] + list(DENSE.items()) + list(RAW.items())
+
+
+def whole_system(alg, kind, **params):
+    """The oracle: the nullspace of all of a kind's identities' rows, its parent's included, over every unknown."""
+    spec, values = solvers._lookup(kind, params)
+    rows = solvers._identity_rows(alg, solvers._identities(spec), values)
+    return nullspace_of_sparse_rows(alg.dim ** (spec.arity + 1), rows)
 
 
 # every identity of each kind, parent's first, as the registry spelled them out before kinds named a parent
@@ -79,6 +126,10 @@ ALL_IDENTITIES = {
 
 def test_parents_are_read_off_the_registry():
     assert {kind: spec.parent for kind, spec in KINDS.items() if spec.parent} == PARENTS
+    assert {kind: spec.slices for kind, spec in KINDS.items() if spec.slices} == SLICES
+    for kind, sliced in SLICES.items():
+        assert (KINDS[kind].arity, KINDS[sliced].arity, KINDS[kind].parent) == (2, 1, None)
+    assert sorted({kind for kind, _ in READ_OFF}) == sorted(PARENTS.keys() | SLICES.keys())
     for kind, spec in KINDS.items():
         if spec.parent:
             assert spec.parent in KINDS, kind
@@ -93,15 +144,23 @@ def test_parents_are_read_off_the_registry():
     assert set(ALL_IDENTITIES) == set(KINDS)
 
 
-@pytest.mark.parametrize("alg", [alg for _, alg in INSTANCES], ids=[tag for tag, _ in INSTANCES])
-def test_restricted_spaces_equal_direct_solves(alg):
+@pytest.mark.parametrize("alg", [alg for _, alg in ORACLE_CASES], ids=[tag for tag, _ in ORACLE_CASES])
+def test_read_off_spaces_equal_the_whole_system(alg):
     session = Session()
-    for kind, params in DERIVED:
-        assert session.solve(alg, kind, **params) == solvers.solve(alg, kind, **params)
+    for kind, params in READ_OFF:
+        expected = whole_system(alg, kind, **params)
+        assert session.solve(alg, kind, **params).space == expected, kind
+        assert solvers.solve(alg, kind, **params).space == expected, kind
 
 
 def test_the_cases_cover_every_reading():
     assert len(INSTANCES) == 43 + len(RANDOM)
+    assert len(DENSE) == 12 and {alg.dim for alg in DENSE.values()} == {4, 5, 6, 7}
+    # the raw tables are not antisymmetric, and their biderivations are nonzero
+    for alg in RAW.values():
+        n, t = alg.dim, alg.structure
+        assert any(t[i][j] != tuple(-v for v in t[j][i]) for i in range(n) for j in range(n)), alg.name
+        assert solvers.solve(alg, "biderivation").rank > 0, alg.name
     proper = set()
     for alg in RANDOM.values():
         assert any(v for row in alg.omega for v in row)
@@ -139,14 +198,14 @@ def test_session_refuses_what_solve_refuses():
 
 
 def test_run_all_solves_each_request_once_and_derived_kinds_by_restriction(monkeypatch):
-    """One full elimination per distinct parentless request; derived kinds eliminate only in r coordinates."""
-    requests, solved, full, restricted = [], [], [], []
-    real_solve, eliminate = solvers.solve, linalg.nullspace_of_sparse_rows
+    """One full elimination per distinct parentless, sliceless request; the others eliminate only in r coordinates."""
+    sessions, full, restricted = [], [], []
+    eliminate = linalg.nullspace_of_sparse_rows
 
-    def counting_solve(algebra, kind, **params):
-        requests.append((algebra, kind, tuple(sorted(params.items()))))
-        solved.append(real_solve(algebra, kind, **params))
-        return solved[-1]
+    class Recorded(Session):
+        def __init__(self):
+            super().__init__()
+            sessions.append(self)
 
     def recording(into):
         def elimination(ambient, rows):
@@ -155,18 +214,65 @@ def test_run_all_solves_each_request_once_and_derived_kinds_by_restriction(monke
 
         return elimination
 
-    monkeypatch.setattr(solvers, "solve", counting_solve)
+    monkeypatch.setattr(verification, "Session", Recorded)
     monkeypatch.setattr(solvers, "nullspace_of_sparse_rows", recording(full))
     monkeypatch.setattr(linalg, "nullspace_of_sparse_rows", recording(restricted))
     verification.run_all()
-    assert max(Counter(requests).values()) == 1
-    assert not {kind for _, kind, _ in requests} & set(PARENTS)
-    assert len(full) == len(requests)
-    # each restriction eliminates in the coordinates of a parent space, never over the n**3 (or n**2) unknowns
-    assert restricted and set(restricted) <= {space.rank for space in solved if space.kind in PARENTS.values()}
+    (session,) = sessions
+    spaces = [space for solved in session._solved.values() for space in solved.values()]
+    roots = [s for s in spaces if not (KINDS[s.kind].parent or KINDS[s.kind].slices)]
+    # each request is solved once: one full elimination per root space, over all of its unknowns
+    assert sorted(full) == sorted(s.algebra.dim ** (KINDS[s.kind].arity + 1) for s in roots)
+    assert len(restricted) == len(spaces) - len(roots)
+    # each restriction eliminates in the coordinates of a parent space, or of the derivations shifted into n blocks
+    ranks = {s.rank for s in spaces if s.kind in PARENTS.values()} | {s.algebra.dim * s.rank for s in spaces if s.kind == "derivation"}
+    assert restricted and set(restricted) <= ranks
     # 161 distinct requests (225 solver calls before the session), plus the
-    # biderivations of sl2+sl2, solved only as the parent of its skew part
-    assert (len(full), len(restricted)) == (82, 80)
+    # biderivations of sl2+sl2, solved only as the parent of its skew part,
+    # and the derivations of sl2+sl2, solved only as its biderivations' slices:
+    # 163 spaces, of which the 25 biderivation spaces are now restrictions too
+    assert (len(full), len(restricted)) == (58, 105)
+
+
+def test_no_path_assembles_the_biderivation_system(monkeypatch, capsys):
+    """Biderivations are read off the derivations' slices: the n**4 rows of either Leibniz identity are never assembled."""
+    identities = []
+    rows = solvers._rows
+
+    def recording(algebra, identity, params, tables):
+        identities.append(identity)
+        return rows(algebra, identity, params, tables)
+
+    monkeypatch.setattr(solvers, "_rows", recording)
+    verification.run_all()
+    assert main(["solve", "bider", "@sl2"]) == 0 and "rank" in capsys.readouterr().out
+    assert solvers.LEIBNIZ in identities and solvers.SYMMETRIC in identities
+    assert solvers.LEIBNIZ_FIRST not in identities and solvers.LEIBNIZ_SECOND not in identities
+
+
+@pytest.mark.parametrize("entry, broken", [((0, 2, 2), 1), ((2, 0, 2), 0)], ids=["second-slot", "first-slot"])
+def test_the_residual_check_reads_both_leibniz_identities(entry, broken):
+    """On ``[e1, e2] = e3`` the map ``e1 -> e3`` is a derivation and ``e3 -> e3`` is not.
+
+    Adding 1 at ``d[0][2][2]`` adds ``e3 -> e3`` to the slice ``U(e1, .)`` and
+    ``e1 -> e3`` to ``U(., e3)``; ``d[2][0][2]`` is the mirror case.  So each
+    perturbation breaks exactly one identity, and ``defects`` reports it in
+    that identity's ``n`` residual coordinates (first-slot identity first),
+    and in no others.
+    """
+    alg = OmegaAlgebra.from_tables("heisenberg", 3, {(1, 2): {3: 1}}, {})
+    n = alg.dim
+    basis = solvers.solve(alg, "biderivation")
+    assert not any(solvers.defects(alg, "biderivation", basis.elements()))
+    tensor = [[list(row) for row in plane] for plane in basis.elements()[0].tensor]
+    i, j, k = entry
+    tensor[i][j][k] += 1
+    perturbed = BilinearMap(tuple(tuple(tuple(row) for row in plane) for plane in tensor))
+    (found,) = solvers.defects(alg, "biderivation", [perturbed])
+    assert found
+    for _, residual in found:
+        assert not any(residual[(1 - broken) * n : (2 - broken) * n])
+    assert any(residual[broken * n : (broken + 1) * n] for _, residual in found)
 
 
 def test_an_algebra_is_hashed_once_and_equal_algebras_share_an_entry(monkeypatch):
