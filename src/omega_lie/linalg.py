@@ -206,12 +206,12 @@ class _Echelon:
 
     Rows are sparse integer dicts without zero entries.  A stored row is
     primitive, its lowest column is its pivot and holds a positive entry,
-    and it is zero at the pivot of every row stored before it.  So one
-    forward pass in insertion order (:func:`_eliminate`) reduces an incoming
-    row; its own multiplier is a product of pivot entries, never zero, so
-    the residue is empty exactly for a member.  :meth:`span` and
-    :meth:`kernel` read a reduced form after :meth:`_back_substitute`.
-    It is built from the rows that define it, inserted in order, and none after.
+    and it is zero at the pivot of every row stored before it.  An incoming
+    row is reduced by :func:`_reduce`, against only the pivots it meets; its
+    own multiplier is a product of pivot entries, never zero, so the residue
+    is empty exactly for a member.  :meth:`span` and :meth:`kernel` read a
+    reduced form after :meth:`_back_substitute`.  It is built from the rows
+    that define it, inserted in order, and none after.
     """
 
     def __init__(self, ambient: int, rows: Iterable[dict[int, int]] = ()) -> None:
@@ -224,15 +224,9 @@ class _Echelon:
     def rank(self) -> int:
         return len(self.rows)
 
-    def reduce(self, row: dict[int, int]) -> dict[int, int]:
-        """The residue of ``row``: zero at every pivot, and empty exactly for a member."""
-        if len(self.rows) == self.ambient:
-            return {}
-        return _reduce(self.rows, row)
-
     def insert(self, row: dict[int, int]) -> bool:
         """Fold one row in; returns True when the rank grew."""
-        residue = self.reduce(row)
+        residue = _reduce(self.rows, row)
         if not residue:
             return False
         pivot = min(residue)
@@ -243,17 +237,16 @@ class _Echelon:
         return True
 
     def _back_substitute(self) -> None:
-        """Clear each row at the later rows' pivots, last first: each becomes the primitive multiple of its RREF row."""
+        """Clear each row at the pivots after its own, last pivot first: each becomes the primitive multiple of its RREF row."""
         rows = self.rows
-        later: set[int] = set()
-        for pivot, row in reversed(list(rows.items())):
-            hits = [c for c in row if c in later]
+        for pivot in sorted(rows, reverse=True):
+            row = rows[pivot]
+            hits = [c for c in row if c != pivot and c in rows]
             if hits:
                 for c in hits:  # a cleared row is zero at every other pivot, so no hit comes back
                     row = _eliminate(row, rows[c], c)
                 content = gcd(*row.values())
                 rows[pivot] = {c: v // content for c, v in row.items()}
-            later.add(pivot)
 
     def span(self) -> "SubspaceBasis":
         """The row space, as the :class:`SubspaceBasis` that holds these rows once reduced."""
@@ -283,10 +276,17 @@ class _Echelon:
 
 
 def _reduce(rows: dict[int, dict[int, int]], row: dict[int, int]) -> dict[int, int]:
-    """The residue of ``row`` against echelon ``rows`` (pivot column -> row, each zero at the pivots before it)."""
-    for pivot, stored in rows.items():
-        if pivot in row:
-            row = _eliminate(row, stored, pivot)
+    """The residue of ``row`` against echelon ``rows`` (pivot column -> row), zero at every pivot: empty exactly for a member."""
+    pivots = [c for c in row if c in rows]  # a min-heap of the pivots the residue meets, as in _ModEchelon.insert
+    heapify(pivots)
+    while pivots:
+        col = heappop(pivots)
+        if col in row:  # an elimination may have cleared it
+            stored = rows[col]
+            for c in stored:  # every c is after col, so the heap stays ahead of it
+                if c not in row and c in rows:
+                    heappush(pivots, c)
+            row = _eliminate(row, stored, col)
     return row
 
 
@@ -569,7 +569,7 @@ class SubspaceBasis:
         """
         n = self.ambient_dim
         ech = _Echelon(n + 1, ({n - 1 - c: x for c, x in row.items()} for row in self.rows.values()))
-        residue = ech.reduce(_integral({n - 1 - j: x for j, x in enumerate(v) if x} | {n: ONE}))
+        residue = _reduce(ech.rows, _integral({n - 1 - j: x for j, x in enumerate(v) if x} | {n: ONE}))
         return tuple(Fraction(residue.get(n - 1 - j, 0), residue[n]) for j in range(n))
 
 

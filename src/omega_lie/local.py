@@ -186,7 +186,7 @@ def _escape(space: SolutionSpace, tested: Sequence[dict[int, int]], points: Sequ
     """
     n = space.algebra.dim
     for x, scaled_x, span in _walk(space.space, points, n):
-        if any(span.reduce(image) for image in _images(tested, scaled_x, n)):
+        if any(_reduce(span.rows, image) for image in _images(tested, scaled_x, n)):
             return x
     return None
 

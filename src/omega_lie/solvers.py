@@ -336,8 +336,8 @@ def _solve(solved: dict, algebra: OmegaAlgebra, kind: str, params: dict) -> Solu
         elif spec.slices:
             # block i, from column i*n*n, is the slice U(e_i, .); U(., e_j) has entry i*n + k at column (i*n + j)*n + k
             base = _solve(solved, algebra, spec.slices, {}).space
-            blocks = _Echelon(n**3)  # the slice rows shifted into each block are a reduced echelon already: set, not inserted
-            blocks.rows = {i * n * n + p: {i * n * n + c: v for c, v in row.items()} for i in range(n) for p, row in base.rows.items()}
+            # the slice rows shifted into each block are a reduced echelon already, so no shifted row meets another pivot
+            blocks = _Echelon(n**3, ({i * n * n + c: v for c, v in row.items()} for i in range(n) for row in base.rows.values()))
             annihilator = _Echelon(n * n, base.rows.values()).kernel()
             first = ({(c // n * n + j) * n + c % n: v for c, v in q.items()} for q in annihilator for j in range(n))
             space = blocks.span().restricted(first)

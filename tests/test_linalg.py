@@ -21,6 +21,7 @@ from omega_lie.linalg import (
     _integral,
     _ModEchelon,
     _rational,
+    _reduce,
     _to_sparse,
     frac,
     nullspace_of_sparse_rows,
@@ -360,26 +361,67 @@ class TestEchelon:
             for pivot, stored in ech.rows.items():
                 assert min(stored) == pivot and stored[pivot] > 0 and gcd(*stored.values()) == 1
             coeffs = [rng.randint(-4, 4) for _ in rows]
-            assert not ech.reduce(_to_sparse([sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(ambient)]))
+            assert not _reduce(ech.rows, _to_sparse([sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(ambient)]))
             probe = [rng.randint(-6, 6) for _ in range(ambient)]
-            assert (not ech.reduce(_to_sparse(probe))) == (len(gauss_jordan(rows + [probe], ambient)[1]) == rank)
+            assert (not _reduce(ech.rows, _to_sparse(probe))) == (len(gauss_jordan(rows + [probe], ambient)[1]) == rank)
 
     def test_large_entries_stay_exact(self):
         big = 2**61 - 1
         ech = _Echelon(3)
         assert ech.insert({0: big, 1: 1}) and ech.insert({1: big, 2: 1})
-        assert not ech.reduce({0: big * big, 1: 2 * big, 2: 1})  # big * row 0 + row 1
-        assert ech.reduce({0: big * big, 1: 2 * big, 2: 2})
+        assert not _reduce(ech.rows, {0: big * big, 1: 2 * big, 2: 1})  # big * row 0 + row 1
+        assert _reduce(ech.rows, {0: big * big, 1: 2 * big, 2: 2})
         assert ech.span().basis == ((1, 0, Fraction(-1, big * big)), (0, 1, Fraction(1, big)))
 
     def test_full_and_empty_ambient(self):
         ech = _Echelon(2)
-        assert ech.reduce({0: 1}) and not ech.reduce({})
+        assert _reduce(ech.rows, {0: 1}) and not _reduce(ech.rows, {})
         assert ech.insert({0: 2, 1: 4}) and ech.insert({0: 3, 1: 5}) and not ech.insert({0: 7, 1: 7})
-        assert not ech.reduce({0: 1})
+        assert not _reduce(ech.rows, {0: 1})
         assert ech.kernel() == []
-        assert not _Echelon(0).reduce({}) and not _Echelon(0).insert({})
+        assert not _reduce(_Echelon(0).rows, {}) and not _Echelon(0).insert({})
         assert _Echelon(0).span() == SubspaceBasis(0, ()) and _Echelon(0).kernel() == []
+
+    class Unlisted(dict):
+        """Stored rows that a reduction may look up by pivot but never list; each lookup is recorded."""
+
+        def __init__(self, rows):
+            super().__init__(rows)
+            self.read = []
+
+        def __getitem__(self, pivot):
+            self.read.append(pivot)
+            return super().__getitem__(pivot)
+
+        def _listed(self, *args):
+            raise AssertionError("the reduction listed the stored rows")
+
+        __iter__ = keys = values = items = _listed
+
+    def test_a_reduction_reads_only_the_pivots_it_meets(self):
+        """Each stored row is read at most once, and only at a pivot the probe or a row read before it brings in."""
+        rng = random.Random(0x33)
+        reads = 0
+        for _ in range(300):
+            ambient = rng.randint(1, 9)
+            rows = [[rng.choice((0, 0, 0, rng.randint(-5, 5))) for _ in range(ambient)] for _ in range(rng.randint(0, 8))]
+            ech = _Echelon(ambient, map(_to_sparse, rows))
+            rank = len(gauss_jordan(rows, ambient)[1])
+            coeffs = [rng.randint(-3, 3) for _ in rows]
+            member = [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(ambient)]
+            probe = [rng.choice((0, 0, rng.randint(-6, 6))) for _ in range(ambient)]
+            for vec in (member, probe):
+                stored = self.Unlisted(ech.rows)
+                residue = _reduce(stored, _to_sparse(vec))
+                assert (not residue) == (len(gauss_jordan(rows + [vec], ambient)[1]) == rank)
+                assert not set(residue) & set(ech.rows)
+                assert len(stored.read) == len(set(stored.read))
+                met = {j for j, v in enumerate(vec) if v}
+                for pivot in stored.read:
+                    assert pivot in met
+                    met |= set(ech.rows[pivot])
+                reads += len(stored.read)
+        assert reads > 300
 
     def test_a_read_span_leaves_primitive_multiples_of_its_rref_rows(self):
         """Reading the span back-substitutes in place: each stored row becomes its RREF row times the lcm of its denominators."""
@@ -600,7 +642,7 @@ class TestCachedEchelon:
 
     @staticmethod
     def fresh_contains(space, v):
-        return not _Echelon(space.ambient_dim, integer_rows(space.basis)).reduce(*integer_rows([v]))
+        return not _reduce(_Echelon(space.ambient_dim, integer_rows(space.basis)).rows, *integer_rows([v]))
 
     @staticmethod
     def spaces(rng, ambient):

@@ -36,9 +36,9 @@ names the row-assembly functions ``_rows``, ``_tables`` or ``_kernel``, so a
 fault in row indexing cannot hide by being repeated in the re-check.
 
 The seventh guard keeps exact elimination on integers: the elimination
-core (``linalg._Echelon.insert``, ``linalg._Echelon.reduce``, the residue
-``linalg._reduce`` that also answers a subspace's membership queries, and
-their row combination ``linalg._eliminate``) and the local engine's integer path
+core (``linalg._Echelon.insert``, the one reduction ``linalg._reduce``,
+which answers every membership query on echelons and subspaces, and
+its row combination ``linalg._eliminate``) and the local engine's integer path
 (the point scan ``local._escape``, the walk over sample points
 ``local._walk``, which scales each point, the column
 action ``local._images``, the one builder of ``W(x)`` ``local._span_at``
@@ -57,7 +57,10 @@ The ninth guard keeps one way to build an echelon: inside ``src/`` a method
 ``insert`` is called only by ``linalg._Echelon.__init__``, which folds in
 the rows that define the echelon, and by the modular filter's loop in
 ``linalg.nullspace_of_sparse_rows``, which stops at full rank.  Every other
-echelon is a constructor call, ``_Echelon(ambient, rows)``.
+echelon is a constructor call, ``_Echelon(ambient, rows)``, and only the
+constructors ``linalg._Echelon.__init__`` and ``linalg._ModEchelon.__init__``
+assign an attribute ``rows``, so no echelon is handed rows that it did not
+reduce.
 
 The tenth guard keeps every solve of the verification suite in its session:
 ``verification.py`` neither imports nor names any of the ten one-line
@@ -456,7 +459,6 @@ FRACTION_PATH = {
 }
 INTEGER_CORE = (
     "linalg._Echelon.insert",
-    "linalg._Echelon.reduce",
     "linalg._reduce",
     "linalg._eliminate",
     "local._escape",
@@ -547,10 +549,23 @@ def insert_calls(paths):
     return names_in(paths, {"insert"}, _method_called)
 
 
+def _stored_attribute(node):
+    """The attribute name an ``<expression>.name = ...`` (or augmented) assignment stores to, or None."""
+    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+        return node.attr
+    return None
+
+
+def rows_assignments(paths):
+    """``(scope, line, "rows")`` of each assignment to an attribute named ``rows``."""
+    return names_in(paths, {"rows"}, _stored_attribute)
+
+
 def test_every_echelon_is_built_by_its_constructor():
-    for dotted in ("linalg._Echelon.__init__", "linalg._ModEchelon.insert", "linalg.nullspace_of_sparse_rows"):
+    for dotted in ("linalg._Echelon.__init__", "linalg._ModEchelon.__init__", "linalg._ModEchelon.insert", "linalg.nullspace_of_sparse_rows"):
         resolve(dotted)
     assert [scope for scope, _, _ in insert_calls(SOURCES)] == ["linalg._Echelon.__init__", "linalg.nullspace_of_sparse_rows"]
+    assert [scope for scope, _, _ in rows_assignments(SOURCES)] == ["linalg._Echelon.__init__", "linalg._ModEchelon.__init__"]
 
 
 def test_guard_catches_a_second_insert_loop(tmp_path):
@@ -566,6 +581,24 @@ def test_guard_catches_a_second_insert_loop(tmp_path):
         ("probe._Echelon.__init__", 4, "insert"),
         ("probe._span_at", 8, "insert"),
         ("probe.nullspace_of_sparse_rows", 12, "insert"),
+    ]
+
+
+def test_guard_catches_rows_assigned_by_hand(tmp_path):
+    module = tmp_path / "probe.py"
+    module.write_text(
+        "class _Echelon:\n"
+        "    def __init__(self, ambient, rows=()):\n        self.rows = {}\n"
+        "def _solve(base, n):\n"
+        "    blocks = _Echelon(n**3)  # the slice rows shifted into each block are a reduced echelon already: set, not inserted\n"
+        "    blocks.rows = {i * n * n + p: {i * n * n + c: v for c, v in row.items()} for i in range(n) for p, row in base.rows.items()}\n"
+        "    return blocks.span()\n"
+        "def _merge(ech, other):\n    ech.rows |= other.rows\n"
+    )
+    assert rows_assignments([module]) == [
+        ("probe._Echelon.__init__", 3, "rows"),
+        ("probe._solve", 6, "rows"),
+        ("probe._merge", 9, "rows"),
     ]
 
 

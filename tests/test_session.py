@@ -97,7 +97,15 @@ def instances():
 
 INSTANCES = list(instances())
 SL2_CUBED = direct_sum(catalog.get("sl2_plus_sl2"), catalog.get("sl2"))
-ORACLE_CASES = INSTANCES + [("sl2+sl2+sl2", SL2_CUBED)] + list(DENSE.items()) + list(RAW.items())
+ABELIAN = {f"abelian{n}": OmegaAlgebra.from_tables(f"abelian{n}", n, {}, {}) for n in (2, 3, 4)}
+SL2_ABELIAN1 = direct_sum(catalog.get("sl2"), OmegaAlgebra.from_tables("abelian1", 1, {}, {}))
+ORACLE_CASES = (
+    INSTANCES
+    + [("sl2+sl2+sl2", SL2_CUBED), ("sl2+abelian1", SL2_ABELIAN1)]
+    + list(DENSE.items())
+    + list(RAW.items())
+    + list(ABELIAN.items())
+)
 
 
 def whole_system(alg, kind, **params):
@@ -161,6 +169,10 @@ def test_the_cases_cover_every_reading():
         n, t = alg.dim, alg.structure
         assert any(t[i][j] != tuple(-v for v in t[j][i]) for i in range(n) for j in range(n)), alg.name
         assert solvers.solve(alg, "biderivation").rank > 0, alg.name
+    # on an abelian algebra Der is all of gl(n), so every bilinear map is a biderivation: the restriction cuts nothing
+    for alg in ABELIAN.values():
+        assert solvers.solve(alg, "derivation").rank == alg.dim**2, alg.name
+        assert solvers.solve(alg, "biderivation").rank == alg.dim**3, alg.name
     proper = set()
     for alg in RANDOM.values():
         assert any(v for row in alg.omega for v in row)
