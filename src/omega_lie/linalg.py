@@ -397,7 +397,7 @@ def _rational(a: int) -> Optional[Fraction]:
     return Fraction(r1, s1)
 
 
-def _column_index(gens: list[dict[int, int]]) -> dict[int, list[tuple[int, int]]]:
+def _column_index(gens: Iterable[dict[int, int]]) -> dict[int, list[tuple[int, int]]]:
     """Each column, mapped to the ``(i, value)`` of every ``gens[i]`` nonzero there."""
     by_column: dict[int, list[tuple[int, int]]] = {}
     for i, gen in enumerate(gens):
@@ -406,30 +406,30 @@ def _column_index(gens: list[dict[int, int]]) -> dict[int, list[tuple[int, int]]
     return by_column
 
 
-def _dots(row: dict[int, int], by_column: dict[int, list[tuple[int, int]]]) -> dict[int, int]:
-    """The exact dot products ``row . gens[i]``, by ``i``, through the :func:`_column_index` of ``gens``.
+def _dots(row: SparseRow, index: dict[int, Iterable[tuple[int, int]]]) -> SparseRow:
+    """The nonzero entries of ``sum(v * index[k])`` over the entries ``k: v`` of ``row``, ``index[k]`` as ``(key, value)`` pairs.
 
-    Every ``i`` whose ``gens[i]`` meets ``row`` is a key, so some values may be zero.
+    Through the :func:`_column_index` of ``gens`` these are the dot products
+    ``row . gens[i]``; through ``{i: gens[i].items()}``, ``sum(row[i] * gens[i])``.
     """
-    out: dict[int, int] = {}
-    for col, v in row.items():
-        for i, g in by_column.get(col, ()):
+    out: dict = {}
+    for k, v in row.items():
+        for i, g in index.get(k, ()):
             out[i] = out.get(i, 0) + v * g
-    return out
+    return {i: v for i, v in out.items() if v}
 
 
 def _annihilated(rows: list[dict[int, int]], kernel: list[dict[int, int]]) -> bool:
     """Whether every integer row has a zero exact dot product with every integer kernel vector, each row read once."""
     by_column = _column_index(kernel)
-    return not any(any(_dots(row, by_column).values()) for row in rows)
+    return not any(_dots(row, by_column) for row in rows)
 
 
 def _integral(row: SparseRow) -> dict[int, int]:
     """``row`` times the lcm of its denominators: integer entries on the same line.
 
-    Every row enters an echelon through here.  Zero entries are dropped, so
-    no echelon ever sees one (``_Echelon`` takes a row's lowest column as
-    its pivot).
+    A rational row or vector enters an echelon through here, once.  Zero
+    entries are dropped, as ``_Echelon`` takes a row's lowest column as its pivot.
     """
     den = lcm(*[v.denominator for v in row.values()])
     return {c: num * (den // v.denominator) for c, v in row.items() if (num := v.numerator)}
@@ -528,34 +528,32 @@ class SubspaceBasis:
         the system that defines it.
         """
         _check_columns(functional, self.ambient_dim)
-        return not any(sum(c * row.get(j, 0) for j, c in functional.items()) for row in self.rows.values())
+        return not _dots(functional, _column_index(self.rows.values()))
 
     def restricted(self, rows: Iterable[SparseRow]) -> "SubspaceBasis":
         """The vectors of the subspace that every row annihilates, in canonical form.
 
         The r stored rows ``g`` span the subspace, so a member is
         ``sum(c[i] * g[i])``, and a row ``e`` annihilates it exactly when
-        ``sum(c[i] * (e . g[i])) = 0``.  The kernel of those composed rows
-        in the r coordinates ``c`` is lifted back through ``g`` into one
-        echelon.  ``rows`` is read only until the composed rows reach rank r.
+        ``sum(c[i] * (e . g[i])) = 0``.  Each row is composed by :func:`_dots`,
+        unscaled (:func:`nullspace_of_sparse_rows` scales it), and dropped if
+        it vanishes on the subspace.  The kernel in the coordinates ``c`` is
+        lifted back through ``g`` by ``_dots`` into one echelon.  ``rows`` is
+        read only until rank r, so a zero subspace reads none.
         """
-        gens = list(self.rows.values())
-        by_column = _column_index(gens)
+        if not self.rows:
+            return self
+        by_column = _column_index(self.rows.values())
 
         def composed():
             for row in rows:
                 _check_columns(row, self.ambient_dim)
-                yield {i: v for i, v in _dots(_integral(row), by_column).items() if v}
+                if dotted := _dots(row, by_column):
+                    yield dotted
 
-        kernel = nullspace_of_sparse_rows(len(gens), composed())
-        lifted = []
-        for c in kernel.rows.values():
-            vec: dict[int, int] = {}
-            for i, ci in c.items():
-                for col, v in gens[i].items():
-                    vec[col] = vec.get(col, 0) + ci * v
-            lifted.append({col: v for col, v in vec.items() if v})
-        return _Echelon(self.ambient_dim, lifted).span()
+        kernel = nullspace_of_sparse_rows(self.rank, composed())
+        by_index = dict(enumerate(row.items() for row in self.rows.values()))
+        return _Echelon(self.ambient_dim, (_dots(c, by_index) for c in kernel.rows.values())).span()
 
     def reduced_from_last(self, v: Sequence[Fraction]) -> Vector:
         """The one vector of ``v + space`` that is zero at the pivots of a last-to-first echelon.
@@ -576,11 +574,12 @@ class SubspaceBasis:
 def nullspace_of_sparse_rows(ambient: int, rows: Iterable[SparseRow]) -> SubspaceBasis:
     """Nullspace of a system given as sparse rows; the system's rank is ``ambient`` minus its rank.
 
-    Each row is scaled to integers by the lcm of its denominators, which
-    keeps the row space, and is the only copy kept.  ``rows`` is read only
-    until the rank mod ``P`` reaches ``ambient``.  The module docstring
-    gives the argument that makes the answer exact.  The kernel generators
-    of either echelon go into one echelon of their own for the basis.
+    Each row, integral or rational, is scaled to integers here, and by no
+    caller, by the lcm of its denominators, which keeps the row space; that
+    is the only copy kept.  ``rows`` is read only until the rank mod ``P``
+    reaches ``ambient``.  The module docstring gives the argument that makes
+    the answer exact.  The kernel generators of either echelon go into one
+    echelon of their own for the basis.
     """
     mod = _ModEchelon(ambient)
     scaled = []

@@ -35,12 +35,12 @@ closes the space; ``affine_local_closure`` closes the family's hull
 directions alone, because ``B x in base@x + span`` is
 ``(B - base) x in span`` and the base solves its own rows.  ``_escape`` is
 the one point scan, finding where some ``S x`` leaves ``W(x)``, for both
-``recheck_certification`` and ``is_local_member``; both first decide by
-containment in the base, whose members never leave ``W(x)``, and scan only
-what lies outside it; ``two_local_report``
-reads the rank of ``W(e)`` at each plan point, ``kernel_rank`` at one.  Each
-entry point refuses a space whose ambient is not ``n**2``, and a space that
-was solved on another algebra.
+``recheck_certification`` and ``is_local_member``.  Both first reduce the
+integer rows they test (the candidate matrix scaled once) against the base's
+stored rows (``linalg._reduce``), as members never leave ``W(x)``, and scan
+only what lies outside; ``two_local_report`` reads the rank of ``W(e)`` at
+each plan point, ``kernel_rank`` at one.  Each entry point refuses a space
+whose ambient is not ``n**2``, and a space solved on another algebra.
 
 Results are bitwise deterministic for a fixed :class:`SamplePlan`: samples
 are the basis vectors, then all pairwise sums, then eight seeded random
@@ -283,10 +283,10 @@ def is_local_member(
     n = _dim(algebra, space)
     if candidate.shape != (n, n):
         raise ValueError("candidate matrix has wrong shape")
-    candidate_vec = vectorize_map(candidate)
-    if space.space.contains(candidate_vec):  # a member's image never leaves W(x)
+    row = _integral(_to_sparse(vectorize_map(candidate)))  # scaled once, for containment and the scan alike
+    if not _reduce(space.space.rows, row):  # a member's image never leaves W(x)
         return LocalMemberVerdict(LOCAL_CERTIFIED)
-    escape = _escape(space, [_integral(_to_sparse(candidate_vec))], plan.points(n))
+    escape = _escape(space, [row], plan.points(n))
     if escape is not None:
         return LocalMemberVerdict(NOT_LOCAL, witness=escape)
     return LocalMemberVerdict(LOCAL_ON_SAMPLES)

@@ -601,7 +601,9 @@ class TestEchelonKernel:
 class TestRestricted:
     """``restricted(rows)`` is the subspace met with the kernel of ``rows``, solved in the subspace's coordinates."""
 
-    def test_equals_the_kernel_of_the_stacked_system(self):
+    @staticmethod
+    def cases():
+        """Seeded ``(space, rows)`` with ``Fraction`` rows, some of them a multiple of a functional that vanishes on the space."""
         rng = random.Random(0x5E55)
         for _ in range(300):
             n = rng.randint(1, 6)
@@ -610,8 +612,30 @@ class TestRestricted:
                 {c: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for c in rng.sample(range(n), rng.randint(1, n))}
                 for _ in range(rng.randint(0, n))
             ]
-            rows = [{c: v for c, v in row.items() if v} for row in rows]
-            assert space.restricted(rows) == nullspace_of_sparse_rows(n, annihilator_rows(space) + rows)
+            rows += [{c: Fraction(v, 2) for c, v in q.items()} for q in annihilator_rows(space) if rng.random() < 0.5]
+            rng.shuffle(rows)
+            yield space, [{c: v for c, v in row.items() if v} for row in rows]
+
+    def test_equals_the_kernel_of_the_stacked_system(self):
+        for space, rows in self.cases():
+            assert space.restricted(rows) == nullspace_of_sparse_rows(space.ambient_dim, annihilator_rows(space) + rows)
+
+    def test_no_row_that_vanishes_on_the_space_reaches_the_solve(self, monkeypatch):
+        read, vanishing = [], 0
+        solve = linalg.nullspace_of_sparse_rows
+        monkeypatch.setattr(linalg, "nullspace_of_sparse_rows", lambda r, rows: solve(r, (read.append(row) or row for row in rows)))
+        for space, rows in self.cases():
+            vanishing += sum(not any(sum(v * b[c] for c, v in row.items()) for b in space.basis) for row in rows if space.rank)
+            space.restricted(rows)
+        assert vanishing and read and all(read)
+
+    def test_a_zero_space_restricts_to_itself_without_reading_a_row(self):
+        class Unreadable:
+            def __iter__(self):
+                raise AssertionError("a zero space read a row")
+
+        zero = SubspaceBasis(3)
+        assert zero.restricted(Unreadable()) is zero
 
     def test_a_column_outside_the_ambient_is_refused(self):
         with pytest.raises(ValueError, match="column outside"):

@@ -87,7 +87,13 @@ The thirteenth guard keeps stored bases off ``linalg._integral``: outside
 ``linalg`` it is called only by ``local._walk``, on each sample point, and
 by ``local.is_local_member``, on the candidate matrix, and by no function
 that reads a dense basis.  A stored row is already integral, so scaling one
-again would only redo work.
+again would only redo work.  Inside ``linalg`` it is called only where a
+rational row or vector enters: by ``nullspace_of_sparse_rows``, on each row
+of a system, by ``_ModEchelon.kernel``, on each lifted generator, by
+``_entering`` and ``SubspaceBasis.__init__``, on vectors from outside, and
+by ``SubspaceBasis.reduced_from_last``, on the vector it reduces.  In
+particular ``SubspaceBasis.restricted`` composes each row unscaled, and the
+solve it hands the composed rows to scales each of them once.
 
 The fourteenth guard keeps one table of named kinds: no module of ``src/``
 but ``solvers`` builds ``Fraction(1, 2)``, which is built once, as the
@@ -756,6 +762,37 @@ def test_guard_catches_a_scaled_stored_basis(tmp_path):
         ("probe._walk", 3, "_integral"),
         ("probe._walk", 4, "_integral"),
         ("probe._escape", 8, "linalg._integral"),
+    ]
+
+
+LINALG = [path for path in SOURCES if path.stem == "linalg"]
+RATIONAL_ENTRIES = {
+    "linalg.nullspace_of_sparse_rows",
+    "linalg._ModEchelon.kernel",
+    "linalg._entering",
+    "linalg.SubspaceBasis.__init__",
+    "linalg.SubspaceBasis.reduced_from_last",
+}
+
+
+def test_linalg_scales_only_where_rational_rows_enter():
+    for dotted in sorted(RATIONAL_ENTRIES):
+        resolve(dotted)
+    assert {scope for scope, _, _ in calls_to(LINALG, SCALERS)} == RATIONAL_ENTRIES
+    assert scaled_stored_bases(LINALG, RATIONAL_ENTRIES) == []
+
+
+def test_guard_catches_a_composed_row_scaled_before_the_solve(tmp_path):
+    module = tmp_path / "linalg.py"
+    module.write_text(
+        "def nullspace_of_sparse_rows(ambient, rows):\n    return [_integral(row) for row in rows]\n"
+        "class SubspaceBasis:\n    def restricted(self, rows):\n        by_column = _column_index(self.rows.values())\n\n"
+        "        def composed():\n            for row in rows:\n"
+        "                yield {i: v for i, v in _dots(_integral(row), by_column).items() if v}\n\n"
+        "        return nullspace_of_sparse_rows(self.rank, composed())\n"
+    )
+    assert scaled_stored_bases([module], {"linalg.nullspace_of_sparse_rows"}) == [
+        ("linalg.SubspaceBasis.restricted.composed", 9, "_integral"),
     ]
 
 

@@ -210,7 +210,7 @@ def test_session_refuses_what_solve_refuses():
 
 
 def test_run_all_solves_each_request_once_and_derived_kinds_by_restriction(monkeypatch):
-    """One full elimination per distinct parentless, sliceless request; the others eliminate only in r coordinates."""
+    """One full elimination per distinct parentless, sliceless request; the others eliminate only in r coordinates, if r > 0."""
     sessions, full, restricted = [], [], []
     eliminate = linalg.nullspace_of_sparse_rows
 
@@ -232,18 +232,22 @@ def test_run_all_solves_each_request_once_and_derived_kinds_by_restriction(monke
     verification.run_all()
     (session,) = sessions
     spaces = [space for solved in session._solved.values() for space in solved.values()]
-    roots = [s for s in spaces if not (KINDS[s.kind].parent or KINDS[s.kind].slices)]
+    parent_of = {kind: spec.parent or spec.slices for kind, spec in KINDS.items()}
+    roots = [s for s in spaces if not parent_of[s.kind]]
     # each request is solved once: one full elimination per root space, over all of its unknowns
     assert sorted(full) == sorted(s.algebra.dim ** (KINDS[s.kind].arity + 1) for s in roots)
-    assert len(restricted) == len(spaces) - len(roots)
+    # a restriction eliminates only when its parent (for biderivations, the derivations) is nonzero
+    parents = [session.solve(s.algebra, parent_of[s.kind]) for s in spaces if parent_of[s.kind]]
+    assert len(restricted) == sum(1 for parent in parents if parent.rank)
     # each restriction eliminates in the coordinates of a parent space, or of the derivations shifted into n blocks
     ranks = {s.rank for s in spaces if s.kind in PARENTS.values()} | {s.algebra.dim * s.rank for s in spaces if s.kind == "derivation"}
     assert restricted and set(restricted) <= ranks
     # 161 distinct requests (225 solver calls before the session), plus the
     # biderivations of sl2+sl2, solved only as the parent of its skew part,
     # and the derivations of sl2+sl2, solved only as its biderivations' slices:
-    # 163 spaces, of which the 25 biderivation spaces are now restrictions too
-    assert (len(full), len(restricted)) == (58, 105)
+    # 163 spaces, of which the 25 biderivation spaces are now restrictions too;
+    # 105 of them are read off a parent, and the 93 whose parent is nonzero eliminate
+    assert (len(full), len(spaces) - len(roots), len(restricted)) == (58, 105, 93)
 
 
 def test_no_path_assembles_the_biderivation_system(monkeypatch, capsys):
