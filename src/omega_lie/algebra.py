@@ -227,12 +227,16 @@ def check_axioms(algebra: OmegaAlgebra) -> AxiomReport:
     tables (``[e_i,e_j]`` is the row ``c[i][j]``); only nonzero ones are kept.
     """
     n = algebra.dim
-    c = algebra.structure
     w = algebra.omega
-    # over the rationals x == -x only for x == 0, so the diagonals are checked too
-    antisym = all(c[i][j][k] == -c[j][i][k] for i, j, k in product(range(n), repeat=3))
-    skew = all(w[i][j] == -w[j][i] for i, j in product(range(n), repeat=2))
     support = algebra._support
+
+    def antisymmetric(table) -> bool:
+        # each cell of a cached support lists its nonzero entries in ascending order, so this compares them entry by
+        # entry; over the rationals x == -x only for x == 0, so a diagonal cell passes only if it is empty
+        return all(table[i][j] == tuple((k, -v) for k, v in table[j][i]) for i, j in product(range(n), repeat=2))
+
+    antisym = antisymmetric(support)
+    skew = antisymmetric(algebra._form_support)
     defects = []
     for i, j, k in combinations(range(n), 3):
         defect = {}  # coordinate -> value, over the coordinates a term reaches

@@ -26,12 +26,16 @@ Two independent interpreters read the term lists:
   the unknown, a map read as a ``1 x n x n`` table as in ``Matrix.apply``,
   on sparse values: a basis vector is ``((i, 1),)``, zero is ``()``, and an
   integral entry is held as its ``int``.  Each kind's identities are
-  compiled once into numbered steps; at each tuple the steps that do not
-  read the unknown (``br(x, y)``, ``w(x, y)``) are evaluated once for all
-  unknowns, and a step with a zero argument is zero without a call, which
-  is exact because every evaluator is multilinear.  Residuals are summed
-  from nonzero entries only and reported as ``Fraction`` tuples.
-  ``map_defects`` / ``tensor_defects`` call it on one unknown.
+  compiled once into numbered steps.  The identities are linear in the
+  unknown, so the r unknowns act as one map into their r-fold direct sum
+  (entry ``u*n + k`` is entry ``k`` of unknown ``u``), and a step that
+  reads it applies the bracket or the form lifted block-diagonally in
+  that argument: every step is evaluated once per tuple for all unknowns,
+  and a step with a zero argument is zero without a call, which is exact
+  because every evaluator is multilinear.  Residuals are summed from
+  nonzero entries only; a tuple whose sums are all zero is skipped, and
+  only a nonzero one is split per unknown and reported as ``Fraction``
+  tuples.  ``map_defects`` / ``tensor_defects`` call it on one unknown.
 
 Every identity is multilinear, so holding on basis tuples is equivalent to
 holding on the whole algebra.  An identity that an exchange of two variables
@@ -430,9 +434,11 @@ class _Plan(NamedTuple):
     """The identities of a kind with one number of variables, compiled into steps.
 
     Positions ``0 .. nvars - 1`` hold the basis vectors of a tuple, and each
-    distinct subterm is a step at the next position after its arguments:
-    ``(position, head, argument positions)``.  ``shared`` lists the steps that
-    do not read the unknown and ``own`` the others, each in evaluation order.
+    distinct subterm is a step at the next position after its arguments.
+    ``shared`` lists the steps that do not read the unknown, as ``(position,
+    head, argument positions)``, and ``own`` the others, as ``(position,
+    head, argument positions, side)``, ``side`` being the argument that reads
+    the unknown (``None`` for ``U`` itself), each in evaluation order.
     ``identities`` holds ``(width, ((coefficient, position), ...))`` per
     identity, ``width`` being 1 for a form identity and ``n`` otherwise; an
     integral coefficient is held as its ``int``.
@@ -463,9 +469,10 @@ def _plans(spec: Kind, params: dict, n: int) -> list[_Plan]:
             if expr not in position:
                 args = tuple(compile_term(a) for a in expr[1:])
                 pos = position[expr] = nvars + len(position)
-                if expr[0] == "U" or reading.intersection(args):
+                side = next((s for s, a in enumerate(args) if a in reading), None)
+                if expr[0] == "U" or side is not None:
                     reading.add(pos)
-                    own.append((pos, expr[0], args))
+                    own.append((pos, expr[0], args, side))
                 else:
                     shared.append((pos, expr[0], args))
             return position[expr]
@@ -476,6 +483,20 @@ def _plans(spec: Kind, params: dict, n: int) -> list[_Plan]:
             compiled.append((1 if identity.terms[0][2][0] == "w" else n, terms))
         plans.append(_Plan(nvars, len(position), tuple(shared), tuple(own), tuple(compiled)))
     return plans
+
+
+def _lifted(support, side: int, r: int, width: int) -> tuple:
+    """``support`` on the r-fold direct sum in argument ``side``: entry ``u*n + i`` there goes to ``u*width + m``.
+
+    The lift is block-diagonal: block ``u`` is ``support`` with its outputs
+    shifted by ``u*width``.
+    """
+    def shifted(cell, u):
+        return tuple((u * width + m, v) for m, v in cell) if cell else cell
+
+    if side == 0:
+        return tuple(tuple(shifted(cell, u) for cell in plane) for u in range(r) for plane in support)
+    return tuple(tuple(shifted(cell, u) for u in range(r) for cell in plane) for plane in support)
 
 
 def defects(algebra: OmegaAlgebra, kind: str, unknowns, **params) -> list[list[tuple[tuple[int, ...], Vector]]]:
@@ -491,8 +512,14 @@ def defects(algebra: OmegaAlgebra, kind: str, unknowns, **params) -> list[list[t
     Every value is sparse, nonzero ``(index, value)`` pairs: a basis vector is
     ``((i, 1),)`` and zero is ``()``.  A step evaluates ``_bilinear`` over
     the support of its operator.  Every step is multilinear, so one with a
-    zero argument stays zero without a call.  At each tuple the steps that
-    do not read the unknown are evaluated once for all unknowns.
+    zero argument stays zero without a call.  The identities are linear in
+    the unknown, so the r unknowns act as one map into their r-fold direct
+    sum: entry ``u*n + k`` of the stacked unknown is entry ``k`` of unknown
+    ``u``, and a step that reads it applies the bracket or the form lifted
+    block-diagonally in that argument (:func:`_lifted`).  Each step is then
+    evaluated once per tuple for all unknowns, and a tuple whose residual
+    sums are all zero is skipped after one test; only a nonzero one is split
+    per unknown.
     """
     spec, params = _lookup(kind, params)
     n = algebra.dim
@@ -504,38 +531,57 @@ def defects(algebra: OmegaAlgebra, kind: str, unknowns, **params) -> list[list[t
             raise ValueError(
                 f"a bilinear map on the algebra must be {n} x {n} x {n}, got {getattr(u, 'dim', type(u).__name__)}"
             )
+    if not unknowns:
+        return []
+    r = len(unknowns)
     supports = {"br": algebra._support, "w": algebra._form_support}
-    # a map acts as the 1 x n x n table of its rows (as in Matrix.apply), whose first argument is the scalar 1, kept as the last value
-    operators = [u._support if spec.arity == 2 else (u._support,) for u in unknowns]
+    # a map acts as the 1 x n x n table of its rows (as in Matrix.apply), whose first argument is the scalar 1,
+    # kept as the last value; the stacked unknown holds entry k of unknown u at u*n + k
+    unknown_supports = [u._support if spec.arity == 2 else (u._support,) for u in unknowns]
+    stacked = tuple(
+        tuple(
+            tuple((u * n + k, v) for u, support in enumerate(unknown_supports) for k, v in support[i][j])
+            for j in range(n)
+        )
+        for i in range(len(unknown_supports[0]))
+    )
+    plans = _plans(spec, params, n)
+    operators: dict = {}  # (head, side) -> the operator an own step applies
+    for plan in plans:
+        for _, head, _, side in plan.own:
+            if (head, side) not in operators:
+                width = n if head == "br" else 1
+                operators[head, side] = stacked if head == "U" else _lifted(supports[head], side, r, width)
     found: list[list] = [[] for _ in unknowns]
-    for plan in _plans(spec, params, n):
-        shared = [(pos, supports[head], *args) for pos, head, args in plan.shared]
-        own = [
-            [
-                (pos, operator if head == "U" else supports[head], *(args if len(args) == 2 else (-1, *args)))
-                for pos, head, args in plan.own
-            ]
-            for operator in operators
+    for plan in plans:
+        steps = [(pos, supports[head], *args) for pos, head, args in plan.shared]
+        steps += [
+            (pos, operators[head, side], *(args if len(args) == 2 else (-1, *args)))
+            for pos, head, args, side in plan.own
         ]
+        # an identity fills sums[start + u*width + m] for unknown u, so each unknown's residual is a slice per identity
+        blocks: list = []
+        terms: list = []
+        size = 0
+        for width, identity_terms in plan.identities:
+            blocks.append((size, width))
+            terms += [(c, pos, size) for c, pos in identity_terms]
+            size += width * r
         for idx in product(range(n), repeat=plan.nvars):
             values = [((i, 1),) for i in idx] + [()] * plan.nsteps + [((0, 1),)]
-            for pos, support, a, b in shared:
+            for pos, support, a, b in steps:
                 if values[a] and values[b]:
                     values[pos] = _bilinear(support, values[a], values[b])
-            for steps, out in zip(own, found):
-                at = values.copy()
-                for pos, support, a, b in steps:
-                    if at[a] and at[b]:
-                        at[pos] = _bilinear(support, at[a], at[b])
-                residual: list = []
-                for width, terms in plan.identities:
-                    sums = [0] * width
-                    for c, pos in terms:
-                        for k, v in at[pos]:
-                            sums[k] += c * v
-                    residual += sums
-                if any(residual):
-                    out.append((tuple(i + 1 for i in idx), tuple(ZERO + v for v in residual)))
+            sums = [0] * size
+            for c, pos, start in terms:
+                for k, v in values[pos]:
+                    sums[start + k] += c * v
+            if any(sums):
+                indices = tuple(i + 1 for i in idx)
+                for u, out in enumerate(found):
+                    residual = [v for start, width in blocks for v in sums[start + u * width : start + (u + 1) * width]]
+                    if any(residual):
+                        out.append((indices, tuple(ZERO + v for v in residual)))
     return found
 
 

@@ -335,6 +335,36 @@ class TestAxioms:
         )
         assert not report.bracket_antisymmetric and not report.omega_skew
 
+    def test_antisymmetries_match_the_dense_check_on_perturbed_tables(self):
+        """Both antisymmetries agree with ``c[i][j][k] == -c[j][i][k]`` and ``w[i][j] == -w[j][i]`` over every index."""
+        rng = random.Random(20261020)
+        verdicts = set()
+        for trial in range(60):
+            n = rng.randint(2, 5)
+            alg = random_table(rng, n)
+            plane = [[list(row) for row in p] for p in alg.structure]
+            omega = [list(row) for row in alg.omega]
+            for _ in range(rng.randint(0, 2)):  # a cell changed on one side only, the diagonal included
+                i, j, k = (rng.randrange(n) for _ in range(3))
+                if rng.random() < 0.5:
+                    plane[i][j][k] += rng.choice((1, -1, Fraction(1, 2)))
+                else:
+                    omega[i][j] += rng.choice((1, -1, Fraction(1, 2)))
+            if trial % 3 == 0:  # a pair changed on both sides, which keeps it antisymmetric
+                i, j, k = (rng.randrange(n) for _ in range(3))
+                if i != j:
+                    plane[i][j][k] += 2
+                    plane[j][i][k] -= 2
+            c, w = tuple(tuple(map(tuple, p)) for p in plane), tuple(map(tuple, omega))
+            report = check_axioms(replace(alg, structure=c, omega=w))
+            dense = (
+                all(c[i][j][k] == -c[j][i][k] for i in range(n) for j in range(n) for k in range(n)),
+                all(w[i][j] == -w[j][i] for i in range(n) for j in range(n)),
+            )
+            assert (report.bracket_antisymmetric, report.omega_skew) == dense, trial
+            verdicts.add(dense)
+        assert len(verdicts) == 4
+
 
 class TestDirectSum:
     def test_dimensions_add(self):

@@ -239,6 +239,61 @@ def test_a_perturbed_map_is_the_only_one_reported(key):
     only_the_perturbed_element_is_reported(key, "derivation")
 
 
+def test_one_batch_evaluates_each_step_once_per_tuple(monkeypatch):
+    """The kernel calls of a batch are bounded by tuples x compiled steps, whatever the number of unknowns."""
+    alg = catalog.get("L_{1,1}")
+    members = solvers.solve(alg, "biderivation").elements()
+    assert len(members) == 18
+    kernel, calls = solvers._bilinear, []
+
+    def counted(support, xs, ys):
+        calls.append(1)
+        return kernel(support, xs, ys)
+
+    monkeypatch.setattr(solvers, "_bilinear", counted)
+    plans = solvers._plans(solvers.KINDS["biderivation"], {}, alg.dim)
+    assert solvers.defects(alg, "biderivation", members) == [[] for _ in members]
+    assert 0 < len(calls) <= sum(alg.dim**plan.nvars * plan.nsteps for plan in plans)
+    calls.clear()
+    assert solvers.defects(alg, "biderivation", []) == []
+    assert calls == []
+
+
+# zero bracket and form: every map is a derivation and every bilinear map a biderivation
+ABELIAN4 = OmegaAlgebra.from_tables("abelian4", 4, {}, {})
+
+
+@pytest.mark.parametrize("kind,rank", [("derivation", 16), ("biderivation", 64), ("symmetric", 40), ("skew", 24)])
+def test_a_large_batch_equals_one_check_per_unknown(kind, rank):
+    space = solvers.solve(ABELIAN4, kind)
+    assert space.rank == rank
+    first, second = random_unknowns(ABELIAN4, kind, f"abelian4|{kind}")
+    unknowns = [first] + list(space.elements()) + [second]
+    batch = solvers.defects(ABELIAN4, kind, unknowns)
+    assert batch == [one_check(ABELIAN4, kind, {}, u) for u in unknowns]
+    assert not any(batch[1:-1])
+
+
+@pytest.mark.parametrize("kind,members", [("symmetric", 16), ("skew", 0)])
+def test_a_large_batch_of_non_members_equals_one_check_per_unknown(kind, members):
+    """The 64 unit tensors, as a batch of a biderivation kind that most of them leave."""
+    units = solvers.solve(ABELIAN4, "biderivation").elements()
+    batch = solvers.defects(ABELIAN4, kind, units)
+    assert batch == [one_check(ABELIAN4, kind, {}, u) for u in units]
+    assert batch.count([]) == members
+
+
+@pytest.mark.parametrize("kind", ["symmetric", "skew"])
+def test_a_perturbed_element_of_a_large_basis_is_the_only_one_reported(kind):
+    space = solvers.solve(ABELIAN4, kind)
+    rng = random.Random(kind)
+    for e in range(space.rank):
+        members, at = perturbed_members(ABELIAN4, space, kind, e, rng)
+        found = solvers.defects(ABELIAN4, kind, members)
+        assert [bool(r) for r in found] == [i == e for i in range(space.rank)], (e, at)
+        assert found[e] == one_check(ABELIAN4, kind, {}, members[e]), (e, at)
+
+
 RESIDUAL_KINDS = [kind for kind in solvers.KINDS if kind != "delta_derivation"]
 
 
