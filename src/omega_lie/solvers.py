@@ -51,7 +51,8 @@ too (``symmetric``, ``skew`` and ``omega_biderivation`` name
 the parent's, restricted by its own rows (``SubspaceBasis.restricted``).  A
 bilinear map is a biderivation exactly when each slice ``U(e_i, .)`` and
 ``U(., e_j)`` is a derivation, so ``biderivation`` names ``derivation`` as
-its ``slices`` and its space is read off theirs.  Only the other kinds
+its ``slices``: its space P ∩ Q (P, Q spanned by the derivations' rows in
+either slot) is read off one Zassenhaus echelon.  Only the other kinds
 eliminate over all ``n**(arity + 1)`` unknowns.  :func:`solve` is a
 :class:`Session` of one request; the verification suite keeps one per run.
 
@@ -62,7 +63,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from typing import NamedTuple, Optional, Union
 
 from .algebra import BilinearMap, OmegaAlgebra
@@ -338,13 +339,12 @@ def _solve(solved: dict, algebra: OmegaAlgebra, kind: str, params: dict) -> Solu
             base = _solve(solved, algebra, spec.parent, {p: values[p] for p in _settable(KINDS[spec.parent])}).space
             space = base.restricted(_identity_rows(algebra, spec.identities, values))
         elif spec.slices:
-            # block i, from column i*n*n, is the slice U(e_i, .); U(., e_j) has entry i*n + k at column (i*n + j)*n + k
-            base = _solve(solved, algebra, spec.slices, {}).space
-            # the slice rows shifted into each block are a reduced echelon already, so no shifted row meets another pivot
-            blocks = _Echelon(n**3, ({i * n * n + c: v for c, v in row.items()} for i in range(n) for row in base.rows.values()))
-            annihilator = _Echelon(n * n, base.rows.values()).kernel()
-            first = ({(c // n * n + j) * n + c % n: v for c, v in q.items()} for q in annihilator for j in range(n))
-            space = blocks.span().restricted(first)
+            # P holds U(e_i, .) from column i*n*n; Q holds U(., e_j), entry i*n + k at column (i*n + j)*n + k
+            der, cube = _solve(solved, algebra, spec.slices, {}).space.rows.values(), n**3
+            p = ({h + i * n * n + c: v for h in (0, cube) for c, v in row.items()} for i in range(n) for row in der)
+            q = ({(c // n * n + j) * n + c % n: v for c, v in row.items()} for j in range(n) for row in der)
+            meet = _Echelon(2 * cube, chain(p, q)).rows  # (p | p), (q | 0): rows pivoting at or after n³ span (0 | P ∩ Q)
+            space = _Echelon(cube, ({c - cube: v for c, v in row.items()} for f, row in meet.items() if f >= cube)).span()
         else:
             space = nullspace_of_sparse_rows(n ** (spec.arity + 1), _identity_rows(algebra, spec.identities, values))
         solved[key] = SolutionSpace(algebra, kind, space)

@@ -112,6 +112,14 @@ Row assembly and the residual check read the cached supports
 ``OmegaAlgebra._support`` and ``OmegaAlgebra._form_support``, so the
 nonzero structure constants are indexed once per algebra, not rescanned
 from the dense tables on every solve.
+
+The seventeenth guard keeps kernels where a system is solved: inside
+``src/`` a method ``kernel`` is called only by
+``linalg.nullspace_of_sparse_rows``, which reads the solution space off a
+system, and by ``local._point_rows``, which turns the span ``W(x)`` into the
+equations of membership.  Biderivations are the intersection of two spans
+of the derivations' slices, read off one echelon, so no solve path takes an
+annihilator of a solved space to compose it into equations again.
 """
 
 import ast
@@ -901,4 +909,33 @@ def test_guard_catches_a_dense_table_read(tmp_path):
         ("probe._tables", 2, "structure"),
         ("probe._tables", 2, "omega"),
         ("probe._defects", 7, "structure"),
+    ]
+
+
+KERNEL_READERS = {"linalg.nullspace_of_sparse_rows", "local._point_rows"}
+
+
+def kernel_calls(paths):
+    """``(scope, line, "kernel")`` of each call of a method named ``kernel``."""
+    return names_in(paths, {"kernel"}, _method_called)
+
+
+def test_kernels_are_read_only_where_a_system_is_solved():
+    for dotted in sorted(KERNEL_READERS) + ["linalg._Echelon.kernel", "linalg._ModEchelon.kernel"]:
+        resolve(dotted)
+    assert {scope for scope, _, _ in kernel_calls(SOURCES)} == KERNEL_READERS
+
+
+def test_guard_catches_an_annihilator_composed_into_a_solve(tmp_path):
+    module = tmp_path / "probe.py"
+    module.write_text(
+        "def nullspace_of_sparse_rows(ambient, rows):\n    return mod.kernel() or _Echelon(ambient, rows).kernel()\n"
+        "def _solve(base, n):\n"
+        "    annihilator = _Echelon(n * n, base.rows.values()).kernel()\n"
+        "    return base.restricted(annihilator), kernel(base)\n"
+    )
+    assert kernel_calls([module]) == [
+        ("probe.nullspace_of_sparse_rows", 2, "kernel"),
+        ("probe.nullspace_of_sparse_rows", 2, "kernel"),
+        ("probe._solve", 4, "kernel"),
     ]

@@ -16,12 +16,13 @@ import random
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
 
 from omega_lie import catalog, linalg, solvers, verification
-from omega_lie.algebra import BilinearMap, OmegaAlgebra, direct_sum
+from omega_lie.algebra import BilinearMap, OmegaAlgebra, check_axioms, direct_sum
 from omega_lie.cli import main
 from omega_lie.linalg import nullspace_of_sparse_rows
 from omega_lie.solvers import KINDS, Session
@@ -95,7 +96,37 @@ def instances():
     yield from RANDOM.items()
 
 
+def special_linear(n):
+    """sl(n) on the units ``E_ab`` (a != b) and ``E_aa - E_(a+1)(a+1)``, its bracket the matrix commutator."""
+    units = [{(a, b): 1} for a in range(n) for b in range(n) if a != b]
+    units += [{(a, a): 1, (a + 1, a + 1): -1} for a in range(n - 1)]
+
+    def commutator(x, y):
+        out = {}
+        for (a, b), u in x.items():
+            for (c, d), v in y.items():
+                if b == c:
+                    out[a, d] = out.get((a, d), 0) + u * v
+                if d == a:
+                    out[c, b] = out.get((c, b), 0) - u * v
+        return out
+
+    def coordinates(m):
+        """Off-diagonal entries in the units' order, then the partial sums of the diagonal."""
+        diagonal = accumulate(m.get((a, a), 0) for a in range(n - 1))
+        return [m.get((a, b), 0) for a in range(n) for b in range(n) if a != b] + list(diagonal)
+
+    brackets = {}
+    for i, x in enumerate(units):
+        for j in range(i + 1, len(units)):
+            coeffs = {k + 1: v for k, v in enumerate(coordinates(commutator(x, units[j]))) if v}
+            if coeffs:
+                brackets[i + 1, j + 1] = coeffs
+    return OmegaAlgebra.from_tables(f"sl{n}", len(units), brackets, {})
+
+
 INSTANCES = list(instances())
+SL3 = special_linear(3)
 SL2_CUBED = direct_sum(catalog.get("sl2_plus_sl2"), catalog.get("sl2"))
 ABELIAN = {f"abelian{n}": OmegaAlgebra.from_tables(f"abelian{n}", n, {}, {}) for n in (2, 3, 4)}
 SL2_ABELIAN1 = direct_sum(catalog.get("sl2"), OmegaAlgebra.from_tables("abelian1", 1, {}, {}))
@@ -105,6 +136,7 @@ ORACLE_CASES = (
     + list(DENSE.items())
     + list(RAW.items())
     + list(ABELIAN.items())
+    + [("sl3", SL3)]
 )
 
 
@@ -173,6 +205,11 @@ def test_the_cases_cover_every_reading():
     for alg in ABELIAN.values():
         assert solvers.solve(alg, "derivation").rank == alg.dim**2, alg.name
         assert solvers.solve(alg, "biderivation").rank == alg.dim**3, alg.name
+    # sl3 is simple: its derivations are inner, and its biderivations are the multiples of its bracket (Tang 2018)
+    assert check_axioms(SL3).passed
+    assert solvers.solve(SL3, "derivation").rank == 8
+    bracket = [v for plane in SL3.structure for row in plane for v in row]
+    assert solvers.solve(SL3, "biderivation").space == linalg.SubspaceBasis(SL3.dim**3, [bracket])
     proper = set()
     for alg in RANDOM.values():
         assert any(v for row in alg.omega for v in row)
@@ -210,7 +247,12 @@ def test_session_refuses_what_solve_refuses():
 
 
 def test_run_all_solves_each_request_once_and_derived_kinds_by_restriction(monkeypatch):
-    """One full elimination per distinct parentless, sliceless request; the others eliminate only in r coordinates, if r > 0."""
+    """One full elimination per distinct parentless, sliceless request; a derived kind eliminates only in r coordinates, if r > 0.
+
+    Biderivations are the intersection of the derivations' slices in either
+    slot, read off one echelon, and eliminate through neither
+    ``nullspace_of_sparse_rows``.
+    """
     sessions, full, restricted = [], [], []
     eliminate = linalg.nullspace_of_sparse_rows
 
@@ -236,18 +278,24 @@ def test_run_all_solves_each_request_once_and_derived_kinds_by_restriction(monke
     roots = [s for s in spaces if not parent_of[s.kind]]
     # each request is solved once: one full elimination per root space, over all of its unknowns
     assert sorted(full) == sorted(s.algebra.dim ** (KINDS[s.kind].arity + 1) for s in roots)
-    # a restriction eliminates only when its parent (for biderivations, the derivations) is nonzero
-    parents = [session.solve(s.algebra, parent_of[s.kind]) for s in spaces if parent_of[s.kind]]
+    # a restriction eliminates only when its parent is nonzero, in the coordinates of that parent
+    parents = [session.solve(s.algebra, PARENTS[s.kind]) for s in spaces if s.kind in PARENTS]
     assert len(restricted) == sum(1 for parent in parents if parent.rank)
-    # each restriction eliminates in the coordinates of a parent space, or of the derivations shifted into n blocks
-    ranks = {s.rank for s in spaces if s.kind in PARENTS.values()} | {s.algebra.dim * s.rank for s in spaces if s.kind == "derivation"}
-    assert restricted and set(restricted) <= ranks
+    assert restricted and set(restricted) <= {parent.rank for parent in parents}
     # 161 distinct requests (225 solver calls before the session), plus the
     # biderivations of sl2+sl2, solved only as the parent of its skew part,
     # and the derivations of sl2+sl2, solved only as its biderivations' slices:
-    # 163 spaces, of which the 25 biderivation spaces are now restrictions too;
-    # 105 of them are read off a parent, and the 93 whose parent is nonzero eliminate
-    assert (len(full), len(spaces) - len(roots), len(restricted)) == (58, 105, 93)
+    # 163 spaces; 105 of them are read off a parent or the slices, of which the
+    # 25 biderivation spaces eliminate nothing, and the 68 others whose parent is nonzero do
+    bider = [s for s in spaces if s.kind == "biderivation"]
+    assert (len(full), len(spaces) - len(roots), len(bider), len(restricted)) == (58, 105, 25, 68)
+    # with the derivations solved, a biderivation solve calls neither nullspace_of_sparse_rows
+    for space in bider:
+        fresh = Session()
+        fresh.solve(space.algebra, "derivation")
+        del full[:], restricted[:]
+        assert fresh.solve(space.algebra, "biderivation") == space
+        assert (full, restricted) == ([], []), space.algebra.name
 
 
 def test_no_path_assembles_the_biderivation_system(monkeypatch, capsys):
