@@ -130,19 +130,23 @@ class OmegaAlgebra:
 
         ``brackets[(i, j)][k]`` is the coefficient of ``e_k`` in ``[e_i, e_j]``;
         only ``i < j`` entries may be given.  Same for ``omega[(i, j)]``.
+        Each index is read as a document's integer fields are (``_integer``).
         """
         c = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
         w = [[ZERO] * dim for _ in range(dim)]
         for (i, j), coeffs in brackets.items():
+            i, j = _index(i), _index(j)
             if not (1 <= i < j <= dim):
                 raise AlgebraFormatError(f"bracket pair ({i},{j}) must satisfy 1 <= i < j <= {dim}")
             for k, value in coeffs.items():
-                if not 1 <= int(k) <= dim:
+                k = _index(k)
+                if not 1 <= k <= dim:
                     raise AlgebraFormatError(f"bracket [{i},{j}] names component {k} outside 1..{dim}")
                 val = frac(value)
-                c[i - 1][j - 1][int(k) - 1] = val
-                c[j - 1][i - 1][int(k) - 1] = -val
+                c[i - 1][j - 1][k - 1] = val
+                c[j - 1][i - 1][k - 1] = -val
         for (i, j), value in omega.items():
+            i, j = _index(i), _index(j)
             if not (1 <= i < j <= dim):
                 raise AlgebraFormatError(f"omega pair ({i},{j}) must satisfy 1 <= i < j <= {dim}")
             val = frac(value)
@@ -384,12 +388,25 @@ def to_document(algebra: OmegaAlgebra) -> dict:
 
 
 def _integer(value) -> int:
-    """An integer field of a document: an int, an integral float or a string of ASCII digits with an optional sign."""
+    """An integer field of a document: an integral number that is not a bool, or a string of ASCII digits with an optional sign."""
+    if type(value) is int:
+        return value
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"expected an integer, got {value!r}")
     if isinstance(value, str) and not _INTEGER.fullmatch(value):
         raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
+    number = int(value)
+    if not isinstance(value, str) and number != value:  # a Fraction or Decimal that int() truncates
+        raise ValueError(f"expected an integer, got {value!r}")
+    return number
+
+
+def _index(value) -> int:
+    """A 1-based index of a table given to :meth:`OmegaAlgebra.from_tables`, read by :func:`_integer`."""
+    try:
+        return _integer(value)
+    except (TypeError, ValueError) as exc:
+        raise AlgebraFormatError(f"table index: {exc}") from exc
 
 
 def _components(coeffs: Mapping) -> dict:

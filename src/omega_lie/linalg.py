@@ -4,37 +4,30 @@ Everything in this package reduces to the primitives here.  One exact sparse
 elimination, :class:`_Echelon`, does every solve and every membership test,
 and a small lattice of subspace operations (membership, sum, inclusion,
 equality) sits on top.  An echelon is built from the rows that define it,
-and outside vectors enter through :func:`_entering`.  It and the modular
-echelon below read a kernel off as integer generator rows, one per free
-column; :func:`nullspace_of_sparse_rows`, the one function that turns the
-rows of a linear system into its solution space, is the one place those
-generators become a canonical basis.  An affine solution set is a known
-solution plus such a space, and :meth:`SubspaceBasis.reduced_from_last`
-gives its canonical particular member (free coordinates zero).  Dense
-:class:`Matrix` values are inputs and outputs, never the working form.
-Values are :class:`fractions.Fraction`, with no floats and no tolerances,
-but elimination is fraction-free over Z on the :func:`_integral` multiples
-of the rows, which span the same lines.  Fractions are made again only where
-a reduced form is read: each entry over its row's pivot entry.
+and outside vectors enter through :func:`_entering`.  It reads a kernel
+off as integer generator rows, one per free column (:meth:`_Echelon.kernel`,
+the package's one kernel extraction); :func:`nullspace_of_sparse_rows`, the
+one function that turns the rows of a linear system into its solution space,
+is the one place those generators become a canonical basis.  An affine
+solution set is a known solution plus such a space, and
+:meth:`SubspaceBasis.reduced_from_last` gives its canonical particular member
+(free coordinates zero).  Dense :class:`Matrix` values are inputs and
+outputs, never the working form.  Values are :class:`fractions.Fraction`,
+with no floats and no tolerances, but elimination is fraction-free over Z on
+the :func:`_integral` multiples of the rows, which span the same lines.
+Fractions are made again only where a reduced form is read: each entry over
+its row's pivot entry.
 
-:func:`nullspace_of_sparse_rows` puts a modular filter in front of
-``_Echelon``: it scales each row to integers, keeps a row echelon of them in
-GF(P) with P = 2**31 - 1 (integers only, each row only eliminated forward),
-and skips the exact elimination of the rows whenever it can prove the
-answer.  Its result is exact, by three facts:
-
-* the rank mod P is at most the rank over Q, so full rank mod P means the
-  kernel over Q is zero, and the echelon is never reduced;
-* otherwise the echelon is reduced once, its kernel mod P is lifted to
-  rationals, and the lift is accepted only if every row annihilates every
-  lifted vector in exact integer arithmetic (M v = 0), checked one row at
-  a time against an index of the lifted vectors by column.  The lift then
-  lies in the kernel over Q and has at least its dimension, so it is the
-  kernel;
-* the reduced row echelon basis of a space is unique, so canonicalizing
-  the lift through ``_Echelon`` gives the basis exact elimination gives.
-
-When a lift or the check fails, ``_Echelon`` eliminates every row exactly.
+:func:`nullspace_of_sparse_rows` puts a modular pass in front of
+``_Echelon``: it scales each row to integers and keeps a row echelon of them
+in GF(P) with P = 2**31 - 1 (integers only, each row only eliminated
+forward), which picks the rows that raise the rank mod P.  Integer rows
+that are independent mod P are independent over Q, so full rank mod P means
+the kernel over Q is zero.  Otherwise ``_Echelon`` eliminates only the
+picked rows, and the kernel of those rows, which contains the system's, is
+accepted when every other row annihilates it in exact integer arithmetic
+(M v = 0); the check proves the rest.  When it fails, ``_Echelon``
+eliminates every row exactly.
 
 A subspace is stored in one canonical form, its echelon's: the primitive
 integer multiples of its reduced row echelon basis (:class:`SubspaceBasis`).
@@ -51,7 +44,7 @@ from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import chain
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence, Union
 
 Vector = tuple[Fraction, ...]
@@ -305,21 +298,19 @@ def _eliminate(row: dict[int, int], stored: dict[int, int], col: int) -> dict[in
     return out
 
 
-# The prime of the modular filter in front of ``_Echelon``, and the largest
-# numerator and denominator that ``_rational`` recovers from a residue mod P.
+# The prime of the modular pass in front of ``_Echelon``.
 P = 2**31 - 1
-_LIFT_BOUND = isqrt(P // 2)
 
 
 class _ModEchelon:
-    """A row echelon over GF(P), fed with integer rows; reduced only when its kernel is read.
+    """A row echelon over GF(P), fed with integer rows, that tells which rows raise its rank.
 
     A stored row leaves out its leading 1 and holds only columns after its
     pivot.  :meth:`insert` reduces an incoming row against the stored rows
     in ascending pivot order and touches no other row, so building the
-    echelon costs a forward pass; :meth:`kernel` back-substitutes once.  It
-    gives the rank mod ``P`` and the kernel mod ``P``; no exact answer is
-    read off it without the check in :func:`nullspace_of_sparse_rows`.
+    echelon costs a forward pass.  No kernel is read off it: rows that
+    raise the rank mod ``P`` are independent over Q, and that is all
+    :func:`nullspace_of_sparse_rows` takes from it.
     """
 
     def __init__(self, ambient: int) -> None:
@@ -330,7 +321,8 @@ class _ModEchelon:
     def rank(self) -> int:
         return len(self.rows)
 
-    def insert(self, row: dict[int, int]) -> None:
+    def insert(self, row: dict[int, int]) -> bool:
+        """Fold one row in mod ``P``; returns True when the rank grew."""
         rows = self.rows
         residue = dict(row)
         pivots = [c for c in residue if c in rows]  # a min-heap of the residue's pivot columns still to clear
@@ -350,51 +342,11 @@ class _ModEchelon:
                         residue[c] = held - coeff * v
         residue = {c: r for c, v in residue.items() if (r := v % P)}
         if not residue:
-            return
+            return False
         pivot = min(residue)
         inverse = pow(residue.pop(pivot), -1, P)
         rows[pivot] = {c: v * inverse % P for c, v in residue.items()}
-
-    def kernel(self) -> Optional[list[dict[int, int]]]:
-        """The free-column generators of ``_Echelon.kernel``, lifted to Q and made integral; None if one does not lift.
-
-        First each row is cleared at the later pivots, last pivot first, so
-        every row holds only free columns: the reduced echelon mod ``P``.
-        """
-        rows = self.rows
-        for p in sorted(rows, reverse=True):
-            row = rows[p]
-            hits = [c for c in row if c in rows]
-            if hits:
-                for c in hits:  # a cleared row holds only free columns, so no hit comes back
-                    coeff = row.pop(c)
-                    for f, v in rows[c].items():
-                        row[f] = row.get(f, 0) - coeff * v
-                rows[p] = {f: r for f, v in row.items() if (r := v % P)}
-        gens = {f: {f: ONE} for f in range(self.ambient) if f not in rows}
-        for p, row in rows.items():
-            for f, v in row.items():
-                lifted = _rational(P - v)
-                if lifted is None:
-                    return None
-                gens[f][p] = lifted
-        return [_integral(gen) for gen in gens.values()]
-
-
-def _rational(a: int) -> Optional[Fraction]:
-    """The r/s with |r|, |s| <= ``_LIFT_BOUND`` and r = a*s mod P, if there is one.
-
-    Wang's half-extended Euclidean algorithm: such an r/s is unique, and the
-    first remainder at most the bound gives it.
-    """
-    r0, r1, s0, s1 = P, a, 0, 1
-    while r1 > _LIFT_BOUND:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        s0, s1 = s1, s0 - q * s1
-    if abs(s1) > _LIFT_BOUND or gcd(r1, s1) != 1:
-        return None
-    return Fraction(r1, s1)
+        return True
 
 
 def _column_index(gens: Iterable[dict[int, int]]) -> dict[int, list[tuple[int, int]]]:
@@ -577,20 +529,23 @@ def nullspace_of_sparse_rows(ambient: int, rows: Iterable[SparseRow]) -> Subspac
     Each row, integral or rational, is scaled to integers here, and by no
     caller, by the lcm of its denominators, which keeps the row space; that
     is the only copy kept.  ``rows`` is read only until the rank mod ``P``
-    reaches ``ambient``.  The module docstring gives the argument that makes
-    the answer exact.  The kernel generators of either echelon go into one
-    echelon of their own for the basis.
+    reaches ``ambient``.  The rows that raised the rank mod ``P`` are
+    eliminated exactly, and their kernel is the answer when every other row
+    annihilates it (see the module docstring); otherwise every row is.  The
+    kernel generators go into one echelon of their own for the basis.
     """
     mod = _ModEchelon(ambient)
-    scaled = []
+    chosen, others = [], []
     for row in rows:
         _check_columns(row, ambient)
         row = _integral(row)
-        scaled.append(row)
-        mod.insert(row)
-        if mod.rank == ambient:
-            return _Echelon(ambient).span()
-    kernel = mod.kernel()
-    if kernel is None or not _annihilated(scaled, kernel):
-        kernel = _Echelon(ambient, scaled).kernel()
+        if mod.insert(row):
+            chosen.append(row)
+            if mod.rank == ambient:
+                return _Echelon(ambient).span()
+        else:
+            others.append(row)
+    kernel = _Echelon(ambient, chosen).kernel()
+    if not _annihilated(others, kernel):
+        kernel = _Echelon(ambient, chosen + others).kernel()
     return _Echelon(ambient, kernel).span()

@@ -486,6 +486,28 @@ class TestRefusals:
             from_document(doc)
 
     @pytest.mark.parametrize(
+        "brackets, omega",
+        [
+            ({(1, 2): {1.5: 1}}, {}),  # int() would read component 1
+            ({(1, 2): {Fraction(3, 2): 1}}, {}),
+            ({(True, 2): {1: 1}}, {}),  # int() would read 1
+            ({(1, 2): {" 2 ": 1}}, {}),
+            ({(1, 2): {"２": 1}}, {}),  # a fullwidth digit
+            ({(1, 2): {None: 1}}, {}),
+            ({}, {(1, 2.5): 1}),
+            ({}, {("1", ()): 1}),
+        ],
+        ids=["float", "fraction", "bool", "padded", "fullwidth", "none", "omega-float", "omega-tuple"],
+    )
+    def test_table_indices_are_read_as_document_integers(self, brackets, omega):
+        with pytest.raises(AlgebraFormatError, match="table index: "):
+            OmegaAlgebra.from_tables("bad", 3, brackets, omega)
+
+    def test_integral_table_indices_are_accepted(self):
+        alg = OmegaAlgebra.from_tables("x", 3, {(1.0, "2"): {Fraction(3): 1}}, {("+1", 3.0): 1})
+        assert alg == OmegaAlgebra.from_tables("x", 3, {(1, 2): {3: 1}}, {(1, 3): 1})
+
+    @pytest.mark.parametrize(
         "tensor",
         [
             (((0, 0), (0, 0)),),

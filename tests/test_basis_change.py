@@ -1,0 +1,129 @@
+"""Ranks and 2-local verdicts do not depend on the basis.
+
+Every kind of ``solvers.KINDS`` is defined without coordinates, so a change
+of basis of an algebra leaves the rank of each solution space as it is; a
+2-local verdict that moved with the basis would be the sampler's, not the
+algebra's.  Each catalog instance of dimension at most 6, at its first
+parameter sample, is rewritten in two seeded unimodular bases.  A basis is
+the rows of a product of ``STEPS`` elementary matrices ``I + m E_st``
+(``s != t``, ``m`` in ``MULTIPLIERS``), so its inverse is integral too, and
+the structure constants and the form grow with no new denominators.  In
+each new basis the axioms hold, every kind but ``delta_derivation`` (whose
+``delta`` is free) has its old rank, and the 2-local verdicts of
+derivations and ½-derivations at the default sample plan are the old ones.
+
+Local closure certification does move with the basis, since the plan's unit
+vectors and pairwise sums are special points of the catalog basis only; it
+is not asserted here.
+"""
+
+import random
+from fractions import Fraction
+from functools import lru_cache
+
+import pytest
+
+from omega_lie import catalog
+from omega_lie.algebra import OmegaAlgebra, check_axioms
+from omega_lie.local import two_local_report
+from omega_lie.solvers import KINDS, Session
+
+STEPS = 8
+MULTIPLIERS = (-2, -1, 1, 2)
+TRANSFORMS = 2
+RANKED_KINDS = sorted(kind for kind in KINDS if kind != "delta_derivation")
+VERDICT_KINDS = ("derivation", "half_derivation")
+
+SESSION = Session()
+
+CASES = [
+    (entry.key, index)
+    for entry in catalog.list_entries()
+    if entry.dim <= 6
+    for index in range(TRANSFORMS)
+]
+
+
+def unimodular(rng, n):
+    """A seeded integer matrix of determinant 1 and its integer inverse, as lists of rows.
+
+    Each step replaces ``T`` by ``(I + m E_st) T`` (row ``s`` gains ``m`` times
+    row ``t``) and the inverse by ``T^-1 (I - m E_st)`` (column ``t`` loses
+    ``m`` times column ``s``).
+    """
+    t = [[int(i == j) for j in range(n)] for i in range(n)]
+    inverse = [row[:] for row in t]
+    for _ in range(STEPS if n > 1 else 0):
+        s, u = rng.sample(range(n), 2)
+        m = rng.choice(MULTIPLIERS)
+        t[s] = [a + m * b for a, b in zip(t[s], t[u])]
+        for row in inverse:
+            row[u] -= m * row[s]
+    return t, inverse
+
+
+def in_basis(algebra, t, inverse, name):
+    """``algebra`` in the basis ``f_a = sum_i t[a][i] e_i``: ``[f_a, f_b]`` and ``w(f_a, f_b)`` in ``f`` coordinates."""
+    n = algebra.dim
+
+    def coordinates(v):  # e_k = sum_d inverse[k][d] f_d
+        return tuple(sum((v[k] * inverse[k][d] for k in range(n)), Fraction(0)) for d in range(n))
+
+    structure = tuple(tuple(coordinates(algebra.bracket(t[a], t[b])) for b in range(n)) for a in range(n))
+    omega = tuple(tuple(algebra.omega_form(t[a], t[b]) for b in range(n)) for a in range(n))
+    return OmegaAlgebra(name, n, structure, omega, tuple(f"f{a}" for a in range(1, n + 1)))
+
+
+@lru_cache(maxsize=None)
+def original(key):
+    entry = catalog.entry(key)
+    sample = entry.parameter_samples()[0]
+    return entry.build(None if sample is None else {entry.param.name: sample})
+
+
+def basis(key, index):
+    """The seeded change of basis of case ``(key, index)`` and its inverse."""
+    return unimodular(random.Random(f"basis-change-{key}-{index}"), original(key).dim)
+
+
+@lru_cache(maxsize=None)
+def transformed(key, index):
+    algebra = original(key)
+    return in_basis(algebra, *basis(key, index), f"{algebra.name} in basis {index}")
+
+
+def case_id(case):
+    key, index = case
+    return f"{key}-{index}"
+
+
+def test_the_basis_changes_are_unimodular_and_move_the_tables():
+    for key, index in CASES:
+        n = original(key).dim
+        t, inverse = basis(key, index)
+        assert [[sum(a * b for a, b in zip(row, col)) for col in zip(*inverse)] for row in t] == [
+            [int(i == j) for j in range(n)] for i in range(n)
+        ]
+        assert transformed(key, index).structure != original(key).structure
+
+
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+def test_the_axioms_hold_in_the_new_basis(case):
+    assert check_axioms(transformed(*case)).passed
+
+
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+def test_every_rank_is_unchanged(case):
+    key, _ = case
+    before = {kind: SESSION.solve(original(key), kind).rank for kind in RANKED_KINDS}
+    after = {kind: SESSION.solve(transformed(*case), kind).rank for kind in RANKED_KINDS}
+    assert after == before
+
+
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+def test_two_local_verdicts_are_unchanged(case):
+    key, _ = case
+    algebra = transformed(*case)
+    for kind in VERDICT_KINDS:
+        before = two_local_report(original(key), SESSION.solve(original(key), kind)).verdict
+        assert two_local_report(algebra, SESSION.solve(algebra, kind)).verdict == before, kind

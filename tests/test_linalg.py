@@ -20,7 +20,6 @@ from omega_lie.linalg import (
     _Echelon,
     _integral,
     _ModEchelon,
-    _rational,
     _reduce,
     _to_sparse,
     frac,
@@ -776,7 +775,62 @@ class TestModularFilter:
             assert nullspace_of_sparse_rows(ambient, rows) == expected
             full += expected.rank == 0
             deficient += expected.rank > 0
-        assert full > 150 and deficient > 150  # both the shortcut and the lift are exercised
+        assert full > 150 and deficient > 150  # both the full-rank exit and the chosen rows' kernel are exercised
+
+    @staticmethod
+    def recording(monkeypatch):
+        """The rows of every ``_Echelon`` built from now on, as its constructor reads them, in order of construction.
+
+        A solve ends with the echelon of its kernel generators; the ones
+        before it are the exact eliminations of the system's rows.
+        """
+        built = []
+
+        class Recording(_Echelon):
+            def __init__(self, ambient, rows=()):
+                rows = list(rows)
+                built.append(rows)
+                super().__init__(ambient, rows)
+
+        monkeypatch.setattr(linalg, "_Echelon", Recording)
+        return built
+
+    @staticmethod
+    def raising_rows(rows, ambient):
+        """The integer rows that raise the rank mod P, in order, by dense Gauss-Jordan elimination mod P."""
+        reduced: dict = {}
+        raising = []
+        for row in rows:
+            v = [row.get(j, 0) % P for j in range(ambient)]
+            for p, r in reduced.items():
+                if v[p]:
+                    c = v[p]
+                    v = [(x - c * y) % P for x, y in zip(v, r)]
+            if not any(v):
+                continue
+            pivot = next(j for j, x in enumerate(v) if x)
+            inverse = pow(v[pivot], -1, P)
+            v = [x * inverse % P for x in v]
+            for p, r in reduced.items():
+                if r[pivot]:
+                    c = r[pivot]
+                    reduced[p] = [(x - c * y) % P for x, y in zip(r, v)]
+            reduced[pivot] = v
+            raising.append(row)
+        return raising
+
+    def test_no_random_system_falls_back_to_eliminating_every_row(self, monkeypatch):
+        """Each of the 600 systems is eliminated exactly over the rows that raised its rank mod P and no others."""
+        rng = random.Random(0x2B4D)
+        built = self.recording(monkeypatch)
+        fallbacks = 0
+        for k in range(600):
+            ambient, rows = self.random_system(rng, ("full", "deficient", "fractions")[k % 3])
+            raising = self.raising_rows([_integral(row) for row in rows], ambient)
+            built.clear()
+            nullspace_of_sparse_rows(ambient, rows)
+            fallbacks += built[:-1] != ([raising] if len(raising) < ambient else [])
+        assert fallbacks == 0
 
     @staticmethod
     def sparse_entries(rng, cols, count):
@@ -788,8 +842,8 @@ class TestModularFilter:
 
         A full-rank system hides a triangular core (nonzero diagonal, a few
         entries after it) among shuffled rows.  A deficient one is built from
-        its reduced echelon form ``[I | A]`` with small entries in ``A``, so
-        its kernel lifts: each row is a sparse combination of those rows.
+        its reduced echelon form ``[I | A]`` with small entries in ``A``:
+        each row is a sparse combination of those rows.
         """
         ambient = rng.randint(20, 80)
         if shape == "full":
@@ -844,7 +898,7 @@ class TestModularFilter:
     @pytest.mark.parametrize("shape", ["full", "deficient", "fractions"])
     def test_matches_exact_elimination_on_larger_systems(self, shape):
         rng = random.Random(f"larger-{shape}")
-        lifted = 0
+        settled = 0
         for k in range(6):
             kind = ("full", "deficient")[k % 2] if shape == "fractions" else shape
             ambient, rows = self.larger_system(rng, kind)
@@ -855,10 +909,11 @@ class TestModularFilter:
             assert nullspace_of_sparse_rows(ambient, rows) == expected
             assert (expected.rank == 0) == (kind == "full")
             ech = _ModEchelon(ambient)
-            for row in rows:
-                ech.insert(_integral(row))
-            lifted += ech.rank < ambient and ech.kernel() is not None
-        assert lifted == {"full": 0, "deficient": 6, "fractions": 3}[shape]  # every deficient system lifts
+            chosen, others = [], []
+            for row in map(_integral, rows):
+                (chosen if ech.insert(row) else others).append(row)
+            settled += ech.rank < ambient and _annihilated(others, _Echelon(ambient, chosen).kernel())
+        assert settled == {"full": 0, "deficient": 6, "fractions": 3}[shape]  # the chosen rows settle every deficient system
 
     def test_a_chain_of_pivots_is_picked_up_by_the_heap(self, monkeypatch):
         pushed = []
@@ -876,46 +931,47 @@ class TestModularFilter:
             assert nullspace_of_sparse_rows(ambient, rows) == exact_nullspace(ambient, rows)
             assert pushed  # the last chain row reached its later pivots only through the heap
 
-    @staticmethod
-    def gauss_jordan_mod_p(rows, ambient):
-        """Dense Gauss-Jordan elimination mod P: each pivot mapped to its reduced row's other nonzero entries."""
-        reduced: dict = {}
-        for row in rows:
-            v = [row.get(j, 0) % P for j in range(ambient)]
-            for p, r in reduced.items():
-                if v[p]:
-                    c = v[p]
-                    v = [(x - c * y) % P for x, y in zip(v, r)]
-            if not any(v):
-                continue
-            pivot = next(j for j, x in enumerate(v) if x)
-            inverse = pow(v[pivot], -1, P)
-            v = [x * inverse % P for x in v]
-            for p, r in reduced.items():
-                if r[pivot]:
-                    c = r[pivot]
-                    reduced[p] = [(x - c * y) % P for x, y in zip(r, v)]
-            reduced[pivot] = v
-        return {p: {j: x for j, x in enumerate(r) if x and j != p} for p, r in reduced.items()}
-
-    def test_the_reduced_form_is_built_only_when_the_kernel_is_read(self):
+    def test_the_modular_echelon_is_only_eliminated_forward(self):
         rng = random.Random(0x5EED)
         for k in range(12):
             ambient, rows = self.chain_system(rng) if k % 3 == 2 else self.larger_system(rng, "deficient")
             rows = [_integral({c: Fraction(v) for c, v in row.items()}) for row in rows]
             ech = _ModEchelon(ambient)
-            for row in rows:
-                ech.insert(row)
+            raised = [row for row in rows if ech.insert(row)]
             assert all(c > p and 0 < v < P for p, row in ech.rows.items() for c, v in row.items())
-            ech.kernel()
-            assert all(c not in ech.rows for row in ech.rows.values() for c in row)
-            assert ech.rows == self.gauss_jordan_mod_p(rows, ambient)
+            assert raised == self.raising_rows(rows, ambient)
+
+    @pytest.mark.parametrize("ambient, row", [(2, {0: 7, 1: -(10**6 + 3)}), (3, {1: 40000, 2: -1})])
+    def test_large_kernel_entries_need_only_the_chosen_rows(self, monkeypatch, ambient, row):
+        """Kernel entries of (10**6 + 3)/7 and 40000 come out of the exact echelon of the one row that raised the rank.
+
+        The repeated multiple of the row leaves the modular rank as it is, so
+        it is checked against the kernel and never eliminated.
+        """
+        rows = [{c: Fraction(v) for c, v in row.items()}, {c: Fraction(-2 * v) for c, v in row.items()}]
+        expected = exact_nullspace(ambient, rows)
+        built = self.recording(monkeypatch)
+        assert nullspace_of_sparse_rows(ambient, rows) == expected
+        assert built[:-1] == [[row]]
+
+    def test_the_exact_echelon_holds_the_rows_that_raised_the_modular_rank(self, monkeypatch):
+        rng = random.Random(0xC401)
+        built = self.recording(monkeypatch)
+        for shape in ("deficient", "full") * 3:
+            ambient, rows = self.larger_system(rng, shape)
+            raising = self.raising_rows(rows, ambient)
+            built.clear()
+            nullspace_of_sparse_rows(ambient, [{c: Fraction(v) for c, v in row.items()} for row in rows])
+            if shape == "full":
+                assert built == [[]]  # only the zero space's empty echelon: no row is eliminated exactly
+            else:
+                assert len(raising) < len(rows) and built[:-1] == [raising]
 
     def test_a_full_rank_system_never_reduces(self, monkeypatch):
         def kernel(self):
             raise AssertionError("a full-rank system read its kernel")
 
-        monkeypatch.setattr(_ModEchelon, "kernel", kernel)
+        monkeypatch.setattr(_Echelon, "kernel", kernel)
         rng = random.Random(0xF011)
         for _ in range(6):
             ambient, rows = self.larger_system(rng, "full")
@@ -946,8 +1002,8 @@ class TestModularFilter:
             (2, [{0: 1, 1: 1}, {0: 1, 1: P + 1}]),  # determinant P: rank 1 mod P, 2 over Q
             (2, [{0: Fraction(1, P), 1: 1}]),  # a denominator divisible by P
             (3, [{0: Fraction(2, 3 * P), 2: 5}, {1: P * P, 2: 1}]),
-            (2, [{0: 7, 1: -(10**6 + 3)}]),  # kernel entry (10**6 + 3)/7, beyond the lift bound
-            (2, [{0: 1, 1: -(P + 1)}]),  # lifts to (1, 1) mod P, but the kernel is (P + 1, 1)
+            (2, [{0: 7, 1: -(10**6 + 3)}]),  # kernel entry (10**6 + 3)/7
+            (2, [{0: 1, 1: -(P + 1)}]),  # (1, 1) mod P, but the kernel is (P + 1, 1)
             (3, [{0: 1, 2: -(P + 1)}, {1: 1, 2: 2}]),
         ],
     )
@@ -956,24 +1012,13 @@ class TestModularFilter:
         assert nullspace_of_sparse_rows(ambient, rows) == exact_nullspace(ambient, rows)
 
     def test_explicit_zero_entries_are_ignored(self):
-        # 40000 is beyond the lift bound, so this system falls back to exact elimination
         plain = nullspace_of_sparse_rows(3, [{1: Fraction(40000), 2: Fraction(-1)}])
         assert plain.rank == 2
         assert nullspace_of_sparse_rows(3, [{0: Fraction(0), 1: Fraction(40000), 2: Fraction(-1)}]) == plain
 
-    def test_a_lift_that_is_wrong_over_q_is_caught(self):
-        assert _rational((P + 1) % P) == 1  # the residue alone cannot tell P + 1 from 1
+    def test_a_kernel_entry_congruent_to_one_mod_p_stays_exact(self):
         space = nullspace_of_sparse_rows(2, [{0: Fraction(1), 1: Fraction(-(P + 1))}])
         assert space.basis == ((Fraction(1), Fraction(1, P + 1)),)
-
-    def test_rational_lift(self):
-        rng = random.Random(0x1F7)
-        bound = 32767  # floor(sqrt(P / 2))
-        for _ in range(300):
-            value = Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
-            assert _rational(value.numerator * pow(value.denominator, -1, P) % P) == value
-        residue = (10**6 + 3) * pow(7, -1, P) % P
-        assert _rational(residue) != Fraction(10**6 + 3, 7)
 
     def test_a_full_rank_system_is_read_only_up_to_its_rank(self):
         def rows():

@@ -89,9 +89,9 @@ by ``local.is_local_member``, on the candidate matrix, and by no function
 that reads a dense basis.  A stored row is already integral, so scaling one
 again would only redo work.  Inside ``linalg`` it is called only where a
 rational row or vector enters: by ``nullspace_of_sparse_rows``, on each row
-of a system, by ``_ModEchelon.kernel``, on each lifted generator, by
-``_entering`` and ``SubspaceBasis.__init__``, on vectors from outside, and
-by ``SubspaceBasis.reduced_from_last``, on the vector it reduces.  In
+of a system, by ``_entering`` and ``SubspaceBasis.__init__``, on vectors
+from outside, and by ``SubspaceBasis.reduced_from_last``, on the vector it
+reduces.  No kernel generator is scaled: each is read off in integers.  In
 particular ``SubspaceBasis.restricted`` composes each row unscaled, and the
 solve it hands the composed rows to scales each of them once.
 
@@ -120,6 +120,11 @@ system, and by ``local._point_rows``, which turns the span ``W(x)`` into the
 equations of membership.  Biderivations are the intersection of two spans
 of the derivations' slices, read off one echelon, so no solve path takes an
 annihilator of a solved space to compose it into equations again.
+
+The eighteenth guard keeps one kernel extraction: inside ``src/`` one class
+defines a method ``kernel``, ``linalg._Echelon``.  The modular pass only
+picks the rows that ``_Echelon`` eliminates, so no kernel is read mod P and
+lifted back to the rationals.
 """
 
 import ast
@@ -776,7 +781,6 @@ def test_guard_catches_a_scaled_stored_basis(tmp_path):
 LINALG = [path for path in SOURCES if path.stem == "linalg"]
 RATIONAL_ENTRIES = {
     "linalg.nullspace_of_sparse_rows",
-    "linalg._ModEchelon.kernel",
     "linalg._entering",
     "linalg.SubspaceBasis.__init__",
     "linalg.SubspaceBasis.reduced_from_last",
@@ -921,7 +925,7 @@ def kernel_calls(paths):
 
 
 def test_kernels_are_read_only_where_a_system_is_solved():
-    for dotted in sorted(KERNEL_READERS) + ["linalg._Echelon.kernel", "linalg._ModEchelon.kernel"]:
+    for dotted in sorted(KERNEL_READERS) + ["linalg._Echelon.kernel"]:
         resolve(dotted)
     assert {scope for scope, _, _ in kernel_calls(SOURCES)} == KERNEL_READERS
 
@@ -939,3 +943,31 @@ def test_guard_catches_an_annihilator_composed_into_a_solve(tmp_path):
         ("probe.nullspace_of_sparse_rows", 2, "kernel"),
         ("probe._solve", 4, "kernel"),
     ]
+
+
+def kernel_methods(paths):
+    """``(module.Class, line)`` of each method named ``kernel``, that is each ``def kernel`` in a class body."""
+    return [
+        (f"{path.stem}.{cls.name}", item.lineno)
+        for path in paths
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(cls, ast.ClassDef)
+        for item in cls.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and item.name == "kernel"
+    ]
+
+
+def test_one_class_extracts_kernels():
+    resolve("linalg._Echelon.kernel")
+    assert [scope for scope, _ in kernel_methods(SOURCES)] == ["linalg._Echelon"]
+
+
+def test_guard_catches_a_second_kernel_extraction(tmp_path):
+    module = tmp_path / "probe.py"
+    module.write_text(
+        "class _Echelon:\n    def kernel(self):\n        return []\n"
+        "class _ModEchelon:\n    def insert(self, row):\n        def kernel():\n            return row\n        return kernel\n"
+        "    def kernel(self):\n        return None\n"
+        "def kernel(rows):\n    return rows\n"
+    )
+    assert kernel_methods([module]) == [("probe._Echelon", 2), ("probe._ModEchelon", 9)]
