@@ -130,23 +130,34 @@ class OmegaAlgebra:
 
         ``brackets[(i, j)][k]`` is the coefficient of ``e_k`` in ``[e_i, e_j]``;
         only ``i < j`` entries may be given.  Same for ``omega[(i, j)]``.
-        Each index is read as a document's integer fields are (``_integer``).
+        Each index is read as a document's integer fields are (``_integer``),
+        and two keys read as one pair or one component are refused.
         """
         c = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
         w = [[ZERO] * dim for _ in range(dim)]
-        for (i, j), coeffs in brackets.items():
-            i, j = _index(i), _index(j)
+        pairs: set = set()
+        for key, coeffs in brackets.items():
+            i, j = _pair(key, "bracket", pairs)
             if not (1 <= i < j <= dim):
                 raise AlgebraFormatError(f"bracket pair ({i},{j}) must satisfy 1 <= i < j <= {dim}")
-            for k, value in coeffs.items():
+            try:
+                items = coeffs.items()
+            except AttributeError:
+                raise AlgebraFormatError(f"bracket [{i},{j}] coefficients must be a mapping, got {coeffs!r}") from None
+            components: set = set()
+            for k, value in items:
                 k = _index(k)
                 if not 1 <= k <= dim:
                     raise AlgebraFormatError(f"bracket [{i},{j}] names component {k} outside 1..{dim}")
+                if k in components:
+                    raise AlgebraFormatError(f"bracket [{i},{j}] names component {k} twice")
+                components.add(k)
                 val = frac(value)
                 c[i - 1][j - 1][k - 1] = val
                 c[j - 1][i - 1][k - 1] = -val
-        for (i, j), value in omega.items():
-            i, j = _index(i), _index(j)
+        pairs = set()
+        for key, value in omega.items():
+            i, j = _pair(key, "omega", pairs)
             if not (1 <= i < j <= dim):
                 raise AlgebraFormatError(f"omega pair ({i},{j}) must satisfy 1 <= i < j <= {dim}")
             val = frac(value)
@@ -407,6 +418,17 @@ def _index(value) -> int:
         return _integer(value)
     except (TypeError, ValueError) as exc:
         raise AlgebraFormatError(f"table index: {exc}") from exc
+
+
+def _pair(key, table: str, seen: set) -> tuple[int, int]:
+    """The indices ``(i, j)`` of a key of a ``from_tables`` table, added to ``seen``; a pair seen before is refused."""
+    if not (isinstance(key, tuple) and len(key) == 2):
+        raise AlgebraFormatError(f"{table} key {key!r} must be a pair (i, j)")
+    pair = (_index(key[0]), _index(key[1]))
+    if pair in seen:
+        raise AlgebraFormatError(f"{table} pair ({pair[0]},{pair[1]}) is given twice")
+    seen.add(pair)
+    return pair
 
 
 def _components(coeffs: Mapping) -> dict:

@@ -531,8 +531,9 @@ def nullspace_of_sparse_rows(ambient: int, rows: Iterable[SparseRow]) -> Subspac
     is the only copy kept.  ``rows`` is read only until the rank mod ``P``
     reaches ``ambient``.  The rows that raised the rank mod ``P`` are
     eliminated exactly, and their kernel is the answer when every other row
-    annihilates it (see the module docstring); otherwise every row is.  The
-    kernel generators go into one echelon of their own for the basis.
+    annihilates it (see the module docstring); otherwise the other rows are
+    eliminated on top of their echelon.  The kernel generators go into one
+    echelon of their own for the basis.
     """
     mod = _ModEchelon(ambient)
     chosen, others = [], []
@@ -545,7 +546,8 @@ def nullspace_of_sparse_rows(ambient: int, rows: Iterable[SparseRow]) -> Subspac
                 return _Echelon(ambient).span()
         else:
             others.append(row)
-    kernel = _Echelon(ambient, chosen).kernel()
-    if not _annihilated(others, kernel):
-        kernel = _Echelon(ambient, chosen + others).kernel()
+    echelon = _Echelon(ambient, chosen)
+    kernel = echelon.kernel()
+    if not _annihilated(others, kernel):  # go on from the chosen rows, which kernel() left reduced
+        kernel = _Echelon(ambient, chain(echelon.rows.values(), others)).kernel()
     return _Echelon(ambient, kernel).span()

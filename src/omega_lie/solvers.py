@@ -19,23 +19,12 @@ Two independent interpreters read the term lists:
   ``M[r][c] -> r*n + c``; bilinear maps ``d[i][j][k] -> (i*n + j)*n + k``;
 * ``defects`` evaluates the same terms on every basis tuple, for a list of
   unknowns at once, and reports any nonzero residual, so a re-check shares
-  no row indexing with the solver.  Every term is evaluated by the one
-  bilinear kernel ``linalg._bilinear`` (the kernel behind
-  ``algebra.bracket``, ``algebra.omega_form``, ``BilinearMap.apply`` and
-  ``Matrix.apply``) over the cached support of the bracket, the form or
-  the unknown, a map read as a ``1 x n x n`` table as in ``Matrix.apply``,
-  on sparse values: a basis vector is ``((i, 1),)``, zero is ``()``, and an
-  integral entry is held as its ``int``.  Each kind's identities are
-  compiled once into numbered steps.  The identities are linear in the
-  unknown, so the r unknowns act as one map into their r-fold direct sum
-  (entry ``u*n + k`` is entry ``k`` of unknown ``u``), and a step that
-  reads it applies the bracket or the form lifted block-diagonally in
-  that argument: every step is evaluated once per tuple for all unknowns,
-  and a step with a zero argument is zero without a call, which is exact
-  because every evaluator is multilinear.  Residuals are summed from
-  nonzero entries only; a tuple whose sums are all zero is skipped, and
-  only a nonzero one is split per unknown and reported as ``Fraction``
-  tuples.  ``map_defects`` / ``tensor_defects`` call it on one unknown.
+  no row indexing with the solver.  It compiles a kind's identities into
+  ordered steps (:func:`_plans`), each one call of the bilinear kernel
+  ``linalg._bilinear`` (the kernel behind ``algebra.bracket``,
+  ``algebra.omega_form``, ``BilinearMap.apply`` and ``Matrix.apply``) on
+  sparse values.  ``map_defects`` / ``tensor_defects`` call it on one
+  unknown.
 
 Every identity is multilinear, so holding on basis tuples is equivalent to
 holding on the whole algebra.  An identity that an exchange of two variables
@@ -430,37 +419,27 @@ def omega_biderivations(algebra: OmegaAlgebra, sign: Optional[Fraction] = None) 
 # -- residual checks ----------------------------------------------------------
 
 
-class _Plan(NamedTuple):
-    """The identities of a kind with one number of variables, compiled into steps.
+def _plans(spec: Kind, params: dict) -> list[tuple]:
+    """The identities of ``spec`` compiled into one ``(nvars, steps, identities)`` per number of variables.
 
-    Positions ``0 .. nvars - 1`` hold the basis vectors of a tuple, and each
-    distinct subterm is a step at the next position after its arguments.
-    ``shared`` lists the steps that do not read the unknown, as ``(position,
-    head, argument positions)``, and ``own`` the others, as ``(position,
-    head, argument positions, side)``, ``side`` being the argument that reads
-    the unknown (``None`` for ``U`` itself), each in evaluation order.
-    ``identities`` holds ``(width, ((coefficient, position), ...))`` per
-    identity, ``width`` being 1 for a form identity and ``n`` otherwise; an
-    integral coefficient is held as its ``int``.
+    Plans come in the order the identities first use a number of variables.
+    Positions ``0 .. nvars - 1`` hold the basis vectors of a tuple, position
+    -1 the scalar 1, and each distinct subterm is a step at the next position.
+    ``steps`` lists ``(position, head, side, a, b)`` in compile order, which
+    is an evaluation order, since a step comes after its arguments ``a`` and
+    ``b``; ``side`` is the argument that reads the unknown, ``None`` for
+    ``U`` and for a step that does not read it, and ``U`` of one argument
+    reads -1 as ``a``.  ``identities`` holds ``(scalar, ((coefficient,
+    position), ...))`` per identity, ``scalar`` being true for a form
+    identity; an integral coefficient is held as its ``int``.
     """
-
-    nvars: int
-    nsteps: int
-    shared: tuple
-    own: tuple
-    identities: tuple
-
-
-def _plans(spec: Kind, params: dict, n: int) -> list[_Plan]:
-    """One plan per number of variables, in the order the identities first use it."""
     groups: dict[int, list] = {}
     for identity in _identities(spec):
         groups.setdefault(_arity(identity), []).append(identity)
     plans = []
     for nvars, identities in groups.items():
         position: dict = {}  # subterm -> position
-        shared: list = []
-        own: list = []
+        steps: list = []
         reading: set[int] = set()  # positions whose value reads the unknown
 
         def compile_term(expr) -> int:
@@ -472,16 +451,15 @@ def _plans(spec: Kind, params: dict, n: int) -> list[_Plan]:
                 side = next((s for s, a in enumerate(args) if a in reading), None)
                 if expr[0] == "U" or side is not None:
                     reading.add(pos)
-                    own.append((pos, expr[0], args, side))
-                else:
-                    shared.append((pos, expr[0], args))
+                a, b = args if len(args) == 2 else (-1, *args)
+                steps.append((pos, expr[0], side, a, b))
             return position[expr]
 
         compiled = []
         for identity in identities:
             terms = tuple((_coefficient(m, p, params), compile_term(expr)) for m, p, expr in identity.terms)
-            compiled.append((1 if identity.terms[0][2][0] == "w" else n, terms))
-        plans.append(_Plan(nvars, len(position), tuple(shared), tuple(own), tuple(compiled)))
+            compiled.append((identity.terms[0][2][0] == "w", terms))
+        plans.append((nvars, steps, compiled))
     return plans
 
 
@@ -509,17 +487,12 @@ def defects(algebra: OmegaAlgebra, kind: str, unknowns, **params) -> list[list[t
     identities exactly.  Identities with the same number of variables share
     their tuples, and their residuals are concatenated.
 
-    Every value is sparse, nonzero ``(index, value)`` pairs: a basis vector is
-    ``((i, 1),)`` and zero is ``()``.  A step evaluates ``_bilinear`` over
-    the support of its operator.  Every step is multilinear, so one with a
-    zero argument stays zero without a call.  The identities are linear in
-    the unknown, so the r unknowns act as one map into their r-fold direct
-    sum: entry ``u*n + k`` of the stacked unknown is entry ``k`` of unknown
-    ``u``, and a step that reads it applies the bracket or the form lifted
-    block-diagonally in that argument (:func:`_lifted`).  Each step is then
-    evaluated once per tuple for all unknowns, and a tuple whose residual
-    sums are all zero is skipped after one test; only a nonzero one is split
-    per unknown.
+    Every value is sparse, nonzero ``(index, value)`` pairs.  The identities
+    are linear in the unknown, so the r unknowns act as one map into their
+    r-fold direct sum, and a step that reads it applies the bracket or the
+    form lifted block-diagonally in that argument (:func:`_lifted`): each
+    step is evaluated once per tuple for all unknowns.  Every step is
+    multilinear, so one with a zero argument is zero without a call.
     """
     spec, params = _lookup(kind, params)
     n = algebra.dim
@@ -534,9 +507,8 @@ def defects(algebra: OmegaAlgebra, kind: str, unknowns, **params) -> list[list[t
     if not unknowns:
         return []
     r = len(unknowns)
-    supports = {"br": algebra._support, "w": algebra._form_support}
-    # a map acts as the 1 x n x n table of its rows (as in Matrix.apply), whose first argument is the scalar 1,
-    # kept as the last value; the stacked unknown holds entry k of unknown u at u*n + k
+    # a map acts as the 1 x n x n table of its rows (as in Matrix.apply), whose first argument is the scalar 1;
+    # the stacked unknown holds entry k of unknown u at u*n + k
     unknown_supports = [u._support if spec.arity == 2 else (u._support,) for u in unknowns]
     stacked = tuple(
         tuple(
@@ -545,30 +517,25 @@ def defects(algebra: OmegaAlgebra, kind: str, unknowns, **params) -> list[list[t
         )
         for i in range(len(unknown_supports[0]))
     )
-    plans = _plans(spec, params, n)
-    operators: dict = {}  # (head, side) -> the operator an own step applies
-    for plan in plans:
-        for _, head, _, side in plan.own:
-            if (head, side) not in operators:
-                width = n if head == "br" else 1
-                operators[head, side] = stacked if head == "U" else _lifted(supports[head], side, r, width)
+    operators = {("U", None): stacked, ("br", None): algebra._support, ("w", None): algebra._form_support}
     found: list[list] = [[] for _ in unknowns]
-    for plan in plans:
-        steps = [(pos, supports[head], *args) for pos, head, args in plan.shared]
-        steps += [
-            (pos, operators[head, side], *(args if len(args) == 2 else (-1, *args)))
-            for pos, head, args, side in plan.own
-        ]
+    for nvars, compiled, identities in _plans(spec, params):
+        steps = []
+        for pos, head, side, a, b in compiled:
+            if (head, side) not in operators:
+                operators[head, side] = _lifted(operators[head, None], side, r, n if head == "br" else 1)
+            steps.append((pos, operators[head, side], a, b))
         # an identity fills sums[start + u*width + m] for unknown u, so each unknown's residual is a slice per identity
         blocks: list = []
         terms: list = []
         size = 0
-        for width, identity_terms in plan.identities:
+        for scalar, identity_terms in identities:
+            width = 1 if scalar else n
             blocks.append((size, width))
             terms += [(c, pos, size) for c, pos in identity_terms]
             size += width * r
-        for idx in product(range(n), repeat=plan.nvars):
-            values = [((i, 1),) for i in idx] + [()] * plan.nsteps + [((0, 1),)]
+        for idx in product(range(n), repeat=nvars):
+            values = [((i, 1),) for i in idx] + [()] * len(steps) + [((0, 1),)]
             for pos, support, a, b in steps:
                 if values[a] and values[b]:
                     values[pos] = _bilinear(support, values[a], values[b])

@@ -503,6 +503,25 @@ class TestRefusals:
         with pytest.raises(AlgebraFormatError, match="table index: "):
             OmegaAlgebra.from_tables("bad", 3, brackets, omega)
 
+    @pytest.mark.parametrize(
+        "brackets, omega, message",
+        [
+            ({1: {1: 1}}, {}, "bracket key 1 must be a pair"),
+            ({(1, 2, 3): {1: 1}}, {}, r"bracket key \(1, 2, 3\) must be a pair"),
+            ({}, {"12": 1}, "omega key '12' must be a pair"),  # unpacking would read ("1", "2")
+            ({(1, 2): [1]}, {}, r"bracket \[1,2\] coefficients must be a mapping"),
+            ({(1, 2): {3: 1}, ("1", "2"): {3: 5}}, {}, r"bracket pair \(1,2\) is given twice"),
+            ({(1, 2): {1: 1, "1": 2}}, {}, r"bracket \[1,2\] names component 1 twice"),
+            ({}, {(1, 2): 1, (1.0, "2"): 3}, r"omega pair \(1,2\) is given twice"),
+        ],
+        ids=["scalar-key", "triple-key", "omega-string-key", "list-coeffs", "repeated-pair", "repeated-component",
+             "repeated-omega-pair"],
+    )
+    def test_a_key_that_is_no_pair_or_names_an_entry_twice_is_refused(self, brackets, omega, message):
+        """Documents refuse the same tables; the last of two equal keys used to win silently."""
+        with pytest.raises(AlgebraFormatError, match=message):
+            OmegaAlgebra.from_tables("bad", 3, brackets, omega)
+
     def test_integral_table_indices_are_accepted(self):
         alg = OmegaAlgebra.from_tables("x", 3, {(1.0, "2"): {Fraction(3): 1}}, {("+1", 3.0): 1})
         assert alg == OmegaAlgebra.from_tables("x", 3, {(1, 2): {3: 1}}, {(1, 3): 1})

@@ -12,9 +12,12 @@ each new basis the axioms hold, every kind but ``delta_derivation`` (whose
 ``delta`` is free) has its old rank, and the 2-local verdicts of
 derivations and ½-derivations at the default sample plan are the old ones.
 
-Local closure certification does move with the basis, since the plan's unit
-vectors and pairwise sums are special points of the catalog basis only; it
-is not asserted here.
+Local closure certification should not move either, but it does, since the
+plan's unit vectors and pairwise sums are special points of the catalog basis
+only.  Each closure of derivations and ½-derivations is asserted to keep its
+catalog-basis ``certified`` flag; the 42 of the 100 certified closures that
+lose it (none is gained) are strict xfails of ROADMAP Direction 21, so a
+sampler that decides them shows as XPASS.
 """
 
 import random
@@ -25,7 +28,7 @@ import pytest
 
 from omega_lie import catalog
 from omega_lie.algebra import OmegaAlgebra, check_axioms
-from omega_lie.local import two_local_report
+from omega_lie.local import local_closure, two_local_report
 from omega_lie.solvers import KINDS, Session
 
 STEPS = 8
@@ -42,6 +45,35 @@ CASES = [
     if entry.dim <= 6
     for index in range(TRANSFORMS)
 ]
+
+
+D, H = VERDICT_KINDS
+# key -> (basis index, kind) of each closure certified in the catalog basis and not in that new basis
+CERTIFIED_IN_THE_CATALOG_BASIS_ONLY = {
+    "L_1": {(0, D), (0, H), (1, D), (1, H)},
+    "B": {(0, D), (1, D)},
+    "C_alpha": {(0, H), (1, H)},
+    "L_{1,1}": {(0, D), (0, H)},
+    "L_{1,3}": {(1, D)},
+    "L_{1,4}": {(0, D), (1, D)},
+    "L_{1,5}": {(0, D), (0, H), (1, D), (1, H)},
+    "L_{1,6}": {(0, D), (1, D)},
+    "L_{1,7}": {(0, D), (1, D)},
+    "L_{1,8}": {(0, D), (1, D)},
+    "L_{2,1}": {(0, D), (1, D)},
+    "L_{2,3}": {(0, D), (1, D)},
+    "E_{1,alpha}": {(0, D), (0, H), (1, D), (1, H)},
+    "F_{1,alpha}": {(1, D)},
+    "G_{1,alpha}": {(0, D), (1, D)},
+    "H_{1,alpha}": {(0, D)},
+    "A~_alpha": {(0, D), (1, D)},
+    "B~": {(0, D)},
+    "C~_alpha": {(0, H), (1, D)},
+    "C~_1": {(0, H), (1, H)},
+}
+LOST = pytest.mark.xfail(
+    strict=True, reason="Direction 21: the sample plan's points are special in the catalog basis only"
+)
 
 
 def unimodular(rng, n):
@@ -127,3 +159,23 @@ def test_two_local_verdicts_are_unchanged(case):
     for kind in VERDICT_KINDS:
         before = two_local_report(original(key), SESSION.solve(original(key), kind)).verdict
         assert two_local_report(algebra, SESSION.solve(algebra, kind)).verdict == before, kind
+
+
+@pytest.mark.parametrize(
+    "case, kind",
+    [
+        pytest.param(
+            (key, index),
+            kind,
+            id=f"{case_id((key, index))}-{kind}",
+            marks=LOST if (index, kind) in CERTIFIED_IN_THE_CATALOG_BASIS_ONLY.get(key, ()) else (),
+        )
+        for key, index in CASES
+        for kind in VERDICT_KINDS
+    ],
+)
+def test_local_closure_certification_is_unchanged(case, kind):
+    key, _ = case
+    before = local_closure(original(key), SESSION.solve(original(key), kind)).certified
+    algebra = transformed(*case)
+    assert local_closure(algebra, SESSION.solve(algebra, kind)).certified == before

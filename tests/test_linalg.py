@@ -1011,6 +1011,17 @@ class TestModularFilter:
         rows = [{c: Fraction(v) for c, v in row.items()} for row in rows]
         assert nullspace_of_sparse_rows(ambient, rows) == exact_nullspace(ambient, rows)
 
+    def test_the_fallback_goes_on_from_the_chosen_rows(self, monkeypatch):
+        """A row equal to another mod P but not over Q fails the check; the chosen rows are not eliminated again."""
+        rows = [{0: 1, 1: 1, 2: 1}, {0: 1, 1: 2, 2: 3}, {0: 1, 1: 1, 2: 1 + P}]
+        rows = [{c: Fraction(v) for c, v in row.items()} for row in rows]
+        eliminate, calls = linalg._eliminate, []
+        monkeypatch.setattr(linalg, "_eliminate", lambda *args: calls.append(1) or eliminate(*args))
+        space = nullspace_of_sparse_rows(3, rows)
+        assert len(calls) == 6  # 7 when the fallback rebuilt the chosen rows' echelon
+        monkeypatch.undo()
+        assert space == exact_nullspace(3, rows)
+
     def test_explicit_zero_entries_are_ignored(self):
         plain = nullspace_of_sparse_rows(3, [{1: Fraction(40000), 2: Fraction(-1)}])
         assert plain.rank == 2

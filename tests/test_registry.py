@@ -251,9 +251,9 @@ def test_one_batch_evaluates_each_step_once_per_tuple(monkeypatch):
         return kernel(support, xs, ys)
 
     monkeypatch.setattr(solvers, "_bilinear", counted)
-    plans = solvers._plans(solvers.KINDS["biderivation"], {}, alg.dim)
+    plans = solvers._plans(solvers.KINDS["biderivation"], {})
     assert solvers.defects(alg, "biderivation", members) == [[] for _ in members]
-    assert 0 < len(calls) <= sum(alg.dim**plan.nvars * plan.nsteps for plan in plans)
+    assert 0 < len(calls) <= sum(alg.dim**nvars * len(steps) for nvars, steps, _ in plans)
     calls.clear()
     assert solvers.defects(alg, "biderivation", []) == []
     assert calls == []
