@@ -1,9 +1,11 @@
 """Built-in algebra catalog: the classified low-dimensional algebras.
 
 The catalog ships every 3-dimensional and 4-dimensional nontrivial algebra
-of the classification tables this toolkit reproduces, parameter families
-instantiated at small rational samples, plus two Lie-algebra fixtures
-(sl2 and sl2+sl2) used to exercise the semisimple-case solvers.
+of the classification tables this toolkit reproduces, plus two Lie-algebra
+fixtures (sl2 and sl2+sl2) used to exercise the semisimple-case solvers.
+:func:`get` is the one way to an algebra, and :func:`instances` the one loop
+over the 43 instances: each family at each of ``SAMPLES``, each other entry
+once.  ``get`` builds each of them once and shares it.
 
 Two encodings deviate from the commonly printed tables, in each case because
 the printed version fails the defining axioms; the entry ``notes`` carry the
@@ -23,12 +25,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
-from typing import Callable, Mapping, Optional
+from typing import Callable, Iterator, Mapping, Optional
 
 from .algebra import OmegaAlgebra, direct_sum
 from .linalg import RationalLike, frac
 
-DEFAULT_PARAMETER_SAMPLES: tuple[Fraction, ...] = (Fraction(2), Fraction(3), Fraction(-2))
+# the one parameter of a family, and the values it is sampled at; the first is the default
+ALPHA = "alpha"
+SAMPLES: tuple[Fraction, ...] = (Fraction(2), Fraction(3), Fraction(-2))
 
 
 class UnknownAlgebraError(KeyError):
@@ -37,13 +41,6 @@ class UnknownAlgebraError(KeyError):
 
 class ExcludedParameterError(ValueError):
     """Requested parameter value is excluded for this family."""
-
-
-@dataclass(frozen=True)
-class ParamSpec:
-    name: str
-    excluded: tuple[Fraction, ...] = ()
-    default: Fraction = Fraction(2)
 
 
 @dataclass(frozen=True)
@@ -79,7 +76,7 @@ class ExpectedResults:
         return out
 
 
-Builder = Callable[[Mapping[str, Fraction]], OmegaAlgebra]
+Builder = Callable[[Optional[Fraction]], OmegaAlgebra]  # alpha, or None for an entry without one
 
 
 @dataclass(frozen=True)
@@ -87,38 +84,12 @@ class CatalogEntry:
     key: str
     dim: int
     builder: Builder
-    param: Optional[ParamSpec] = None
+    excluded: Optional[tuple[Fraction, ...]] = None  # the excluded alphas; None: the entry takes no parameter
     expected: ExpectedResults = ExpectedResults()
     notes: str = ""
     # parameter values at which some computed rank deviates from the generic
     # one, with the reason; the genericity smoke test treats them separately
     special_samples: tuple[tuple[Fraction, str], ...] = ()
-
-    def build(self, params: Optional[Mapping[str, RationalLike]] = None) -> OmegaAlgebra:
-        resolved: dict[str, Fraction] = {}
-        if self.param is not None:
-            supplied = dict(params or {})
-            raw = supplied.pop(self.param.name, self.param.default)
-            value = frac(raw)
-            if value in self.param.excluded:
-                excluded = ", ".join(str(v) for v in self.param.excluded)
-                raise ExcludedParameterError(
-                    f"{self.key}: {self.param.name}={value} is an excluded value (excluded: {excluded})"
-                )
-            if supplied:
-                raise ExcludedParameterError(
-                    f"{self.key}: unknown parameter(s) {sorted(supplied)}; family takes {self.param.name!r}"
-                )
-            resolved[self.param.name] = value
-        elif params:
-            extra = sorted(params)
-            raise ExcludedParameterError(f"{self.key}: takes no parameters, got {extra}")
-        return self.builder(resolved)
-
-    def parameter_samples(self) -> tuple[Optional[Fraction], ...]:
-        if self.param is None:
-            return (None,)
-        return tuple(v for v in DEFAULT_PARAMETER_SAMPLES if v not in self.param.excluded)
 
 
 # -- parameter families ---------------------------------------------------------
@@ -169,11 +140,10 @@ def _family(key: str, excluded: tuple[Fraction, ...], expected: ExpectedResults,
     """The catalog entry of the ``_FAMILIES`` table ``key`` in the parameter ``alpha``."""
     dim, table = _FAMILIES[key]
 
-    def build(params: Mapping[str, Fraction]) -> OmegaAlgebra:
-        a = params["alpha"]
+    def build(a: Fraction) -> OmegaAlgebra:
         return OmegaAlgebra.from_tables(f"{key}(alpha={a})", dim, *table(a))
 
-    return CatalogEntry(key, dim, build, ParamSpec("alpha", excluded=excluded), expected, **kw)
+    return CatalogEntry(key, dim, build, excluded, expected, **kw)
 
 
 _L11_NOTE = (
@@ -186,6 +156,12 @@ _BTILDE_NOTE = (
     "printed table also lists [e4,e2] = -e4, which makes the weighted Jacobi "
     "identity fail on the triple (1,2,4) for every skew form; that bracket is "
     "dropped, matching the single-e4-bracket pattern of the other tilde families"
+)
+
+_C_ALPHA_NOTE = (
+    "alpha = 2, 1/2, -4 and -1/4 are resonance points of the half-derivation system: an extra map appears "
+    "(e2 -> e3 at 2, e1 -> e3 with e2 -> -1/2 e1 at -4, and their images at 1/2 and -1/4, since C_{1/alpha} "
+    "is C_alpha in the basis e1/alpha, e3, -e2/alpha), so the half-derivation rank is 2 there, not 1"
 )
 
 _C_RESONANCE_NOTE = (
@@ -251,7 +227,7 @@ def _fixed(key, dim, brackets, omega, expected, notes="", repair="", labels=None
     """A parameter-free entry; a ``repair`` note (a deviation from the printed
     table) is carried by the built algebra as well as by the entry."""
 
-    def build(_params: Mapping[str, Fraction]) -> OmegaAlgebra:
+    def build(_alpha: None) -> OmegaAlgebra:
         return OmegaAlgebra.from_tables(key, dim, brackets, omega, basis_labels=labels, notes=repair)
 
     return CatalogEntry(key, dim, build, expected=expected, notes=notes or repair)
@@ -272,8 +248,8 @@ def _entries() -> tuple[CatalogEntry, ...]:
             "C_alpha",
             (Fraction(0), Fraction(-1)),
             _EXPECTED_SIMPLE_3D,
-            notes=_C_RESONANCE_NOTE,
-            special_samples=((Fraction(2), _C_RESONANCE_NOTE),),
+            notes=_C_ALPHA_NOTE,
+            special_samples=tuple((a, _C_ALPHA_NOTE) for r in (Fraction(2), Fraction(-4)) for a in (r, 1 / r)),
         )
     )
     # 4-dimensional: the L_{1,k} group.
@@ -336,7 +312,7 @@ def _entries() -> tuple[CatalogEntry, ...]:
             (Fraction(0), Fraction(-1), Fraction(1)),
             _expected_4d("C~_alpha"),
             notes="generic parameter point; alpha = 1 is the separate entry C~_1. " + _C_RESONANCE_NOTE,
-            special_samples=((Fraction(2), _C_RESONANCE_NOTE),),
+            special_samples=tuple((a, _C_RESONANCE_NOTE) for a in (Fraction(2), 1 / Fraction(2))),
         )
     )
     c_tilde_at_1 = _FAMILIES["C~_alpha"][1](Fraction(1))
@@ -364,7 +340,7 @@ def _entries() -> tuple[CatalogEntry, ...]:
         CatalogEntry(
             "sl2_plus_sl2",
             6,
-            lambda _p: replace(direct_sum(sl2.build(), sl2.build()), name="sl2+sl2"),
+            lambda _alpha: replace(direct_sum(get("sl2"), get("sl2")), name="sl2+sl2"),
             expected=ExpectedResults(skew_bider_rank=2, source="semisimple fixtures"),
             notes="two commuting copies of sl2; omega = 0",
         )
@@ -374,6 +350,8 @@ def _entries() -> tuple[CatalogEntry, ...]:
 
 _ENTRIES = _entries()
 _BY_KEY = {entry.key: entry for entry in _ENTRIES}
+# (key, alpha or None) -> the shared instance; filled by ``get``, at most the catalog's 43 instances
+_SHARED: dict[tuple[str, Optional[Fraction]], OmegaAlgebra] = {}
 
 
 def list_entries() -> tuple[CatalogEntry, ...]:
@@ -389,8 +367,33 @@ def entry(key: str) -> CatalogEntry:
 
 
 def get(key: str, params: Optional[Mapping[str, RationalLike]] = None) -> OmegaAlgebra:
-    """Build a catalog algebra, enforcing parameter exclusions."""
-    return entry(key).build(params)
+    """The catalog algebra ``key``, a family's at ``params[ALPHA]`` (default ``SAMPLES[0]``).  Each of the 43
+    instances is built once and shared; a family at any other alpha is built anew on every call."""
+    item = entry(key)
+    alpha = None
+    if item.excluded is not None:
+        supplied = dict(params or {})
+        alpha = frac(supplied.pop(ALPHA, SAMPLES[0]))
+        if alpha in item.excluded:
+            excluded = ", ".join(map(str, item.excluded))
+            raise ExcludedParameterError(f"{key}: {ALPHA}={alpha} is an excluded value (excluded: {excluded})")
+        if supplied:
+            raise ExcludedParameterError(f"{key}: unknown parameter(s) {sorted(supplied)}; family takes {ALPHA!r}")
+        if alpha not in SAMPLES:
+            return item.builder(alpha)
+    elif params:
+        raise ExcludedParameterError(f"{key}: takes no parameters, got {sorted(params)}")
+    if (key, alpha) not in _SHARED:
+        _SHARED[key, alpha] = item.builder(alpha)
+    return _SHARED[key, alpha]
+
+
+def instances() -> Iterator[tuple[CatalogEntry, Optional[Fraction], OmegaAlgebra]]:
+    """``(entry, alpha or None, algebra)`` for every entry at each of its samples, in catalog order."""
+    for item in _ENTRIES:
+        samples = (None,) if item.excluded is None else tuple(a for a in SAMPLES if a not in item.excluded)
+        for alpha in samples:
+            yield item, alpha, get(item.key, None if alpha is None else {ALPHA: alpha})
 
 
 def expected(key: str) -> ExpectedResults:

@@ -351,9 +351,9 @@ def cmd_catalog(args) -> int:
         rows = []
         for entry in catalog.list_entries():
             param = ""
-            if entry.param is not None:
-                excluded = ",".join(str(v) for v in entry.param.excluded) or "-"
-                param = f"{entry.param.name} (excluded: {excluded}; default {entry.param.default})"
+            if entry.excluded is not None:
+                excluded = ",".join(str(v) for v in entry.excluded) or "-"
+                param = f"{catalog.ALPHA} (excluded: {excluded}; default {catalog.SAMPLES[0]})"
             rows.append({"key": entry.key, "dim": entry.dim, "parameter": param, "notes": entry.notes})
         lines = [f"{len(rows)} catalog entries:"]
         for row in rows:
@@ -365,7 +365,7 @@ def cmd_catalog(args) -> int:
         entry = catalog.entry(args.key)
     except UnknownAlgebraError as exc:
         raise CliError(str(exc.args[0]), USAGE_ERROR) from None
-    algebra = entry.build(None)
+    algebra = catalog.get(entry.key)
     if args.action == "export":
         print(dumps(algebra))
         return 0

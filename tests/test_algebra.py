@@ -70,13 +70,6 @@ def fractions_only(values):
     return all(type(v) is Fraction for v in values)
 
 
-def catalog_instances():
-    """Every catalog algebra at each of its parameter samples, in catalog order."""
-    for entry in catalog.list_entries():
-        for sample in entry.parameter_samples():
-            yield entry.build({"alpha": sample} if sample is not None else None)
-
-
 def mixed_algebra(rng, n):
     """Tables as given, with ``MIXED`` entries and no axiom assumed."""
     structure = mixed_tensor(rng, n, n)
@@ -102,7 +95,7 @@ class TestSupports:
         assert typed(alg._form_support) == scanned([[(v,) for v in row] for row in alg.omega])
 
     def test_every_catalog_instance(self):
-        for alg in catalog_instances():
+        for _, _, alg in catalog.instances():
             self.check(alg)
 
     @pytest.mark.parametrize("n", range(0, 8))
@@ -131,7 +124,7 @@ class TestEvaluatorsAgainstTheOracle:
     def test_every_catalog_algebra(self):
         rng = random.Random(22)
         instances = 0
-        for alg in catalog_instances():
+        for _, _, alg in catalog.instances():
             instances += 1
             e = alg.basis_vectors()
             for i in range(alg.dim):
@@ -231,11 +224,9 @@ class TestBracketAndOmega:
 
 class TestAxioms:
     def test_all_catalog_instances_pass(self):
-        for entry in catalog.list_entries():
-            for sample in entry.parameter_samples():
-                params = {"alpha": sample} if sample is not None else None
-                report = check_axioms(entry.build(params))
-                assert report.passed, (entry.key, sample, report.failing_triples())
+        for entry, alpha, alg in catalog.instances():
+            report = check_axioms(alg)
+            assert report.passed, (entry.key, alpha, report.failing_triples())
 
     def test_lie_fixtures_have_zero_form(self):
         assert check_axioms(catalog.get("sl2")).omega_is_zero
@@ -275,11 +266,9 @@ class TestAxioms:
             assert d.defect == jacobi != (0, 0, 0, 0)
 
     def test_catalog_defects_match_the_oracle(self):
-        for entry in catalog.list_entries():
-            for sample in entry.parameter_samples():
-                alg = entry.build({"alpha": sample} if sample is not None else None)
-                report = check_axioms(alg)
-                assert [(d.triple, d.defect) for d in report.defects] == oracle_axiom_defects(alg)
+        for _, _, alg in catalog.instances():
+            report = check_axioms(alg)
+            assert [(d.triple, d.defect) for d in report.defects] == oracle_axiom_defects(alg)
 
     @pytest.mark.parametrize("n", range(3, 8))
     def test_random_table_defects_match_the_oracle(self, n):
@@ -543,14 +532,14 @@ class TestRefusals:
 class TestSerialization:
     def test_every_catalog_document_is_pinned(self):
         # the documents are read off the cached supports; this is their text when read off the dense tables
-        docs = [dumps(alg) for alg in catalog_instances()]
+        docs = [dumps(alg) for _, _, alg in catalog.instances()]
         assert len(docs) == 43
         digest = hashlib.sha256("\n".join(docs).encode("utf-8")).hexdigest()
         assert digest == "0ce39255a0721de25b987e0bef898331f3458b342eae8fc5895319d52e74242b"
 
     def test_round_trip_for_all_catalog_entries(self):
         for entry in catalog.list_entries():
-            alg = entry.build(None)
+            alg = catalog.get(entry.key)
             again = from_document(json.loads(dumps(alg)))
             assert again.dim == alg.dim
             assert again.structure == alg.structure

@@ -106,21 +106,14 @@ def in_basis(algebra, t, inverse, name):
     return OmegaAlgebra(name, n, structure, omega, tuple(f"f{a}" for a in range(1, n + 1)))
 
 
-@lru_cache(maxsize=None)
-def original(key):
-    entry = catalog.entry(key)
-    sample = entry.parameter_samples()[0]
-    return entry.build(None if sample is None else {entry.param.name: sample})
-
-
 def basis(key, index):
     """The seeded change of basis of case ``(key, index)`` and its inverse."""
-    return unimodular(random.Random(f"basis-change-{key}-{index}"), original(key).dim)
+    return unimodular(random.Random(f"basis-change-{key}-{index}"), catalog.get(key).dim)
 
 
 @lru_cache(maxsize=None)
 def transformed(key, index):
-    algebra = original(key)
+    algebra = catalog.get(key)
     return in_basis(algebra, *basis(key, index), f"{algebra.name} in basis {index}")
 
 
@@ -131,12 +124,12 @@ def case_id(case):
 
 def test_the_basis_changes_are_unimodular_and_move_the_tables():
     for key, index in CASES:
-        n = original(key).dim
+        n = catalog.get(key).dim
         t, inverse = basis(key, index)
         assert [[sum(a * b for a, b in zip(row, col)) for col in zip(*inverse)] for row in t] == [
             [int(i == j) for j in range(n)] for i in range(n)
         ]
-        assert transformed(key, index).structure != original(key).structure
+        assert transformed(key, index).structure != catalog.get(key).structure
 
 
 @pytest.mark.parametrize("case", CASES, ids=case_id)
@@ -147,7 +140,7 @@ def test_the_axioms_hold_in_the_new_basis(case):
 @pytest.mark.parametrize("case", CASES, ids=case_id)
 def test_every_rank_is_unchanged(case):
     key, _ = case
-    before = {kind: SESSION.solve(original(key), kind).rank for kind in RANKED_KINDS}
+    before = {kind: SESSION.solve(catalog.get(key), kind).rank for kind in RANKED_KINDS}
     after = {kind: SESSION.solve(transformed(*case), kind).rank for kind in RANKED_KINDS}
     assert after == before
 
@@ -157,7 +150,7 @@ def test_two_local_verdicts_are_unchanged(case):
     key, _ = case
     algebra = transformed(*case)
     for kind in VERDICT_KINDS:
-        before = two_local_report(original(key), SESSION.solve(original(key), kind)).verdict
+        before = two_local_report(catalog.get(key), SESSION.solve(catalog.get(key), kind)).verdict
         assert two_local_report(algebra, SESSION.solve(algebra, kind)).verdict == before, kind
 
 
@@ -176,6 +169,6 @@ def test_two_local_verdicts_are_unchanged(case):
 )
 def test_local_closure_certification_is_unchanged(case, kind):
     key, _ = case
-    before = local_closure(original(key), SESSION.solve(original(key), kind)).certified
+    before = local_closure(catalog.get(key), SESSION.solve(catalog.get(key), kind)).certified
     algebra = transformed(*case)
     assert local_closure(algebra, SESSION.solve(algebra, kind)).certified == before

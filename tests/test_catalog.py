@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from omega_lie import catalog
+from omega_lie import catalog, verification
+from omega_lie.algebra import OmegaAlgebra
 from omega_lie.catalog import ExcludedParameterError, UnknownAlgebraError
 from omega_lie.solvers import (
     derivations,
@@ -71,6 +72,46 @@ class TestEntries:
         assert alg.omega_form(alg.basis_vector(1), alg.basis_vector(2)) == Fraction(4, 3)
 
 
+class TestSharedInstances:
+    """``get`` builds each of the 43 sample instances once; any other alpha builds anew."""
+
+    def test_a_sample_instance_is_built_once(self):
+        instances = list(catalog.instances())
+        assert len(instances) == 43
+        for entry, alpha, alg in instances:
+            params = None if alpha is None else {catalog.ALPHA: alpha}
+            assert catalog.get(entry.key, params) is alg is catalog.get(entry.key, params)
+        assert catalog.get("C_alpha") is catalog.get("C_alpha", {"alpha": "2"}) is catalog.get("C_alpha", {"alpha": 2})
+        assert len(catalog._SHARED) == 43
+
+    def test_any_other_alpha_builds_a_new_algebra(self):
+        first, second = catalog.get("C_alpha", {"alpha": 5}), catalog.get("C_alpha", {"alpha": 5})
+        assert first is not second and first == second
+        for alpha in range(4, 20):
+            catalog.get("A_alpha", {"alpha": alpha})
+        assert len(catalog._SHARED) <= 43
+
+    def test_an_excluded_alpha_still_raises(self):
+        list(catalog.instances())
+        for entry in catalog.list_entries():
+            for value in entry.excluded or ():
+                with pytest.raises(ExcludedParameterError, match="excluded"):
+                    catalog.get(entry.key, {catalog.ALPHA: value})
+
+    def test_a_verification_run_builds_no_algebra_after_the_instances(self, monkeypatch):
+        list(catalog.instances())
+        built = []
+        from_tables = OmegaAlgebra.from_tables.__func__
+
+        def counted(cls, name, *args, **kwargs):
+            built.append(name)
+            return from_tables(cls, name, *args, **kwargs)
+
+        monkeypatch.setattr(OmegaAlgebra, "from_tables", classmethod(counted))
+        verification.run_all()
+        assert built == []
+
+
 class TestExpectedValues:
     def test_reference_rows(self):
         assert catalog.expected("L_{2,2}").sym_bider_rank == 0
@@ -93,24 +134,20 @@ class TestExpectedValues:
 
 class TestGenericity:
     def test_ranks_constant_across_generic_samples(self):
-        for entry in catalog.list_entries():
-            if entry.param is None:
+        seen = {}
+        for entry, alpha, alg in catalog.instances():
+            if alpha is None or alpha in {value for value, _ in entry.special_samples}:
                 continue
-            special = {value for value, _ in entry.special_samples}
-            seen = set()
-            for sample in entry.parameter_samples():
-                if sample in special:
-                    continue
-                alg = entry.build({"alpha": sample})
-                seen.add(
-                    (
-                        derivations(alg).rank,
-                        symmetric_biderivations(alg).rank,
-                        skew_biderivations(alg).rank,
-                        half_derivations(alg).rank,
-                    )
-                )
-            assert len(seen) == 1, (entry.key, seen)
+            ranks = (
+                derivations(alg).rank,
+                symmetric_biderivations(alg).rank,
+                skew_biderivations(alg).rank,
+                half_derivations(alg).rank,
+            )
+            seen.setdefault(entry.key, set()).add(ranks)
+        assert len(seen) == 8
+        for key, ranks in seen.items():
+            assert len(ranks) == 1, (key, ranks)
 
     def test_special_samples_really_differ(self):
         # the annotated resonance points must deviate, otherwise the
@@ -119,7 +156,26 @@ class TestGenericity:
             entry = catalog.entry(key)
             assert entry.special_samples
             for value, reason in entry.special_samples:
-                special_rank = half_derivations(entry.build({"alpha": value})).rank
-                generic_rank = half_derivations(entry.build({"alpha": Fraction(3)})).rank
+                special_rank = half_derivations(catalog.get(key, {catalog.ALPHA: value})).rank
+                generic_rank = half_derivations(catalog.get(key, {catalog.ALPHA: 3})).rank
                 assert special_rank != generic_rank
                 assert "resonance" in reason
+
+    def test_resonance_points_pair_up_as_alpha_and_one_over_alpha(self):
+        # e1 -> e1/a, e2 -> e3, e3 -> -e2/a (e4 -> e4) carries the family at 1/a onto the family at a
+        for key in ("C_alpha", "C~_alpha"):
+            special = {value for value, _ in catalog.entry(key).special_samples}
+            assert {1 / value for value in special} == special
+            for a in (Fraction(2), Fraction(-4), Fraction(3), Fraction(5, 7)):
+                source, target = catalog.get(key, {"alpha": 1 / a}), catalog.get(key, {"alpha": a})
+                n, e = target.dim, target.basis_vectors()
+                images = [tuple(v / a for v in e[0]), e[2], tuple(-v / a for v in e[1]), *e[3:]]
+
+                def image(x):
+                    return tuple(sum(x[i] * images[i][k] for i in range(n)) for k in range(n))
+
+                for i in range(n):
+                    for j in range(n):
+                        x, y = source.basis_vector(i), source.basis_vector(j)
+                        assert image(source.bracket(x, y)) == target.bracket(images[i], images[j])
+                        assert source.omega_form(x, y) == target.omega_form(images[i], images[j])

@@ -597,6 +597,14 @@ class TestCatalogCommands:
         doc = json.loads(out)
         assert doc["result"]["count"] == 27
 
+    def test_list_text_is_pinned(self, capsys):
+        # key, dimension and the parameter column: alpha, its excluded values and its default
+        code, out, _ = run(capsys, "catalog", "list")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "d7ebb56ad4612e0b32d22d18c735b248a84f6478b01319f919a1269e18ee9b38"
+        )
+
     def test_show_includes_reference_values(self, capsys):
         code, out, _ = run(capsys, "--format", "json", "catalog", "show", "L_{2,2}")
         assert code == 0
