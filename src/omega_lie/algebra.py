@@ -34,6 +34,10 @@ it, which sum into ``ZERO``, so every coordinate they return is a
 read the same supports, and :func:`check_axioms` the bracket's; it also
 reads the dense tables, for antisymmetry and skewness, because it
 validates input.
+
+:meth:`OmegaAlgebra.from_tables` is the one reader of algebra tables:
+:func:`from_document` checks only a document's shape, and every index and
+coefficient is read there, once, or refused with :class:`AlgebraFormatError`.
 """
 
 from __future__ import annotations
@@ -129,46 +133,52 @@ class OmegaAlgebra:
         """Build from sparse 1-based tables, antisymmetrizing automatically.
 
         ``brackets[(i, j)][k]`` is the coefficient of ``e_k`` in ``[e_i, e_j]``;
-        only ``i < j`` entries may be given.  Same for ``omega[(i, j)]``.
+        only ``i < j`` entries may be given.  Same for ``omega[(i, j)]``, read
+        in the same loop as the ``n x n x 1`` table ``{(i, j): {1: value}}``.
         Each index is read as a document's integer fields are (``_integer``),
-        and two keys read as one pair or one component are refused.
+        each coefficient by ``frac``; what either refuses, a key that is no
+        pair, and two keys read as one pair or one component raise
+        :class:`AlgebraFormatError`.
         """
         c = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
-        w = [[ZERO] * dim for _ in range(dim)]
-        pairs: set = set()
-        for key, coeffs in brackets.items():
-            i, j = _pair(key, "bracket", pairs)
-            if not (1 <= i < j <= dim):
-                raise AlgebraFormatError(f"bracket pair ({i},{j}) must satisfy 1 <= i < j <= {dim}")
-            try:
-                items = coeffs.items()
-            except AttributeError:
-                raise AlgebraFormatError(f"bracket [{i},{j}] coefficients must be a mapping, got {coeffs!r}") from None
-            components: set = set()
-            for k, value in items:
-                k = _index(k)
-                if not 1 <= k <= dim:
-                    raise AlgebraFormatError(f"bracket [{i},{j}] names component {k} outside 1..{dim}")
-                if k in components:
-                    raise AlgebraFormatError(f"bracket [{i},{j}] names component {k} twice")
-                components.add(k)
-                val = frac(value)
-                c[i - 1][j - 1][k - 1] = val
-                c[j - 1][i - 1][k - 1] = -val
-        pairs = set()
-        for key, value in omega.items():
-            i, j = _pair(key, "omega", pairs)
-            if not (1 <= i < j <= dim):
-                raise AlgebraFormatError(f"omega pair ({i},{j}) must satisfy 1 <= i < j <= {dim}")
-            val = frac(value)
-            w[i - 1][j - 1] = val
-            w[j - 1][i - 1] = -val
+        w = [[[ZERO] for _ in range(dim)] for _ in range(dim)]
+        form = {key: {1: value} for key, value in omega.items()}
+        for table, entries, tensor, width in (("bracket", brackets, c, dim), ("omega", form, w, 1)):
+            pairs: set = set()
+            for key, coeffs in entries.items():
+                if not (isinstance(key, tuple) and len(key) == 2):
+                    raise AlgebraFormatError(f"{table} key {key!r} must be a pair (i, j)")
+                i, j = pair = (_index(key[0]), _index(key[1]))
+                if pair in pairs:
+                    raise AlgebraFormatError(f"{table} pair ({i},{j}) is given twice")
+                pairs.add(pair)
+                if not (1 <= i < j <= dim):
+                    raise AlgebraFormatError(f"{table} pair ({i},{j}) must satisfy 1 <= i < j <= {dim}")
+                try:
+                    items = coeffs.items()
+                except AttributeError:
+                    raise AlgebraFormatError(f"{table} [{i},{j}] coefficients must be a mapping, got {coeffs!r}") from None
+                row, mirror = tensor[i - 1][j - 1], tensor[j - 1][i - 1]
+                components: set = set()
+                for k, value in items:
+                    k = _index(k)
+                    if not 1 <= k <= width:
+                        raise AlgebraFormatError(f"{table} [{i},{j}] names component {k} outside 1..{width}")
+                    if k in components:
+                        raise AlgebraFormatError(f"{table} [{i},{j}] names component {k} twice")
+                    components.add(k)
+                    try:
+                        val = frac(value)
+                    except (TypeError, ValueError, ZeroDivisionError) as exc:
+                        raise AlgebraFormatError(f"{table} pair ({i},{j}): {exc}") from exc
+                    row[k - 1] = val
+                    mirror[k - 1] = -val
         labels = tuple(basis_labels) if basis_labels else tuple(f"e{k}" for k in range(1, dim + 1))
         return cls(
             name=name,
             dim=dim,
             structure=tuple(tuple(tuple(row) for row in plane) for plane in c),
-            omega=tuple(tuple(row) for row in w),
+            omega=tuple(tuple(value for (value,) in row) for row in w),
             basis_labels=labels,
             notes=notes,
         )
@@ -420,29 +430,11 @@ def _index(value) -> int:
         raise AlgebraFormatError(f"table index: {exc}") from exc
 
 
-def _pair(key, table: str, seen: set) -> tuple[int, int]:
-    """The indices ``(i, j)`` of a key of a ``from_tables`` table, added to ``seen``; a pair seen before is refused."""
-    if not (isinstance(key, tuple) and len(key) == 2):
-        raise AlgebraFormatError(f"{table} key {key!r} must be a pair (i, j)")
-    pair = (_index(key[0]), _index(key[1]))
-    if pair in seen:
-        raise AlgebraFormatError(f"{table} pair ({pair[0]},{pair[1]}) is given twice")
-    seen.add(pair)
-    return pair
+def _pairs(doc: Mapping, field: str, value: str) -> dict:
+    """``{(i, j): entry[value]}`` over the list ``doc[field]`` of ``{"i": .., "j": .., value: ..}`` objects, as given.
 
-
-def _components(coeffs: Mapping) -> dict:
-    """``{k: coefficient}`` of a bracket entry's ``coeffs``; two keys that name one component are refused."""
-    table = {_integer(k): frac(v) for k, v in coeffs.items()}
-    if len(table) < len(coeffs):
-        raise ValueError("two keys of 'coeffs' name the same component")
-    return table
-
-
-def _pairs(doc: Mapping, field: str, read) -> dict:
-    """``{(i, j): read(entry)}`` over the list ``doc[field]`` of ``{"i": .., "j": .., ...}`` objects.
-
-    A pair may appear once; :meth:`OmegaAlgebra.from_tables` checks its range.
+    A repeated raw ``(i, j)`` is refused, as the dict would keep the last;
+    :meth:`OmegaAlgebra.from_tables` reads every index and value.
     """
     items = doc.get(field, [])
     if not isinstance(items, list):
@@ -450,17 +442,18 @@ def _pairs(doc: Mapping, field: str, read) -> dict:
     table = {}
     for item in items:
         try:
-            pair = (_integer(item["i"]), _integer(item["j"]))
-            value = read(item)
-        except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            pair = (item["i"], item["j"])
+            repeated = pair in table
+            table[pair] = item[value]
+        except (KeyError, TypeError) as exc:
             raise AlgebraFormatError(f"bad {field} entry {item!r}: {exc}") from exc
-        if pair in table:
+        if repeated:
             raise AlgebraFormatError(f"repeated {field} entry ({pair[0]},{pair[1]})")
-        table[pair] = value
     return table
 
 
 def from_document(doc: Mapping) -> OmegaAlgebra:
+    """The algebra of a document of the shape above: its entries are read by :meth:`OmegaAlgebra.from_tables` alone."""
     if not isinstance(doc, dict):
         raise AlgebraFormatError("algebra document must be a JSON object")
     try:
@@ -478,8 +471,8 @@ def from_document(doc: Mapping) -> OmegaAlgebra:
         raise AlgebraFormatError(f"'basis' must be a list of label strings, got {basis!r}")
     if basis and len(basis) != dim:
         raise AlgebraFormatError(f"basis has {len(basis)} labels but dim is {dim}")
-    brackets = _pairs(doc, "brackets", lambda item: _components(item["coeffs"]))
-    omega = _pairs(doc, "omega", lambda item: frac(item["value"]))
+    brackets = _pairs(doc, "brackets", "coeffs")
+    omega = _pairs(doc, "omega", "value")
     return OmegaAlgebra.from_tables(name, dim, brackets, omega, basis_labels=basis, notes=notes)
 
 

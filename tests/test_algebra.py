@@ -468,48 +468,89 @@ class TestRefusals:
     @pytest.mark.parametrize("pair", [(2, 1), (1, 1), (0, 2), (1, 4)])
     def test_an_omega_pair_outside_the_upper_triangle_is_refused(self, pair):
         message = re.escape(f"omega pair ({pair[0]},{pair[1]}) must satisfy 1 <= i < j <= 3")
-        with pytest.raises(AlgebraFormatError, match=message):
-            OmegaAlgebra.from_tables("bad", 3, {}, {pair: 1})
-        doc = {"name": "bad", "dim": 3, "omega": [{"i": pair[0], "j": pair[1], "value": "1"}]}
-        with pytest.raises(AlgebraFormatError, match=message):
-            from_document(doc)
+        self.assert_refused({}, {pair: 1}, message, True)
+
+    @staticmethod
+    def document(brackets, omega):
+        """The JSON document on dim 3 that lists these tables, or None if JSON cannot express them.
+
+        A component ``k`` is written as ``str(k)``, as JSON writes an object's
+        keys; anything else must survive a JSON round trip unchanged.
+        """
+        if not all(isinstance(key, tuple) and len(key) == 2 for key in [*brackets, *omega]):
+            return None
+        entries = []
+        for (i, j), coeffs in brackets.items():
+            if isinstance(coeffs, dict):
+                named = {str(k) if type(k) is int else k: v for k, v in coeffs.items()}
+                if len(named) < len(coeffs):
+                    return None  # two keys that JSON writes as one
+                coeffs = named
+            entries.append({"i": i, "j": j, "coeffs": coeffs})
+        doc = {
+            "name": "bad",
+            "dim": 3,
+            "brackets": entries,
+            "omega": [{"i": i, "j": j, "value": value} for (i, j), value in omega.items()],
+        }
+        try:
+            return doc if json.loads(json.dumps(doc)) == doc else None
+        except TypeError:  # a Fraction
+            return None
+
+    def assert_refused(self, brackets, omega, message, in_document):
+        """``from_tables`` refuses the tables, and a document that lists them is refused with the same error."""
+        with pytest.raises(AlgebraFormatError, match=message) as by_tables:
+            OmegaAlgebra.from_tables("bad", 3, brackets, omega)
+        doc = self.document(brackets, omega)
+        assert (doc is not None) == in_document
+        if doc is not None:
+            with pytest.raises(AlgebraFormatError) as by_document:
+                from_document(doc)
+            assert str(by_document.value) == str(by_tables.value)
 
     @pytest.mark.parametrize(
-        "brackets, omega",
+        "brackets, omega, in_document",
         [
-            ({(1, 2): {1.5: 1}}, {}),  # int() would read component 1
-            ({(1, 2): {Fraction(3, 2): 1}}, {}),
-            ({(True, 2): {1: 1}}, {}),  # int() would read 1
-            ({(1, 2): {" 2 ": 1}}, {}),
-            ({(1, 2): {"２": 1}}, {}),  # a fullwidth digit
-            ({(1, 2): {None: 1}}, {}),
-            ({}, {(1, 2.5): 1}),
-            ({}, {("1", ()): 1}),
+            ({(1, 2): {1.5: 1}}, {}, False),  # int() would read component 1
+            ({(1, 2): {Fraction(3, 2): 1}}, {}, False),
+            ({(True, 2): {1: 1}}, {}, True),  # int() would read 1
+            ({(1, 2): {" 2 ": 1}}, {}, True),
+            ({(1, 2): {"２": 1}}, {}, True),  # a fullwidth digit
+            ({(1, 2): {None: 1}}, {}, False),
+            ({}, {(1, 2.5): 1}, True),
+            ({}, {("1", ()): 1}, False),
         ],
         ids=["float", "fraction", "bool", "padded", "fullwidth", "none", "omega-float", "omega-tuple"],
     )
-    def test_table_indices_are_read_as_document_integers(self, brackets, omega):
-        with pytest.raises(AlgebraFormatError, match="table index: "):
-            OmegaAlgebra.from_tables("bad", 3, brackets, omega)
+    def test_table_indices_are_read_as_document_integers(self, brackets, omega, in_document):
+        self.assert_refused(brackets, omega, "table index: ", in_document)
 
     @pytest.mark.parametrize(
-        "brackets, omega, message",
+        "brackets, omega, message, in_document",
         [
-            ({1: {1: 1}}, {}, "bracket key 1 must be a pair"),
-            ({(1, 2, 3): {1: 1}}, {}, r"bracket key \(1, 2, 3\) must be a pair"),
-            ({}, {"12": 1}, "omega key '12' must be a pair"),  # unpacking would read ("1", "2")
-            ({(1, 2): [1]}, {}, r"bracket \[1,2\] coefficients must be a mapping"),
-            ({(1, 2): {3: 1}, ("1", "2"): {3: 5}}, {}, r"bracket pair \(1,2\) is given twice"),
-            ({(1, 2): {1: 1, "1": 2}}, {}, r"bracket \[1,2\] names component 1 twice"),
-            ({}, {(1, 2): 1, (1.0, "2"): 3}, r"omega pair \(1,2\) is given twice"),
+            ({1: {1: 1}}, {}, "bracket key 1 must be a pair", False),
+            ({(1, 2, 3): {1: 1}}, {}, r"bracket key \(1, 2, 3\) must be a pair", False),
+            ({}, {"12": 1}, "omega key '12' must be a pair", False),  # unpacking would read ("1", "2")
+            ({(1, 2): [1]}, {}, r"bracket \[1,2\] coefficients must be a mapping", True),
+            ({(1, 2): {3: 1}, ("1", "2"): {3: 5}}, {}, r"bracket pair \(1,2\) is given twice", True),
+            ({(1, 2): {1: 1, "1": 2}}, {}, r"bracket \[1,2\] names component 1 twice", False),
+            ({(1, 2): {"2": 1, "02": 2}}, {}, r"bracket \[1,2\] names component 2 twice", True),
+            ({}, {(1, 2): 1, (1.0, "2"): 3}, r"omega pair \(1,2\) is given twice", True),
         ],
         ids=["scalar-key", "triple-key", "omega-string-key", "list-coeffs", "repeated-pair", "repeated-component",
-             "repeated-omega-pair"],
+             "repeated-component-string", "repeated-omega-pair"],
     )
-    def test_a_key_that_is_no_pair_or_names_an_entry_twice_is_refused(self, brackets, omega, message):
+    def test_a_key_that_is_no_pair_or_names_an_entry_twice_is_refused(self, brackets, omega, message, in_document):
         """Documents refuse the same tables; the last of two equal keys used to win silently."""
-        with pytest.raises(AlgebraFormatError, match=message):
-            OmegaAlgebra.from_tables("bad", 3, brackets, omega)
+        self.assert_refused(brackets, omega, message, in_document)
+
+    @pytest.mark.parametrize("value", [1.5, None, True, "x", "0.5", "1/0"])
+    @pytest.mark.parametrize("table", ["bracket", "omega"])
+    def test_a_coefficient_that_is_no_rational_is_refused(self, table, value):
+        """``frac`` refuses each of these; both readers name the entry, and no ``TypeError`` or ``ZeroDivisionError`` escapes."""
+        brackets, omega = ({(1, 2): {3: value}}, {}) if table == "bracket" else ({}, {(1, 2): value})
+        self.assert_refused(brackets, omega, re.escape(f"{table} pair (1,2): "), True)
 
     def test_integral_table_indices_are_accepted(self):
         alg = OmegaAlgebra.from_tables("x", 3, {(1.0, "2"): {Fraction(3): 1}}, {("+1", 3.0): 1})

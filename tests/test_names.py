@@ -125,6 +125,11 @@ The eighteenth guard keeps one kernel extraction: inside ``src/`` one class
 defines a method ``kernel``, ``linalg._Echelon``.  The modular pass only
 picks the rows that ``_Echelon`` eliminates, so no kernel is read mod P and
 lifted back to the rationals.
+
+The nineteenth guard keeps the package on the standard library, as the
+README and the empty ``dependencies`` of ``pyproject.toml`` promise: every
+``import`` and every absolute ``from`` in ``src/omega_lie``, at any depth,
+names a module of ``sys.stdlib_module_names`` or the package itself.
 """
 
 import ast
@@ -134,6 +139,7 @@ import importlib
 import pathlib
 import pkgutil
 import re
+import sys
 import types
 
 import pytest
@@ -971,3 +977,44 @@ def test_guard_catches_a_second_kernel_extraction(tmp_path):
         "def kernel(rows):\n    return rows\n"
     )
     assert kernel_methods([module]) == [("probe._Echelon", 2), ("probe._ModEchelon", 9)]
+
+
+STDLIB_OR_OWN = sys.stdlib_module_names | {omega_lie.__name__}
+
+
+def foreign_imports(paths):
+    """``(module, line, name)`` of each import, at any depth, of a module that is neither the standard library's nor the package's."""
+    hits = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:  # a relative import is the package's own
+                names = [node.module]
+            else:
+                continue
+            hits += [(path.stem, node.lineno, name) for name in names if name.partition(".")[0] not in STDLIB_OR_OWN]
+    return hits
+
+
+def test_the_package_imports_only_the_standard_library():
+    assert "fractions" in STDLIB_OR_OWN and "numpy" not in STDLIB_OR_OWN
+    assert foreign_imports(SOURCES) == []
+
+
+def test_guard_catches_a_third_party_import(tmp_path):
+    module = tmp_path / "probe.py"
+    module.write_text(
+        "from __future__ import annotations\n"
+        "import os.path, numpy as np\n"
+        "from fractions import Fraction\n"
+        "from . import linalg\n"
+        "from omega_lie.linalg import frac\n"
+        "from sympy.matrices import Matrix\n"
+        "def load(path):\n    import yaml\n    return yaml.safe_load(path)\n"
+    )
+    assert foreign_imports([module]) == [
+        ("probe", 2, "numpy"),
+        ("probe", 6, "sympy.matrices"),
+        ("probe", 8, "yaml"),
+    ]

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from omega_lie import catalog, linalg, solvers, verification
+from omega_lie import catalog, linalg, local, solvers, verification
 from omega_lie.algebra import BilinearMap, OmegaAlgebra, check_axioms, direct_sum
 from omega_lie.cli import main
 from omega_lie.linalg import nullspace_of_sparse_rows
@@ -218,6 +218,43 @@ def test_the_cases_cover_every_reading():
             if 0 < rank < parent:
                 proper.add((kind, params.get("sign")))
     assert proper == {(kind, params.get("sign")) for kind, params in DERIVED}
+
+
+def test_sl3_answers_every_kind_in_closed_form():
+    """sl3 is simple over ℂ and its form is 0, so every kind's space is known.
+
+    Its ½-derivations are the scalars (Ferreira, Kaygorodov & Lopatkin 2021),
+    and so is its centroid, as for every simple algebra over ℂ; its commuting
+    maps are the centroid and its anticommuting maps are 0.  Its
+    biderivations are skew (Tang 2018), so the symmetric ones are 0.  With
+    ω = 0 each ω-kind is its plain kind, and δ = 1 is the derivation.  A
+    scalar space is closed under transposition, so none of this depends on
+    which matrix action reads a map.
+    """
+    n = SL3.dim
+    session = Session()
+    der, bider = session.solve(SL3, "derivation").space, session.solve(SL3, "biderivation").space
+    scalars = linalg.SubspaceBasis(n * n, [[Fraction(int(r == c)) for r in range(n) for c in range(n)]])
+    expected = [
+        ("derivation", {}, der),
+        ("omega_derivation", {}, der),
+        ("delta_derivation", {"delta": Fraction(1)}, der),
+        ("half_derivation", {}, scalars),
+        ("centroid", {}, scalars),
+        ("commuting", {}, scalars),
+        ("anticommuting", {}, linalg.SubspaceBasis(n * n, [])),
+        ("biderivation", {}, bider),
+        ("symmetric", {}, linalg.SubspaceBasis(n**3, [])),
+        ("skew", {}, bider),
+        ("omega_biderivation", {"sign": Fraction(-1)}, bider),
+        ("omega_biderivation", {"sign": Fraction(1)}, bider),
+    ]
+    assert {kind for kind, _, _ in expected} == set(KINDS)
+    for kind, params, space in expected:
+        assert session.solve(SL3, kind, **params).space == space, (kind, params)
+    half = session.solve(SL3, "half_derivation")
+    assert local.local_closure(SL3, half).certified
+    assert local.two_local_report(SL3, half).verdict == local.RIGID
 
 
 def test_a_request_is_answered_once():
